@@ -25,9 +25,10 @@
 //       The study subcommand also fronts distributed collection:
 //       --collect-only runs stage 1 alone (for snapshot diffing);
 //       --dist-workers N simulates an N-worker coordinator/worker cluster
-//       (bit-identical to the single-process run); --dist-kills K kills
+//       that leases device ranges (bit-identical to the single-process
+//       run, also with --memory-budget-mb); --dist-kills K kills
 //       exactly K workers mid-run to exercise recovery; --frames-out
-//       writes the V6DIST01 frame log (lint-dist input).
+//       writes the V6DIST02 frame log (lint-dist input).
 //   v6pool_cli query --corpus FILE [--addr A] [--p48 A] [--p64 A]
 //                    [--oui O] [--queries FILE]
 //       load a V6CORP snapshot into the serving layer (one epoch) and
@@ -42,7 +43,7 @@
 //       final window-end epoch), prints one line per retained epoch
 //       (records, table sizes, answer digest), then answers the given
 //       queries against the final epoch
-//   v6pool_cli coordinator --dir D [--workers N] [--subsets S]
+//   v6pool_cli coordinator --dir D [--workers N] [--ranges R]
 //                          [--chunk-days C] [--heartbeat-timeout-ms MS]
 //                          [--save-corpus FILE] [--sites N] [--days D]
 //                          [--seed S]
@@ -58,7 +59,7 @@
 //   v6pool_cli lint-trace FILE
 //       validate a Chrome trace-event JSON file (exit 0 iff clean)
 //   v6pool_cli lint-dist FILE
-//       validate a V6DIST01 frame log (exit 0 iff clean)
+//       validate a V6DIST02 frame log (exit 0 iff clean)
 //   v6pool_cli obs-report [study flags] [--query-count Q] [--out FILE]
 //       run stage 1 with serving + timeline sampling, drive a
 //       deterministic query workload, and emit the unified run-report
@@ -202,6 +203,9 @@ core::StudyConfig build_study_config(int argc, char** argv) {
       std::min<util::SimDuration>(62 * util::kDay,
                                   config.world.study_duration);
   config.analysis.threads = flag_u32(argc, argv, "--threads", 1);
+  // Collection shards per process (0 = every core); any count collects
+  // the identical corpus.
+  config.collector.threads = flag_u32(argc, argv, "--collector-threads", 0);
   if (const std::uint64_t budget_mb =
           flag_u64(argc, argv, "--memory-budget-mb", 0, 1ull << 34);
       budget_mb > 0) {
@@ -324,9 +328,10 @@ int cmd_study(int argc, char** argv) {
               util::with_commas(r.polls_attempted).c_str(),
               util::with_commas(r.polls_answered).c_str());
   if (r.dist) {
-    std::printf("distributed   : %u workers over %u subsets, %s leases, "
-                "%s deaths, %s reassignments, %s stale uploads rejected\n",
-                r.dist->workers, r.dist->subsets,
+    std::printf("distributed   : %u workers over %u device ranges, "
+                "%s leases, %s deaths, %s reassignments, "
+                "%s stale uploads rejected\n",
+                r.dist->workers, r.dist->ranges,
                 util::with_commas(r.dist->leases_granted).c_str(),
                 util::with_commas(r.dist->worker_deaths).c_str(),
                 util::with_commas(r.dist->reassignments).c_str(),
@@ -412,7 +417,7 @@ int cmd_study(int argc, char** argv) {
     }
     out.write(reinterpret_cast<const char*>(r.dist->frame_log.data()),
               static_cast<std::streamsize>(r.dist->frame_log.size()));
-    std::printf("frames        : %s bytes -> %s (V6DIST01 log)\n",
+    std::printf("frames        : %s bytes -> %s (V6DIST02 log)\n",
                 util::with_commas(r.dist->frame_log.size()).c_str(), path);
   }
   if (r.dist) {
@@ -510,7 +515,10 @@ int cmd_coordinator(int argc, char** argv) {
   dist::CoordinatorConfig config;
   config.dir = dir;
   config.workers = flag_u32(argc, argv, "--workers", 4);
-  config.subsets = flag_u32(argc, argv, "--subsets", 0);
+  config.ranges = flag_u32(argc, argv, "--ranges", 0);
+  // Leases cut the world's devices into ranges; every process builds the
+  // same world from the shared study flags.
+  config.devices = sim::World::generate(study_config.world).devices().size();
   config.chunk_interval = flag_days(argc, argv, "--chunk-days", 7);
   config.heartbeat_timeout_ms =
       flag_u32(argc, argv, "--heartbeat-timeout-ms", 10000);
@@ -952,7 +960,7 @@ int cmd_obs_report(int argc, char** argv) {
   json += "}";
   if (r.dist) {
     json += ",\"dist\":{\"workers\":" + std::to_string(r.dist->workers);
-    json += ",\"subsets\":" + std::to_string(r.dist->subsets);
+    json += ",\"ranges\":" + std::to_string(r.dist->ranges);
     json += ",\"obs_reports\":" +
             std::to_string(r.dist->cluster_obs.report_count());
     json += ",\"leases\":" + std::to_string(r.dist->leases_granted);
@@ -1076,7 +1084,7 @@ int main(int argc, char** argv) {
       "  v6pool_cli serve [--sites N] [--days D] [--seed S] [--threads T] "
       "[--memory-budget-mb M] [--epoch-days E] [--retain-epochs R] "
       "[--addr A] [--p48 A] [--p64 A] [--oui O] [--queries FILE]\n"
-      "  v6pool_cli coordinator --dir D [--workers N] [--subsets S] "
+      "  v6pool_cli coordinator --dir D [--workers N] [--ranges R] "
       "[--chunk-days C] [--heartbeat-timeout-ms MS] [--save-corpus FILE] "
       "[--sites N] [--days D] [--seed S]\n"
       "  v6pool_cli worker --dir D --id I [--chunk-delay-ms MS] "

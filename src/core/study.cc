@@ -137,16 +137,34 @@ void Study::do_resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
   if (config_.metrics) set_vantage_gauges(*metrics_, results_.vantage_health);
 }
 
-void Study::do_collect_distributed(const dist::DistConfig& dist_config) {
+void Study::do_collect_distributed(
+    const dist::DistConfig& dist_config,
+    std::optional<hitlist::CollectionCheckpoint>&& checkpoint) {
   if (collected_) return;
   collected_ = true;
   dist::SimCluster cluster(*world_, *plane_, *dns_, config_.collector,
                            dist_config, nullptr,
                            config_.metrics ? metrics_.get() : nullptr,
                            config_.metrics ? sampler_ : nullptr);
-  const util::SimTime start = config_.world.study_start;
-  const util::SimTime end = start + config_.world.study_duration;
-  results_.dist = cluster.run(results_.ntp, start, end);
+  hitlist::CheckpointState from = hitlist::CheckpointState::fresh(
+      config_.world.study_start,
+      config_.world.study_start + config_.world.study_duration);
+  hitlist::Corpus snapshot(1);
+  if (checkpoint) {
+    from = std::move(checkpoint->state);
+    snapshot = std::move(checkpoint->corpus);
+  }
+  if (config_.spill.active()) {
+    // Each device range's final corpus becomes one spilled run; a resumed
+    // snapshot is the first.
+    results_.ntp_runs = std::make_unique<hitlist::TieredCorpus>(
+        config_.spill, config_.metrics ? metrics_.get() : nullptr);
+    results_.ntp_runs->spill(std::move(snapshot));
+    results_.dist = cluster.run(*results_.ntp_runs, from);
+  } else {
+    results_.ntp = std::move(snapshot);
+    results_.dist = cluster.run(results_.ntp, from);
+  }
   results_.polls_attempted = results_.dist->polls_attempted;
   results_.polls_answered = results_.dist->polls_answered;
   results_.vantage_health = results_.dist->vantage_health;
@@ -344,24 +362,12 @@ std::size_t Study::save_ntp(std::ostream& out) const {
 }
 
 const StudyResults& Study::run(RunOptions options) {
-  if (options.distributed) {
-    // Distributed collection composes with the rest of the pipeline but
-    // not with knobs that change who owns stage-1 state. Fail loudly
-    // rather than silently diverge from the bit-identity contract.
-    if (config_.spill.active()) {
-      throw std::invalid_argument(
-          "RunOptions::distributed is incompatible with StudyConfig::spill");
-    }
-    if (options.resume_from) {
-      throw std::invalid_argument(
-          "RunOptions::distributed is incompatible with resume_from "
-          "(workers resume from their own chunk leases)");
-    }
-    if (options.checkpoint_sink) {
-      throw std::invalid_argument(
-          "RunOptions::distributed is incompatible with checkpoint_sink "
-          "(checkpoints flow through the coordinator protocol)");
-    }
+  if (options.distributed && options.checkpoint_sink) {
+    // Device ranges checkpoint independently; there is no single-process
+    // cursor to hand the sink. Fail loudly rather than never call it.
+    throw std::invalid_argument(
+        "RunOptions::distributed is incompatible with checkpoint_sink "
+        "(checkpoints flow through the coordinator protocol)");
   }
   obs::Tracer& tracer = metrics_->tracer();
   const util::SimTime study_start = config_.world.study_start;
@@ -400,7 +406,8 @@ const StudyResults& Study::run(RunOptions options) {
   if (options.collect && !collected_) {
     const auto span = tracer.begin_span("study.collect", study_start);
     if (options.distributed) {
-      do_collect_distributed(*options.distributed);
+      do_collect_distributed(*options.distributed,
+                             std::move(options.resume_from));
     } else if (options.resume_from) {
       do_resume_collect(std::move(*options.resume_from),
                         options.checkpoint_sink);

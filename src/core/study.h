@@ -149,7 +149,7 @@ struct StudyResults {
   // Stage 4 (empty until run_analysis()).
   AnalysisReport analysis;
   // Distributed-collection report (set only when RunOptions::distributed
-  // drove stage 1): lease/recovery counters and the V6DIST01 frame log.
+  // drove stage 1): lease/recovery counters and the V6DIST02 frame log.
   std::optional<dist::DistReport> dist;
   // Folded view of the study's metrics registry plus its trace spans,
   // captured when run() finishes (empty when driven via the legacy
@@ -183,13 +183,14 @@ struct RunOptions {
   // bit-identical at any thread count and sampling changes no result.
   util::SimDuration sample_interval = 0;
   // Distributed stage 1: when set, collection runs through a simulated
-  // dist::SimCluster — N workers each collecting a vantage subset under
+  // dist::SimCluster — N workers each collecting a device range under
   // chunk leases, with the coordinator's deterministic merge feeding the
   // rest of the pipeline. The merged corpus, saved bytes, and every
   // analysis float are bit-identical to the single-process run at any
-  // worker count, including under injected worker kills/stalls.
-  // Incompatible with spill, resume_from, checkpoint_sink, and
-  // plane.wire_fidelity (run() throws std::invalid_argument).
+  // worker count, including under injected worker kills/stalls. Composes
+  // with spill (each range's corpus spills as one run) and resume_from
+  // (every range replays to the checkpoint, then records); incompatible
+  // with checkpoint_sink and collector.wire_fidelity (std::invalid_argument).
   std::optional<dist::DistConfig> distributed;
   // Hitlist-as-a-service: with serve.enabled, stage 1 publishes epoch
   // snapshots into Study::query_service() — interior epochs every
@@ -280,7 +281,9 @@ class Study {
 
  private:
   void do_collect(const hitlist::CheckpointSink& sink);
-  void do_collect_distributed(const dist::DistConfig& dist_config);
+  void do_collect_distributed(
+      const dist::DistConfig& dist_config,
+      std::optional<hitlist::CollectionCheckpoint>&& checkpoint);
   void do_resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
                          const hitlist::CheckpointSink& sink);
   void do_campaigns();

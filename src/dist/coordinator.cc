@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "dist/transport.h"
+#include "util/thread_pool.h"
 
 namespace v6::dist {
 
@@ -25,13 +26,14 @@ std::uint64_t ms_since(Clock::time_point t0) {
 struct WorkerPeer {
   std::uint32_t id = 0;
   bool alive = true;
-  // kNoSubset while idle; the subset it holds a lease on otherwise.
-  std::uint32_t lease = kNoSubset;
+  // kNoLease while idle; the lease it holds otherwise.
+  std::uint32_t lease = kNoLease;
   std::uint64_t last_seen_ms = 0;
 };
 
-struct SubsetSlot {
+struct LeaseSlot {
   std::uint32_t id = 0;
+  util::ShardRange devices;
   bool done = false;
   bool running = false;
   std::uint32_t epoch = 0;
@@ -55,11 +57,14 @@ Coordinator::Coordinator(const CoordinatorConfig& config) : config_(config) {
   if (config_.chunk_interval <= 0) {
     throw std::invalid_argument("Coordinator: chunk_interval must be > 0");
   }
+  if (config_.devices == 0) {
+    throw std::invalid_argument("Coordinator: device count required");
+  }
 }
 
 CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
-  const std::uint32_t subset_count =
-      config_.subsets != 0 ? config_.subsets : config_.workers;
+  const std::uint32_t range_count =
+      config_.ranges != 0 ? config_.ranges : config_.workers;
   Mailbox inbox(config_.dir + "/to-coordinator");
   std::ofstream frame_log(config_.dir + "/frames.log",
                           std::ios::binary | std::ios::app);
@@ -91,25 +96,20 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
     return it->second;
   };
   const auto send = [&](std::uint32_t worker, FrameType type,
-                        std::uint32_t subset, std::uint32_t epoch,
+                        std::uint32_t lease, std::uint32_t epoch,
                         std::uint64_t sim_time,
                         std::vector<std::uint8_t> payload = {}) {
-    Frame frame;
-    frame.type = type;
-    frame.sender = kCoordinatorId;
-    frame.subset = subset;
-    frame.epoch = epoch;
-    frame.seq = tx_seq++;
-    frame.sim_time = sim_time;
-    frame.payload = std::move(payload);
+    const Frame frame{type, kCoordinatorId, lease, epoch,
+                      tx_seq++, sim_time, std::move(payload)};
     outbox_for(worker).post(frame);
     log_frame(frame);
   };
 
-  std::vector<SubsetSlot> subsets(subset_count);
-  for (std::uint32_t s = 0; s < subset_count; ++s) {
-    subsets[s].id = s;
-    subsets[s].resume_from = static_cast<std::uint64_t>(start);
+  std::vector<LeaseSlot> leases(range_count);
+  for (std::uint32_t r = 0; r < range_count; ++r) {
+    leases[r].id = r;
+    leases[r].devices = util::shard_range(config_.devices, r, range_count);
+    leases[r].resume_from = static_cast<std::uint64_t>(start);
   }
 
   CoordinatorResult result;
@@ -123,7 +123,7 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
     const std::uint64_t now = ms_since(t0);
     if (now > config_.max_wall_ms) {
       throw std::runtime_error(
-          "coordinator: deadline exceeded before every subset completed");
+          "coordinator: deadline exceeded before every lease completed");
     }
 
     for (const Frame& frame : inbox.drain()) {
@@ -142,8 +142,8 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
         case FrameType::kHeartbeat:
           break;
         case FrameType::kCheckpointUpload: {
-          if (frame.subset >= subset_count) break;
-          SubsetSlot& slot = subsets[frame.subset];
+          if (frame.lease >= range_count) break;
+          LeaseSlot& slot = leases[frame.lease];
           const Artifact artifact = decode_artifact(frame.payload);
           // Epoch fencing: a revoked-then-woken zombie reports with the
           // old epoch and must not overwrite the live lease's progress.
@@ -158,8 +158,8 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
           break;
         }
         case FrameType::kComplete: {
-          if (frame.subset >= subset_count) break;
-          SubsetSlot& slot = subsets[frame.subset];
+          if (frame.lease >= range_count) break;
+          LeaseSlot& slot = leases[frame.lease];
           const Artifact artifact = decode_artifact(frame.payload);
           if (frame.epoch != slot.epoch || slot.done ||
               !artifact_ok(artifact)) {
@@ -169,22 +169,22 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
           slot.done = true;
           slot.running = false;
           slot.final_path = artifact.path;
-          if (peer.lease == frame.subset) peer.lease = kNoSubset;
+          if (peer.lease == frame.lease) peer.lease = kNoLease;
           break;
         }
         case FrameType::kObsReport: {
           // Same epoch fence as uploads: a zombie's report must not
           // replace the live lease's, and a malformed payload is treated
           // exactly like a hostile artifact path.
-          if (frame.subset >= subset_count) break;
-          SubsetSlot& slot = subsets[frame.subset];
+          if (frame.lease >= range_count) break;
+          LeaseSlot& slot = leases[frame.lease];
           if (frame.epoch != slot.epoch || slot.done) {
             ++result.stale_uploads_rejected;
             break;
           }
           try {
             ObsReport report = decode_obs_report(frame.payload);
-            result.cluster_obs.add_worker(frame.sender, frame.subset,
+            result.cluster_obs.add_worker(frame.sender, frame.lease,
                                           std::move(report.snapshot),
                                           std::move(report.windows));
           } catch (const std::exception&) {
@@ -200,13 +200,13 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
     }
 
     // Liveness: a leased worker silent past the timeout is dead; fence
-    // its lease off and put the subset back in the pending pool.
+    // its lease off and put the range back in the pending pool.
     for (auto& [id, peer] : peers) {
-      if (!peer.alive || peer.lease == kNoSubset) continue;
+      if (!peer.alive || peer.lease == kNoLease) continue;
       if (now - peer.last_seen_ms <= config_.heartbeat_timeout_ms) continue;
-      SubsetSlot& slot = subsets[peer.lease];
+      LeaseSlot& slot = leases[peer.lease];
       peer.alive = false;
-      peer.lease = kNoSubset;
+      peer.lease = kNoLease;
       ++result.worker_deaths;
       ++result.reassignments;
       ++slot.epoch;  // stale uploads from the zombie now bounce
@@ -216,12 +216,12 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
            static_cast<std::uint64_t>(slot.resume_from));
     }
 
-    // Assignment: pending subsets to idle live workers, in id order.
-    for (SubsetSlot& slot : subsets) {
+    // Assignment: pending leases to idle live workers, in id order.
+    for (LeaseSlot& slot : leases) {
       if (slot.done || slot.running || now < slot.available_at_ms) continue;
       WorkerPeer* idle = nullptr;
       for (auto& [id, peer] : peers) {
-        if (peer.alive && peer.lease == kNoSubset) {
+        if (peer.alive && peer.lease == kNoLease) {
           idle = &peer;
           break;
         }
@@ -232,7 +232,8 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
       grant.window_end = static_cast<std::uint64_t>(end);
       grant.chunk_interval = static_cast<std::uint64_t>(config_.chunk_interval);
       grant.resume_from = slot.resume_from;
-      grant.subset_count = subset_count;
+      grant.device_begin = slot.devices.begin;
+      grant.device_end = slot.devices.end;
       grant.checkpoint_path = slot.ckpt_path;
       idle->lease = slot.id;
       idle->last_seen_ms = now;
@@ -243,7 +244,7 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
     }
 
     bool all_done = true;
-    for (const SubsetSlot& slot : subsets) {
+    for (const LeaseSlot& slot : leases) {
       if (!slot.done) {
         all_done = false;
         break;
@@ -260,29 +261,21 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
     peers.try_emplace(w, WorkerPeer{w});
   }
   for (auto& [id, peer] : peers) {
-    send(id, FrameType::kShutdown, kNoSubset, 0,
+    send(id, FrameType::kShutdown, kNoLease, 0,
          static_cast<std::uint64_t>(end));
   }
 
-  // Deterministic merge over the final artifacts — byte-identical to the
-  // single-process run because each subset's checkpoint already is.
-  for (const SubsetSlot& slot : subsets) {
+  // Deterministic merge over the final artifacts: the ranges partition the
+  // devices, so their union is the single-process corpus and their
+  // counters add up to its counters.
+  for (const LeaseSlot& slot : leases) {
     hitlist::CollectionCheckpoint final_ckpt =
         hitlist::load_checkpoint_file(config_.dir + "/" + slot.final_path);
     result.corpus.merge(final_ckpt.corpus);
     result.polls_attempted += final_ckpt.state.polls_attempted;
     result.polls_answered += final_ckpt.state.polls_answered;
-    if (result.vantage_health.size() < final_ckpt.state.vantage_health.size()) {
-      result.vantage_health.resize(final_ckpt.state.vantage_health.size());
-    }
-    for (std::size_t v = 0; v < final_ckpt.state.vantage_health.size(); ++v) {
-      const hitlist::VantageHealthStats& vh = final_ckpt.state.vantage_health[v];
-      result.vantage_health[v].polls += vh.polls;
-      result.vantage_health[v].answered += vh.answered;
-      result.vantage_health[v].lost_to_fault += vh.lost_to_fault;
-      result.vantage_health[v].retries += vh.retries;
-      result.vantage_health[v].steered_polls += vh.steered_polls;
-    }
+    hitlist::add_vantage_health(result.vantage_health,
+                                final_ckpt.state.vantage_health);
   }
   result.corpus.canonicalize();
   return result;

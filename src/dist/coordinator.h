@@ -10,6 +10,7 @@
 // reference byte-for-byte).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -27,7 +28,10 @@ struct CoordinatorConfig {
   // Expected initial fleet size: used only to broadcast shutdown to
   // mailboxes of workers that never said hello.
   std::uint32_t workers = 4;
-  std::uint32_t subsets = 0;  // 0 -> workers
+  // Device count of the world every process builds; leases cover
+  // util::shard_range(devices, r, ranges) for r in [0, ranges).
+  std::size_t devices = 0;
+  std::uint32_t ranges = 0;  // 0 -> workers
   util::SimDuration chunk_interval = util::kWeek;
   // Wall-clock liveness and pacing.
   std::uint32_t heartbeat_timeout_ms = 10000;
@@ -47,7 +51,7 @@ struct CoordinatorResult {
   std::uint64_t worker_deaths = 0;
   std::uint64_t reassignments = 0;
   std::uint64_t stale_uploads_rejected = 0;
-  // Per-subset worker observability reports (kObsReport frames), epoch-
+  // Per-lease worker observability reports (kObsReport frames), epoch-
   // fenced exactly like checkpoint uploads. Counter families aggregate to
   // the single-process values because only completing leases report.
   obs::ClusterAggregator cluster_obs;
@@ -58,7 +62,7 @@ class Coordinator {
   explicit Coordinator(const CoordinatorConfig& config);
 
   // Drives the fleet over the collection window [start, end); blocks
-  // until every subset completed (then broadcasts shutdown) or the
+  // until every device range completed (then broadcasts shutdown) or the
   // deadline passes (throws std::runtime_error).
   CoordinatorResult run(util::SimTime start, util::SimTime end);
 

@@ -15,7 +15,7 @@ namespace v6::dist {
 // vantage_health) — cumulative values the checkpoint machinery restores
 // across reassignments. The per-lease registry flushes are deliberately
 // NOT used: they only cover work since the last resume, so a reassigned
-// subset would undercount. Names and help strings mirror the collector's
+// lease would undercount. Names and help strings mirror the collector's
 // own registrations; samples are sorted by (name, labels) exactly like
 // Registry::snapshot(), so the aggregated cluster exposition is diffable
 // against the single-process run.

@@ -12,7 +12,7 @@ namespace v6::dist {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', '6', 'D', 'I', 'S', 'T', '0', '1'};
+constexpr char kMagic[8] = {'V', '6', 'D', 'I', 'S', 'T', '0', '2'};
 constexpr std::size_t kMaxPath = 4096;
 
 bool known_type(std::uint8_t t) noexcept {
@@ -78,7 +78,7 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   writer.bytes(std::span(reinterpret_cast<const std::uint8_t*>(kMagic), 8));
   writer.u8(static_cast<std::uint8_t>(frame.type));
   writer.u32(frame.sender);
-  writer.u32(frame.subset);
+  writer.u32(frame.lease);
   writer.u32(frame.epoch);
   writer.u64(frame.seq);
   writer.u64(frame.sim_time);
@@ -101,7 +101,7 @@ Frame decode_frame(std::span<const std::uint8_t> data, std::size_t* consumed) {
   Frame frame;
   const std::uint8_t type = reader.u8();
   frame.sender = reader.u32();
-  frame.subset = reader.u32();
+  frame.lease = reader.u32();
   frame.epoch = reader.u32();
   frame.seq = reader.u64();
   frame.sim_time = reader.u64();
@@ -140,7 +140,8 @@ std::vector<std::uint8_t> encode_lease_grant(const LeaseGrant& grant) {
   writer.u64(grant.window_end);
   writer.u64(grant.chunk_interval);
   writer.u64(grant.resume_from);
-  writer.u32(grant.subset_count);
+  writer.u64(grant.device_begin);
+  writer.u64(grant.device_end);
   put_string(writer, grant.checkpoint_path);
   return std::move(writer).take();
 }
@@ -152,7 +153,8 @@ LeaseGrant decode_lease_grant(std::span<const std::uint8_t> payload) {
   grant.window_end = reader.u64();
   grant.chunk_interval = reader.u64();
   grant.resume_from = reader.u64();
-  grant.subset_count = reader.u32();
+  grant.device_begin = reader.u64();
+  grant.device_end = reader.u64();
   grant.checkpoint_path = get_string(reader);
   if (reader.truncated() || reader.remaining() != 0) {
     throw std::runtime_error("dist frame: malformed lease grant payload");
@@ -425,16 +427,14 @@ std::optional<std::string> lint_dist_frames(std::string_view log) {
             grant.resume_from >= grant.window_end) {
           return fail("resume point outside the lease window");
         }
-        if (grant.subset_count == 0) return fail("zero subset count");
-        if (frame.subset >= grant.subset_count) {
-          return fail("subset id out of range");
+        if (grant.device_end < grant.device_begin) {
+          return fail("device range is inverted");
         }
+        if (frame.lease == kNoLease) return fail("lease grant without a lease");
         if (!grant.checkpoint_path.empty()) {
           if (const auto why = validate_artifact_path(grant.checkpoint_path)) {
             return fail(*why);
           }
-        } else if (grant.resume_from != grant.window_start) {
-          return fail("recovery lease without a checkpoint path");
         }
         break;
       }
@@ -452,16 +452,14 @@ std::optional<std::string> lint_dist_frames(std::string_view log) {
         if (const auto why = validate_artifact_path(artifact.path)) {
           return fail(*why);
         }
-        if (frame.subset == kNoSubset) return fail("upload without a subset");
+        if (frame.lease == kNoLease) return fail("upload without a lease");
         break;
       }
       case FrameType::kObsReport: {
         if (frame.sender == kCoordinatorId) {
           return fail("obs report from the coordinator");
         }
-        if (frame.subset == kNoSubset) {
-          return fail("obs report without a subset");
-        }
+        if (frame.lease == kNoLease) return fail("obs report without a lease");
         try {
           (void)decode_obs_report(frame.payload);
         } catch (const std::exception& e) {

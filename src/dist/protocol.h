@@ -1,4 +1,4 @@
-// V6DIST01: the coordinator/worker control protocol for distributed
+// V6DIST02: the coordinator/worker control protocol for distributed
 // passive collection.
 //
 // The paper's deployment was 27 VPSes feeding a central aggregator; this
@@ -14,11 +14,11 @@
 //
 // Frame layout (all integers big-endian via proto::BufferWriter):
 //
-//   magic  "V6DIST01"   8 bytes
+//   magic  "V6DIST02"   8 bytes
 //   type                u8   (FrameType)
 //   sender              u32  (worker id, or kCoordinatorId)
-//   subset              u32  (vantage subset the frame concerns, or
-//                             kNoSubset for fleet-wide frames)
+//   lease               u32  (device-range lease the frame concerns, or
+//                             kNoLease for fleet-wide frames)
 //   epoch               u32  (lease fencing token, see below)
 //   seq                 u64  (per-sender, strictly increasing from 0)
 //   sim_time            u64  (cluster-clock stamp of the event)
@@ -26,7 +26,7 @@
 //   payload             payload_len bytes (type-specific, below)
 //   crc32               u32  over type..payload
 //
-// Lease fencing: every grant carries the subset's current epoch; the
+// Lease fencing: every grant carries the lease's current epoch; the
 // coordinator bumps the epoch when it revokes or reassigns a lease, and
 // rejects any upload stamped with a stale epoch. A worker that stalled
 // past the heartbeat timeout and then woke up cannot double-report work
@@ -50,10 +50,10 @@
 namespace v6::dist {
 
 inline constexpr std::uint32_t kCoordinatorId = 0xfffffffe;
-inline constexpr std::uint32_t kNoSubset = 0xffffffff;
+inline constexpr std::uint32_t kNoLease = 0xffffffff;
 // Control frames are small; anything bigger is garbage or an attack.
 inline constexpr std::uint32_t kMaxPayload = 1u << 20;
-// magic(8) type(1) sender(4) subset(4) epoch(4) seq(8) sim_time(8)
+// magic(8) type(1) sender(4) lease(4) epoch(4) seq(8) sim_time(8)
 // payload_len(4).
 inline constexpr std::size_t kFrameHeaderBytes = 41;
 
@@ -71,23 +71,25 @@ enum class FrameType : std::uint8_t {
 struct Frame {
   FrameType type = FrameType::kHello;
   std::uint32_t sender = 0;
-  std::uint32_t subset = kNoSubset;
+  std::uint32_t lease = kNoLease;
   std::uint32_t epoch = 0;
   std::uint64_t seq = 0;
   std::uint64_t sim_time = 0;
   std::vector<std::uint8_t> payload;
 };
 
-// kLeaseGrant payload: collect vantage subset `subset` (of subset_count)
-// over [window_start, window_end), checkpointing every chunk_interval sim
-// seconds. resume_from > window_start means a recovery lease: replay up
-// to resume_from from the checkpoint at checkpoint_path, then record.
+// kLeaseGrant payload: collect devices [device_begin, device_end) over
+// [window_start, window_end), checkpointing every chunk_interval sim
+// seconds. resume_from > window_start means the range's devices replay up
+// to resume_from before recording; a recovery lease resumes from the
+// range's checkpoint at checkpoint_path.
 struct LeaseGrant {
   std::uint64_t window_start = 0;
   std::uint64_t window_end = 0;
   std::uint64_t chunk_interval = 0;
   std::uint64_t resume_from = 0;
-  std::uint32_t subset_count = 1;
+  std::uint64_t device_begin = 0;
+  std::uint64_t device_end = 0;
   std::string checkpoint_path;  // empty on a fresh lease
 };
 
@@ -157,11 +159,11 @@ std::optional<std::string> validate_artifact_path(std::string_view path);
 
 // --- linter ----------------------------------------------------------------
 
-// Validates a concatenated V6DIST01 frame log (the bytes of frames.log or
+// Validates a concatenated V6DIST02 frame log (the bytes of frames.log or
 // an in-memory DistReport::frame_log). Checks per frame: framing, CRC,
 // known type, payload decodes and passes semantic validation (grant
 // windows ordered, chunk interval positive, resume point inside the
-// window, subset < subset_count, artifact paths safe); per sender:
+// window, device range ordered, artifact paths safe); per sender:
 // strictly increasing seq starting at 0; whole log: no trailing bytes.
 // Returns nullopt when the log is clean, else "frame N: reason".
 std::optional<std::string> lint_dist_frames(std::string_view log);

@@ -8,8 +8,8 @@
 
 #include "dist/obs_report.h"
 #include "hitlist/checkpoint_io.h"
-
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace v6::dist {
 
@@ -23,13 +23,13 @@ double unit(std::uint64_t h) noexcept {
 
 hitlist::Corpus clone(const hitlist::Corpus& src) {
   hitlist::Corpus out(std::max<std::size_t>(src.size(), 1));
-  src.for_each([&out](const hitlist::AddressRecord& r) { out.add_record(r); });
+  out.merge(src);
   return out;
 }
 
-std::string checkpoint_path(std::uint32_t subset, std::uint32_t epoch,
+std::string checkpoint_path(std::uint32_t lease, std::uint32_t epoch,
                             std::uint64_t resume_from) {
-  return "ckpt/s" + std::to_string(subset) + "-e" + std::to_string(epoch) +
+  return "ckpt/l" + std::to_string(lease) + "-e" + std::to_string(epoch) +
          "-t" + std::to_string(resume_from) + ".v6ckpt";
 }
 
@@ -48,18 +48,12 @@ class Emitter {
  public:
   explicit Emitter(std::vector<std::uint8_t>* log) : log_(log) {}
 
-  void emit(FrameType type, std::uint32_t sender, std::uint32_t subset,
+  void emit(FrameType type, std::uint32_t sender, std::uint32_t lease,
             std::uint32_t epoch, std::uint64_t sim_time,
             std::vector<std::uint8_t> payload = {}) {
-    Frame frame;
-    frame.type = type;
-    frame.sender = sender;
-    frame.subset = subset;
-    frame.epoch = epoch;
-    frame.seq = seq_[sender]++;
-    frame.sim_time = sim_time;
-    frame.payload = std::move(payload);
-    const std::vector<std::uint8_t> bytes = encode_frame(frame);
+    const std::vector<std::uint8_t> bytes =
+        encode_frame(Frame{type, sender, lease, epoch, seq_[sender]++,
+                           sim_time, std::move(payload)});
     log_->insert(log_->end(), bytes.begin(), bytes.end());
   }
 
@@ -75,8 +69,9 @@ struct WorkerState {
   bool said_hello = false;
 };
 
-struct SubsetState {
+struct LeaseState {
   std::uint32_t id = 0;
+  util::ShardRange devices;
   bool done = false;
   util::SimTime available_at = 0;
   std::uint32_t epoch = 0;
@@ -84,10 +79,6 @@ struct SubsetState {
   // Failure instant awaiting its recovery grant (for latency accounting).
   std::optional<util::SimTime> failed_at;
   std::optional<hitlist::CollectionCheckpoint> ckpt;
-  hitlist::Corpus final_corpus{1};
-  std::uint64_t polls = 0;
-  std::uint64_t answered = 0;
-  std::vector<hitlist::VantageHealthStats> health;
 };
 
 }  // namespace
@@ -114,8 +105,9 @@ SimCluster::SimCluster(const sim::World& world, netsim::DataPlane& plane,
   }
   if (collector_cfg_.wire_fidelity) {
     // The wire path serializes every poll through the shared DataPlane's
-    // mutable state; per-subset re-runs would each consume it and
-    // diverge. Fail loudly instead of silently losing bit-identity.
+    // mutable state (loss RNG) in global poll order, which per-range runs
+    // cannot reproduce. Fail loudly instead of silently losing
+    // bit-identity.
     throw std::invalid_argument(
         "SimCluster: wire_fidelity collection cannot be distributed");
   }
@@ -123,9 +115,58 @@ SimCluster::SimCluster(const sim::World& world, netsim::DataPlane& plane,
 
 DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
                            util::SimTime end) {
-  const std::uint32_t subset_count =
-      config_.subsets != 0 ? config_.subsets
-                           : std::max<std::uint32_t>(1, config_.workers);
+  return run(out, hitlist::CheckpointState::fresh(start, end));
+}
+
+DistReport SimCluster::run(hitlist::Corpus& out,
+                           const hitlist::CheckpointState& from) {
+  const std::size_t records = out.size();
+  const std::uint64_t observations = out.total_observations();
+  DistReport report =
+      collect(from, [&out](hitlist::Corpus&& range) { out.merge(range); });
+  // Corpus aggregation is commutative and the ranges are disjoint, so
+  // this is the same reduce the sharded single-process run performs.
+  out.canonicalize();
+  count_records(out.size() - records,
+                out.total_observations() - observations);
+  return report;
+}
+
+DistReport SimCluster::run(hitlist::TieredCorpus& runs,
+                           const hitlist::CheckpointState& from) {
+  const std::uint64_t records = runs.merged_size();
+  const std::uint64_t observations = runs.total_observations();
+  DistReport report = collect(from, [&runs](hitlist::Corpus&& range) {
+    runs.spill(std::move(range));
+  });
+  count_records(runs.merged_size() - records,
+                runs.total_observations() - observations);
+  return report;
+}
+
+void SimCluster::count_records(std::uint64_t admitted,
+                               std::uint64_t observations) {
+  if (registry_ == nullptr) return;
+  // Dedup-aware record count (union size), matching the single-process
+  // exposition.
+  registry_
+      ->counter("v6_collector_records_total",
+                "Unique client addresses admitted to the corpus")
+      .inc(admitted);
+  registry_
+      ->counter("v6_collector_dedup_hits_total",
+                "Observations folded into an existing corpus record")
+      .inc(observations - std::min(observations, admitted));
+}
+
+DistReport SimCluster::collect(
+    const hitlist::CheckpointState& from,
+    const std::function<void(hitlist::Corpus&&)>& deliver) {
+  const util::SimTime start = from.window_start;
+  const util::SimTime end = from.window_end;
+  const std::uint32_t range_count =
+      config_.ranges != 0 ? config_.ranges
+                          : std::max<std::uint32_t>(1, config_.workers);
   netsim::WorkerFaultSchedule local_plan =
       config_.worker_faults.active()
           ? netsim::WorkerFaultSchedule(config_.workers, config_.worker_faults,
@@ -145,7 +186,7 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
   netsim::WorkerFaultSchedule* plan = faults_ != nullptr ? faults_ : &local_plan;
 
   DistReport report;
-  report.subsets = subset_count;
+  report.ranges = range_count;
   report.workers = config_.workers;
   Emitter wire(&report.frame_log);
 
@@ -171,13 +212,15 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
   }
   std::uint32_t next_worker_id = config_.workers;
 
-  std::vector<SubsetState> subsets(subset_count);
-  for (std::uint32_t s = 0; s < subset_count; ++s) {
-    subsets[s].id = s;
-    subsets[s].available_at = start;
+  std::vector<LeaseState> leases(range_count);
+  for (std::uint32_t r = 0; r < range_count; ++r) {
+    leases[r].id = r;
+    leases[r].devices =
+        util::shard_range(world_->devices().size(), r, range_count);
+    leases[r].available_at = start;
   }
 
-  const auto backoff_until = [&](const SubsetState& ss,
+  const auto backoff_until = [&](const LeaseState& ss,
                                  util::SimTime from) -> util::SimTime {
     // Capped exponential backoff with seeded jitter: retry r waits
     // min(cap, backoff * 2^(r-1)) stretched by up to retry_jitter of
@@ -217,11 +260,29 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
     }
   };
 
-  const std::size_t vantage_count = world_->vantages().size();
+  // A lease that failed at `at` goes back to the pool under a new epoch,
+  // available after backoff from `from`.
+  const auto lease_failed = [&](LeaseState& ss, const WorkerState& wk,
+                                util::SimTime at, util::SimTime from) {
+    ++report.timeouts;
+    ++report.reassignments;
+    if (registry_ != nullptr) {
+      counter("v6_dist_timeouts_total", "Heartbeat timeouts fired",
+              worker_labels(wk.id))
+          .inc();
+      counter("v6_dist_reassignments_total", "Lease reassignments",
+              obs::Labels{{"lease", std::to_string(ss.id)}})
+          .inc();
+    }
+    ++ss.epoch;
+    ++ss.retries;
+    ss.available_at = backoff_until(ss, from);
+    ss.failed_at = at;
+  };
 
   while (true) {
     bool all_done = true;
-    for (const SubsetState& ss : subsets) {
+    for (const LeaseState& ss : leases) {
       if (!ss.done) {
         all_done = false;
         break;
@@ -229,12 +290,12 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
     }
     if (all_done) break;
 
-    // Earliest-start pairing, tie-broken by subset then worker id — a
+    // Earliest-start pairing, tie-broken by lease then worker id — a
     // deterministic event loop, not a heuristic scheduler.
-    SubsetState* best_ss = nullptr;
+    LeaseState* best_ss = nullptr;
     WorkerState* best_wk = nullptr;
     util::SimTime best_g = 0;
-    for (SubsetState& ss : subsets) {
+    for (LeaseState& ss : leases) {
       if (ss.done) continue;
       for (WorkerState& wk : workers) {
         if (!wk.alive) continue;
@@ -271,7 +332,7 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
       continue;
     }
 
-    SubsetState& ss = *best_ss;
+    LeaseState& ss = *best_ss;
     WorkerState& wk = *best_wk;
     const util::SimTime g = best_g;
 
@@ -284,17 +345,14 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
     }
     if (!wk.said_hello) {
       wk.said_hello = true;
-      wire.emit(FrameType::kHello, wk.id, kNoSubset, 0,
+      wire.emit(FrameType::kHello, wk.id, kNoLease, 0,
                 static_cast<std::uint64_t>(g));
     }
-    hitlist::CheckpointState from;
-    if (ss.ckpt) {
-      from = ss.ckpt->state;
-    } else {
-      from.window_start = start;
-      from.window_end = end;
-      from.resume_from = start;
-    }
+    // A fresh lease starts from the caller's resume point with zeroed
+    // counters (the caller's checkpoint totals are added once, below).
+    hitlist::CheckpointState lease_from =
+        ss.ckpt ? ss.ckpt->state : hitlist::CheckpointState::fresh(start, end);
+    if (!ss.ckpt) lease_from.resume_from = from.resume_from;
     if (ss.failed_at) {
       report.recovery_latency_total +=
           static_cast<std::uint64_t>(g - *ss.failed_at);
@@ -305,13 +363,13 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
         sampler_->sample(g, "dist.recover");
       }
     }
-    if (from.resume_from > from.window_start) {
+    if (lease_from.resume_from > start) {
       const std::uint64_t replayed = static_cast<std::uint64_t>(
-          (from.resume_from - from.window_start) / config_.chunk_interval);
+          (lease_from.resume_from - start) / config_.chunk_interval);
       report.replayed_chunks += replayed;
       if (registry_ != nullptr) {
         counter("v6_dist_replayed_chunks_total",
-                "Already-checkpointed chunks replayed by recovery leases")
+                "Already-collected chunks replayed by leases")
             .inc(replayed);
       }
     }
@@ -319,11 +377,12 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
     grant.window_start = static_cast<std::uint64_t>(start);
     grant.window_end = static_cast<std::uint64_t>(end);
     grant.chunk_interval = static_cast<std::uint64_t>(config_.chunk_interval);
-    grant.resume_from = static_cast<std::uint64_t>(from.resume_from);
-    grant.subset_count = subset_count;
+    grant.resume_from = static_cast<std::uint64_t>(lease_from.resume_from);
+    grant.device_begin = ss.devices.begin;
+    grant.device_end = ss.devices.end;
     if (ss.ckpt) {
       grant.checkpoint_path = checkpoint_path(
-          ss.id, ss.epoch, static_cast<std::uint64_t>(from.resume_from));
+          ss.id, ss.epoch, static_cast<std::uint64_t>(lease_from.resume_from));
     }
     wire.emit(FrameType::kLeaseGrant, kCoordinatorId, ss.id, ss.epoch,
               static_cast<std::uint64_t>(g), encode_lease_grant(grant));
@@ -336,16 +395,13 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
     // completing lease's report is uploaded.
     obs::Registry lease_registry;
     obs::TimelineSampler lease_sampler(lease_registry, config_.chunk_interval,
-                                       from.window_start);
+                                       start);
     hitlist::CollectorConfig cfg = collector_cfg_;
     cfg.metrics = &lease_registry;
     cfg.sampler = &lease_sampler;
     cfg.checkpoint_interval = config_.chunk_interval;
-    cfg.vantage_filter.assign(vantage_count, false);
-    for (std::size_t v = 0; v < vantage_count; ++v) {
-      cfg.vantage_filter[v] = (v % subset_count == ss.id);
-    }
-    cfg.count_unassigned = (ss.id == 0);
+    cfg.device_begin = ss.devices.begin;
+    cfg.device_end = ss.devices.end;
 
     hitlist::Corpus corpus =
         ss.ckpt ? clone(ss.ckpt->corpus) : hitlist::Corpus(1 << 12);
@@ -354,7 +410,7 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
     const std::optional<util::SimTime> kill = plan->kill_at(wk.id);
     // Lane clock: where this worker's process is on the cluster clock.
     util::SimTime lane = g;
-    util::SimTime prev = from.resume_from;
+    util::SimTime prev = lease_from.resume_from;
 
     // Advances the lane over the chunk ending at `to`, applying slow
     // windows, and throws if the worker dies or stalls out on the way.
@@ -413,22 +469,23 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
     try {
       // Replaying the checkpointed prefix is cheaper than collecting but
       // not free; the process can die mid-replay too.
-      if (from.resume_from > from.window_start) {
+      if (lease_from.resume_from > start) {
         lane += static_cast<util::SimDuration>(
             config_.replay_cost *
-            static_cast<double>(from.resume_from - from.window_start));
+            static_cast<double>(lease_from.resume_from - start));
         if (kill && *kill <= lane) throw WorkerDied{*kill};
       }
-      collector.resume(corpus, from, {}, sink);
+      collector.resume(corpus, lease_from, {}, sink);
       // The final partial chunk has no interior boundary; its upload is
       // the completion itself, and death or a stall-out on the way still
       // aborts the lease.
       advance_to(end);
       ss.done = true;
-      ss.final_corpus = std::move(corpus);
-      ss.polls = collector.polls_attempted();
-      ss.answered = collector.polls_answered();
-      ss.health = collector.vantage_health();
+      ss.ckpt.reset();
+      report.polls_attempted += collector.polls_attempted();
+      report.polls_answered += collector.polls_answered();
+      hitlist::add_vantage_health(report.vantage_health,
+                                  collector.vantage_health());
       // Close the lease's final window (the collector leaves the
       // window-end sample to the caller) and upload the observability
       // report at the completion barrier, just before kComplete.
@@ -443,9 +500,10 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
       Artifact artifact;
       artifact.path =
           checkpoint_path(ss.id, ss.epoch, static_cast<std::uint64_t>(end));
-      artifact.bytes = ss.final_corpus.total_observations();
+      artifact.bytes = corpus.total_observations();
       wire.emit(FrameType::kComplete, wk.id, ss.id, ss.epoch,
                 static_cast<std::uint64_t>(lane), encode_artifact(artifact));
+      deliver(std::move(corpus));
       wk.free_at = lane;
       report.finished_at = std::max(report.finished_at, lane);
     } catch (const WorkerDied& died) {
@@ -453,37 +511,15 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
       // later; the lease is reassigned after backoff. Work since the last
       // durable upload is gone — and that is fine, the replacement
       // replays it from ss.ckpt.
-      ++report.timeouts;
-      ++report.reassignments;
-      if (registry_ != nullptr) {
-        counter("v6_dist_timeouts_total", "Heartbeat timeouts fired",
-                worker_labels(wk.id))
-            .inc();
-        counter("v6_dist_reassignments_total", "Lease reassignments",
-                obs::Labels{{"subset", std::to_string(ss.id)}})
-            .inc();
-      }
-      const util::SimTime detected = died.at + config_.heartbeat_timeout;
+      lease_failed(ss, wk, died.at, died.at + config_.heartbeat_timeout);
       kill_worker(wk, died.at);
-      ++ss.epoch;
-      ++ss.retries;
-      ss.available_at = backoff_until(ss, detected);
-      ss.failed_at = died.at;
     } catch (const LeaseRevoked& revoked) {
       // The worker stalled past the timeout: the coordinator fenced the
       // lease off (epoch bump) while the worker slept. Its upload on
       // waking carries the stale epoch and bounces — the zombie cannot
       // double-count anything.
-      ++report.timeouts;
-      ++report.reassignments;
       ++report.stale_uploads_rejected;
       if (registry_ != nullptr) {
-        counter("v6_dist_timeouts_total", "Heartbeat timeouts fired",
-                worker_labels(wk.id))
-            .inc();
-        counter("v6_dist_reassignments_total", "Lease reassignments",
-                obs::Labels{{"subset", std::to_string(ss.id)}})
-            .inc();
         counter("v6_dist_stale_uploads_total",
                 "Uploads rejected by epoch fencing")
             .inc();
@@ -496,55 +532,27 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
       wire.emit(FrameType::kCheckpointUpload, wk.id, ss.id, ss.epoch,
                 static_cast<std::uint64_t>(revoked.wake),
                 encode_artifact(stale));
-      ++ss.epoch;
-      ++ss.retries;
-      ss.available_at = backoff_until(ss, revoked.revoked_at);
-      ss.failed_at = revoked.revoked_at;
+      lease_failed(ss, wk, revoked.revoked_at, revoked.revoked_at);
       wk.free_at = revoked.wake;
     }
   }
 
-  wire.emit(FrameType::kShutdown, kCoordinatorId, kNoSubset, 0,
+  wire.emit(FrameType::kShutdown, kCoordinatorId, kNoLease, 0,
             static_cast<std::uint64_t>(report.finished_at));
 
-  // --- deterministic merge ------------------------------------------------
-  // Corpus aggregation is commutative and the subsets are disjoint, so
-  // this is the same reduce the sharded single-process run performs.
-  report.vantage_health.resize(vantage_count);
-  for (SubsetState& ss : subsets) {
-    out.merge(ss.final_corpus);
-    report.polls_attempted += ss.polls;
-    report.polls_answered += ss.answered;
-    for (std::size_t v = 0; v < ss.health.size() && v < vantage_count; ++v) {
-      report.vantage_health[v].polls += ss.health[v].polls;
-      report.vantage_health[v].answered += ss.health[v].answered;
-      report.vantage_health[v].lost_to_fault += ss.health[v].lost_to_fault;
-      report.vantage_health[v].retries += ss.health[v].retries;
-      report.vantage_health[v].steered_polls += ss.health[v].steered_polls;
-    }
-  }
-  out.canonicalize();
-
+  report.vantage_health.resize(world_->vantages().size());
   if (registry_ != nullptr) {
-    // Collector-family totals, bulk-added post-merge exactly like the
-    // single-process collector's merge-time flush. The records counter is
-    // dedup-aware (union size), matching the single-process exposition.
+    // Collector-family totals of this run's work, bulk-added post-merge
+    // exactly like the single-process collector's merge-time flush.
     counter("v6_collector_polls_total",
             "NTP poll packets attempted by pool clients")
         .inc(report.polls_attempted);
     counter("v6_collector_answered_total",
             "Poll attempts whose response passed client-side validation")
         .inc(report.polls_answered);
-    counter("v6_collector_records_total",
-            "Unique client addresses admitted to the corpus")
-        .inc(out.size());
-    counter("v6_collector_dedup_hits_total",
-            "Observations folded into an existing corpus record")
-        .inc(out.total_observations() -
-             std::min<std::uint64_t>(out.total_observations(), out.size()));
     counter("v6_dist_heartbeats_total", "Worker heartbeats received")
         .inc(report.heartbeats);
-    for (std::size_t v = 0; v < vantage_count; ++v) {
+    for (std::size_t v = 0; v < report.vantage_health.size(); ++v) {
       const obs::Labels labels{{"vantage", std::to_string(v)}};
       counter(obs::kVantagePollsFamily,
               "Recorded poll packets steered to this vantage", labels)
@@ -559,6 +567,10 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
           .inc(report.vantage_health[v].lost_to_fault);
     }
   }
+  // Report totals continue from the caller's checkpoint.
+  report.polls_attempted += from.polls_attempted;
+  report.polls_answered += from.polls_answered;
+  hitlist::add_vantage_health(report.vantage_health, from.vantage_health);
   return report;
 }
 

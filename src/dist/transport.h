@@ -1,6 +1,6 @@
 // File-mailbox transport for the real multi-process mode.
 //
-// The coordinator and each worker exchange V6DIST01 frames through
+// The coordinator and each worker exchange V6DIST02 frames through
 // per-recipient mailbox directories under one shared run directory:
 //
 //   <dir>/to-coordinator/        frames addressed to the coordinator

@@ -28,21 +28,14 @@ void Worker::run() {
   Mailbox inbox(config_.dir + "/to-worker-" + std::to_string(config_.id));
   Mailbox outbox(config_.dir + "/to-coordinator");
   std::uint64_t tx_seq = 0;
-  const auto send = [&](FrameType type, std::uint32_t subset,
+  const auto send = [&](FrameType type, std::uint32_t lease,
                         std::uint32_t epoch, std::uint64_t sim_time,
                         std::vector<std::uint8_t> payload = {}) {
-    Frame frame;
-    frame.type = type;
-    frame.sender = config_.id;
-    frame.subset = subset;
-    frame.epoch = epoch;
-    frame.seq = tx_seq++;
-    frame.sim_time = sim_time;
-    frame.payload = std::move(payload);
-    outbox.post(frame);
+    outbox.post(Frame{type, config_.id, lease, epoch, tx_seq++, sim_time,
+                      std::move(payload)});
   };
 
-  send(FrameType::kHello, kNoSubset, 0,
+  send(FrameType::kHello, kNoLease, 0,
        static_cast<std::uint64_t>(env_.start));
 
   Clock::time_point last_activity = Clock::now();
@@ -55,21 +48,17 @@ void Worker::run() {
       if (frame.type != FrameType::kLeaseGrant) continue;
 
       const LeaseGrant grant = decode_lease_grant(frame.payload);
-      const std::uint32_t subset = frame.subset;
+      const std::uint32_t lease = frame.lease;
       const std::uint32_t epoch = frame.epoch;
-      if (grant.subset_count == 0 || subset >= grant.subset_count) {
+      if (grant.device_end < grant.device_begin) {
         throw std::runtime_error("worker: malformed lease grant");
       }
 
       hitlist::CollectorConfig cfg = env_.collector;
       cfg.checkpoint_interval =
           static_cast<util::SimDuration>(grant.chunk_interval);
-      const std::size_t vantage_count = env_.world->vantages().size();
-      cfg.vantage_filter.assign(vantage_count, false);
-      for (std::size_t v = 0; v < vantage_count; ++v) {
-        cfg.vantage_filter[v] = (v % grant.subset_count == subset);
-      }
-      cfg.count_unassigned = (subset == 0);
+      cfg.device_begin = grant.device_begin;
+      cfg.device_end = grant.device_end;
 
       hitlist::CheckpointState from;
       hitlist::Corpus corpus(1 << 12);
@@ -82,9 +71,10 @@ void Worker::run() {
         from = std::move(ckpt.state);
         corpus = std::move(ckpt.corpus);
       } else {
-        from.window_start = static_cast<util::SimTime>(grant.window_start);
-        from.window_end = static_cast<util::SimTime>(grant.window_end);
-        from.resume_from = static_cast<util::SimTime>(grant.window_start);
+        from = hitlist::CheckpointState::fresh(
+            static_cast<util::SimTime>(grant.window_start),
+            static_cast<util::SimTime>(grant.window_end));
+        from.resume_from = static_cast<util::SimTime>(grant.resume_from);
       }
 
       // Per-lease observability: a private registry + sampler whose grid
@@ -105,14 +95,14 @@ void Worker::run() {
       const auto sink = [&](const hitlist::CheckpointState& state,
                             const hitlist::Corpus& snapshot) {
         Artifact artifact;
-        artifact.path = "ckpt/s" + std::to_string(subset) + "-e" +
+        artifact.path = "ckpt/l" + std::to_string(lease) + "-e" +
                         std::to_string(epoch) + "-t" +
                         std::to_string(state.resume_from) + ".v6ckpt";
         artifact.bytes = hitlist::save_checkpoint_file(
             config_.dir + "/" + artifact.path, state, snapshot);
-        send(FrameType::kHeartbeat, subset, epoch,
+        send(FrameType::kHeartbeat, lease, epoch,
              static_cast<std::uint64_t>(state.resume_from));
-        send(FrameType::kCheckpointUpload, subset, epoch,
+        send(FrameType::kCheckpointUpload, lease, epoch,
              static_cast<std::uint64_t>(state.resume_from),
              encode_artifact(artifact));
         if (config_.chunk_delay_ms > 0) {
@@ -132,7 +122,7 @@ void Worker::run() {
       final_state.polls_answered = collector.polls_answered();
       final_state.vantage_health = collector.vantage_health();
       Artifact artifact;
-      artifact.path = "ckpt/s" + std::to_string(subset) + "-final-e" +
+      artifact.path = "ckpt/l" + std::to_string(lease) + "-final-e" +
                       std::to_string(epoch) + ".v6ckpt";
       artifact.bytes = hitlist::save_checkpoint_file(
           config_.dir + "/" + artifact.path, final_state, corpus);
@@ -142,10 +132,10 @@ void Worker::run() {
       lease_sampler.sample(from.window_end, cfg.sampler_stage);
       const ObsReport obs_report =
           build_obs_report(collector, lease_sampler.take());
-      send(FrameType::kObsReport, subset, epoch,
+      send(FrameType::kObsReport, lease, epoch,
            static_cast<std::uint64_t>(from.window_end),
            encode_obs_report(obs_report));
-      send(FrameType::kComplete, subset, epoch,
+      send(FrameType::kComplete, lease, epoch,
            static_cast<std::uint64_t>(from.window_end),
            encode_artifact(artifact));
       last_activity = Clock::now();

@@ -1,9 +1,9 @@
-// The real-process worker: polls its mailbox for chunk leases, runs the
-// vantage-subset collection through PassiveCollector's checkpoint
+// The real-process worker: polls its mailbox for chunk leases, collects
+// each lease's device range through PassiveCollector's checkpoint
 // machinery, uploads a durable V6CKPT01 artifact at every chunk
 // boundary, and reports completion. A `kill -9` at any instant loses at
 // most the chunks since the last upload — the coordinator's replacement
-// lease replays from that artifact and the merged corpus stays
+// lease resumes that range from the artifact and the merged corpus stays
 // bit-identical (the invariant PR 2 established per-process and the CI
 // smoke job asserts across processes).
 #pragma once
@@ -29,7 +29,7 @@ struct NodeEnv {
   const netsim::PoolDns* dns = nullptr;
   // Base collector configuration (metrics/sampler are replaced by a
   // per-lease registry + sampler whose report is uploaded as a
-  // kObsReport frame; the vantage filter and checkpoint interval come
+  // kObsReport frame; the device range and checkpoint interval come
   // from each lease).
   hitlist::CollectorConfig collector;
   util::SimTime start = 0;

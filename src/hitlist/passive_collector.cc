@@ -92,12 +92,8 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
   bool steered = false;
   const sim::VantagePoint* vantage = dns_->resolve(client, ds.rng, t, &steered);
   const netsim::FaultSchedule* faults = plane_->faults();
-  // Vantage-subset filtering: `record` decides whether this worker OWNS
-  // the poll's vantage and therefore counts/records it. The simulation
-  // below runs identically either way — same draws, same fault verdicts,
-  // same retry control flow — so disjoint subsets stay in RNG lockstep.
-  const bool record =
-      shard.recording && vantage != nullptr && vantage_enabled(vantage->id);
+  // Replaying a checkpointed prefix runs the same draws without counting.
+  const bool record = shard.recording;
   if (record && steered) {
     ++shard.vantage[vantage->id].steered_polls;
   }
@@ -109,9 +105,8 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
     if (tk >= window_end) break;  // the collection window closes mid-burst
     if (vantage == nullptr) {
       // The poll went to one of the thousands of pool servers that are
-      // not ours — invisible to the study, and not retried here. Exactly
-      // one worker of a distributed fleet owns this tally.
-      if (shard.recording && config_.count_unassigned) ++shard.tally.polls;
+      // not ours — invisible to the study, and not retried here.
+      if (record) ++shard.tally.polls;
       continue;
     }
     VantageHealthStats& vh = shard.vantage[vantage->id];
@@ -195,7 +190,11 @@ void PassiveCollector::process_chunk(ShardState& shard,
 void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
                                const ObservationHook& hook,
                                const CheckpointSink& sink) {
-  const auto devices = world_->devices();
+  const auto all_devices = world_->devices();
+  const std::size_t first = std::min(config_.device_begin, all_devices.size());
+  const std::size_t last =
+      std::clamp(config_.device_end, first, all_devices.size());
+  const auto devices = all_devices.subspan(first, last - first);
   const auto vantages = world_->vantages();
   unsigned shards = config_.threads.resolved();
   // The wire path serializes every poll through the shared DataPlane
@@ -225,10 +224,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
       auto observation_sink = [this, shardp = &shard, &hook, mu,
                                address = vantage.address](
                                   const ntp::Observation& obs) {
-        // The server still serves filtered-out vantages (keeping both
-        // execution paths' state identical across workers); only the
-        // recording of the observation is subset-local.
-        if (!shardp->recording || !vantage_enabled(obs.vantage)) return;
+        if (!shardp->recording) return;
         shardp->corpus.add(obs.client, obs.time, obs.vantage);
         if (obs.vantage < shardp->vantage_obs.size()) {
           ++shardp->vantage_obs[obs.vantage];
@@ -248,9 +244,8 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     }
     // Contiguous device range (the same partition run_sharded uses), so
     // the shard layout is a pure function of (device count, shard count).
-    const std::size_t range_begin = devices.size() * s / shards;
-    const std::size_t range_end = devices.size() * (s + 1) / shards;
-    for (std::size_t d = range_begin; d < range_end; ++d) {
+    const util::ShardRange range = util::shard_range(devices.size(), s, shards);
+    for (std::size_t d = range.begin; d < range.end; ++d) {
       const sim::Device& dev = devices[d];
       if (!dev.ntp.uses_pool) continue;
       // Order-independent per-device stream: the collection result does
@@ -258,7 +253,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
       // devices across threads or machines — and across checkpoint
       // epochs — bit-exact).
       shard.devices.push_back(DeviceState{
-          static_cast<sim::DeviceId>(d),
+          dev.id,
           util::Rng(
               util::mix64(config_.seed ^ 0xc0111ec7 ^ util::mix64(dev.seed))),
           ntp::ClientSchedule(dev, from.window_start, from.window_end),
@@ -356,8 +351,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     std::size_t upper = corpus.size();
     for (const ShardState& shard : states) upper += shard.corpus.size();
     Corpus scratch(std::max<std::size_t>(upper, 1));
-    corpus.for_each(
-        [&scratch](const AddressRecord& r) { scratch.add_record(r); });
+    scratch.merge(corpus);
     for (const ShardState& shard : states) scratch.merge(shard.corpus);
     if (tiered_ != nullptr) {
       // Already-spilled records count too; merged_size_with needs the
@@ -395,8 +389,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     Corpus snapshot = tiered_ != nullptr
                           ? tiered_->collapse()
                           : Corpus(std::max<std::size_t>(records, 1));
-    corpus.for_each(
-        [&snapshot](const AddressRecord& r) { snapshot.add_record(r); });
+    snapshot.merge(corpus);
     for (const ShardState& shard : states) snapshot.merge(shard.corpus);
     return snapshot;
   };
@@ -468,15 +461,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
       for (const ShardState& shard : states) {
         snap.polls_attempted += shard.tally.polls;
         snap.polls_answered += shard.tally.answered;
-        for (std::size_t v = 0; v < shard.vantage.size(); ++v) {
-          snap.vantage_health[v].polls += shard.vantage[v].polls;
-          snap.vantage_health[v].answered += shard.vantage[v].answered;
-          snap.vantage_health[v].lost_to_fault +=
-              shard.vantage[v].lost_to_fault;
-          snap.vantage_health[v].retries += shard.vantage[v].retries;
-          snap.vantage_health[v].steered_polls +=
-              shard.vantage[v].steered_polls;
-        }
+        add_vantage_health(snap.vantage_health, shard.vantage);
       }
       Corpus snapshot = union_snapshot();
       metric_checkpoints_.inc();
@@ -513,13 +498,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     if (tiered_ == nullptr) corpus.merge(shard.corpus);
     polls_ += shard.tally.polls;
     answered_ += shard.tally.answered;
-    for (std::size_t v = 0; v < shard.vantage.size(); ++v) {
-      vantage_health_[v].polls += shard.vantage[v].polls;
-      vantage_health_[v].answered += shard.vantage[v].answered;
-      vantage_health_[v].lost_to_fault += shard.vantage[v].lost_to_fault;
-      vantage_health_[v].retries += shard.vantage[v].retries;
-      vantage_health_[v].steered_polls += shard.vantage[v].steered_polls;
-    }
+    add_vantage_health(vantage_health_, shard.vantage);
   }
   // Metrics cover what this run itself recorded (the checkpointed `from`
   // baseline was already counted when the original run emitted it). With
@@ -542,31 +521,13 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
 void PassiveCollector::run(Corpus& corpus, util::SimTime start,
                            util::SimTime end, const ObservationHook& hook,
                            const CheckpointSink& sink) {
-  CheckpointState fresh;
-  fresh.window_start = start;
-  fresh.window_end = end;
-  fresh.resume_from = start;
-  collect(corpus, fresh, hook, sink);
+  collect(corpus, CheckpointState::fresh(start, end), hook, sink);
 }
 
 void PassiveCollector::run(TieredCorpus& runs, util::SimTime start,
                            util::SimTime end, const ObservationHook& hook,
                            const CheckpointSink& sink) {
-  tiered_ = &runs;
-  // Scratch stand-in for the caller corpus: collect() keeps it empty in
-  // tiered mode (shards spill instead of merging into it).
-  Corpus scratch(1);
-  CheckpointState fresh;
-  fresh.window_start = start;
-  fresh.window_end = end;
-  fresh.resume_from = start;
-  try {
-    collect(scratch, fresh, hook, sink);
-  } catch (...) {
-    tiered_ = nullptr;
-    throw;
-  }
-  tiered_ = nullptr;
+  resume(runs, Corpus(1), CheckpointState::fresh(start, end), hook, sink);
 }
 
 void PassiveCollector::resume(Corpus& corpus, const CheckpointState& from,
@@ -585,6 +546,8 @@ void PassiveCollector::resume(TieredCorpus& runs, Corpus&& snapshot,
   // from an uninterrupted spilled run, but the k-way merge erases
   // boundaries — the merged stream is a pure function of content.
   if (snapshot.size() > 0) runs.spill(std::move(snapshot));
+  // Scratch stand-in for the caller corpus: collect() keeps it empty in
+  // tiered mode (shards spill instead of merging into it).
   Corpus scratch(1);
   try {
     collect(scratch, from, hook, sink);

@@ -24,7 +24,8 @@
 // Corpus, and the shards reduce through Corpus::merge(). Because every
 // device's observation stream derives only from its own seeded RNG, the
 // merged corpus is bit-identical (size, total_observations, every record
-// field) to the threads=1 run — a property the tests assert.
+// field) to the threads=1 run — a property the tests assert. The dist
+// layer cuts the same partition across machines (device_begin/end).
 //
 // Checkpoint/resume: with `checkpoint_interval > 0` and a CheckpointSink,
 // collection pauses at every sim-time boundary window_start + k*interval,
@@ -40,6 +41,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -100,21 +102,14 @@ struct CollectorConfig {
   // Stage tag the sampler stamps on windows closed inside this collector
   // (the backscan pass runs a second collector with its own tag).
   std::string sampler_stage = "collect";
-  // Distributed-collection vantage subset: when non-empty, only polls to
-  // vantage ids v with vantage_filter[v] == true are *recorded* (corpus
-  // observations, tallies, per-vantage health). Every device still runs
-  // its full simulation — identical RNG draws, DNS steering, fault
-  // verdicts, and retry control flow — so N workers with disjoint filters
-  // merge bit-identically to one unfiltered run (Corpus aggregation is
-  // commutative and each poll is recorded by exactly one worker). Empty
-  // means record everything.
-  std::vector<bool> vantage_filter;
-  // Polls steered to pool servers that are not our vantages (the
-  // "invisible" tally) must be counted by exactly one worker for the
-  // summed polls_attempted to match the single-process value; the dist
-  // layer sets this true only on the subset-0 worker. Irrelevant (and
-  // left true) when vantage_filter is empty.
-  bool count_unassigned = true;
+  // Distributed-collection device range: only devices with ids in
+  // [device_begin, device_end) (clipped to the world) are simulated. Each
+  // device's polls draw only from its own seeded RNG, the pool DNS is
+  // const and fault verdicts are pure hashes, so collectors over disjoint
+  // ranges merge bit-identically to one full-range run, every counter
+  // included. The default covers every device.
+  std::size_t device_begin = 0;
+  std::size_t device_end = std::numeric_limits<std::size_t>::max();
   // Serving-layer epoch publication (see serve::QueryService). With a
   // sink and a positive interval, the chunk loop pauses at every sim-time
   // boundary window_start + k * epoch_interval, joins all shards, and
@@ -142,6 +137,19 @@ struct VantageHealthStats {
   std::uint64_t steered_polls = 0;  // sync events won via health steering
 };
 
+// Adds `part` into `total` per vantage id, growing `total` as needed.
+inline void add_vantage_health(std::vector<VantageHealthStats>& total,
+                               const std::vector<VantageHealthStats>& part) {
+  if (total.size() < part.size()) total.resize(part.size());
+  for (std::size_t v = 0; v < part.size(); ++v) {
+    total[v].polls += part[v].polls;
+    total[v].answered += part[v].answered;
+    total[v].lost_to_fault += part[v].lost_to_fault;
+    total[v].retries += part[v].retries;
+    total[v].steered_polls += part[v].steered_polls;
+  }
+}
+
 // The resumable cursor written alongside every corpus snapshot: where the
 // window was, how far collection got (`resume_from` — every sync event
 // with base time < resume_from is in the snapshot), and the counters
@@ -153,6 +161,11 @@ struct CheckpointState {
   std::uint64_t polls_attempted = 0;
   std::uint64_t polls_answered = 0;
   std::vector<VantageHealthStats> vantage_health;
+
+  // The cursor of a collection over [start, end) that has not started.
+  static CheckpointState fresh(util::SimTime start, util::SimTime end) {
+    return {start, end, start, 0, 0, {}};
+  }
 };
 
 // Receives each checkpoint: the cursor plus the full corpus as of
@@ -286,14 +299,6 @@ class PassiveCollector {
   // One sync event (burst + per-packet retries) for one device.
   void process_event(ShardState& shard, DeviceState& ds, util::SimTime t,
                      util::SimTime window_end) const;
-
-  // Whether this collector records traffic at the vantage (true for all
-  // vantages when CollectorConfig::vantage_filter is empty).
-  bool vantage_enabled(std::uint8_t vantage) const noexcept {
-    return config_.vantage_filter.empty() ||
-           (vantage < config_.vantage_filter.size() &&
-            config_.vantage_filter[vantage]);
-  }
 
   const sim::World* world_;
   netsim::DataPlane* plane_;

@@ -76,21 +76,20 @@ HistogramSummary summarize_histogram(const HistogramData& histogram) {
   return summary;
 }
 
-void ClusterAggregator::add_worker(std::uint32_t worker, std::uint32_t subset,
+void ClusterAggregator::add_worker(std::uint32_t worker, std::uint32_t lease,
                                    Snapshot snapshot, Timeline timeline) {
-  std::erase_if(reports_, [subset](const WorkerReport& r) {
-    return r.subset == subset;
-  });
+  std::erase_if(reports_,
+                [lease](const WorkerReport& r) { return r.lease == lease; });
   WorkerReport report;
   report.worker = worker;
-  report.subset = subset;
+  report.lease = lease;
   report.snapshot = std::move(snapshot);
   report.timeline = std::move(timeline);
   const auto at = std::upper_bound(
       reports_.begin(), reports_.end(), report,
       [](const WorkerReport& a, const WorkerReport& b) {
         if (a.worker != b.worker) return a.worker < b.worker;
-        return a.subset < b.subset;
+        return a.lease < b.lease;
       });
   reports_.insert(at, std::move(report));
 }
@@ -100,7 +99,7 @@ Snapshot ClusterAggregator::cluster_snapshot() const {
   std::map<Key, MetricSample> counters;
   // Gauges and bound-mismatched histograms keyed with the worker label
   // already appended; a same-identity re-report (one worker completing
-  // two subsets) overwrites — last value wins, it is a point-in-time
+  // two leases) overwrites — last value wins, it is a point-in-time
   // fact, not an increment.
   std::map<Key, MetricSample> per_worker;
   // Histogram groups under original identity; folded after the scan so a
@@ -213,8 +212,8 @@ std::string ClusterAggregator::render_trace() const {
     // pids are 1-based lane indices (reports_ is sorted, so this is
     // deterministic); the metadata name carries the real ids.
     lane.pid = static_cast<std::uint32_t>(lanes.size() + 1);
-    lane.name = "worker " + std::to_string(report.worker) + " subset " +
-                std::to_string(report.subset);
+    lane.name = "worker " + std::to_string(report.worker) + " lease " +
+                std::to_string(report.lease);
     lane.snapshot = report.snapshot;
     lane.timeline = report.timeline;
     lanes.push_back(std::move(lane));

@@ -3,17 +3,17 @@
 // run-report linter the `obs-report` artifact leans on.
 //
 // The aggregator is transport-agnostic plain data — dist::SimCluster and
-// the real coordinator decode V6DIST01 kObsReport frames and feed the
+// the real coordinator decode V6DIST02 kObsReport frames and feed the
 // contents in here; nothing in src/obs knows about frames.
 //
 // Merge semantics:
 //   * counters    — summed across workers under their ORIGINAL labels.
 //                   The deterministic collector families (polls, answered,
-//                   per-vantage health) are each recorded by exactly one
-//                   subset, so the cluster sum is bit-identical to the
-//                   single-process run's counters at any worker count
-//                   under any fault plan — the identity the dist tests
-//                   pin down.
+//                   per-vantage health) add up over the disjoint
+//                   device-range leases, so the cluster sum is
+//                   bit-identical to the single-process run's counters
+//                   at any worker count under any fault plan — the
+//                   identity the dist tests pin down.
 //   * gauges      — kept per-worker with a `worker` label appended (a
 //                   gauge is a point-in-time fact about one process;
 //                   summing two workers' backlog gauges would invent a
@@ -42,7 +42,7 @@ namespace v6::obs {
 // One worker's uploaded observability state for one completed lease.
 struct WorkerReport {
   std::uint32_t worker = 0;
-  std::uint32_t subset = 0;
+  std::uint32_t lease = 0;
   Snapshot snapshot;
   Timeline timeline;
 };
@@ -72,15 +72,15 @@ HistogramSummary summarize_histogram(const HistogramData& histogram);
 
 class ClusterAggregator {
  public:
-  // Folds one worker's report in. A report for an already-seen subset
+  // Folds one worker's report in. A report for an already-seen lease
   // replaces the previous one (lease reassignment: only the completing
-  // lease's state counts — keeping both would double-count the subset).
-  void add_worker(std::uint32_t worker, std::uint32_t subset,
+  // lease's state counts — keeping both would double-count its range).
+  void add_worker(std::uint32_t worker, std::uint32_t lease,
                   Snapshot snapshot, Timeline timeline);
 
   bool empty() const noexcept { return reports_.empty(); }
   std::size_t report_count() const noexcept { return reports_.size(); }
-  // Reports sorted by (worker, subset).
+  // Reports sorted by (worker, lease).
   const std::vector<WorkerReport>& reports() const noexcept {
     return reports_;
   }
@@ -99,12 +99,12 @@ class ClusterAggregator {
   std::string render_cluster_timeline() const;
 
   // Multi-lane Chrome trace: one pid lane per report (named
-  // "worker W subset S"), loadable in Perfetto side by side and clean
+  // "worker W lease L"), loadable in Perfetto side by side and clean
   // under lint_trace_events.
   std::string render_trace() const;
 
  private:
-  std::vector<WorkerReport> reports_;  // sorted by (worker, subset)
+  std::vector<WorkerReport> reports_;  // sorted by (worker, lease)
 };
 
 // Dependency-free validator for the `v6pool_cli obs-report` artifact:

@@ -64,9 +64,8 @@ void run_sharded(
   }
   ThreadPool pool(shards);
   for (unsigned s = 0; s < shards; ++s) {
-    const std::size_t begin = items * s / shards;
-    const std::size_t end = items * (s + 1) / shards;
-    pool.submit([&fn, s, begin, end] { fn(s, begin, end); });
+    const ShardRange r = shard_range(items, s, shards);
+    pool.submit([&fn, s, r] { fn(s, r.begin, r.end); });
   }
   pool.wait_idle();
 }

@@ -54,11 +54,22 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// Partitions [0, items) into `shards` contiguous ranges and runs
-// fn(shard_index, begin, end) for each — on the calling thread when
-// `shards <= 1` (the exact serial path), otherwise on a transient
-// ThreadPool of `shards` workers, returning once every shard finished.
-// Ranges differ in size by at most one item.
+// Shard `shard` of [0, items) cut into `shards` contiguous ranges that
+// differ in size by at most one item. The one partition used for thread
+// shards (run_sharded, the collector) and for dist device-range leases.
+struct ShardRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+constexpr ShardRange shard_range(std::size_t items, std::size_t shard,
+                                 std::size_t shards) noexcept {
+  return {items * shard / shards, items * (shard + 1) / shards};
+}
+
+// Partitions [0, items) by shard_range and runs fn(shard_index, begin, end)
+// for each — on the calling thread when `shards <= 1` (the exact serial
+// path), otherwise on a transient ThreadPool of `shards` workers,
+// returning once every shard finished.
 void run_sharded(
     std::size_t items, unsigned shards,
     const std::function<void(unsigned, std::size_t, std::size_t)>& fn);

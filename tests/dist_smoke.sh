@@ -3,7 +3,7 @@
 # worker processes over the file mailbox in $WORK, two of them are
 # kill -9'd mid-chunk, and the merged corpus must still be byte-identical
 # to the single-process reference. The coordinator's frames.log must pass
-# the V6DIST01 linter. Usage: dist_smoke.sh <v6pool_cli> <scratch-dir>
+# the V6DIST02 linter. Usage: dist_smoke.sh <v6pool_cli> <scratch-dir>
 set -u
 
 CLI="${1:?usage: dist_smoke.sh <v6pool_cli> <scratch-dir>}"

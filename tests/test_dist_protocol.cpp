@@ -1,4 +1,4 @@
-// V6DIST01 framing: round-trips, exhaustive hostile-input sweeps
+// V6DIST02 framing: round-trips, exhaustive hostile-input sweeps
 // (corruption and truncation at every byte offset), and the frame-log
 // linter's accept/reject behavior.
 #include "dist/protocol.h"
@@ -18,12 +18,12 @@ Frame sample_frame() {
   Frame frame;
   frame.type = FrameType::kCheckpointUpload;
   frame.sender = 3;
-  frame.subset = 1;
+  frame.lease = 1;
   frame.epoch = 2;
   frame.seq = 7;
   frame.sim_time = 604800;
   Artifact artifact;
-  artifact.path = "ckpt/s1-e2-t604800.v6ckpt";
+  artifact.path = "ckpt/l1-e2-t604800.v6ckpt";
   artifact.bytes = 12345;
   artifact.crc = 0xdeadbeef;
   frame.payload = encode_artifact(artifact);
@@ -45,7 +45,7 @@ TEST(DistProtocol, FrameRoundTrip) {
   EXPECT_EQ(consumed, bytes.size());
   EXPECT_EQ(out.type, in.type);
   EXPECT_EQ(out.sender, in.sender);
-  EXPECT_EQ(out.subset, in.subset);
+  EXPECT_EQ(out.lease, in.lease);
   EXPECT_EQ(out.epoch, in.epoch);
   EXPECT_EQ(out.seq, in.seq);
   EXPECT_EQ(out.sim_time, in.sim_time);
@@ -56,7 +56,7 @@ TEST(DistProtocol, EmptyPayloadFrameRoundTrip) {
   Frame in;
   in.type = FrameType::kHeartbeat;
   in.sender = 12;
-  in.subset = kNoSubset;
+  in.lease = kNoLease;
   in.seq = 0;
   const std::vector<std::uint8_t> bytes = encode_frame(in);
   const Frame out = decode_frame(bytes);
@@ -71,20 +71,22 @@ TEST(DistProtocol, LeaseGrantRoundTrip) {
   in.window_end = 2000;
   in.chunk_interval = 250;
   in.resume_from = 600;
-  in.subset_count = 4;
-  in.checkpoint_path = "ckpt/s2-e1-t600.v6ckpt";
+  in.device_begin = 1500;
+  in.device_end = 3000;
+  in.checkpoint_path = "ckpt/l2-e1-t600.v6ckpt";
   const LeaseGrant out = decode_lease_grant(encode_lease_grant(in));
   EXPECT_EQ(out.window_start, in.window_start);
   EXPECT_EQ(out.window_end, in.window_end);
   EXPECT_EQ(out.chunk_interval, in.chunk_interval);
   EXPECT_EQ(out.resume_from, in.resume_from);
-  EXPECT_EQ(out.subset_count, in.subset_count);
+  EXPECT_EQ(out.device_begin, in.device_begin);
+  EXPECT_EQ(out.device_end, in.device_end);
   EXPECT_EQ(out.checkpoint_path, in.checkpoint_path);
 }
 
 TEST(DistProtocol, ArtifactRoundTrip) {
   Artifact in;
-  in.path = "ckpt/s0-final-e3.v6ckpt";
+  in.path = "ckpt/l0-final-e3.v6ckpt";
   in.bytes = 1u << 30;
   in.crc = 0x12345678;
   const Artifact out = decode_artifact(encode_artifact(in));
@@ -147,7 +149,7 @@ TEST(DistProtocol, ArtifactCorruptionSweep) {
 }
 
 TEST(DistProtocol, ValidateArtifactPath) {
-  EXPECT_FALSE(validate_artifact_path("ckpt/s0-e0-t0.v6ckpt").has_value());
+  EXPECT_FALSE(validate_artifact_path("ckpt/l0-e0-t0.v6ckpt").has_value());
   EXPECT_TRUE(validate_artifact_path("").has_value());
   EXPECT_TRUE(validate_artifact_path("/etc/passwd").has_value());
   EXPECT_TRUE(validate_artifact_path("../secrets").has_value());
@@ -280,7 +282,7 @@ Frame hello(std::uint32_t sender, std::uint64_t seq) {
   Frame frame;
   frame.type = FrameType::kHello;
   frame.sender = sender;
-  frame.subset = kNoSubset;
+  frame.lease = kNoLease;
   frame.seq = seq;
   return frame;
 }
@@ -293,22 +295,22 @@ TEST(DistLint, WellFormedLogIsClean) {
   Frame grant;
   grant.type = FrameType::kLeaseGrant;
   grant.sender = kCoordinatorId;
-  grant.subset = 0;
+  grant.lease = 0;
   grant.seq = 0;
   LeaseGrant lease;
   lease.window_start = 0;
   lease.window_end = 1000;
   lease.chunk_interval = 100;
-  lease.subset_count = 2;
+  lease.device_end = 50;
   grant.payload = encode_lease_grant(lease);
 
   Frame upload;
   upload.type = FrameType::kCheckpointUpload;
   upload.sender = 1;
-  upload.subset = 0;
+  upload.lease = 0;
   upload.seq = 1;
   Artifact artifact;
-  artifact.path = "ckpt/s0-e0-t100.v6ckpt";
+  artifact.path = "ckpt/l0-e0-t100.v6ckpt";
   upload.payload = encode_artifact(artifact);
 
   const auto log = lint_log({hello(1, 0), grant, upload});
@@ -343,7 +345,7 @@ TEST(DistLint, GrantsMustComeFromCoordinator) {
   Frame grant;
   grant.type = FrameType::kLeaseGrant;
   grant.sender = 3;  // a worker impersonating the coordinator
-  grant.subset = 0;
+  grant.lease = 0;
   grant.seq = 0;
   LeaseGrant lease;
   lease.window_end = 10;
@@ -355,11 +357,47 @@ TEST(DistLint, GrantsMustComeFromCoordinator) {
   EXPECT_NE(problem->find("coordinator"), std::string::npos) << *problem;
 }
 
+TEST(DistLint, InvertedDeviceRangeIsReported) {
+  Frame grant;
+  grant.type = FrameType::kLeaseGrant;
+  grant.sender = kCoordinatorId;
+  grant.lease = 0;
+  grant.seq = 0;
+  LeaseGrant lease;
+  lease.window_end = 10;
+  lease.chunk_interval = 1;
+  lease.device_begin = 8;
+  lease.device_end = 4;
+  grant.payload = encode_lease_grant(lease);
+  const auto problem = lint_dist_frames(as_view(lint_log({grant})));
+  ASSERT_TRUE(problem.has_value());
+  EXPECT_NE(problem->find("device range"), std::string::npos) << *problem;
+}
+
+// A study resumed under distribution replays every range to the
+// checkpoint without a per-range artifact: resume_from > window_start
+// with no checkpoint path is a valid grant.
+TEST(DistLint, ResumedGrantWithoutCheckpointPathIsClean) {
+  Frame grant;
+  grant.type = FrameType::kLeaseGrant;
+  grant.sender = kCoordinatorId;
+  grant.lease = 1;
+  grant.seq = 0;
+  LeaseGrant lease;
+  lease.window_end = 1000;
+  lease.chunk_interval = 100;
+  lease.resume_from = 400;
+  lease.device_begin = 10;
+  lease.device_end = 20;
+  grant.payload = encode_lease_grant(lease);
+  EXPECT_FALSE(lint_dist_frames(as_view(lint_log({grant}))).has_value());
+}
+
 TEST(DistLint, UploadWithHostilePathIsReported) {
   Frame upload;
   upload.type = FrameType::kCheckpointUpload;
   upload.sender = 1;
-  upload.subset = 0;
+  upload.lease = 0;
   upload.seq = 0;
   Artifact artifact;
   artifact.path = "../../etc/passwd";
@@ -382,7 +420,7 @@ TEST(DistLint, WellFormedObsReportIsClean) {
   Frame frame;
   frame.type = FrameType::kObsReport;
   frame.sender = 1;
-  frame.subset = 0;
+  frame.lease = 0;
   frame.seq = 0;
   frame.payload = encode_obs_report(sample_obs_report());
   const auto log = lint_log({frame});
@@ -393,7 +431,7 @@ TEST(DistLint, ObsReportFromCoordinatorIsReported) {
   Frame frame;
   frame.type = FrameType::kObsReport;
   frame.sender = kCoordinatorId;
-  frame.subset = 0;
+  frame.lease = 0;
   frame.seq = 0;
   frame.payload = encode_obs_report(ObsReport{});
   const auto log = lint_log({frame});
@@ -402,11 +440,13 @@ TEST(DistLint, ObsReportFromCoordinatorIsReported) {
   EXPECT_NE(problem->find("coordinator"), std::string::npos) << *problem;
 }
 
+// An observation report must carry the lease naming the device subset it
+// covers.
 TEST(DistLint, ObsReportWithoutSubsetIsReported) {
   Frame frame;
   frame.type = FrameType::kObsReport;
   frame.sender = 1;
-  frame.subset = kNoSubset;
+  frame.lease = kNoLease;
   frame.seq = 0;
   frame.payload = encode_obs_report(ObsReport{});
   const auto log = lint_log({frame});
@@ -417,7 +457,7 @@ TEST(DistLint, ObsReportWithMalformedPayloadIsReported) {
   Frame frame;
   frame.type = FrameType::kObsReport;
   frame.sender = 1;
-  frame.subset = 0;
+  frame.lease = 0;
   frame.seq = 0;
   frame.payload = {0xff, 0xff, 0xff, 0xff};  // hostile sample_count
   const auto log = lint_log({frame});

@@ -3,7 +3,7 @@
 // the merged corpus is byte-identical to the single-process run and no
 // observation is lost or double-counted. Plus the Study-level plumbing:
 // full-pipeline equality (analysis floats compared bit-for-bit), export
-// lints, and the fail-loudly configuration guards.
+// lints, composition with spill and resume, and the fail-loudly guard.
 #include "dist/sim_cluster.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/study.h"
 #include "hitlist/corpus_io.h"
@@ -129,8 +130,8 @@ TEST_F(DistIdentityTest, KillAtEveryChunkBoundaryIsByteIdentical) {
   }
 }
 
-// Vantage-subset partition sanity: per-vantage health splits across
-// subsets and reassembles to the single-process totals exactly.
+// Device-range partition sanity: per-vantage health splits across
+// ranges and adds up to the single-process totals exactly.
 TEST_F(DistIdentityTest, VantageHealthReassembles) {
   DistConfig config;
   config.workers = 4;
@@ -144,6 +145,52 @@ TEST_F(DistIdentityTest, VantageHealthReassembles) {
     EXPECT_EQ(report.vantage_health[v].lost_to_fault,
               reference[v].lost_to_fault)
         << v;
+  }
+}
+
+std::uint64_t pool_resolutions(const core::Study& study) {
+  return study.metrics_registry().snapshot().counter_sum(
+      "v6_pool_resolutions_total");
+}
+
+// Device ranges split the work instead of replaying it: a healthy fleet
+// resolves exactly as many pool lookups as the single-process collect at
+// any worker count, and a kill adds only the dead lease's replay.
+TEST_F(DistIdentityTest, TotalWorkIsFlatInWorkerCount) {
+  std::uint64_t single = 0;
+  {
+    const std::uint64_t before = pool_resolutions(*study_);
+    hitlist::PassiveCollector collector(study_->world(), study_->plane(),
+                                        study_->pool_dns(),
+                                        study_->config().collector);
+    hitlist::Corpus corpus(1);
+    const util::SimTime start = study_->config().world.study_start;
+    collector.run(corpus, start,
+                  start + study_->config().world.study_duration);
+    single = pool_resolutions(*study_) - before;
+  }
+  ASSERT_GT(single, 0u);
+  for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
+    for (const std::uint32_t kills : {0u, 1u}) {
+      DistConfig config;
+      config.workers = workers;
+      config.forced_kills = kills;
+      config.chunk_interval = 3 * util::kDay;
+      hitlist::Corpus merged(1);
+      const std::uint64_t before = pool_resolutions(*study_);
+      const DistReport report = run_cluster(config, merged);
+      const std::uint64_t work = pool_resolutions(*study_) - before;
+      EXPECT_EQ(corpus_bytes(merged), *reference_);
+      if (kills == 0) {
+        EXPECT_EQ(work, single) << workers << " workers";
+        EXPECT_EQ(report.replayed_chunks, 0u);
+      } else {
+        // The replacement replays one range's checkpointed prefix and
+        // redoes its lost chunk: less than that range's whole window.
+        EXPECT_GT(work, single) << workers << " workers";
+        EXPECT_LT(work - single, single) << workers << " workers";
+      }
+    }
   }
 }
 
@@ -203,7 +250,7 @@ std::uint64_t vantage_counter(const obs::Snapshot& snapshot,
 // The cluster observability identity: the deterministic counter families
 // aggregated from the per-lease kObsReport uploads equal the
 // single-process collector totals bit-for-bit at any worker count under
-// faults — only the completing lease per subset reports, so reassignment
+// faults — only the completing lease per range reports, so reassignment
 // never double-counts.
 TEST_F(DistIdentityTest, ClusterObsCountersMatchSingleProcessBitForBit) {
   const auto& reference = study_->results();
@@ -215,7 +262,7 @@ TEST_F(DistIdentityTest, ClusterObsCountersMatchSingleProcessBitForBit) {
     hitlist::Corpus merged(1);
     const DistReport report = run_cluster(config, merged);
 
-    // One report per subset (subsets default to the worker count), and
+    // One report per range (ranges default to the worker count), and
     // the merged counter families reassemble the single-process totals.
     EXPECT_EQ(report.cluster_obs.report_count(), workers);
     const obs::Snapshot snap = report.cluster_obs.cluster_snapshot();
@@ -368,32 +415,101 @@ TEST(DistStudy, FullPipelineMatchesSingleProcessBitForBit) {
   EXPECT_FALSE(obs::lint_timeline_jsonl(timeline).has_value());
 }
 
-TEST(DistStudy, IncompatibleKnobsFailLoudly) {
-  core::StudyConfig config = small_config();
+std::string saved_ntp(const core::Study& study) {
+  std::ostringstream out(std::ios::binary);
+  study.save_ntp(out);
+  return std::move(out).str();
+}
 
-  {
-    core::StudyConfig spilled = config;
-    spilled.spill.memory_budget_bytes = 1 << 20;
-    core::Study study(spilled);
-    core::RunOptions options;
-    options.distributed = DistConfig{};
-    EXPECT_THROW(study.run(std::move(options)), std::invalid_argument);
+core::RunOptions collect_only() {
+  core::RunOptions options;
+  options.campaigns = false;
+  options.backscan = false;
+  options.analysis = false;
+  return options;
+}
+
+DistConfig three_workers_one_kill() {
+  DistConfig config;
+  config.workers = 3;
+  config.forced_kills = 1;
+  config.chunk_interval = 4 * util::kDay;
+  return config;
+}
+
+// Out-of-core distributed collection: each range's corpus spills as one
+// run, and the merged stream saves byte-identically to the in-memory
+// single-process corpus.
+TEST(DistStudy, SpillComposesBitForBit) {
+  const core::StudyConfig config = small_config(23);
+  core::Study single(config);
+  const core::StudyResults& rs = single.run(collect_only());
+
+  core::StudyConfig spilled_config = config;
+  spilled_config.spill.memory_budget_bytes = 1;
+  core::Study spilled(spilled_config);
+  core::RunOptions options = collect_only();
+  options.distributed = three_workers_one_kill();
+  const core::StudyResults& rd = spilled.run(std::move(options));
+
+  ASSERT_NE(rd.ntp_runs, nullptr);
+  EXPECT_EQ(rd.ntp_runs->run_count(), 3u);  // one run per device range
+  EXPECT_EQ(saved_ntp(spilled), saved_ntp(single));
+  EXPECT_EQ(rd.polls_attempted, rs.polls_attempted);
+  EXPECT_EQ(rd.polls_answered, rs.polls_answered);
+}
+
+// A crashed single-process collection resumes under distribution: every
+// range replays to the checkpoint and records the rest, in memory and
+// out of core, bit-identical to the uninterrupted run.
+TEST(DistStudy, ResumeFromCheckpointComposes) {
+  core::StudyConfig config = small_config(23);
+  config.collector.checkpoint_interval = 5 * util::kDay;
+
+  core::Study uninterrupted(config);
+  std::vector<hitlist::CollectionCheckpoint> checkpoints;
+  core::RunOptions with_sink = collect_only();
+  with_sink.checkpoint_sink = [&](const hitlist::CheckpointState& state,
+                                  const hitlist::Corpus& corpus) {
+    hitlist::Corpus copy(std::max<std::size_t>(corpus.size(), 1));
+    copy.merge(corpus);
+    checkpoints.push_back({state, std::move(copy)});
+  };
+  const core::StudyResults& ru = uninterrupted.run(std::move(with_sink));
+  ASSERT_FALSE(checkpoints.empty());
+  const std::string expected = saved_ntp(uninterrupted);
+
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{1}}) {
+    core::StudyConfig resumed_config = config;
+    resumed_config.spill.memory_budget_bytes = budget;
+    core::Study resumed(resumed_config);
+    core::RunOptions options = collect_only();
+    // The first checkpoint (day 5), so the forced kill lands mid-lease.
+    hitlist::CollectionCheckpoint& ckpt = checkpoints.front();
+    hitlist::Corpus copy(std::max<std::size_t>(ckpt.corpus.size(), 1));
+    copy.merge(ckpt.corpus);
+    options.resume_from = hitlist::CollectionCheckpoint{ckpt.state,
+                                                        std::move(copy)};
+    options.distributed = three_workers_one_kill();
+    const core::StudyResults& rr = resumed.run(std::move(options));
+    EXPECT_EQ(saved_ntp(resumed), expected) << "budget " << budget;
+    EXPECT_EQ(rr.dist->worker_deaths, 1u) << "budget " << budget;
+    EXPECT_EQ(rr.polls_attempted, ru.polls_attempted) << "budget " << budget;
+    EXPECT_EQ(rr.polls_answered, ru.polls_answered) << "budget " << budget;
+    ASSERT_EQ(rr.vantage_health.size(), ru.vantage_health.size());
+    for (std::size_t v = 0; v < ru.vantage_health.size(); ++v) {
+      EXPECT_EQ(rr.vantage_health[v].polls, ru.vantage_health[v].polls) << v;
+    }
   }
-  {
-    core::Study study(config);
-    core::RunOptions options;
-    options.distributed = DistConfig{};
-    options.resume_from = hitlist::CollectionCheckpoint{};
-    EXPECT_THROW(study.run(std::move(options)), std::invalid_argument);
-  }
-  {
-    core::Study study(config);
-    core::RunOptions options;
-    options.distributed = DistConfig{};
-    options.checkpoint_sink = [](const hitlist::CheckpointState&,
-                                 const hitlist::Corpus&) {};
-    EXPECT_THROW(study.run(std::move(options)), std::invalid_argument);
-  }
+}
+
+TEST(DistStudy, IncompatibleKnobsFailLoudly) {
+  core::Study study(small_config());
+  core::RunOptions options;
+  options.distributed = DistConfig{};
+  options.checkpoint_sink = [](const hitlist::CheckpointState&,
+                               const hitlist::Corpus&) {};
+  EXPECT_THROW(study.run(std::move(options)), std::invalid_argument);
 }
 
 }  // namespace

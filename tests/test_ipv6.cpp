@@ -5,6 +5,7 @@
 #include <arpa/inet.h>
 
 #include <cstring>
+#include <ostream>
 #include <unordered_set>
 
 #include "util/rng.h"
@@ -39,6 +40,12 @@ struct FormatCase {
   const char* input;
   const char* canonical;
 };
+
+// Without this gtest prints the case as a dump of its two pointers, and
+// ctest's discovered test names would change with every build.
+void PrintTo(const FormatCase& c, std::ostream* os) {
+  *os << c.input << " -> " << c.canonical;
+}
 
 class Rfc5952Format : public ::testing::TestWithParam<FormatCase> {};
 

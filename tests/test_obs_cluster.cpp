@@ -182,9 +182,9 @@ TEST(ClusterAggregator, MismatchedHistogramBoundsFallBackToPerWorker) {
 }
 
 TEST(ClusterAggregator, SubsetReplacementKeepsOnlyTheCompletingLease) {
-  // Lease reassignment: worker 1's aborted lease on subset 0 reported,
-  // then worker 3 completed the same subset. Keeping both would
-  // double-count the subset's deterministic counters.
+  // Lease reassignment: worker 1's aborted lease 0 reported, then
+  // worker 3 completed the same lease. Keeping both would double-count
+  // the range's deterministic counters.
   ClusterAggregator agg;
   agg.add_worker(1, 0, snapshot_of({counter("polls_total", {}, 40)}), {});
   agg.add_worker(3, 0, snapshot_of({counter("polls_total", {}, 100)}), {});
@@ -262,10 +262,10 @@ TEST(ClusterAggregator, TraceHasOneLanePerReportAndLintsClean) {
   const std::string text = agg.render_trace();
   EXPECT_EQ(lint_trace_events(text), std::nullopt) << text;
   EXPECT_EQ(lint_json(text), std::nullopt);
-  // One pid lane per report, labeled with the real (worker, subset) ids.
-  EXPECT_NE(text.find("\"name\":\"worker 1 subset 0\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"worker 4 subset 1\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"worker 4 subset 2\""), std::string::npos);
+  // One pid lane per report, labeled with the real (worker, lease) ids.
+  EXPECT_NE(text.find("\"name\":\"worker 1 lease 0\""), std::string::npos);
+  EXPECT_NE(text.find("\"name\":\"worker 4 lease 1\""), std::string::npos);
+  EXPECT_NE(text.find("\"name\":\"worker 4 lease 2\""), std::string::npos);
   EXPECT_NE(text.find("\"pid\":3"), std::string::npos);
 }
 

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
+
+#include "util/thread_pool.h"
 
 namespace v6::hitlist {
 namespace {
@@ -253,10 +257,11 @@ TEST_F(PassiveCollectorTest, WindowBoundsRespected) {
   });
 }
 
-// The distributed-collection partition property: S workers recording
-// disjoint vantage subsets (v % S), with only subset 0 counting
-// unassigned polls, merge bit-identically to one unfiltered run — every
-// record field, every counter.
+// The distributed-collection partition property: collectors over the
+// disjoint device ranges util::shard_range cuts merge bit-identically to
+// one full-range run — every record field, every counter — even though
+// they share one data plane and pool DNS and run in sequence. Each range
+// is the vantage subset one distributed worker collects.
 TEST_F(PassiveCollectorTest, VantageSubsetPartitionReassembles) {
   CollectorConfig base;
   base.loss_rate = 0.01;
@@ -264,35 +269,62 @@ TEST_F(PassiveCollectorTest, VantageSubsetPartitionReassembles) {
   const util::SimTime start = 0;
   const util::SimTime end = 5 * util::kDay;
 
-  netsim::DataPlane ref_plane(*world_, {base.loss_rate, 1});
-  netsim::PoolDns ref_dns(*world_);
-  PassiveCollector reference_collector(*world_, ref_plane, ref_dns, base);
+  netsim::DataPlane plane(*world_, {base.loss_rate, 1});
+  netsim::PoolDns dns(*world_);
+  PassiveCollector reference_collector(*world_, plane, dns, base);
   Corpus reference(1 << 12);
   reference_collector.run(reference, start, end);
 
-  const std::size_t vantage_count = world_->vantages().size();
-  for (const std::uint32_t subset_count : {2u, 3u}) {
+  const std::size_t device_count = world_->devices().size();
+  for (const std::size_t ranges : {2u, 3u, 7u}) {
     Corpus merged(1 << 12);
     std::uint64_t polls = 0, answered = 0;
-    for (std::uint32_t s = 0; s < subset_count; ++s) {
+    std::vector<VantageHealthStats> health;
+    for (std::size_t r = 0; r < ranges; ++r) {
       CollectorConfig cfg = base;
-      cfg.vantage_filter.assign(vantage_count, false);
-      for (std::size_t v = 0; v < vantage_count; ++v) {
-        cfg.vantage_filter[v] = (v % subset_count == s);
-      }
-      cfg.count_unassigned = (s == 0);
-      netsim::DataPlane plane(*world_, {cfg.loss_rate, 1});
-      netsim::PoolDns dns(*world_);
+      const util::ShardRange devices =
+          util::shard_range(device_count, r, ranges);
+      cfg.device_begin = devices.begin;
+      cfg.device_end = devices.end;
       PassiveCollector collector(*world_, plane, dns, cfg);
       Corpus part(1 << 12);
       collector.run(part, start, end);
       merged.merge(part);
       polls += collector.polls_attempted();
       answered += collector.polls_answered();
+      add_vantage_health(health, collector.vantage_health());
     }
+    merged.canonicalize();
     expect_identical_corpora(merged, reference);
-    EXPECT_EQ(polls, reference_collector.polls_attempted()) << subset_count;
-    EXPECT_EQ(answered, reference_collector.polls_answered()) << subset_count;
+    EXPECT_EQ(polls, reference_collector.polls_attempted()) << ranges;
+    EXPECT_EQ(answered, reference_collector.polls_answered()) << ranges;
+    const auto& expected = reference_collector.vantage_health();
+    ASSERT_EQ(health.size(), expected.size());
+    for (std::size_t v = 0; v < expected.size(); ++v) {
+      EXPECT_EQ(health[v].polls, expected[v].polls) << v;
+      EXPECT_EQ(health[v].answered, expected[v].answered) << v;
+      EXPECT_EQ(health[v].retries, expected[v].retries) << v;
+      EXPECT_EQ(health[v].steered_polls, expected[v].steered_polls) << v;
+    }
+  }
+}
+
+// A range past the world's end, or an inverted one, collects nothing.
+TEST_F(PassiveCollectorTest, EmptyDeviceRangeCollectsNothing) {
+  netsim::DataPlane plane(*world_, {0.01, 1});
+  netsim::PoolDns dns(*world_);
+  for (const auto& [begin, end] :
+       {std::pair<std::size_t, std::size_t>{world_->devices().size(),
+                                            world_->devices().size() + 5},
+        {7, 3}}) {
+    CollectorConfig cfg;
+    cfg.device_begin = begin;
+    cfg.device_end = end;
+    PassiveCollector collector(*world_, plane, dns, cfg);
+    Corpus corpus(1 << 4);
+    collector.run(corpus, 0, util::kDay);
+    EXPECT_EQ(corpus.size(), 0u);
+    EXPECT_EQ(collector.polls_attempted(), 0u);
   }
 }
 
