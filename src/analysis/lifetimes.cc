@@ -5,6 +5,7 @@
 
 #include "kernels/batch.h"
 #include "util/thread_pool.h"
+#include "util/wall_clock.h"
 
 namespace v6::analysis {
 
@@ -139,7 +140,7 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
   // order varies with the shard layout, but every tally below is an
   // integer sum over per-IID pure functions, so the report does not.
   // Sharded as well — iid_entropy per unique IID is the expensive part.
-  const std::uint64_t t_bands = monotonic_micros();
+  const double t_bands = util::steady_micros();
   std::vector<std::pair<std::uint64_t, Span>> entries(iids.begin(),
                                                       iids.end());
   const unsigned shards = config.resolved_threads();
@@ -182,7 +183,7 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
         }
       });
   {
-    const std::uint64_t t_merge = monotonic_micros();
+    const double t_merge = util::steady_micros();
     for (unsigned s = 1; s < shards; ++s) {
       BandTallies& from = shard_tallies[s];
       BandTallies& into = shard_tallies[0];
@@ -195,7 +196,7 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
         }
       }
     }
-    merge_us = monotonic_micros() - t_merge;
+    merge_us = static_cast<std::uint64_t>(util::steady_micros() - t_merge);
   }
 
   IidLifetimeReport report;
@@ -215,7 +216,8 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
                              total);
     }
   }
-  const std::uint64_t wall_us = monotonic_micros() - t_bands;
+  const auto wall_us =
+      static_cast<std::uint64_t>(util::steady_micros() - t_bands);
   if (stats != nullptr) {
     AnalysisStageStats stat;
     stat.stage = "iid_lifetimes/bands";

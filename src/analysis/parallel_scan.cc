@@ -1,18 +1,11 @@
 #include "analysis/parallel_scan.h"
 
-#include <chrono>
 #include <numeric>
 
 #include "util/thread_pool.h"
+#include "util/wall_clock.h"
 
 namespace v6::analysis {
-
-std::uint64_t monotonic_micros() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 ParallelScan::ParallelScan(const AnalysisConfig& config) : config_(config) {}
 
@@ -20,7 +13,7 @@ ParallelScan::~ParallelScan() = default;
 
 void ParallelScan::run(const ScanSource& source) {
   if (kernels_.empty()) return;
-  const std::uint64_t t_start = monotonic_micros();
+  const double t_start = util::steady_micros();
   const unsigned shards = config_.resolved_threads();
   const std::size_t span = source.span;
   const std::size_t n_kernels = kernels_.size();
@@ -63,13 +56,14 @@ void ParallelScan::run(const ScanSource& source) {
   // shard-index order, never completion order — then hand the merged
   // state to finish().
   for (std::size_t k = 0; k < n_kernels; ++k) {
-    const std::uint64_t t_merge = monotonic_micros();
+    const double t_merge = util::steady_micros();
     for (unsigned s = 1; s < shards; ++s) {
       kernels_[k].merge(states[0][k], states[s][k]);
       kernels_[k].destroy(states[s][k]);
       states[s][k] = nullptr;
     }
-    const std::uint64_t merge_us = monotonic_micros() - t_merge;
+    const auto merge_us =
+        static_cast<std::uint64_t>(util::steady_micros() - t_merge);
     kernels_[k].finish(states[0][k]);
     kernels_[k].destroy(states[0][k]);
     states[0][k] = nullptr;
@@ -83,7 +77,8 @@ void ParallelScan::run(const ScanSource& source) {
   }
   // One shared pass serves every kernel, so each stage reports the same
   // scan wall time (its own merge/finish time included).
-  const std::uint64_t wall = monotonic_micros() - t_start;
+  const auto wall =
+      static_cast<std::uint64_t>(util::steady_micros() - t_start);
   for (std::size_t k = stats_.size() - n_kernels; k < stats_.size(); ++k) {
     stats_[k].wall_us = wall;
   }

@@ -83,9 +83,6 @@ struct AnalysisStageStats {
   }
 };
 
-// Monotonic microseconds (steady_clock) for stage timing.
-std::uint64_t monotonic_micros() noexcept;
-
 class ParallelScan {
  public:
   explicit ParallelScan(const AnalysisConfig& config = {});

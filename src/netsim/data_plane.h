@@ -1,11 +1,20 @@
-// The simulated data plane: delivers ICMPv6 probes and UDP datagrams
-// between addresses, consulting the world for ownership, firewalls, and
-// aliases, and the topology for hop-limited (traceroute) behaviour.
+// The simulated data plane: delivers ICMPv6 and TCP probes and UDP
+// datagrams between addresses, consulting the world for ownership,
+// firewalls, and aliases, and the topology for hop-limited (traceroute)
+// behaviour.
 //
-// Probes travel as real wire bytes: an echo() call serializes an ICMPv6
-// Echo Request, the "destination stack" decodes and validates it (checksum
-// included), and the reply takes the same path back. A configurable loss
-// rate models the real Internet's flakiness; scanners must tolerate it.
+// Probes are not wire bytes. echo(), hop_limited_echo() and tcp_syn()
+// decide each outcome from the world and the topology directly, walking
+// only the path hop the hop limit names; no packet is built or parsed.
+// UDP datagrams still travel as real wire bytes (send_udp(), the
+// collector's wire_fidelity path): encoded, checksummed and decoded at
+// both ends.
+//
+// A configurable loss rate models the real Internet's flakiness; scanners
+// must tolerate it. Every datagram draws from one sequential loss RNG, so
+// results depend on the order of those draws. A probe draws once for its
+// request and, only if something answers, once for the answer; a Time
+// Exceeded answer is first charged against the router's ICMP budget.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +29,6 @@
 #include "netsim/fault_schedule.h"
 #include "netsim/topology.h"
 #include "obs/metrics.h"
-#include "proto/icmpv6.h"
 #include "sim/world.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -71,7 +79,9 @@ class DataPlane {
                    util::SimTime t);
 
   // Hop-limited echo (the Yarrp primitive): if the path is longer than
-  // `hop_limit`, the router at that hop answers Time Exceeded.
+  // `hop_limit` (counted from 1), the router at that hop answers Time
+  // Exceeded. `identifier` and `sequence` identify the probe; only
+  // `sequence` is echoed back.
   ProbeResult hop_limited_echo(const net::Ipv6Address& src,
                                const net::Ipv6Address& dst,
                                std::uint8_t hop_limit,
@@ -81,7 +91,8 @@ class DataPlane {
   // TCP SYN probe (the Hitlist's 80/443 scans). A listener answers
   // SYN-ACK; a reachable host without one answers RST (still proof of
   // liveness); firewalled/absent targets stay silent. Aliased prefixes
-  // SYN-ACK everything.
+  // SYN-ACK everything. `src` and `sequence` identify the probe; no
+  // outcome depends on them.
   enum class SynOutcome : std::uint8_t { kSynAck, kRst, kTimeout };
   SynOutcome tcp_syn(const net::Ipv6Address& src, const net::Ipv6Address& dst,
                      std::uint16_t dst_port, std::uint32_t sequence,

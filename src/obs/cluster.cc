@@ -64,6 +64,66 @@ void sort_samples(std::vector<MetricSample>& samples) {
             });
 }
 
+bool is_json_ws(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+}
+
+std::size_t skip_json_ws(std::string_view text, std::size_t at) {
+  while (at < text.size() && is_json_ws(text[at])) ++at;
+  return at;
+}
+
+// One past the end of the JSON value starting at text[at]. The text has
+// passed lint_json, so only strings and nesting need tracking.
+std::size_t json_value_end(std::string_view text, std::size_t at) {
+  int depth = 0;
+  bool in_string = false;
+  for (std::size_t i = at; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+        if (depth == 0) return i + 1;
+      }
+      continue;
+    }
+    if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      if (depth == 0) return i;  // a scalar closed by its container
+      if (--depth == 0) return i + 1;
+    } else if (depth == 0 && (c == ',' || is_json_ws(c))) {
+      return i;
+    }
+  }
+  return text.size();
+}
+
+// The value of member `key` of the JSON object `object` (lint_json-clean
+// text), as raw text. Only the object's own members count: a same-named
+// key nested deeper is not found.
+std::optional<std::string_view> json_member(std::string_view object,
+                                            std::string_view key) {
+  std::size_t i = skip_json_ws(object, 0);
+  if (i >= object.size() || object[i] != '{') return std::nullopt;
+  i = skip_json_ws(object, i + 1);
+  while (i < object.size() && object[i] == '"') {
+    const std::size_t key_end = json_value_end(object, i);
+    const std::string_view name = object.substr(i + 1, key_end - i - 2);
+    const std::size_t value_at =
+        skip_json_ws(object, skip_json_ws(object, key_end) + 1);  // past ':'
+    const std::size_t value_end = json_value_end(object, value_at);
+    if (name == key) return object.substr(value_at, value_end - value_at);
+    i = skip_json_ws(object, value_end);
+    if (i < object.size() && object[i] == ',') i = skip_json_ws(object, i + 1);
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 HistogramSummary summarize_histogram(const HistogramData& histogram) {
@@ -224,22 +284,22 @@ std::string ClusterAggregator::render_trace() const {
 std::optional<std::string> lint_report(std::string_view text) {
   if (text.empty()) return "empty report";
   if (const auto err = lint_json(text)) return *err;
-  const std::size_t first = text.find_first_not_of(" \t\r\n");
-  if (first == std::string_view::npos || text[first] != '{') {
+  const std::size_t first = skip_json_ws(text, 0);
+  if (first == text.size() || text[first] != '{') {
     return "report is not a JSON object";
   }
-  if (text.find("\"report\":\"v6pool_run_report\"") == std::string_view::npos) {
+  if (json_member(text, "report") != "\"v6pool_run_report\"") {
     return "missing \"report\":\"v6pool_run_report\" identity";
   }
   for (const std::string_view key :
-       {"version", "config", "digest", "kernel_backend", "metrics",
-        "serve_latency", "epochs", "timeline"}) {
-    std::string pattern = "\"";
-    pattern += key;
-    pattern += "\":";
-    if (text.find(pattern) == std::string_view::npos) {
+       {"version", "config", "kernel_backend", "metrics", "serve_latency",
+        "epochs", "timeline"}) {
+    if (!json_member(text, key)) {
       return "missing required key \"" + std::string(key) + "\"";
     }
+  }
+  if (!json_member(*json_member(text, "config"), "digest")) {
+    return "missing required key \"digest\" in config";
   }
   // Percentile fields must be a JSON number or null — a renderer that
   // leaks "inf"/"nan" (not JSON) or a string would slip past lint_json
@@ -247,17 +307,17 @@ std::optional<std::string> lint_report(std::string_view text) {
   for (const std::string_view key : {"p50_us", "p90_us", "p99_us"}) {
     std::string pattern = "\"";
     pattern += key;
-    pattern += "\":";
+    pattern += "\"";
     std::size_t at = 0;
     while ((at = text.find(pattern, at)) != std::string_view::npos) {
-      std::size_t v = at + pattern.size();
-      while (v < text.size() && text[v] == ' ') ++v;
-      const char c = v < text.size() ? text[v] : '\0';
+      at = skip_json_ws(text, at + pattern.size());
+      if (at == text.size() || text[at] != ':') continue;  // a string value
+      at = skip_json_ws(text, at + 1);
+      const char c = at < text.size() ? text[at] : '\0';
       if (!(std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '-' ||
             c == 'n')) {
         return std::string(key) + " value is not a number or null";
       }
-      at = v;
     }
   }
   return std::nullopt;

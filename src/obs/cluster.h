@@ -109,10 +109,12 @@ class ClusterAggregator {
 
 // Dependency-free validator for the `v6pool_cli obs-report` artifact:
 // the text must be one valid JSON object (lint_json) declaring
-// "report":"v6pool_run_report", carrying the required top-level sections
-// (version, config with digest, kernel_backend, metrics, serve_latency,
-// epochs, timeline), and every p50_us/p90_us/p99_us value must be a JSON
-// number or null. Returns nullopt when clean, else a description.
+// "report":"v6pool_run_report", carrying the required sections as its own
+// members (version, config with digest, kernel_backend, metrics,
+// serve_latency, epochs, timeline; copies nested deeper do not count),
+// and every p50_us/p90_us/p99_us value must be a JSON number or null.
+// Any JSON whitespace is accepted. Returns nullopt when clean, else a
+// description.
 std::optional<std::string> lint_report(std::string_view text);
 
 }  // namespace v6::obs

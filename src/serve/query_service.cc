@@ -1,9 +1,9 @@
 #include "serve/query_service.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "analysis/scan_source.h"
+#include "util/wall_clock.h"
 
 namespace v6::serve {
 
@@ -15,17 +15,12 @@ namespace {
 class LatencyProbe {
  public:
   explicit LatencyProbe(const obs::Histogram& histogram) noexcept
-      : histogram_(histogram),
-        begin_(std::chrono::steady_clock::now()) {}
-  ~LatencyProbe() {
-    const auto elapsed = std::chrono::steady_clock::now() - begin_;
-    histogram_.observe(
-        std::chrono::duration<double, std::micro>(elapsed).count());
-  }
+      : histogram_(histogram), begin_us_(util::steady_micros()) {}
+  ~LatencyProbe() { histogram_.observe(util::steady_micros() - begin_us_); }
 
  private:
   const obs::Histogram& histogram_;
-  std::chrono::steady_clock::time_point begin_;
+  double begin_us_;
 };
 
 }  // namespace

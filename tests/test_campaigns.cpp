@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <unordered_set>
+
+#include "core/study.h"
+#include "hitlist/corpus_io.h"
 
 namespace v6::hitlist {
 namespace {
@@ -124,6 +131,129 @@ TEST_F(CampaignTest, CampaignsAreDeterministicGivenSeeds) {
   const auto again = run_caida_campaign(*world_, plane, ca);
   EXPECT_EQ(again.corpus.size(), caida_->corpus.size());
   EXPECT_EQ(again.probes_sent, caida_->probes_sent);
+}
+
+// Campaign identity gate: one small seeded Study (campaigns and backscan,
+// no collection or analysis), with every probe-driven output folded into
+// FNV-1a digests pinned below. Any change to the probe path — topology
+// walk, loss-RNG draw order, ICMP budget charges — that moves a single
+// corpus byte, prefix, trace hop or drop count fails here. The values
+// were recorded with the wire-codec probe path and are reproduced bit for
+// bit by the codec-free one.
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = kFnvOffset;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+// Folds `v` into `h` as eight little-endian bytes.
+void fold(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= kFnvPrime;
+  }
+}
+
+void fold(std::uint64_t& h, const net::Ipv6Address& a) {
+  fold(h, a.hi64());
+  fold(h, a.lo64());
+}
+
+void fold(std::uint64_t& h, const net::Ipv6Prefix& p) {
+  fold(h, p.address());
+  fold(h, static_cast<std::uint64_t>(p.length()));
+}
+
+std::uint64_t corpus_digest(const Corpus& corpus) {
+  std::ostringstream out;
+  save_corpus(out, corpus);
+  return fnv1a(std::move(out).str());
+}
+
+struct CampaignDigests {
+  std::uint64_t hitlist_corpus = 0;
+  std::uint64_t aliased_prefixes = 0;
+  std::uint64_t caida_corpus = 0;
+  std::uint64_t backscan = 0;
+  std::uint64_t drops = 0;
+  std::uint64_t rate_limited = 0;
+};
+
+CampaignDigests run_gate_study(std::uint32_t router_icmp_rate_limit) {
+  core::StudyConfig config;
+  config.world.seed = 29;
+  config.world.total_sites = 600;
+  config.world.study_duration = 30 * util::kDay;
+  config.plane.router_icmp_rate_limit = router_icmp_rate_limit;
+  config.backscan_start = 35 * util::kDay;
+  config.backscan_duration = 2 * util::kDay;
+  config.hitlist_campaign.start = 2 * util::kDay;
+  config.hitlist_campaign.duration = 3 * util::kWeek;
+  config.caida_campaign.start = 2 * util::kDay;
+  config.caida_campaign.duration = 10 * util::kDay;
+  config.caida_campaign.slash48_fraction = 0.01;
+  core::Study study(config);
+  core::RunOptions options;
+  options.collect = false;
+  options.analysis = false;
+  const core::StudyResults& r = study.run(std::move(options));
+
+  CampaignDigests d;
+  d.hitlist_corpus = corpus_digest(r.hitlist.corpus);
+  d.aliased_prefixes = kFnvOffset;
+  for (const auto& p : r.hitlist.aliased_prefixes) fold(d.aliased_prefixes, p);
+  d.caida_corpus = corpus_digest(r.caida.corpus);
+  d.backscan = kFnvOffset;
+  for (const auto& p : r.backscan.aliased_slash64s) fold(d.backscan, p);
+  for (const auto& a : r.backscan.trace_discovered) fold(d.backscan, a);
+  for (const auto& o : r.backscan.outcomes) {
+    fold(d.backscan, o.client);
+    fold(d.backscan, o.random_target);
+    fold(d.backscan, (std::uint64_t{o.vantage} << 2) |
+                         (std::uint64_t{o.client_responded} << 1) |
+                         std::uint64_t{o.random_responded});
+  }
+  fold(d.backscan, r.backscan.responsive_random_addresses);
+  fold(d.backscan, r.backscan.clients_probed);
+  fold(d.backscan, r.backscan.clients_responded);
+  fold(d.backscan, r.backscan.random_probed);
+  d.drops = study.plane().drops();
+  d.rate_limited = study.plane().rate_limited();
+  return d;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+void expect_pinned(const CampaignDigests& got, const CampaignDigests& want) {
+  EXPECT_EQ(hex(got.hitlist_corpus), hex(want.hitlist_corpus));
+  EXPECT_EQ(hex(got.aliased_prefixes), hex(want.aliased_prefixes));
+  EXPECT_EQ(hex(got.caida_corpus), hex(want.caida_corpus));
+  EXPECT_EQ(hex(got.backscan), hex(want.backscan));
+  EXPECT_EQ(got.drops, want.drops);
+  EXPECT_EQ(got.rate_limited, want.rate_limited);
+}
+
+TEST(CampaignIdentity, PinnedDigestsWithoutRateLimit) {
+  const CampaignDigests got = run_gate_study(0);
+  expect_pinned(got, {0x53ffb3daffddff59, 0x53108194d4a8821b,
+                      0xc5cb19a570a4bdbb, 0xe869b01211ed610b, 27357, 0});
+}
+
+TEST(CampaignIdentity, PinnedDigestsUnderRateLimit) {
+  const CampaignDigests got = run_gate_study(3);
+  expect_pinned(got, {0x243a896ce21e7ccf, 0xbdd2d27eef467b6c,
+                      0xc5cb19a570a4bdbb, 0xe869b01211ed610b, 20563, 687343});
 }
 
 }  // namespace

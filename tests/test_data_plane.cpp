@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "proto/udp.h"
 #include "util/rng.h"
 
@@ -107,6 +109,101 @@ TEST_F(DataPlaneTest, HopLimitBeyondPathReachesDestination) {
   const auto result = plane.hop_limited_echo(
       src, dst, static_cast<std::uint8_t>(path.size() + 1), 3, 1, t);
   EXPECT_EQ(result.kind, ProbeResult::Kind::kEchoReply);
+}
+
+// Every hop limit, checked against the path: at loss 0, a probe with hop
+// limit h gets Time Exceeded from path[h-1] when that hop answers, silence
+// when it does not, and plain echo semantics once h passes the path's end.
+TEST_F(DataPlaneTest, EveryHopLimitAgreesWithThePath) {
+  auto plane = lossless();
+  const util::SimTime t = 1000;
+  util::Rng rng(13);
+  const auto v0 = world_->vantages().front().address;
+  const auto v1 = world_->vantages().back().address;
+  const auto unrouted = *net::Ipv6Address::parse("2001:db8::1");
+  std::vector<std::pair<net::Ipv6Address, net::Ipv6Address>> pairs;
+  for (int i = 0; i < 300; ++i) {
+    const auto d =
+        static_cast<sim::DeviceId>(rng.bounded(world_->devices().size()));
+    const auto dst = world_->device_address(d, t);
+    const auto same64 = net::Ipv6Address::from_u64(dst.hi64(), rng.next());
+    pairs.emplace_back(i % 2 == 0 ? v0 : v1, dst);
+    pairs.emplace_back(same64, dst);      // on-link: no hops at all
+    pairs.emplace_back(v0, same64);       // random IID (aliased sites answer)
+    pairs.emplace_back(unrouted, dst);    // source outside every AS
+    pairs.emplace_back(dst, world_->device_address(
+                                static_cast<sim::DeviceId>(rng.bounded(
+                                    world_->devices().size())),
+                                t));      // device to device
+  }
+  const auto ases = world_->ases();
+  for (std::uint32_t as = 0; as < ases.size(); ++as) {
+    if (ases[as].router_count != 0) {
+      pairs.emplace_back(v0, world_->router_address(as, 0, 1));
+    }
+  }
+  for (const auto& p : world_->aliased_datacenter_prefixes()) {
+    pairs.emplace_back(v0, net::Ipv6Address::from_u64(
+                               p.address().hi64() | 7, rng.next()));
+  }
+  for (int i = 0; i < 20; ++i) {
+    pairs.emplace_back(v0, net::Ipv6Address::from_u64(
+                               0x20010db800000000ull | rng.bounded(1 << 16),
+                               rng.next()));
+  }
+
+  std::uint64_t exceeded = 0, silent_hops = 0, replies = 0, unanswered = 0;
+  std::uint64_t empty_paths = 0, unrouted_paths = 0, cpe_less_paths = 0;
+  std::size_t longest = 0;
+  std::uint16_t seq = 0;
+  for (const auto& [src, dst] : pairs) {
+    const auto path = plane.topology().path(src, dst, t);
+    ASSERT_LE(path.size(), Topology::kMaxHops);
+    longest = std::max(longest, path.size());
+    if (path.empty()) ++empty_paths;
+    if (!world_->as_index_of(dst)) ++unrouted_paths;
+    if (world_->as_index_of(dst) && !world_->site_at(dst, t)) {
+      ++cpe_less_paths;
+    }
+    const auto res = world_->resolve(dst, t);
+    using Kind = sim::World::Resolution::Kind;
+    const bool answers =
+        (res.kind == Kind::kDevice && !res.firewalled && !res.icmp_silent) ||
+        res.kind == Kind::kRouter || res.kind == Kind::kAlias;
+    for (std::uint8_t h = 1; h <= 12; ++h) {
+      ++seq;
+      const auto got = plane.hop_limited_echo(src, dst, h, 3, seq, t);
+      if (h <= path.size()) {
+        const Hop& hop = path[h - 1];
+        if (hop.responds) {
+          ++exceeded;
+          ASSERT_EQ(got.kind, ProbeResult::Kind::kTimeExceeded) << +h;
+          EXPECT_EQ(got.responder, hop.address);
+        } else {
+          ++silent_hops;
+          EXPECT_EQ(got.kind, ProbeResult::Kind::kTimeout) << +h;
+        }
+      } else if (answers) {
+        ++replies;
+        ASSERT_EQ(got.kind, ProbeResult::Kind::kEchoReply) << +h;
+        EXPECT_EQ(got.responder, dst);
+        EXPECT_EQ(got.sequence, seq);
+      } else {
+        ++unanswered;
+        EXPECT_EQ(got.kind, ProbeResult::Kind::kTimeout) << +h;
+      }
+    }
+  }
+  // Every branch was exercised, the longest possible path included.
+  EXPECT_EQ(longest, Topology::kMaxHops);
+  EXPECT_GT(exceeded, 0u);
+  EXPECT_GT(silent_hops, 0u);
+  EXPECT_GT(replies, 0u);
+  EXPECT_GT(unanswered, 0u);
+  EXPECT_GT(empty_paths, 0u);
+  EXPECT_GT(unrouted_paths, 0u);
+  EXPECT_GT(cpe_less_paths, 0u);
+  EXPECT_EQ(plane.drops(), 0u);
 }
 
 TEST_F(DataPlaneTest, FullLossDropsEverything) {

@@ -311,6 +311,53 @@ TEST(RunReportLint, RejectsMissingIdentityAndRequiredKeys) {
   }
 }
 
+TEST(RunReportLint, RejectsRequiredKeysThatAreOnlyNested) {
+  // Every required section exists, but only inside "metrics".
+  EXPECT_TRUE(lint_report(
+                  "{\"report\":\"v6pool_run_report\",\"metrics\":{"
+                  "\"version\":1,\"config\":{\"digest\":\"abc\"},"
+                  "\"kernel_backend\":\"scalar\",\"serve_latency\":{},"
+                  "\"epochs\":[],\"timeline\":null}}")
+                  .has_value());
+  // The identity, too, must be a top-level member.
+  std::string nested_identity = minimal_report();
+  nested_identity.replace(nested_identity.find("\"report\""), 8,
+                          "\"kind\"");
+  nested_identity.insert(nested_identity.find("\"metrics\":{") + 11,
+                         "\"report\":\"v6pool_run_report\",");
+  EXPECT_TRUE(lint_report(nested_identity).has_value());
+  // And digest must sit in config, not merely somewhere.
+  std::string stray_digest = minimal_report();
+  stray_digest.replace(stray_digest.find("\"digest\""), 8, "\"hash\"");
+  stray_digest.insert(stray_digest.find("\"metrics\":{") + 11,
+                      "\"digest\":\"abc\",");
+  EXPECT_TRUE(lint_report(stray_digest).has_value());
+}
+
+TEST(RunReportLint, AcceptsWhitespaceAroundColons) {
+  std::string spaced;
+  for (const char c : minimal_report()) {
+    if (c == ':') {
+      spaced += " : ";
+    } else if (c == ',') {
+      spaced += ",\n  ";
+    } else {
+      spaced += c;
+    }
+  }
+  EXPECT_EQ(lint_report(spaced), std::nullopt);
+  EXPECT_EQ(lint_report("{\"report\": \"v6pool_run_report\", \"version\": 1, "
+                        "\"config\": {\"digest\": \"abc\"}, "
+                        "\"kernel_backend\": \"scalar\", \"metrics\": {}, "
+                        "\"serve_latency\": {}, \"epochs\": [], "
+                        "\"timeline\": null}"),
+            std::nullopt);
+  // Spacing does not hide a bad percentile either.
+  std::string bad = spaced;
+  bad.replace(bad.find("1.5"), 3, "\"x\"");
+  EXPECT_TRUE(lint_report(bad).has_value());
+}
+
 TEST(RunReportLint, RejectsNonNumericPercentiles) {
   std::string broken = minimal_report();
   const std::size_t at = broken.find("\"p50_us\":1.5");

@@ -65,6 +65,46 @@ TEST_F(TopologyTest, SiteTargetsTraverseTheirCpe) {
   FAIL() << "no site with client devices";
 }
 
+TEST_F(TopologyTest, BackboneIsTheFirstTransitAsOfEachCountry) {
+  const auto ases = world_->ases();
+  const auto n_countries =
+      static_cast<std::uint16_t>(world_->countries().size());
+  std::size_t with_backbone = 0;
+  for (std::uint16_t c = 0; c < n_countries; ++c) {
+    std::optional<std::uint32_t> first;
+    for (std::uint32_t i = 0; i < ases.size() && !first; ++i) {
+      if (ases[i].country_index == c &&
+          ases[i].type == sim::AsType::kTransit) {
+        first = i;
+      }
+    }
+    EXPECT_EQ(topo_->backbone_of(c), first) << "country " << c;
+    if (first) ++with_backbone;
+  }
+  EXPECT_GT(with_backbone, 0u);
+  EXPECT_EQ(topo_->backbone_of(n_countries), std::nullopt);
+}
+
+TEST_F(TopologyTest, HopMatchesPathAtEveryIndex) {
+  util::Rng rng(8);
+  const auto src = world_->vantages().front().address;
+  for (int i = 0; i < 100; ++i) {
+    const auto d =
+        static_cast<sim::DeviceId>(rng.bounded(world_->devices().size()));
+    const auto dst = world_->device_address(d, 321);
+    const auto path = topo_->path(src, dst, 321);
+    ASSERT_LE(path.size(), Topology::kMaxHops);
+    for (std::size_t h = 0; h <= Topology::kMaxHops; ++h) {
+      const auto hop = topo_->hop(src, dst, 321, h);
+      ASSERT_EQ(hop.has_value(), h < path.size()) << h;
+      if (hop) {
+        EXPECT_EQ(hop->address, path[h].address);
+        EXPECT_EQ(hop->responds, path[h].responds);
+      }
+    }
+  }
+}
+
 TEST_F(TopologyTest, DestinationNeverAppearsAsHop) {
   util::Rng rng(6);
   const auto src = world_->vantages().front().address;
