@@ -104,9 +104,9 @@ SimCluster::SimCluster(const sim::World& world, netsim::DataPlane& plane,
     throw std::invalid_argument("SimCluster: chunk_interval must be > 0");
   }
   if (collector_cfg_.wire_fidelity) {
-    // The wire path serializes every poll through the shared DataPlane's
-    // mutable state (loss RNG) in global poll order, which per-range runs
-    // cannot reproduce. Fail loudly instead of silently losing
+    // The wire path delivers every poll to the UDP services bound on the
+    // one shared DataPlane (one binding per vantage address), which
+    // per-range runs cannot share. Fail loudly instead of silently losing
     // bit-identity.
     throw std::invalid_argument(
         "SimCluster: wire_fidelity collection cannot be distributed");

@@ -6,7 +6,8 @@ AliasDetector::AliasDetector(netsim::DataPlane& plane,
                              const AliasDetectorConfig& config)
     : plane_(&plane),
       config_(config),
-      scanner_(plane, {config.source, 100000, 0, config.seed}),
+      scanner_(plane, {config.source, 100000, 0, config.seed,
+                       scan::ProbeProtocol::kIcmpv6Echo, config.metrics}),
       rng_(util::mix64(config.seed ^ 0xa11a)) {}
 
 bool AliasDetector::is_aliased(const net::Ipv6Prefix& prefix,

@@ -11,6 +11,7 @@
 #include "net/ipv6.h"
 #include "net/prefix.h"
 #include "netsim/data_plane.h"
+#include "obs/metrics.h"
 #include "scan/zmap6.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -25,6 +26,9 @@ struct AliasDetectorConfig {
   // canonical detector requires all of them).
   std::uint32_t response_threshold = 8;
   std::uint64_t seed = 5;
+  // Optional metrics sink (not owned): the detector's probes count in
+  // v6_scan_probes_total like any other ZMap6 probe.
+  obs::Registry* metrics = nullptr;
 };
 
 class AliasDetector {
@@ -36,6 +40,10 @@ class AliasDetector {
   // The subset of `prefixes` detected as aliased.
   std::vector<net::Ipv6Prefix> filter_aliased(
       std::span<const net::Ipv6Prefix> prefixes, util::SimTime t);
+
+  std::uint64_t probes_sent() const noexcept {
+    return scanner_.probes_sent();
+  }
 
  private:
   netsim::DataPlane* plane_;

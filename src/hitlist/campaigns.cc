@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
+#include <span>
 #include <unordered_set>
 
 #include "scan/target_gen.h"
 #include "scan/yarrp.h"
 #include "scan/zmap6.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace v6::hitlist {
 
@@ -15,40 +18,48 @@ namespace {
 
 // Synthetic "public sources": addresses the campaign can learn without
 // probing. Servers published in DNS, a slice of CPE WAN addresses visible
-// through reverse DNS, and rDNS-named router interfaces.
+// through reverse DNS, and rDNS-named router interfaces. The per-site and
+// per-device feeds are sampled by index range on `pool`.
 std::vector<net::Ipv6Address> public_source_addresses(
     const sim::World& world, util::SimTime t, double rdns_cpe_fraction,
-    double client_fraction) {
+    double client_fraction, util::ThreadPool* pool) {
   std::vector<net::Ipv6Address> out = world.dns_seed_addresses();
   const auto fraction_hits = [](double fraction, std::uint64_t h) {
     return h < static_cast<std::uint64_t>(
                    fraction >= 1.0 ? ~std::uint64_t{0} : fraction * 0x1p64);
   };
-  for (const auto& site : world.sites()) {
-    if (site.cpe == sim::kNoDevice) continue;
-    const sim::Device& cpe = world.devices()[site.cpe];
-    if (fraction_hits(rdns_cpe_fraction, util::mix64(cpe.seed ^ 0x4d45))) {
-      out.push_back(world.device_address(site.cpe, t));
-    }
-  }
+  util::append_sharded(
+      pool, world.sites().size(), scan::kMinProbesPerShard, out,
+      [&](std::size_t i, std::vector<net::Ipv6Address>& part) {
+        const sim::Site& site = world.sites()[i];
+        if (site.cpe == sim::kNoDevice) return;
+        const sim::Device& cpe = world.devices()[site.cpe];
+        if (fraction_hits(rdns_cpe_fraction,
+                          util::mix64(cpe.seed ^ 0x4d45))) {
+          part.push_back(world.device_address(site.cpe, t));
+        }
+      });
   // Crowdsourced / log-derived client sightings: ephemeral end-host
   // addresses that no probe would ever guess. Re-rolled per snapshot
   // (different users show up in the feeds each week).
-  for (const auto& dev : world.devices()) {
-    if (dev.kind == sim::DeviceKind::kCpe ||
-        dev.kind == sim::DeviceKind::kServer) {
-      continue;
-    }
-    // Panel/log feeds skew toward devices the NTP study never sees (their
-    // time sync uses vendor servers), which is why the paper found the
-    // datasets nearly disjoint.
-    if (dev.ntp.uses_pool) continue;
-    if (fraction_hits(client_fraction,
-                      util::mix64(dev.seed ^ 0xc10bd ^
-                                  static_cast<std::uint64_t>(t)))) {
-      out.push_back(world.device_address(dev.id, t));
-    }
-  }
+  util::append_sharded(
+      pool, world.devices().size(), scan::kMinProbesPerShard, out,
+      [&](std::size_t i, std::vector<net::Ipv6Address>& part) {
+        const sim::Device& dev = world.devices()[i];
+        if (dev.kind == sim::DeviceKind::kCpe ||
+            dev.kind == sim::DeviceKind::kServer) {
+          return;
+        }
+        // Panel/log feeds skew toward devices the NTP study never sees
+        // (their time sync uses vendor servers), which is why the paper
+        // found the datasets nearly disjoint.
+        if (dev.ntp.uses_pool) return;
+        if (fraction_hits(client_fraction,
+                          util::mix64(dev.seed ^ 0xc10bd ^
+                                      static_cast<std::uint64_t>(t)))) {
+          part.push_back(world.device_address(dev.id, t));
+        }
+      });
   for (std::uint32_t ai = 0; ai < world.ases().size(); ++ai) {
     const sim::AsInfo& as = world.ases()[ai];
     for (std::uint32_t r = 0; r < as.router_count; ++r) {
@@ -67,6 +78,38 @@ net::Ipv6Address campaign_source(const sim::World& world) {
   return net::Ipv6Address::from_u64(0x2001067c00000000ULL, 0x1);
 }
 
+// The aliased-prefix list as a lookup. Prefixes are published at /64, /48
+// or /36, all inside an address's high 64 bits, so each length keeps a set
+// of masked hi64 words and a membership check is three integer lookups.
+class AliasedSet {
+ public:
+  void insert(const net::Ipv6Prefix& p) {
+    words_[slot(p.length())].insert(p.address().hi64());
+  }
+  bool contains(const net::Ipv6Prefix& p) const {
+    return words_[slot(p.length())].contains(p.address().hi64());
+  }
+  // Whether any listed prefix covers `a`.
+  bool covers(const net::Ipv6Address& a) const {
+    const std::uint64_t hi = a.hi64();
+    return words_[0].contains(hi) ||
+           words_[1].contains(hi & (~std::uint64_t{0} << 16)) ||
+           words_[2].contains(hi & (~std::uint64_t{0} << 28));
+  }
+
+ private:
+  static std::size_t slot(int length) {
+    return length == 64 ? 0 : length == 48 ? 1 : 2;
+  }
+  std::array<std::unordered_set<std::uint64_t>, 3> words_;  // /64, /48, /36
+};
+
+// A campaign's scan pool; none at one thread, so every scan runs inline.
+std::unique_ptr<util::ThreadPool> campaign_pool(util::Parallelism threads) {
+  const unsigned n = threads.resolved();
+  return n > 1 ? std::make_unique<util::ThreadPool>(n) : nullptr;
+}
+
 }  // namespace
 
 HitlistResult run_hitlist_campaign(const sim::World& world,
@@ -75,10 +118,12 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
   HitlistResult result;
   util::Rng rng(util::mix64(config.seed ^ 0x6175));
   const net::Ipv6Address source = campaign_source(world);
+  const auto pool = campaign_pool(config.threads);
 
   std::unordered_set<net::Ipv6Address> known;          // published addrs
   std::unordered_set<net::Ipv6Prefix> active64, active48;
-  std::unordered_set<net::Ipv6Prefix> aliased_set, alias_checked;
+  AliasedSet aliased_set;
+  std::unordered_set<std::uint64_t> alias_checked;  // /64s, by hi64
   std::vector<net::Ipv6Prefix> aliased_list;
   // Aliased /64s seen per /48: two siblings trigger testing the /48.
   std::unordered_map<net::Ipv6Prefix, int> aliased64_per_48;
@@ -88,7 +133,8 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
   // covering /36 itself. This is how whole CGN/CDN regions end up on the
   // Hitlist's aliased-prefix list.
   {
-    AliasDetector detector(plane, {source, 8, 8, rng.next()});
+    AliasDetector detector(plane,
+                           {source, 8, 8, rng.next(), config.metrics});
     constexpr int kSamplesPerPrefix = 64;
     for (const auto& as : world.ases()) {
       std::array<int, 16> hits_per_region{};
@@ -125,26 +171,23 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
         aliased_list.push_back(p48);
       }
     }
+    result.probes_sent += detector.probes_sent();
   }
 
-  // Aliased prefixes are published at /64, /48 or /36; membership checks
-  // truncate to those three lengths.
   const auto in_aliased = [&aliased_set](const net::Ipv6Address& a) {
-    return aliased_set.contains(net::Ipv6Prefix(a, 64)) ||
-           aliased_set.contains(net::Ipv6Prefix(a, 48)) ||
-           aliased_set.contains(net::Ipv6Prefix(a, 36));
+    return aliased_set.covers(a);
   };
 
   const util::SimTime end = config.start + config.duration;
   for (util::SimTime snap = config.start; snap < end;
        snap += config.snapshot_interval) {
     ++result.snapshots;
-    scan::Zmap6Scanner zmap(plane,
-                            {source, 100000, 0, rng.next(),
-                             scan::ProbeProtocol::kIcmpv6Echo, config.metrics});
-    scan::YarrpTracer yarrp(
-        plane,
-        {source, config.yarrp_max_hops, 50000, rng.next(), config.metrics});
+    scan::Zmap6Scanner zmap(
+        plane, {source, 100000, 0, rng.next(),
+                scan::ProbeProtocol::kIcmpv6Echo, config.metrics, pool.get()});
+    scan::YarrpTracer yarrp(plane,
+                            {source, config.yarrp_max_hops, 50000, rng.next(),
+                             config.metrics, pool.get()});
 
     // Re-verify previously published addresses: each weekly release
     // contains what is *still* responsive, so records keep fresh
@@ -159,10 +202,11 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
     // Frontier: public sources plus TGA expansion of known structure.
     std::vector<net::Ipv6Address> frontier = public_source_addresses(
         world, snap, config.rdns_cpe_fraction,
-        config.crowdsourced_client_fraction);
+        config.crowdsourced_client_fraction, pool.get());
     if (snap == config.start && config.routed_seed_fraction > 0.0) {
       const auto routed = scan::routed_slash48_targets(
-          world, config.routed_seed_fraction, config.seed ^ 0xb69);
+          world, config.routed_seed_fraction, config.seed ^ 0xb69,
+          pool.get());
       frontier.insert(frontier.end(), routed.begin(), routed.end());
     }
     {
@@ -194,8 +238,9 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
       for (const auto protocol :
            {scan::ProbeProtocol::kTcpSyn443, scan::ProbeProtocol::kTcpSyn80}) {
         if (silent.empty()) break;
-        scan::Zmap6Scanner tcp_zmap(
-            plane, {source, 100000, 0, rng.next(), protocol, config.metrics});
+        scan::Zmap6Scanner tcp_zmap(plane,
+                                    {source, 100000, 0, rng.next(), protocol,
+                                     config.metrics, pool.get()});
         std::vector<net::Ipv6Address> still_silent;
         for (const auto& rec : tcp_zmap.scan(silent, snap)) {
           (rec.responded ? found : still_silent).push_back(rec.target);
@@ -209,19 +254,19 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
         if (rng.chance(config.trace_fraction)) trace_targets.push_back(target);
       }
       const auto traces = yarrp.trace(trace_targets, snap);
-      for (const auto& addr : scan::YarrpTracer::discovered(traces)) {
-        found.push_back(addr);
-      }
+      const auto hops = scan::YarrpTracer::discovered(traces, pool.get());
+      found.insert(found.end(), hops.begin(), hops.end());
 
       // Alias filtering on newly active /64s, then publication.
-      std::vector<net::Ipv6Address> next_frontier;
+      std::vector<net::Ipv6Prefix> fresh64;  // in publication order
       for (const auto& addr : found) {
-        const auto p64 = net::slash64_of(addr);
         if (in_aliased(addr)) continue;
-        if (alias_checked.insert(p64).second) {
+        const auto p64 = net::slash64_of(addr);
+        if (alias_checked.insert(addr.hi64()).second) {
           AliasDetector detector(
-              plane, {source, 8, 8, rng.next()});
-          if (detector.is_aliased(p64, snap)) {
+              plane, {source, 8, 8, rng.next(), config.metrics});
+          const bool aliased = detector.is_aliased(p64, snap);
+          if (aliased) {
             aliased_set.insert(p64);
             aliased_list.push_back(p64);
             // Aggregate upward: sibling aliased /64s suggest the whole
@@ -233,22 +278,18 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
               aliased_set.insert(p48);
               aliased_list.push_back(p48);
             }
-            continue;
           }
+          result.probes_sent += detector.probes_sent();
+          if (aliased) continue;
         }
         if (known.insert(addr).second) {
           result.corpus.add(addr, snap);
-          if (active64.insert(p64).second) {
-            // Fresh /64: fodder for the next TGA round.
-            for (const auto& cand :
-                 scan::low_iid_candidates(std::span(&p64, 1))) {
-              next_frontier.push_back(cand);
-            }
-          }
+          // A fresh /64 is fodder for the next TGA round.
+          if (active64.insert(p64).second) fresh64.push_back(p64);
           active48.insert(net::slash48_of(addr));
         }
       }
-      frontier = std::move(next_frontier);
+      frontier = scan::low_iid_candidates(fresh64);
       if (frontier.size() > config.max_frontier) {
         rng.shuffle(frontier);
         frontier.resize(config.max_frontier);
@@ -284,8 +325,9 @@ CaidaResult run_caida_campaign(const sim::World& world,
                                const CaidaCampaignConfig& config) {
   CaidaResult result;
   const net::Ipv6Address source = campaign_source(world);
-  auto targets = scan::routed_slash48_targets(world, config.slash48_fraction,
-                                              config.seed);
+  const auto pool = campaign_pool(config.threads);
+  const auto targets = scan::routed_slash48_targets(
+      world, config.slash48_fraction, config.seed, pool.get());
   if (targets.empty()) return result;
 
   // Spread traces uniformly across the campaign window; Yarrp advances
@@ -295,24 +337,44 @@ CaidaResult run_caida_campaign(const sim::World& world,
   const std::size_t per_day =
       (targets.size() + static_cast<std::size_t>(days) - 1) /
       static_cast<std::size_t>(days);
-  std::size_t offset = 0;
-  for (util::SimDuration day = 0; day < days && offset < targets.size();
-       ++day) {
-    const std::size_t n = std::min(per_day, targets.size() - offset);
-    scan::YarrpTracer yarrp(
-        plane,
-        {source, config.max_hops, 50000,
-         config.seed ^ (0x471ULL + static_cast<std::uint64_t>(day)),
-         config.metrics});
-    const std::span<const net::Ipv6Address> chunk(targets.data() + offset, n);
-    const util::SimTime t0 = config.start + day * util::kDay;
-    const auto traces = yarrp.trace(chunk, t0);
-    result.traces += traces.size();
-    for (const auto& addr : scan::YarrpTracer::discovered(traces)) {
-      result.corpus.add(addr, t0);
-    }
-    result.probes_sent += yarrp.probes_sent();
-    offset += n;
+  const std::size_t traced_days = (targets.size() + per_day - 1) / per_day;
+
+  // Whole days shard across the pool (each day's tracer runs inline on
+  // its worker, so at most one day per worker is in flight); the days'
+  // discovered lists then merge into the corpus in day order. Under
+  // router ICMP rate limiting the days run one after another on this
+  // thread.
+  struct Day {
+    std::vector<net::Ipv6Address> discovered;
+    std::uint64_t traces = 0;
+    std::uint64_t probes = 0;
+  };
+  std::vector<Day> out(traced_days);
+  util::run_sharded(
+      plane.order_independent() ? pool.get() : nullptr, traced_days,
+      static_cast<unsigned>(traced_days),
+      [&](unsigned, std::size_t begin, std::size_t end) {
+        for (std::size_t day = begin; day < end; ++day) {
+          const std::size_t offset = day * per_day;
+          scan::YarrpTracer yarrp(
+              plane,
+              {source, config.max_hops, 50000,
+               config.seed ^ (0x471ULL + static_cast<std::uint64_t>(day)),
+               config.metrics});
+          const auto traces = yarrp.trace(
+              std::span(targets).subspan(
+                  offset, std::min(per_day, targets.size() - offset)),
+              config.start + static_cast<util::SimDuration>(day) * util::kDay);
+          out[day] = {scan::YarrpTracer::discovered(traces), traces.size(),
+                      yarrp.probes_sent()};
+        }
+      });
+  for (std::size_t day = 0; day < traced_days; ++day) {
+    const util::SimTime t0 =
+        config.start + static_cast<util::SimDuration>(day) * util::kDay;
+    for (const auto& addr : out[day].discovered) result.corpus.add(addr, t0);
+    result.traces += out[day].traces;
+    result.probes_sent += out[day].probes;
   }
   return result;
 }

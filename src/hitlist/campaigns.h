@@ -12,6 +12,14 @@
 //
 // Because both run against ground truth, the Table 1 comparisons (overlap,
 // ASes, density) are emergent rather than baked in.
+//
+// Each campaign owns one thread pool (its `threads` knob). Probe verdicts
+// are pure functions of the probe (see netsim/data_plane.h), so the
+// Hitlist's scans shard their targets and CAIDA shards whole days, and the
+// results are bit-identical at any thread count. The Hitlist's alias and
+// TGA bookkeeping and its campaign RNG stay serial. Under router ICMP rate
+// limiting, hop-limited probing (Yarrp, and so every CAIDA day) runs on
+// one thread, because budget charges depend on send order.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +32,7 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "sim/world.h"
+#include "util/parallelism.h"
 #include "util/sim_time.h"
 
 namespace v6::hitlist {
@@ -55,18 +64,22 @@ struct HitlistCampaignConfig {
   // valid.
   obs::Registry* metrics = nullptr;
   // Optional timeline sampler (not owned): closes one window per weekly
-  // snapshot, at the snapshot's end. The campaign is single-threaded, so
-  // every instant is a merge barrier; snapshot ends are the natural grid.
-  // (The campaign's sim window re-covers the collection window the
-  // pipeline already passed, so these windows clamp to zero width — the
+  // snapshot, at the snapshot's end, on the calling thread. Scans shard
+  // only within a snapshot and every shard has joined by its end, so
+  // snapshot ends are merge barriers and the natural grid. (The
+  // campaign's sim window re-covers the collection window the pipeline
+  // already passed, so these windows clamp to zero width — the
   // per-snapshot deltas are the payload.)
   obs::TimelineSampler* sampler = nullptr;
+  // Threads of the pool the scans shard on (see util::Parallelism for the
+  // 0/1/N contract). Results are bit-identical at any value.
+  util::Parallelism threads = util::Parallelism::hardware();
 };
 
 struct HitlistResult {
   Corpus corpus;  // responsive, alias-filtered addresses (cumulative)
   std::vector<net::Ipv6Prefix> aliased_prefixes;  // detected aliased /48+/64
-  std::uint64_t probes_sent = 0;
+  std::uint64_t probes_sent = 0;  // scans, traces and alias detection
   std::uint32_t snapshots = 0;
 };
 
@@ -84,6 +97,9 @@ struct CaidaCampaignConfig {
   std::uint64_t seed = 19;
   // Optional metrics sink (not owned), forwarded to the per-day tracers.
   obs::Registry* metrics = nullptr;
+  // Threads of the pool the days shard on (see util::Parallelism for the
+  // 0/1/N contract). Results are bit-identical at any value.
+  util::Parallelism threads = util::Parallelism::hardware();
 };
 
 struct CaidaResult {

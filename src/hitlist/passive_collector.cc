@@ -197,9 +197,10 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   const auto devices = all_devices.subspan(first, last - first);
   const auto vantages = world_->vantages();
   unsigned shards = config_.threads.resolved();
-  // The wire path serializes every poll through the shared DataPlane
-  // (UDP delivery mutates its loss RNG and routing state), so it stays
-  // single-threaded; the fast path is the one built for scale.
+  // The wire path delivers every poll to the UDP services bound on the
+  // one shared DataPlane (one binding per vantage address, which each
+  // shard's servers would overwrite), so it stays single-threaded; the
+  // fast path is the one built for scale.
   if (config_.wire_fidelity) shards = 1;
   shards = static_cast<unsigned>(std::min<std::size_t>(
       shards, std::max<std::size_t>(devices.size(), 1)));

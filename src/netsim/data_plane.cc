@@ -1,14 +1,22 @@
 #include "netsim/data_plane.h"
 
 #include "proto/udp.h"
+#include "util/rng.h"
 
 namespace v6::netsim {
 
 DataPlane::DataPlane(const sim::World& world, const DataPlaneConfig& config)
     : world_(&world),
       config_(config),
-      topology_(world),
-      rng_(util::mix64(config.seed ^ 0xda7a)) {
+      topology_(world) {
+  std::uint64_t state = util::mix64(config.seed ^ 0xda7a);
+  for (auto& key : loss_keys_) key = util::splitmix64(state);
+  const double scaled = config_.loss_rate * 0x1p64;
+  if (scaled >= 0x1p64) {
+    loss_all_ = true;
+  } else if (scaled > 0.0) {
+    loss_threshold_ = static_cast<std::uint64_t>(scaled);
+  }
   if (config_.metrics != nullptr) {
     metric_drops_ = config_.metrics->counter(
         "v6_plane_drops_total", "Datagrams lost in transit (both directions)");
@@ -21,16 +29,54 @@ DataPlane::DataPlane(const sim::World& world, const DataPlaneConfig& config)
   }
 }
 
-bool DataPlane::lost() {
-  if (config_.loss_rate > 0.0 && rng_.chance(config_.loss_rate)) {
-    ++drops_;
-    metric_drops_.inc();
-    return true;
+namespace {
+
+// One 64x64->128-bit multiply folded to 64 bits (wyhash's "mum"). With
+// keyed operands it mixes both words, at a fraction of a mix64 chain.
+inline std::uint64_t fold_mul(std::uint64_t a, std::uint64_t b) noexcept {
+  const auto product = static_cast<unsigned __int128>(a) * b;
+  return static_cast<std::uint64_t>(product) ^
+         static_cast<std::uint64_t>(product >> 64);
+}
+
+}  // namespace
+
+std::uint64_t DataPlane::probe_identity(const net::Ipv6Address& src,
+                                        const net::Ipv6Address& dst,
+                                        std::uint64_t fields,
+                                        util::SimTime t) const noexcept {
+  return fold_mul(src.hi64() ^ loss_keys_[0], src.lo64() ^ loss_keys_[1]) ^
+         fold_mul(dst.hi64() ^ loss_keys_[2], dst.lo64() ^ loss_keys_[3]) ^
+         fold_mul(fields ^ loss_keys_[4],
+                  static_cast<std::uint64_t>(t) ^ loss_keys_[5]);
+}
+
+bool DataPlane::lost(std::uint64_t identity, Leg leg) {
+  if (!loss_all_ && util::mix64(identity ^ leg) >= loss_threshold_) {
+    return false;
   }
-  return false;
+  drops_.value.fetch_add(1, std::memory_order_relaxed);
+  metric_drops_.inc();
+  return true;
 }
 
 namespace {
+
+// Protocol tags in the top byte of a probe identity's `fields` word.
+constexpr std::uint64_t kIcmpTag = std::uint64_t{1} << 56;
+constexpr std::uint64_t kTcpTag = std::uint64_t{2} << 56;
+constexpr std::uint64_t kUdpTag = std::uint64_t{3} << 56;
+
+// FNV-1a over a UDP payload, the part of a datagram's identity that no
+// header field carries.
+std::uint64_t payload_hash(const std::vector<std::uint8_t>& payload) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : payload) {
+    h ^= byte;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 // How far back per-second ICMP budgets are retained. Probe schedules that
 // jump backwards (interleaved backscan intervals) still see exact budgets
@@ -72,18 +118,23 @@ ProbeResult DataPlane::echo(const net::Ipv6Address& src,
 ProbeResult DataPlane::hop_limited_echo(const net::Ipv6Address& src,
                                         const net::Ipv6Address& dst,
                                         std::uint8_t hop_limit,
-                                        std::uint16_t /*identifier*/,
+                                        std::uint16_t identifier,
                                         std::uint16_t sequence,
                                         util::SimTime t) {
   ProbeResult result;
-  if (lost()) return result;  // the request
+  const std::uint64_t id = probe_identity(
+      src, dst,
+      kIcmpTag | (std::uint64_t{hop_limit} << 32) |
+          (std::uint64_t{identifier} << 16) | sequence,
+      t);
+  if (lost(id, kRequest)) return result;
 
   // Walk the forwarding path; a hop-limit expiry elicits Time Exceeded.
   // A limit past the longest possible path can never expire.
   if (hop_limit <= Topology::kMaxHops) {
     if (const auto hop = topology_.hop(src, dst, t, hop_limit - 1u)) {
       if (!hop->responds || !icmp_error_allowed(hop->address, t) ||
-          lost()) {
+          lost(id, kAnswer)) {
         return result;
       }
       result.kind = ProbeResult::Kind::kTimeExceeded;
@@ -98,19 +149,21 @@ ProbeResult DataPlane::hop_limited_echo(const net::Ipv6Address& src,
   const bool answers =
       (res.kind == Kind::kDevice && !res.firewalled && !res.icmp_silent) ||
       res.kind == Kind::kRouter || res.kind == Kind::kAlias;
-  if (!answers || lost()) return result;  // or the reply is lost
+  if (!answers || lost(id, kAnswer)) return result;
   result.kind = ProbeResult::Kind::kEchoReply;
   result.responder = dst;
   result.sequence = sequence;
   return result;
 }
 
-DataPlane::SynOutcome DataPlane::tcp_syn(const net::Ipv6Address& /*src*/,
+DataPlane::SynOutcome DataPlane::tcp_syn(const net::Ipv6Address& src,
                                          const net::Ipv6Address& dst,
                                          std::uint16_t dst_port,
-                                         std::uint32_t /*sequence*/,
+                                         std::uint32_t sequence,
                                          util::SimTime t) {
-  if (lost()) return SynOutcome::kTimeout;  // the SYN
+  const std::uint64_t id = probe_identity(
+      src, dst, kTcpTag | (std::uint64_t{dst_port} << 32) | sequence, t);
+  if (lost(id, kRequest)) return SynOutcome::kTimeout;
 
   const auto res = world_->resolve(dst, t);
   using Kind = sim::World::Resolution::Kind;
@@ -131,7 +184,7 @@ DataPlane::SynOutcome DataPlane::tcp_syn(const net::Ipv6Address& /*src*/,
     case Kind::kNone:
       break;
   }
-  if (!reachable || lost()) return SynOutcome::kTimeout;  // or the answer
+  if (!reachable || lost(id, kAnswer)) return SynOutcome::kTimeout;
   return listening ? SynOutcome::kSynAck : SynOutcome::kRst;
 }
 
@@ -147,13 +200,18 @@ std::optional<std::vector<std::uint8_t>> DataPlane::send_udp(
   // Outbound: wire-encode, lose, deliver, decode (checksum verified).
   const proto::UdpDatagram datagram{src_port, dst_port, payload};
   const auto wire = proto::encode_udp(datagram, src, dst);
-  if (lost()) return std::nullopt;
+  const std::uint64_t id =
+      util::mix64(probe_identity(src, dst,
+                                 kUdpTag | (std::uint64_t{src_port} << 16) |
+                                     dst_port,
+                                 t) ^
+                  payload_hash(payload));
+  if (lost(id, kRequest)) return std::nullopt;
   const auto delivered = proto::decode_udp(wire, src, dst);
   if (!delivered) return std::nullopt;
 
   // Injected vantage faults swallow the datagram before the service sees
-  // it. Checked after lost() so the loss RNG stream is untouched by the
-  // (pure-function) fault plan.
+  // it. Both are pure functions of the datagram, so their order is free.
   if (faults_ != nullptr && !faults_->delivers_to(dst, src, t)) {
     ++fault_drops_;
     metric_fault_drops_.inc();
@@ -169,7 +227,7 @@ std::optional<std::vector<std::uint8_t>> DataPlane::send_udp(
   // Return path.
   const proto::UdpDatagram back{dst_port, delivered->src_port, *response};
   const auto back_wire = proto::encode_udp(back, dst, src);
-  if (lost()) return std::nullopt;
+  if (lost(id, kAnswer)) return std::nullopt;
   const auto back_delivered = proto::decode_udp(back_wire, dst, src);
   if (!back_delivered) return std::nullopt;
   return back_delivered->payload;

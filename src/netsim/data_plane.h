@@ -11,12 +11,27 @@
 // both ends.
 //
 // A configurable loss rate models the real Internet's flakiness; scanners
-// must tolerate it. Every datagram draws from one sequential loss RNG, so
-// results depend on the order of those draws. A probe draws once for its
-// request and, only if something answers, once for the answer; a Time
-// Exceeded answer is first charged against the router's ICMP budget.
+// must tolerate it. Loss is a counter-based verdict, not a sequential RNG:
+// each leg's fate is a hash of the plane key (from config.seed) and the
+// probe's identity: src, dst, protocol and port, hop limit, ident/seq
+// (TCP: sequence; UDP: both ports and an FNV-1a hash of the payload), t,
+// and the leg (request or answer). A probe's fate therefore does not
+// depend on what else was sent, or in which order, and probes may be
+// issued from many threads at once. Two identical probes (same identity, same second)
+// share one fate; a scanner that retries must change the probe (ZMap6
+// puts the attempt number in the sequence). A probe is judged once for
+// its request and, only if something answers, once for the answer.
+//
+// The one order-dependent piece is router ICMP rate limiting: a Time
+// Exceeded answer is charged against the router's per-second budget
+// before its answer leg is judged, and which probe finds the budget spent
+// depends on send order. With router_icmp_rate_limit > 0, hop-limited
+// probes must be issued from one thread in a fixed order
+// (order_independent() says whether that applies).
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -30,7 +45,6 @@
 #include "netsim/topology.h"
 #include "obs/metrics.h"
 #include "sim/world.h"
-#include "util/rng.h"
 #include "util/sim_time.h"
 
 namespace v6::netsim {
@@ -120,24 +134,55 @@ class DataPlane {
   void set_faults(const FaultSchedule* faults) noexcept { faults_ = faults; }
   const FaultSchedule* faults() const noexcept { return faults_; }
 
+  // True unless router ICMP budgets are on: then hop-limited probes
+  // (the only ones that can be charged) depend on send order.
+  bool order_independent() const noexcept {
+    return config_.router_icmp_rate_limit == 0;
+  }
+
   // Number of datagrams dropped so far (both directions).
-  std::uint64_t drops() const noexcept { return drops_; }
+  std::uint64_t drops() const noexcept {
+    return drops_.value.load(std::memory_order_relaxed);
+  }
   // Time Exceeded messages suppressed by router rate limiting.
   std::uint64_t rate_limited() const noexcept { return rate_limited_; }
   // Datagrams swallowed by injected vantage faults.
   std::uint64_t fault_drops() const noexcept { return fault_drops_; }
 
  private:
-  bool lost();
+  // Keyed hash of everything that identifies one probe: both addresses,
+  // the protocol fields packed in `fields`, and the send second.
+  std::uint64_t probe_identity(const net::Ipv6Address& src,
+                               const net::Ipv6Address& dst,
+                               std::uint64_t fields,
+                               util::SimTime t) const noexcept;
+  // The loss verdict for one leg of probe `identity`; counts the drop.
+  enum Leg : std::uint64_t {
+    kRequest = 0,
+    kAnswer = std::uint64_t{1} << 63,
+  };
+  bool lost(std::uint64_t identity, Leg leg);
   // Charges one ICMP error against `router`'s budget for second `t`.
   bool icmp_error_allowed(const net::Ipv6Address& router, util::SimTime t);
 
   const sim::World* world_;
   DataPlaneConfig config_;
   Topology topology_;
-  util::Rng rng_;
+  // The plane key: six words derived from config.seed.
+  std::array<std::uint64_t, 6> loss_keys_{};
+  // mix64 draws below this are lost; loss_all_ covers loss_rate >= 1.
+  std::uint64_t loss_threshold_ = 0;
+  bool loss_all_ = false;
   const FaultSchedule* faults_ = nullptr;
-  std::uint64_t drops_ = 0;
+  // Probes run on many threads, so the drop tally is a relaxed atomic;
+  // the wrapper keeps the plane movable.
+  struct DropCount {
+    std::atomic<std::uint64_t> value{0};
+    DropCount() = default;
+    DropCount(DropCount&& other) noexcept
+        : value(other.value.load(std::memory_order_relaxed)) {}
+  };
+  DropCount drops_;
   std::uint64_t rate_limited_ = 0;
   std::uint64_t fault_drops_ = 0;
   obs::Counter metric_drops_;

@@ -89,6 +89,7 @@ void Backscanner::observe(const ntp::Observation& obs,
     metric_traces_.inc();
     const net::Ipv6Address targets[] = {obs.client};
     const auto traces = yarrp.trace(targets, probe_time);
+    report_.probes_sent += yarrp.probes_sent();
     for (const auto& addr : YarrpTracer::discovered(traces)) {
       trace_found_.insert(addr);
     }
@@ -97,6 +98,7 @@ void Backscanner::observe(const ntp::Observation& obs,
       ++report_.clients_responded;
     }
   }
+  report_.probes_sent += zmap.probes_sent();
   if (outcome.client_responded) metric_clients_responded_.inc();
   report_.outcomes.push_back(outcome);
 }

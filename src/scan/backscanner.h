@@ -65,6 +65,8 @@ struct BackscanReport {
   std::uint64_t clients_probed = 0;
   std::uint64_t clients_responded = 0;
   std::uint64_t random_probed = 0;
+  // Every probe fired: echoes, retries and trace probes.
+  std::uint64_t probes_sent = 0;
 };
 
 class Backscanner {

@@ -18,14 +18,17 @@
 #include "net/ipv6.h"
 #include "net/prefix.h"
 #include "sim/world.h"
+#include "util/thread_pool.h"
 
 namespace v6::scan {
 
 // CAIDA-style: ::1 of every /48 under each routed /32, deterministically
-// subsampled to `fraction` of the space (1.0 probes all 65536 per /32).
-std::vector<net::Ipv6Address> routed_slash48_targets(const sim::World& world,
-                                                     double fraction,
-                                                     std::uint64_t seed);
+// subsampled to `fraction` of the space (1.0 probes all 65536 per /32), in
+// AS order. Given a pool, AS ranges are sampled in parallel and
+// concatenated in order, so the list is the same.
+std::vector<net::Ipv6Address> routed_slash48_targets(
+    const sim::World& world, double fraction, std::uint64_t seed,
+    util::ThreadPool* pool = nullptr);
 
 // Low-IID candidate addresses (::0, ::1, ::2, ::a, ::100) inside each /64.
 std::vector<net::Ipv6Address> low_iid_candidates(

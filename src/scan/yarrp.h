@@ -6,6 +6,13 @@
 // invoking packets. We reproduce that structure: probes carry their state in
 // the echo ident/seq, are emitted in a Feistel-permuted order, and results
 // are regrouped per target at the end.
+//
+// Given a pool, trace() shards the permutation domain: probe k goes out at
+// t0 + k / rate to the (target, ttl) the permutation names, whatever shard
+// sends it, and its outcome lands in that (target, ttl) cell alone. The
+// regroup then runs per target range. Traces are identical at any shard
+// count. Under router ICMP rate limiting the budget charges depend on send
+// order, so the probes then go out from one shard.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +22,9 @@
 #include "net/ipv6.h"
 #include "netsim/data_plane.h"
 #include "obs/metrics.h"
+#include "scan/zmap6.h"
 #include "util/sim_time.h"
+#include "util/thread_pool.h"
 
 namespace v6::scan {
 
@@ -27,6 +36,9 @@ struct YarrpConfig {
   // Optional metrics sink (not owned). Appended last so existing
   // positional initializers stay valid.
   obs::Registry* metrics = nullptr;
+  // Optional pool (not owned) that trace() shards across; traces below
+  // kMinProbesPerShard probes per shard run inline.
+  util::ThreadPool* pool = nullptr;
 };
 
 struct TraceResult {
@@ -48,9 +60,10 @@ class YarrpTracer {
 
   // All distinct responding interface addresses seen across traces
   // (the "discovered addresses" a topology campaign reports), including
-  // reached destinations.
+  // reached destinations, sorted. Given a pool, trace ranges are deduped
+  // in parallel and merged; the list is the same.
   static std::vector<net::Ipv6Address> discovered(
-      std::span<const TraceResult> results);
+      std::span<const TraceResult> results, util::ThreadPool* pool = nullptr);
 
   std::uint64_t probes_sent() const noexcept { return sent_; }
 

@@ -5,6 +5,11 @@
 // validated by recomputing that derivation — a reply that doesn't match is
 // discarded as off-path noise. Probing advances simulated time according to
 // the configured rate, so long scans genuinely race against address churn.
+//
+// A retry carries its attempt number in the sequence, so it is a new probe
+// with its own loss verdict. Given a pool, scan() shards each round's
+// target range across it; every probe's send time and verdict are pure
+// functions of its index, so the records are identical at any shard count.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +20,7 @@
 #include "netsim/data_plane.h"
 #include "obs/metrics.h"
 #include "util/sim_time.h"
+#include "util/thread_pool.h"
 
 namespace v6::scan {
 
@@ -36,7 +42,13 @@ struct Zmap6Config {
   // Optional metrics sink (not owned). Appended last so existing
   // positional initializers stay valid.
   obs::Registry* metrics = nullptr;
+  // Optional pool (not owned) that scan() shards its rounds across. Scans
+  // below kMinProbesPerShard probes per shard run inline.
+  util::ThreadPool* pool = nullptr;
 };
+
+// The smallest scan shard worth a pool task.
+inline constexpr std::size_t kMinProbesPerShard = 2048;
 
 struct EchoRecord {
   net::Ipv6Address target;
@@ -60,6 +72,10 @@ class Zmap6Scanner {
  private:
   // ZMap encodes validation state in the echo ident/seq.
   std::uint32_t validator(const net::Ipv6Address& target) const noexcept;
+  // One probe, attempt `attempt` at target; counts nothing, so shards may
+  // call it concurrently.
+  bool fire(const net::Ipv6Address& target, util::SimTime t,
+            std::uint32_t attempt) const;
 
   netsim::DataPlane* plane_;
   Zmap6Config config_;

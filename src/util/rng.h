@@ -14,10 +14,19 @@
 namespace v6::util {
 
 // splitmix64 step; used for seeding and as a cheap stateless mixer.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 // Mixes a 64-bit value into a well-distributed hash (one splitmix64 round).
-std::uint64_t mix64(std::uint64_t value) noexcept;
+// Inline: keyed probe verdicts and world lookups call it per probe.
+inline std::uint64_t mix64(std::uint64_t value) noexcept {
+  std::uint64_t state = value;
+  return splitmix64(state);
+}
 
 // xoshiro256** 1.0 (Blackman & Vigna). Satisfies
 // std::uniform_random_bit_generator so it can drive <random> distributions,

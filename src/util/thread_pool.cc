@@ -63,11 +63,29 @@ void run_sharded(
     return;
   }
   ThreadPool pool(shards);
+  run_sharded(&pool, items, shards, fn);
+}
+
+void run_sharded(
+    ThreadPool* pool, std::size_t items, unsigned shards,
+    const std::function<void(unsigned, std::size_t, std::size_t)>& fn) {
+  if (pool == nullptr || shards <= 1) {
+    fn(0, 0, items);
+    return;
+  }
   for (unsigned s = 0; s < shards; ++s) {
     const ShardRange r = shard_range(items, s, shards);
-    pool.submit([&fn, s, r] { fn(s, r.begin, r.end); });
+    pool->submit([&fn, s, r] { fn(s, r.begin, r.end); });
   }
-  pool.wait_idle();
+  pool->wait_idle();
+}
+
+unsigned shard_count(const ThreadPool* pool, std::size_t items,
+                     std::size_t min_items) noexcept {
+  if (pool == nullptr) return 1;
+  const std::size_t by_size = items / std::max<std::size_t>(min_items, 1);
+  return static_cast<unsigned>(std::clamp<std::size_t>(
+      by_size, 1, std::size_t{4} * pool->thread_count()));
 }
 
 }  // namespace v6::util

@@ -74,4 +74,38 @@ void run_sharded(
     std::size_t items, unsigned shards,
     const std::function<void(unsigned, std::size_t, std::size_t)>& fn);
 
+// The same partition run on a caller-owned pool: the `shards` tasks are
+// queued on `pool` (there may be more shards than workers), and the call
+// returns once the pool is idle. Runs inline as one shard when `pool` is
+// null or `shards <= 1`. The pool must serve one caller at a time, and fn
+// must not shard on the same pool.
+void run_sharded(
+    ThreadPool* pool, std::size_t items, unsigned shards,
+    const std::function<void(unsigned, std::size_t, std::size_t)>& fn);
+
+// How many shards `items` units of work get on `pool`: up to four per
+// worker (the queue balances uneven shards), never a shard smaller than
+// `min_items`, and one (inline) without a pool.
+unsigned shard_count(const ThreadPool* pool, std::size_t items,
+                     std::size_t min_items) noexcept;
+
+// Runs pick(i, part) for each i in [0, items), sharded on `pool` (at
+// least `min_items` per shard), and appends what each shard put in its
+// part to `out`, in index order: the result does not depend on the pool.
+template <typename T, typename Pick>
+void append_sharded(ThreadPool* pool, std::size_t items, std::size_t min_items,
+                    std::vector<T>& out, const Pick& pick) {
+  const unsigned shards = shard_count(pool, items, min_items);
+  std::vector<std::vector<T>> parts(shards);
+  run_sharded(pool, items, shards,
+              [&](unsigned shard, std::size_t begin, std::size_t end) {
+                for (std::size_t i = begin; i < end; ++i) {
+                  pick(i, parts[shard]);
+                }
+              });
+  for (const auto& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+}
+
 }  // namespace v6::util

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "obs/snapshot.h"
+
 namespace v6::hitlist {
 namespace {
 
@@ -35,6 +38,18 @@ TEST_F(AliasDetectionTest, DetectsFullyAliasedSlash48) {
   ASSERT_FALSE(prefixes.empty());
   AliasDetector detector(*plane_, config());
   EXPECT_TRUE(detector.is_aliased(prefixes[0], 1000));
+}
+
+TEST_F(AliasDetectionTest, ProbesCountInTheScanCounter) {
+  const auto prefixes = world_->aliased_datacenter_prefixes();
+  ASSERT_FALSE(prefixes.empty());
+  obs::Registry registry;
+  AliasDetectorConfig counted = config();
+  counted.metrics = &registry;
+  AliasDetector detector(*plane_, counted);
+  EXPECT_TRUE(detector.is_aliased(prefixes[0], 1000));
+  EXPECT_EQ(detector.probes_sent(), 8u);  // all eight must answer
+  EXPECT_EQ(registry.snapshot().counter_sum("v6_scan_probes_total"), 8u);
 }
 
 TEST_F(AliasDetectionTest, OrdinarySlash48IsNotAliased) {

@@ -28,8 +28,9 @@ class CampaignTest : public ::testing::Test {
     hl.duration = 6 * util::kWeek;
     hitlist_ = new HitlistResult(run_hitlist_campaign(*world_, *plane_, hl));
 
-    // A fresh plane so the CAIDA run (and its determinism test below) does
-    // not depend on how much loss-RNG the Hitlist campaign consumed.
+    // A fresh plane, as the determinism test below uses (loss verdicts
+    // are per probe, so sharing the Hitlist's plane would change nothing
+    // but the drop count).
     netsim::DataPlane caida_plane(*world_, {0.005, 5});
     CaidaCampaignConfig ca;
     ca.start = 5 * util::kDay;
@@ -136,10 +137,10 @@ TEST_F(CampaignTest, CampaignsAreDeterministicGivenSeeds) {
 // Campaign identity gate: one small seeded Study (campaigns and backscan,
 // no collection or analysis), with every probe-driven output folded into
 // FNV-1a digests pinned below. Any change to the probe path — topology
-// walk, loss-RNG draw order, ICMP budget charges — that moves a single
-// corpus byte, prefix, trace hop or drop count fails here. The values
-// were recorded with the wire-codec probe path and are reproduced bit for
-// bit by the codec-free one.
+// walk, loss verdicts, ICMP budget charges — that moves a single corpus
+// byte, prefix, trace hop or drop count fails here. The values are those
+// of the serial run (campaign threads = 1) under probe-identity loss
+// verdicts; BitIdenticalAcrossThreads holds every thread count to it.
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
@@ -185,7 +186,8 @@ struct CampaignDigests {
   std::uint64_t rate_limited = 0;
 };
 
-CampaignDigests run_gate_study(std::uint32_t router_icmp_rate_limit) {
+core::StudyConfig gate_config(std::uint32_t router_icmp_rate_limit,
+                              unsigned campaign_threads) {
   core::StudyConfig config;
   config.world.seed = 29;
   config.world.total_sites = 600;
@@ -198,7 +200,15 @@ CampaignDigests run_gate_study(std::uint32_t router_icmp_rate_limit) {
   config.caida_campaign.start = 2 * util::kDay;
   config.caida_campaign.duration = 10 * util::kDay;
   config.caida_campaign.slash48_fraction = 0.01;
-  core::Study study(config);
+  config.hitlist_campaign.threads = campaign_threads;
+  config.caida_campaign.threads = campaign_threads;
+  return config;
+}
+
+// The gate study: a 600-site world, campaigns and backscan only.
+CampaignDigests run_gate_study(std::uint32_t router_icmp_rate_limit,
+                               unsigned campaign_threads = 1) {
+  core::Study study(gate_config(router_icmp_rate_limit, campaign_threads));
   core::RunOptions options;
   options.collect = false;
   options.analysis = false;
@@ -235,7 +245,7 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-void expect_pinned(const CampaignDigests& got, const CampaignDigests& want) {
+void expect_same(const CampaignDigests& got, const CampaignDigests& want) {
   EXPECT_EQ(hex(got.hitlist_corpus), hex(want.hitlist_corpus));
   EXPECT_EQ(hex(got.aliased_prefixes), hex(want.aliased_prefixes));
   EXPECT_EQ(hex(got.caida_corpus), hex(want.caida_corpus));
@@ -246,14 +256,40 @@ void expect_pinned(const CampaignDigests& got, const CampaignDigests& want) {
 
 TEST(CampaignIdentity, PinnedDigestsWithoutRateLimit) {
   const CampaignDigests got = run_gate_study(0);
-  expect_pinned(got, {0x53ffb3daffddff59, 0x53108194d4a8821b,
-                      0xc5cb19a570a4bdbb, 0xe869b01211ed610b, 27357, 0});
+  expect_same(got, {0x26fc7684d5f0173b, 0x9aa1f3f0db33001e,
+                    0xc5cb19a570a4bdbb, 0xe869b01211ed610b, 27280, 0});
 }
 
 TEST(CampaignIdentity, PinnedDigestsUnderRateLimit) {
   const CampaignDigests got = run_gate_study(3);
-  expect_pinned(got, {0x243a896ce21e7ccf, 0xbdd2d27eef467b6c,
-                      0xc5cb19a570a4bdbb, 0xe869b01211ed610b, 20563, 687343});
+  expect_same(got, {0x26fc7684d5f0173b, 0x9aa1f3f0db33001e,
+                    0xc5cb19a570a4bdbb, 0xe869b01211ed610b, 20520, 687858});
+}
+
+TEST(CampaignIdentity, BitIdenticalAcrossThreads) {
+  for (const std::uint32_t limit : {0u, 3u}) {
+    const CampaignDigests serial = run_gate_study(limit, 1);
+    for (const unsigned threads : {2u, 4u, 8u}) {
+      SCOPED_TRACE("router_icmp_rate_limit=" + std::to_string(limit) +
+                   " threads=" + std::to_string(threads));
+      expect_same(run_gate_study(limit, threads), serial);
+    }
+  }
+}
+
+TEST(CampaignIdentity, ProbeTotalsMatchTheScanCounters) {
+  // Every scan probe counts once in v6_scan_probes_total and once in its
+  // stage's total; the Hitlist total includes alias-detection probes.
+  core::Study study(gate_config(0, 2));
+  core::RunOptions options;
+  options.collect = false;
+  options.analysis = false;
+  const core::StudyResults& r = study.run(std::move(options));
+  const std::uint64_t counted =
+      study.metrics_registry().snapshot().counter_sum("v6_scan_probes_total");
+  EXPECT_GT(r.backscan.probes_sent, 0u);
+  EXPECT_EQ(counted, r.hitlist.probes_sent + r.caida.probes_sent +
+                         r.backscan.probes_sent);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "proto/udp.h"
 #include "util/rng.h"
@@ -232,6 +234,112 @@ TEST_F(DataPlaneTest, LossRateIsRoughlyHonored) {
   }
   // Two loss opportunities per exchange: P(reply) = 0.8^2 = 0.64.
   EXPECT_NEAR(static_cast<double>(replies) / kProbes, 0.64, 0.05);
+}
+
+// Distinct always-answering targets: random IIDs inside an aliased
+// datacenter prefix, so every echo draws a request and an answer verdict.
+std::vector<net::Ipv6Address> aliased_targets(const sim::World& w,
+                                              std::size_t n) {
+  const auto prefixes = w.aliased_datacenter_prefixes();
+  std::vector<net::Ipv6Address> out;
+  if (prefixes.empty()) return out;
+  util::Rng rng(11);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(net::Ipv6Address::from_u64(
+        prefixes[0].address().hi64() | 7, rng.next()));
+  }
+  return out;
+}
+
+TEST_F(DataPlaneTest, SameProbeSameOutcomeWhateverRunsBetween) {
+  const auto src = world_->vantages().front().address;
+  const auto targets = aliased_targets(*world_, 200);
+  ASSERT_EQ(targets.size(), 200u);
+  DataPlane plane(*world_, {0.5, 4});
+  std::vector<ProbeResult::Kind> first;
+  for (const auto& dst : targets) {
+    first.push_back(plane.echo(src, dst, 3, 4, 1000).kind);
+  }
+  // Unrelated traffic in between, then the same probes again.
+  for (const auto& dst : targets) {
+    plane.echo(src, dst, 3, 5, 1000);
+    plane.tcp_syn(src, dst, 443, 9, 1001);
+  }
+  int replies = 0;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(plane.echo(src, targets[i], 3, 4, 1000).kind, first[i]) << i;
+    replies += first[i] == ProbeResult::Kind::kEchoReply;
+  }
+  // Neither all lost nor all answered: the verdicts are real draws.
+  EXPECT_GT(replies, 0);
+  EXPECT_LT(replies, 200);
+}
+
+TEST_F(DataPlaneTest, PermutedBatchGivesIdenticalOutcomes) {
+  const auto src = world_->vantages().front().address;
+  const auto targets = aliased_targets(*world_, 500);
+  ASSERT_EQ(targets.size(), 500u);
+  std::vector<std::size_t> order(targets.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  util::Rng rng(5);
+  rng.shuffle(order);
+
+  DataPlane forward(*world_, {0.3, 8});
+  DataPlane permuted(*world_, {0.3, 8});
+  std::vector<ProbeResult::Kind> a(targets.size()), b(targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    a[i] = forward.hop_limited_echo(src, targets[i], 64, 1,
+                                    static_cast<std::uint16_t>(i), 2000)
+               .kind;
+  }
+  for (const std::size_t i : order) {
+    b[i] = permuted.hop_limited_echo(src, targets[i], 64, 1,
+                                     static_cast<std::uint16_t>(i), 2000)
+               .kind;
+  }
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(forward.drops(), permuted.drops());
+  EXPECT_GT(forward.drops(), 0u);
+}
+
+TEST_F(DataPlaneTest, DropFrequencyWithinBinomialBounds) {
+  // Unrouted destinations answer nothing, so each probe is exactly one
+  // loss draw (its request).
+  constexpr double kLoss = 0.1;
+  constexpr int kProbes = 100000;
+  DataPlane plane(*world_, {kLoss, 12});
+  const auto src = world_->vantages().front().address;
+  for (int i = 0; i < kProbes; ++i) {
+    plane.echo(src, net::Ipv6Address::from_u64(0x20010db800000000ULL, i), 1,
+               1, 500);
+  }
+  const double mean = kProbes * kLoss;
+  const double sd = std::sqrt(kProbes * kLoss * (1.0 - kLoss));
+  EXPECT_NEAR(static_cast<double>(plane.drops()), mean, 5.0 * sd);
+}
+
+TEST_F(DataPlaneTest, RetryAttemptsDrawIndependently) {
+  // ZMap6 puts the attempt number in the sequence. Two attempts at the
+  // same target and second must fail together only as often as two
+  // independent draws would: (1 - (1 - p)^2)^2, not 1 - (1 - p)^2.
+  constexpr double kLoss = 0.3;
+  constexpr int kTargets = 20000;
+  const auto src = world_->vantages().front().address;
+  const auto targets = aliased_targets(*world_, kTargets);
+  ASSERT_EQ(targets.size(), static_cast<std::size_t>(kTargets));
+  DataPlane plane(*world_, {kLoss, 13});
+  int both_silent = 0;
+  for (const auto& dst : targets) {
+    const bool first =
+        plane.echo(src, dst, 1, 100, 700).kind == ProbeResult::Kind::kTimeout;
+    const bool second =
+        plane.echo(src, dst, 1, 101, 700).kind == ProbeResult::Kind::kTimeout;
+    both_silent += first && second;
+  }
+  const double q = 1.0 - (1.0 - kLoss) * (1.0 - kLoss);
+  const double p = q * q;
+  const double sd = std::sqrt(kTargets * p * (1.0 - p));
+  EXPECT_NEAR(static_cast<double>(both_silent), kTargets * p, 5.0 * sd);
 }
 
 TEST_F(DataPlaneTest, UdpServiceRoundTrip) {

@@ -76,16 +76,41 @@ TEST_F(ScanTest, ZmapScanReturnsRecordPerTarget) {
 }
 
 TEST_F(ScanTest, ZmapRetriesRecoverLostProbes) {
+  // Distinct live targets: identical probes would share one loss verdict,
+  // so retries are judged across many targets, each retry carrying its
+  // attempt number in the sequence.
+  std::vector<net::Ipv6Address> targets;
+  for (const auto& dev : world_->devices()) {
+    if (targets.size() == 50) break;
+    if (dev.kind != sim::DeviceKind::kCpe || !dev.responds_icmp) continue;
+    if (dev.site != sim::kNoSite && world_->sites()[dev.site].aliased) {
+      continue;
+    }
+    const auto address = world_->device_address(dev.id, 1000);
+    const auto res = world_->resolve(address, 1000);
+    if (res.kind == sim::World::Resolution::Kind::kDevice &&
+        !res.firewalled) {
+      targets.push_back(address);
+    }
+  }
+  ASSERT_EQ(targets.size(), 50u);
   netsim::DataPlane lossy(*world_, {0.4, 9});
-  const auto d = reachable_cpe(*world_, 1000);
-  const std::vector<net::Ipv6Address> targets(
-      50, world_->device_address(d, 1000));
   Zmap6Scanner no_retry(lossy, {source(), 100000, 0, 3});
   Zmap6Scanner with_retry(lossy, {source(), 100000, 3, 3});
-  int base = 0, retried = 0;
-  for (const auto& r : no_retry.scan(targets, 1000)) base += r.responded;
-  for (const auto& r : with_retry.scan(targets, 1000)) retried += r.responded;
-  EXPECT_GT(retried, base);
+  const auto once = no_retry.scan(targets, 1000);
+  const auto retried = with_retry.scan(targets, 1000);
+  int base = 0, recovered = 0;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    base += once[i].responded;
+    recovered += retried[i].responded;
+    // The first round is the same probes, so it finds at least as much.
+    if (once[i].responded) {
+      EXPECT_TRUE(retried[i].responded) << i;
+    }
+  }
+  EXPECT_GT(recovered, base);
+  EXPECT_EQ(no_retry.probes_sent(), 50u);
+  EXPECT_GT(with_retry.probes_sent(), 50u);
 }
 
 TEST_F(ScanTest, YarrpReconstructsPath) {
@@ -220,6 +245,52 @@ TEST_F(ScanTest, BackscannerOrderIndependent) {
   EXPECT_EQ(a.clients_probed, b.clients_probed);
   EXPECT_EQ(a.clients_responded, b.clients_responded);
   EXPECT_EQ(a.aliased_slash64s, b.aliased_slash64s);
+}
+
+TEST_F(ScanTest, ShardedScansMatchSerial) {
+  // Enough targets for several shards on a 3-worker pool, on a lossy
+  // plane so retries and the loss verdicts are exercised.
+  // Each device's address plus two neighbours in its /64.
+  std::vector<net::Ipv6Address> targets;
+  for (const auto& dev : world_->devices()) {
+    const auto a = world_->device_address(dev.id, 5000);
+    targets.push_back(a);
+    targets.push_back(net::Ipv6Address::from_u64(a.hi64(), a.lo64() ^ 1));
+    targets.push_back(net::Ipv6Address::from_u64(a.hi64(), 0x100));
+  }
+  ASSERT_GT(targets.size(), 2 * kMinProbesPerShard);
+  util::ThreadPool pool(3);
+
+  netsim::DataPlane serial_plane(*world_, {0.2, 6});
+  netsim::DataPlane sharded_plane(*world_, {0.2, 6});
+  Zmap6Scanner serial(serial_plane, {source(), 1000, 2, 8});
+  Zmap6Scanner sharded(sharded_plane, {source(), 1000, 2, 8,
+                                       ProbeProtocol::kIcmpv6Echo, nullptr,
+                                       &pool});
+  const auto a = serial.scan(targets, 5000);
+  const auto b = sharded.scan(targets, 5000);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].target, b[i].target);
+    EXPECT_EQ(a[i].responded, b[i].responded) << i;
+  }
+  EXPECT_EQ(serial.probes_sent(), sharded.probes_sent());
+
+  const std::span<const net::Ipv6Address> traced(targets.data(), 800);
+  YarrpTracer serial_yarrp(serial_plane, {source(), 8, 50000, 9});
+  YarrpTracer sharded_yarrp(sharded_plane,
+                            {source(), 8, 50000, 9, nullptr, &pool});
+  const auto ta = serial_yarrp.trace(traced, 6000);
+  const auto tb = sharded_yarrp.trace(traced, 6000);
+  ASSERT_EQ(ta.size(), tb.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].hops, tb[i].hops) << i;
+    EXPECT_EQ(ta[i].hop_responded, tb[i].hop_responded) << i;
+    EXPECT_EQ(ta[i].destination_reached, tb[i].destination_reached) << i;
+  }
+  EXPECT_EQ(YarrpTracer::discovered(ta), YarrpTracer::discovered(tb, &pool));
+  EXPECT_EQ(serial_plane.drops(), sharded_plane.drops());
+  EXPECT_GT(serial_plane.drops(), 0u);
 }
 
 }  // namespace

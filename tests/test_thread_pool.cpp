@@ -121,5 +121,55 @@ TEST(RunSharded, PerShardAccumulatorsSumLikeSerial) {
   EXPECT_EQ(total, items * (items - 1) / 2);
 }
 
+TEST(RunSharded, CallerPoolRunsMoreShardsThanWorkersAndIsReusable) {
+  ThreadPool pool(2);
+  for (int round = 0; round < 3; ++round) {
+    const std::size_t items = 1000;
+    std::vector<std::atomic<int>> seen(items);
+    run_sharded(&pool, items, 7,
+                [&](unsigned, std::size_t begin, std::size_t end) {
+                  for (std::size_t i = begin; i < end; ++i) seen[i]++;
+                });
+    for (std::size_t i = 0; i < items; ++i) EXPECT_EQ(seen[i].load(), 1);
+  }
+}
+
+TEST(RunSharded, NullPoolRunsInline) {
+  const auto caller = std::this_thread::get_id();
+  unsigned calls = 0;
+  run_sharded(nullptr, 10, 4,
+              [&](unsigned s, std::size_t begin, std::size_t end) {
+                EXPECT_EQ(s, 0u);
+                EXPECT_EQ(begin, 0u);
+                EXPECT_EQ(end, 10u);
+                EXPECT_EQ(std::this_thread::get_id(), caller);
+                ++calls;
+              });
+  EXPECT_EQ(calls, 1u);
+}
+
+TEST(ShardCount, RespectsTheFloorAndThePool) {
+  ThreadPool pool(2);
+  EXPECT_EQ(shard_count(nullptr, 1'000'000, 10), 1u);
+  EXPECT_EQ(shard_count(&pool, 5, 10), 1u);    // below the floor
+  EXPECT_EQ(shard_count(&pool, 35, 10), 3u);   // three full shards
+  EXPECT_EQ(shard_count(&pool, 1'000'000, 10), 8u);  // 4 per worker
+}
+
+TEST(AppendSharded, KeepsIndexOrderAtAnyShardCount) {
+  ThreadPool pool(3);
+  const auto pick = [](std::size_t i, std::vector<int>& part) {
+    if (i % 3 != 0) part.push_back(static_cast<int>(i));
+  };
+  std::vector<int> serial = {-1};
+  append_sharded<int>(nullptr, 1000, 1, serial, pick);
+  for (const std::size_t min_items : {1u, 7u, 100u}) {
+    std::vector<int> sharded = {-1};
+    append_sharded<int>(&pool, 1000, min_items, sharded, pick);
+    EXPECT_EQ(sharded, serial);
+  }
+  EXPECT_EQ(serial.size(), 1u + 666u);
+}
+
 }  // namespace
 }  // namespace v6::util
