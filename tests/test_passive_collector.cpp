@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/scan_source.h"
+#include "hitlist/corpus_io.h"
+#include "hitlist/tiered_corpus.h"
+#include "netsim/fault_schedule.h"
+#include "serve/snapshot.h"
 #include "util/thread_pool.h"
 
 namespace v6::hitlist {
@@ -325,6 +333,165 @@ TEST_F(PassiveCollectorTest, EmptyDeviceRangeCollectsNothing) {
     collector.run(corpus, 0, util::kDay);
     EXPECT_EQ(corpus.size(), 0u);
     EXPECT_EQ(collector.polls_attempted(), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Identity gate for the collector hot path. Every output a collection run
+// produces is pinned: the saved-corpus bytes, the poll counters, the
+// per-vantage health stats, the pool-DNS resolution count and each epoch
+// snapshot's digest. Optimisations of the per-event loop or of the epoch
+// union must leave all of them unchanged at every collector thread count.
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+struct CollectorDigests {
+  std::uint64_t corpus = 0;  // FNV-1a of the saved corpus bytes
+  std::uint64_t polls_attempted = 0;
+  std::uint64_t polls_answered = 0;
+  // FNV-1a over every VantageHealthStats field, vantage by vantage.
+  std::uint64_t vantage_health = 0;
+  std::uint64_t pool_resolutions = 0;
+  std::vector<std::uint64_t> epochs;  // Snapshot::digest() per epoch
+};
+
+enum class GateConfig { kDefaults, kFaulted, kTiered };
+
+// A 600-site, 30-day world with epochs every 7 days. The pool DNS keeps
+// most sync events away from the vantages, as in the study.
+CollectorDigests run_collector_gate(GateConfig which, unsigned threads) {
+  sim::WorldConfig world_config;
+  world_config.seed = 41;
+  world_config.total_sites = 600;
+  world_config.study_duration = 30 * util::kDay;
+  if (which == GateConfig::kFaulted) world_config.outage_count = 6;
+  const sim::World world = sim::World::generate(world_config);
+
+  CollectorConfig config;
+  config.threads = threads;
+  config.epoch_interval = 7 * util::kDay;
+  netsim::DataPlane plane(world, {config.loss_rate, 1});
+  // The study's capture share, except for the tiered config, which needs
+  // a corpus large enough to spill at some barriers and not at others.
+  netsim::PoolDns dns(world, 0.25,
+                      which == GateConfig::kTiered ? 0.5 : 0.03);
+  obs::Registry registry;
+  dns.set_metrics(&registry);
+  std::unique_ptr<netsim::FaultSchedule> faults;
+  if (which == GateConfig::kFaulted) {
+    netsim::FaultPlanConfig plan;
+    plan.outages_per_vantage = 2.0;
+    plan.flaps_per_vantage = 4.0;
+    faults = std::make_unique<netsim::FaultSchedule>(
+        world.vantages(), plan, 0, world_config.study_duration);
+    plane.set_faults(faults.get());
+    dns.set_health_monitor(faults.get(), 15 * util::kMinute);
+    config.retry_limit = 2;
+  }
+
+  CollectorDigests d;
+  config.epoch_sink = [&d](util::SimTime t, const Corpus& u) {
+    d.epochs.push_back(
+        serve::Snapshot::build(analysis::make_source(u), d.epochs.size() + 1,
+                               t)
+            ->digest());
+  };
+  PassiveCollector collector(world, plane, dns, config);
+  std::ostringstream saved;
+  if (which == GateConfig::kTiered) {
+    // Each shard table starts at 160 KiB, so 180 KiB per thread spills
+    // at some daily barriers and not at others: epochs see both spilled
+    // runs and a live table.
+    SpillConfig spill;
+    spill.memory_budget_bytes = threads * (180 << 10);
+    spill.block_records = 256;
+    TieredCorpus runs(spill);
+    collector.run(runs, 0, world_config.study_duration);
+    EXPECT_GT(runs.stats().spills, 1u);
+    EXPECT_LT(runs.stats().spills, 30u);
+    runs.save(saved);
+  } else {
+    Corpus corpus(1 << 12);
+    collector.run(corpus, 0, world_config.study_duration);
+    save_corpus(saved, corpus);
+  }
+  d.corpus = fnv1a(std::move(saved).str());
+  d.polls_attempted = collector.polls_attempted();
+  d.polls_answered = collector.polls_answered();
+  if (which == GateConfig::kFaulted) {
+    // The plan must actually swallow polls, steer and trigger retries.
+    std::uint64_t lost = 0, steered = 0, retries = 0;
+    for (const VantageHealthStats& v : collector.vantage_health()) {
+      lost += v.lost_to_fault;
+      steered += v.steered_polls;
+      retries += v.retries;
+    }
+    EXPECT_GT(lost, 0u);
+    EXPECT_GT(steered, 0u);
+    EXPECT_GT(retries, 0u);
+  }
+  d.vantage_health = 0xcbf29ce484222325ull;
+  for (const VantageHealthStats& v : collector.vantage_health()) {
+    for (const std::uint64_t field :
+         {v.polls, v.answered, v.lost_to_fault, v.retries, v.steered_polls}) {
+      for (int i = 0; i < 8; ++i) {
+        d.vantage_health ^= (field >> (8 * i)) & 0xff;
+        d.vantage_health *= 0x100000001b3ull;
+      }
+    }
+  }
+  d.pool_resolutions =
+      registry.snapshot().counter_sum("v6_pool_resolutions_total");
+  return d;
+}
+
+void expect_pinned(const CollectorDigests& got, const CollectorDigests& want) {
+  EXPECT_EQ(hex(got.corpus), hex(want.corpus));
+  EXPECT_EQ(got.polls_attempted, want.polls_attempted);
+  EXPECT_EQ(got.polls_answered, want.polls_answered);
+  EXPECT_EQ(hex(got.vantage_health), hex(want.vantage_health));
+  EXPECT_EQ(got.pool_resolutions, want.pool_resolutions);
+  std::vector<std::string> got_epochs, want_epochs;
+  for (const std::uint64_t e : got.epochs) got_epochs.push_back(hex(e));
+  for (const std::uint64_t e : want.epochs) want_epochs.push_back(hex(e));
+  EXPECT_EQ(got_epochs, want_epochs);
+}
+
+TEST(CollectorIdentity, PinnedDigests) {
+  const std::pair<GateConfig, CollectorDigests> pins[] = {
+      {GateConfig::kDefaults,
+       {0xa6e90e17bf341e48, 835752, 25138, 0x40dba8d2014c1015, 6949,
+        {0xb387e6e5ec53c35a, 0xfda9cd33f7952f94, 0xab917f6d4a527464,
+         0x0503b19734715f10}}},
+      {GateConfig::kFaulted,
+       {0x779314dc852a01bb, 834612, 25572, 0xf7877076180fab01, 6943,
+        {0xfdf59a0e7f047086, 0x566bcd1b80d72fe9, 0xb0318b3b1242cfcf,
+         0x83bc23bafc6a9e50}}},
+      {GateConfig::kTiered,
+       {0x3f457cd0da08be64, 835752, 409438, 0x7a23aceac0155948, 114467,
+        {0xb06c1bb3af497a3f, 0xb2b3f8b609aaa940, 0x6937f2fd4842fdf0,
+         0x76d19b5d0044647d}}},
+  };
+  for (const auto& [which, want] : pins) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "config=" << static_cast<int>(which)
+                                      << " threads=" << threads);
+      expect_pinned(run_collector_gate(which, threads), want);
+    }
   }
 }
 
