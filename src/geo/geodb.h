@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "geo/country.h"
 #include "net/prefix.h"
@@ -30,6 +31,10 @@ class GeoDatabase {
   // Keyed by (hi64 of prefix address, prefix length); we only ever register
   // prefixes of length <= 64, which the add() precondition enforces.
   std::map<std::pair<std::uint64_t, int>, CountryCode> entries_;
+  // The distinct registered prefix lengths, longest first: lookup() probes
+  // only these (a world registers /32s almost exclusively, and the pool
+  // DNS looks up every captured poll).
+  std::vector<int> lengths_;
 };
 
 }  // namespace v6::geo

@@ -154,11 +154,7 @@ void Corpus::merge_record_hashed(const AddressRecord& incoming,
     *slot = static_cast<std::uint32_t>(records_.size());
     records_.push_back(incoming);
   } else {
-    AddressRecord& rec = records_[*slot];
-    rec.first_seen = std::min(rec.first_seen, incoming.first_seen);
-    rec.last_seen = std::max(rec.last_seen, incoming.last_seen);
-    rec.count += incoming.count;
-    rec.vantage_mask |= incoming.vantage_mask;
+    fold_record(records_[*slot], incoming);
   }
 }
 
@@ -198,6 +194,46 @@ const AddressRecord* Corpus::find(
     if (records_[slot].address == address) return &records_[slot];
     i = (i + 1) & index_mask_;
   }
+}
+
+Corpus Corpus::from_canonical(std::vector<AddressRecord>&& records) {
+  if (records.size() >= kEmptySlot) {
+    throw std::length_error("corpus: record id space exhausted");
+  }
+  Corpus corpus(0);
+  corpus.records_ = std::move(records);
+  for (const AddressRecord& rec : corpus.records_) {
+    corpus.observations_ += rec.count;
+  }
+  corpus.rebuild_index(index_capacity_for(corpus.records_.size()));
+  return corpus;
+}
+
+std::vector<AddressRecord> Corpus::canonical_union(
+    std::span<const Corpus* const> parts) {
+  std::size_t total = 0;
+  for (const Corpus* part : parts) total += part->size();
+  std::vector<AddressRecord> out;
+  out.reserve(total);
+  for (const Corpus* part : parts) {
+    out.insert(out.end(), part->records_.begin(), part->records_.end());
+  }
+  std::sort(out.begin(), out.end(),
+            [](const AddressRecord& a, const AddressRecord& b) {
+              return a.address < b.address;
+            });
+  // Fold runs of equal addresses. The fold is commutative, so the order
+  // the unstable sort left duplicates in does not matter.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (kept > 0 && out[kept - 1].address == out[i].address) {
+      fold_record(out[kept - 1], out[i]);
+    } else {
+      out[kept++] = out[i];
+    }
+  }
+  out.resize(kept);
+  return out;
 }
 
 void Corpus::canonicalize() {

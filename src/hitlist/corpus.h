@@ -41,9 +41,29 @@ struct AddressRecord {
   }
 };
 
+// Folds `rec` (a sighting summary of the same address) into `agg`: min
+// first_seen, max last_seen, sum count (wrapping at u32), OR vantage_mask.
+// The one aggregation rule every merge path (table, k-way, sorted) uses.
+inline void fold_record(AddressRecord& agg, const AddressRecord& rec) noexcept {
+  agg.first_seen = std::min(agg.first_seen, rec.first_seen);
+  agg.last_seen = std::max(agg.last_seen, rec.last_seen);
+  agg.count += rec.count;
+  agg.vantage_mask |= rec.vantage_mask;
+}
+
 class Corpus {
  public:
   explicit Corpus(std::size_t expected_addresses = 1 << 16);
+
+  // Adopts a strictly ascending record array as a canonical corpus: the
+  // array is kept as is and indexed once, with no per-record inserts.
+  static Corpus from_canonical(std::vector<AddressRecord>&& records);
+
+  // The union of `parts` as one strictly ascending record array, with
+  // duplicate addresses folded like merge(): the canonical record array of
+  // the merged corpus, built with one sort and no hash table.
+  static std::vector<AddressRecord> canonical_union(
+      std::span<const Corpus* const> parts);
 
   // A moved-from Corpus is empty but fully usable: find() answers
   // nullptr and the next add() lazily re-creates a minimal table (the

@@ -1,6 +1,7 @@
 #include "hitlist/passive_collector.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "hitlist/tiered_corpus.h"
 #include "proto/ntp_packet.h"
@@ -20,11 +21,18 @@ double unit(std::uint64_t h) noexcept {
 }
 
 // The i-th re-send goes out backoff * (2^i - 1) seconds after the original
-// packet (RFC 5905-flavoured exponential backoff).
+// packet (RFC 5905-flavoured exponential backoff). The offset saturates at
+// kNoResend, which lies past every collection window, so neither the shift
+// nor the product can overflow however large retry_limit is.
+constexpr util::SimDuration kNoResend =
+    std::numeric_limits<util::SimDuration>::max();
+
 util::SimDuration backoff_offset(std::uint32_t attempt,
                                  util::SimDuration backoff) noexcept {
-  if (attempt == 0) return 0;
-  return backoff * ((util::SimDuration{1} << attempt) - 1);
+  if (attempt == 0 || backoff <= 0) return 0;
+  if (attempt >= 63) return kNoResend;
+  const util::SimDuration steps = (util::SimDuration{1} << attempt) - 1;
+  return backoff > kNoResend / steps ? kNoResend : backoff * steps;
 }
 
 }  // namespace
@@ -79,42 +87,45 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
                                      util::SimTime t,
                                      util::SimTime window_end) const {
   // An AS-wide outage silences every host in it (the intro's outage-
-  // detection use case: the corpus time series shows the hole).
+  // detection use case: the corpus time series shows the hole). A
+  // silenced event draws nothing.
   if (world_->config().outage_count > 0 &&
       world_->in_outage(world_->attachment(ds.id, t).as_index, t)) {
     return;
   }
-  const sim::Device& dev = world_->devices()[ds.id];
-  const net::Ipv6Address client = world_->device_address(ds.id, t);
-  // One DNS resolution per sync event; every packet of an iburst (and
-  // every retry) rides it to the same server. Health-aware steering may
-  // redirect the pick away from a monitored-down vantage.
-  bool steered = false;
-  const sim::VantagePoint* vantage = dns_->resolve(client, ds.rng, t, &steered);
-  const netsim::FaultSchedule* faults = plane_->faults();
   // Replaying a checkpointed prefix runs the same draws without counting.
   const bool record = shard.recording;
-  if (record && steered) {
-    ++shard.vantage[vantage->id].steered_polls;
+  // One DNS resolution per sync event; every packet of an iburst (and
+  // every retry) rides it to the same server. Most resolutions go to one
+  // of the thousands of pool servers that are not ours: those packets are
+  // invisible to the study, counted as polls and not retried here.
+  if (!dns_->captures(ds.rng)) {
+    // A burst is one sync event: its packets go out ~2s apart, and the
+    // collection window may close mid-burst.
+    if (record) {
+      shard.tally.polls += static_cast<std::uint64_t>(
+          std::min<util::SimTime>(ds.burst, (window_end - t + 1) / 2));
+    }
+    return;
   }
-  // A burst is one sync event: its packets go out ~2s apart.
-  const std::uint8_t burst =
-      config_.ignore_bursts ? 1 : std::max<std::uint8_t>(dev.ntp.burst, 1);
-  for (std::uint8_t k = 0; k < burst; ++k) {
+  // Only captured events need the client's address. Health-aware steering
+  // may redirect the pick away from a monitored-down vantage.
+  const net::Ipv6Address client = world_->device_address(ds.id, t);
+  bool steered = false;
+  const sim::VantagePoint& vantage =
+      *dns_->resolve(client, ds.rng, t, &steered);
+  const netsim::FaultSchedule* faults = plane_->faults();
+  VantageHealthStats& vh = shard.vantage[vantage.id];
+  if (record && steered) ++vh.steered_polls;
+  for (std::uint8_t k = 0; k < ds.burst; ++k) {
     const util::SimTime tk = t + 2 * k;
     if (tk >= window_end) break;  // the collection window closes mid-burst
-    if (vantage == nullptr) {
-      // The poll went to one of the thousands of pool servers that are
-      // not ours — invisible to the study, and not retried here.
-      if (record) ++shard.tally.polls;
-      continue;
-    }
-    VantageHealthStats& vh = shard.vantage[vantage->id];
     for (std::uint32_t attempt = 0; attempt <= config_.retry_limit;
          ++attempt) {
-      const util::SimTime tj =
-          tk + backoff_offset(attempt, config_.retry_backoff);
-      if (tj >= window_end) break;
+      const util::SimDuration offset =
+          backoff_offset(attempt, config_.retry_backoff);
+      if (offset >= window_end - tk) break;  // past the window
+      const util::SimTime tj = tk + offset;
       if (record) {
         ++shard.tally.polls;
         ++vh.polls;
@@ -127,7 +138,7 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
       // Pure-function fault verdict: both paths (and a resumed run)
       // agree without consulting any RNG.
       const bool faulted =
-          faults != nullptr && !faults->delivers(vantage->id, client, tj);
+          faults != nullptr && !faults->delivers(vantage.id, client, tj);
       if (record && faulted) ++vh.lost_to_fault;
       bool answered = false;
       if (config_.wire_fidelity) {
@@ -137,7 +148,7 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
         // Lemire reduction never rejects).
         const auto src_port = static_cast<std::uint16_t>(49152 + (r2 >> 50));
         const auto response_bytes =
-            plane_->send_udp(client, src_port, vantage->address,
+            plane_->send_udp(client, src_port, vantage.address,
                              proto::kNtpPort, request.encode(), tj);
         if (response_bytes) {
           // SNTP client-side validation: server mode, origin echoes our
@@ -153,7 +164,7 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
         const bool request_lost = unit(r1) < config_.loss_rate;
         bool served = false;
         if (!request_lost && !faulted) {
-          shard.servers[vantage->id]->record(client, tj);
+          shard.servers[vantage.id]->record(client, tj);
           served = true;
         }
         // ...response-direction loss costs only the client's answer.
@@ -246,6 +257,10 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     // Contiguous device range (the same partition run_sharded uses), so
     // the shard layout is a pure function of (device count, shard count).
     const util::ShardRange range = util::shard_range(devices.size(), s, shards);
+    shard.devices.reserve(static_cast<std::size_t>(std::count_if(
+        devices.begin() + static_cast<std::ptrdiff_t>(range.begin),
+        devices.begin() + static_cast<std::ptrdiff_t>(range.end),
+        [](const sim::Device& dev) { return dev.ntp.uses_pool; })));
     for (std::size_t d = range.begin; d < range.end; ++d) {
       const sim::Device& dev = devices[d];
       if (!dev.ntp.uses_pool) continue;
@@ -255,6 +270,8 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
       // epochs — bit-exact).
       shard.devices.push_back(DeviceState{
           dev.id,
+          config_.ignore_bursts ? std::uint8_t{1}
+                                : std::max<std::uint8_t>(dev.ntp.burst, 1),
           util::Rng(
               util::mix64(config_.seed ^ 0xc0111ec7 ^ util::mix64(dev.seed))),
           ntp::ClientSchedule(dev, from.window_start, from.window_end),
@@ -263,8 +280,12 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     }
   }
 
+  // One pool for the whole window: every merge barrier reuses it instead
+  // of spawning and joining threads per chunk.
+  std::unique_ptr<util::ThreadPool> pool;
+  if (shards > 1) pool = std::make_unique<util::ThreadPool>(shards);
   const auto run_chunk = [&](util::SimTime chunk_end) {
-    util::run_sharded(states.size(), shards,
+    util::run_sharded(pool.get(), states.size(), shards,
                       [&](unsigned, std::size_t b, std::size_t e) {
                         for (std::size_t i = b; i < e; ++i) {
                           process_chunk(states[i], from.window_end, chunk_end);
@@ -344,23 +365,21 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
       bump(metric_vantage_records_[v], v_obs[v], flushed_v_obs[v]);
     }
   };
-  // The union of the caller's corpus and every shard corpus — the same
-  // construction the checkpoint path snapshots — sized mid-run so the
+  // The canonical record array of the caller's corpus plus every shard
+  // table: the not-yet-spilled part of the corpus-so-far at a merge
+  // barrier, in the ascending order a k-way merge over runs takes.
+  const auto live_union = [&] {
+    std::vector<const Corpus*> parts{&corpus};
+    for (const ShardState& shard : states) parts.push_back(&shard.corpus);
+    return Corpus::canonical_union(parts);
+  };
+  // The size of that union plus any spilled records, taken mid-run so the
   // records counter stays exact (insertion counting would double-count
   // addresses seen by two shards).
   const auto union_size = [&]() -> std::size_t {
-    std::size_t upper = corpus.size();
-    for (const ShardState& shard : states) upper += shard.corpus.size();
-    Corpus scratch(std::max<std::size_t>(upper, 1));
-    scratch.merge(corpus);
-    for (const ShardState& shard : states) scratch.merge(shard.corpus);
-    if (tiered_ != nullptr) {
-      // Already-spilled records count too; merged_size_with needs the
-      // not-yet-spilled union in ascending order.
-      scratch.canonicalize();
-      return static_cast<std::size_t>(tiered_->merged_size_with(scratch));
-    }
-    return scratch.size();
+    const std::vector<AddressRecord> live = live_union();
+    if (tiered_ == nullptr) return live.size();
+    return static_cast<std::size_t>(tiered_->merged_size_with(live));
   };
 
   // Merges every shard table into one union corpus and flushes it to disk
@@ -377,22 +396,6 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
       shard.corpus = Corpus(1 << 12);
     }
     tiered_->spill(std::move(combined));
-  };
-
-  // The corpus-so-far at a merge barrier: whatever the caller's corpus
-  // already held (a resumed-from snapshot) plus every shard's recordings —
-  // in tiered mode, the spilled runs collapsed back into memory plus
-  // whatever the shards still hold. Union at a barrier, so the result is
-  // a pure function of the boundary time, not the shard count.
-  const auto union_snapshot = [&]() -> Corpus {
-    std::size_t records = corpus.size();
-    for (const ShardState& shard : states) records += shard.corpus.size();
-    Corpus snapshot = tiered_ != nullptr
-                          ? tiered_->collapse()
-                          : Corpus(std::max<std::size_t>(records, 1));
-    snapshot.merge(corpus);
-    for (const ShardState& shard : states) snapshot.merge(shard.corpus);
-    return snapshot;
   };
 
   const bool checkpointing = sink && config_.checkpoint_interval > 0;
@@ -464,17 +467,32 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
         snap.polls_answered += shard.tally.answered;
         add_vantage_health(snap.vantage_health, shard.vantage);
       }
-      Corpus snapshot = union_snapshot();
+      // The corpus-so-far: whatever the caller's corpus already held (a
+      // resumed-from snapshot) plus every shard's recordings — in tiered
+      // mode, the spilled runs collapsed back into memory plus whatever
+      // the shards still hold. Union at a barrier, so the content is a
+      // pure function of the boundary time, not the shard count.
+      std::size_t records = corpus.size();
+      for (const ShardState& shard : states) records += shard.corpus.size();
+      Corpus snapshot = tiered_ != nullptr
+                            ? tiered_->collapse()
+                            : Corpus(std::max<std::size_t>(records, 1));
+      snapshot.merge(corpus);
+      for (const ShardState& shard : states) snapshot.merge(shard.corpus);
       metric_checkpoints_.inc();
       sink(snap, snapshot);
     }
-    // Epoch publication rides the same merge barrier. Canonicalized so
-    // the handed corpus's layout — and every serve::Snapshot table built
-    // from it — is a pure function of its content.
+    // Epoch publication rides the same merge barrier. The handed corpus
+    // is canonical, so its layout — and every serve::Snapshot table built
+    // from it — is a pure function of its content. In tiered mode one
+    // k-way merge over the runs and the live union builds it.
     if (epoching && hi < from.window_end &&
         (hi - from.window_start) % config_.epoch_interval == 0) {
-      Corpus snapshot = union_snapshot();
-      snapshot.canonicalize();
+      const Corpus snapshot = [&] {
+        std::vector<AddressRecord> live = live_union();
+        return tiered_ != nullptr ? tiered_->collapse(live)
+                                  : Corpus::from_canonical(std::move(live));
+      }();
       config_.epoch_sink(hi, snapshot);
     }
     // All shards joined at `hi` — a merge barrier, so the flushed counter

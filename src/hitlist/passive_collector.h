@@ -15,17 +15,30 @@
 // and — at zero loss — the corpora are bit-identical even under an
 // injected fault plan.
 //
+// Per sync event the order is: outage check -> capture draw -> client
+// address -> steer. An event in an outaged AS returns before any draw.
+// Otherwise PoolDns::captures() makes the one draw that decides whether
+// the query reaches one of our vantages at all; the study's share is
+// 0.03, so most events stop there and only count their burst packets as
+// polls. Only a captured event computes World::device_address() and
+// steers through PoolDns::resolve(). This is byte-identical to resolving
+// every event, because the capture draw never read the address: each
+// device stream sees the same draws in the same order, and the address
+// feeds only steering and the captured polls.
+//
 // Clients retry unanswered polls RFC 5905-style: up to `retry_limit`
 // re-sends with exponential backoff, which is what lets the corpus survive
 // vantage crash windows (see netsim::FaultSchedule) with bounded loss.
 //
 // Collection shards across threads: devices are partitioned into
 // contiguous ranges, each shard runs the per-device loop into its own
-// Corpus, and the shards reduce through Corpus::merge(). Because every
-// device's observation stream derives only from its own seeded RNG, the
-// merged corpus is bit-identical (size, total_observations, every record
-// field) to the threads=1 run — a property the tests assert. The dist
-// layer cuts the same partition across machines (device_begin/end).
+// Corpus on one util::ThreadPool that lives for the whole window (merge
+// barriers spawn no threads), and the shards reduce through
+// Corpus::merge(). Because every device's observation stream derives only
+// from its own seeded RNG, the merged corpus is bit-identical (size,
+// total_observations, every record field) to the threads=1 run — a
+// property the tests assert. The dist layer cuts the same partition
+// across machines (device_begin/end).
 //
 // Checkpoint/resume: with `checkpoint_interval > 0` and a CheckpointSink,
 // collection pauses at every sim-time boundary window_start + k*interval,
@@ -77,8 +90,9 @@ struct CollectorConfig {
   util::Parallelism threads = util::Parallelism::hardware();
   // RFC 5905-style client persistence: an unanswered poll packet is
   // re-sent up to `retry_limit` times, the i-th retry delayed by
-  // retry_backoff * (2^i - 1) seconds after the original send. 0 keeps
-  // the legacy fire-once client.
+  // retry_backoff * (2^i - 1) seconds after the original send; re-sends
+  // stop at the first one past the window. 0 keeps the legacy fire-once
+  // client. A backoff <= 0 re-sends at the original instant.
   std::uint32_t retry_limit = 0;
   util::SimDuration retry_backoff = 4;
   // Sim-time spacing of checkpoint boundaries; 0 disables checkpointing.
@@ -113,9 +127,9 @@ struct CollectorConfig {
   // Serving-layer epoch publication (see serve::QueryService). With a
   // sink and a positive interval, the chunk loop pauses at every sim-time
   // boundary window_start + k * epoch_interval, joins all shards, and
-  // hands the sink the *canonicalized* union corpus as of that boundary.
+  // hands the sink the *canonical* union corpus as of that boundary.
   // Because the union is built at a merge barrier from commutative
-  // aggregates and canonicalize() sorts it, the handed corpus is
+  // aggregates in ascending address order, the handed corpus is
   // bit-identical at any shard count — which is what lets the serving
   // layer promise per-epoch determinism. Ignored on hooked passes (the
   // grid must not reshape a hooked run's chunking; see `sampler`). The
@@ -267,6 +281,7 @@ class PassiveCollector {
   // it belongs to a later chunk).
   struct DeviceState {
     sim::DeviceId id;
+    std::uint8_t burst;  // packets per sync event (>= 1)
     util::Rng rng;
     ntp::ClientSchedule schedule;
     ntp::ClientSchedule::Cursor cursor;

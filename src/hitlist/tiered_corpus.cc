@@ -156,6 +156,21 @@ std::vector<RecordStream> TieredCorpus::open_streams(
   return streams;
 }
 
+std::vector<RecordStream> TieredCorpus::streams_with(
+    std::span<const AddressRecord> extra,
+    std::vector<std::unique_ptr<std::ifstream>>& files,
+    std::vector<std::unique_ptr<RunReader>>& readers) const {
+  auto streams = open_streams(nullptr, files, readers);
+  if (!extra.empty()) {
+    streams.push_back([extra, i = std::size_t{0}](AddressRecord& out) mutable {
+      if (i >= extra.size()) return false;
+      out = extra[i++];
+      return true;
+    });
+  }
+  return streams;
+}
+
 void TieredCorpus::compact() {
   if (runs_.size() <= 1) return;
 
@@ -212,34 +227,18 @@ void TieredCorpus::compact() {
 }
 
 std::uint64_t TieredCorpus::merged_size() const {
-  if (merged_size_cache_.has_value()) return *merged_size_cache_;
-  std::uint64_t unique = 0;
-  std::vector<std::unique_ptr<std::ifstream>> files;
-  std::vector<std::unique_ptr<RunReader>> readers;
-  merge_record_streams(open_streams(nullptr, files, readers),
-                       [&unique](const AddressRecord&) {
-                         ++unique;
-                         return true;
-                       });
-  merged_size_cache_ = unique;
-  return unique;
+  if (!merged_size_cache_.has_value()) {
+    merged_size_cache_ = merged_size_with({});
+  }
+  return *merged_size_cache_;
 }
 
-std::uint64_t TieredCorpus::merged_size_with(const Corpus& extra) const {
+std::uint64_t TieredCorpus::merged_size_with(
+    std::span<const AddressRecord> extra) const {
   std::vector<std::unique_ptr<std::ifstream>> files;
   std::vector<std::unique_ptr<RunReader>> readers;
-  auto streams = open_streams(nullptr, files, readers);
-  // `extra` must be canonicalized: the merge requires strictly-ascending
-  // inputs, and a canonical record array is exactly that.
-  streams.push_back(
-      [span = extra.records(), i = std::size_t{0}](AddressRecord& out)
-          mutable {
-        if (i >= span.size()) return false;
-        out = span[i++];
-        return true;
-      });
   std::uint64_t unique = 0;
-  merge_record_streams(std::move(streams),
+  merge_record_streams(streams_with(extra, files, readers),
                        [&unique](const AddressRecord&) {
                          ++unique;
                          return true;
@@ -332,20 +331,27 @@ std::optional<AddressRecord> TieredCorpus::find(
     if (!result.has_value()) {
       result = rec;
     } else {
-      result->first_seen = std::min(result->first_seen, rec.first_seen);
-      result->last_seen = std::max(result->last_seen, rec.last_seen);
-      result->count += rec.count;
-      result->vantage_mask |= rec.vantage_mask;
+      fold_record(*result, rec);
     }
   }
   return result;
 }
 
-Corpus TieredCorpus::collapse() const {
-  Corpus corpus(static_cast<std::size_t>(merged_size()));
-  for_each_merged(
-      [&corpus](const AddressRecord& rec) { corpus.add_record(rec); });
-  return corpus;  // ascending insertion order: already canonical
+Corpus TieredCorpus::collapse(std::span<const AddressRecord> live) const {
+  // One merge pass straight into the record array. The reserve is an upper
+  // bound (runs may share addresses); pages it never fills stay untouched.
+  std::size_t upper = live.size();
+  for (const Run& run : runs_) upper += static_cast<std::size_t>(run.records);
+  std::vector<AddressRecord> records;
+  records.reserve(upper);
+  std::vector<std::unique_ptr<std::ifstream>> files;
+  std::vector<std::unique_ptr<RunReader>> readers;
+  merge_record_streams(streams_with(live, files, readers),
+                       [&records](const AddressRecord& rec) {
+                         records.push_back(rec);
+                         return true;
+                       });
+  return Corpus::from_canonical(std::move(records));
 }
 
 std::size_t TieredCorpus::save(std::ostream& out) const {

@@ -95,8 +95,9 @@ class TieredCorpus {
   // Unique addresses across all runs (one counting merge; cached until
   // the next spill/compact).
   std::uint64_t merged_size() const;
-  // As if `extra` (canonicalized, e.g. the live shard union) were a run.
-  std::uint64_t merged_size_with(const Corpus& extra) const;
+  // As if `extra` (strictly ascending, e.g. the canonical live shard
+  // union) were a run.
+  std::uint64_t merged_size_with(std::span<const AddressRecord> extra) const;
   // Total raw observations (each lands in exactly one run, so this is a
   // plain sum over run headers).
   std::uint64_t total_observations() const noexcept;
@@ -138,9 +139,11 @@ class TieredCorpus {
     return find(address).has_value();
   }
 
-  // Materializes the merged stream as an in-memory Corpus (ascending
-  // insertion order — already canonical).
-  Corpus collapse() const;
+  // Materializes the merged stream as an in-memory, already canonical
+  // Corpus, as if `live` (strictly ascending, e.g. the canonical union of
+  // the collector's live shard tables) were one more run. One k-way merge
+  // fills the record array, which is then indexed once.
+  Corpus collapse(std::span<const AddressRecord> live = {}) const;
 
   // Writes the merged stream as a corpus snapshot (corpus_io v2),
   // byte-identical to save_corpus() of the equivalent canonicalized
@@ -161,6 +164,11 @@ class TieredCorpus {
   // outlive the returned cursors.
   std::vector<RecordStream> open_streams(
       const net::Ipv6Address* lo,
+      std::vector<std::unique_ptr<std::ifstream>>& files,
+      std::vector<std::unique_ptr<RunReader>>& readers) const;
+  // open_streams from the start, plus `extra` as one more stream.
+  std::vector<RecordStream> streams_with(
+      std::span<const AddressRecord> extra,
       std::vector<std::unique_ptr<std::ifstream>>& files,
       std::vector<std::unique_ptr<RunReader>>& readers) const;
   void invalidate_caches();

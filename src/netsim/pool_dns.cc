@@ -70,25 +70,10 @@ const std::vector<const sim::VantagePoint*>& PoolDns::candidates(
 }
 
 const sim::VantagePoint* PoolDns::resolve(const net::Ipv6Address& client,
-                                          util::Rng& rng) const {
-  if (all_.empty()) return nullptr;
-  // Most queries go to pool servers that are not ours.
-  if (vantage_share_ < 1.0 && !rng.chance(vantage_share_)) return nullptr;
-  if (global_fraction_ > 0.0 && rng.chance(global_fraction_)) {
-    return all_[rng.bounded(all_.size())];
-  }
-  const auto country = world_->geodb().lookup(client);
-  const auto& list = country ? candidates(*country) : all_;
-  if (list.empty()) return all_[rng.bounded(all_.size())];
-  return list[rng.bounded(list.size())];
-}
-
-const sim::VantagePoint* PoolDns::resolve(const net::Ipv6Address& client,
                                           util::Rng& rng, util::SimTime t,
                                           bool* steered_away) const {
   if (steered_away != nullptr) *steered_away = false;
   if (all_.empty()) return nullptr;
-  if (vantage_share_ < 1.0 && !rng.chance(vantage_share_)) return nullptr;
   if (global_fraction_ > 0.0 && rng.chance(global_fraction_)) {
     return pick(all_, rng, t, steered_away);
   }

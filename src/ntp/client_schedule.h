@@ -52,7 +52,12 @@ class ClientSchedule {
     return static_cast<double>(h >> 11) * 0x1.0p-53;
   }
 
-  const sim::Device* device_;
+  // Copies of the device fields the enumeration reads, so stepping a
+  // schedule never touches the Device itself (the collector steps every
+  // device's schedule at each merge barrier).
+  std::uint64_t seed_;
+  util::SimDuration poll_interval_;  // 0: the device never polls the pool
+  double online_fraction_;
   util::SimTime start_;
   util::SimTime end_;
 };

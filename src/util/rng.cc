@@ -4,29 +4,11 @@
 
 namespace v6::util {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   // Seed the full 256-bit state from splitmix64 as recommended by the
   // xoshiro authors; guards against the all-zero state.
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
-}
-
-Rng::result_type Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::bounded(std::uint64_t bound) noexcept {
@@ -54,19 +36,8 @@ std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) noexcept {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + draw);
 }
 
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform();
-}
-
-bool Rng::chance(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 double Rng::exponential(double mean) noexcept {

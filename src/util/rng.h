@@ -44,7 +44,18 @@ class Rng {
   }
 
   result_type operator()() noexcept { return next(); }
-  result_type next() noexcept;
+  // Inline, like uniform() and chance(): the collector draws per poll.
+  result_type next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform integer in [0, bound). bound must be > 0. Uses Lemire's
   // multiply-shift rejection method (unbiased).
@@ -53,14 +64,21 @@ class Rng {
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept;
 
-  // Uniform double in [0, 1).
-  double uniform() noexcept;
+  // Uniform double in [0, 1): the 53 high bits of one draw.
+  double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   // Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept;
 
-  // True with probability p (clamped to [0, 1]).
-  bool chance(double p) noexcept;
+  // True with probability p (clamped to [0, 1]). One draw, none when p
+  // is <= 0 or >= 1.
+  bool chance(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
   // Exponentially distributed value with the given mean (> 0).
   double exponential(double mean) noexcept;
@@ -84,6 +102,10 @@ class Rng {
   Rng fork(std::uint64_t tag) noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

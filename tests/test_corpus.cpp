@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
+#include <vector>
 #include <unordered_map>
 
 #include "util/rng.h"
@@ -192,6 +194,54 @@ TEST(Corpus, AddRecordMergesLikeMerge) {
   corpus.add_record(fresh);
   EXPECT_EQ(corpus.size(), 2u);
   EXPECT_EQ(corpus.find(addr(9, 9))->count, 2u);
+}
+
+void expect_same_records(std::span<const AddressRecord> got,
+                         std::span<const AddressRecord> want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].address, want[i].address) << i;
+    EXPECT_EQ(got[i].first_seen, want[i].first_seen) << i;
+    EXPECT_EQ(got[i].last_seen, want[i].last_seen) << i;
+    EXPECT_EQ(got[i].count, want[i].count) << i;
+    EXPECT_EQ(got[i].vantage_mask, want[i].vantage_mask) << i;
+  }
+}
+
+// canonical_union + from_canonical is merge-then-canonicalize without the
+// hash table: the same records in the same order, the same observation
+// total, and an index that finds every address.
+TEST(Corpus, CanonicalUnionEqualsMergeThenCanonicalize) {
+  util::Rng rng(17);
+  std::vector<Corpus> parts(4);
+  for (Corpus& part : parts) {
+    for (int i = 0; i < 3000; ++i) {
+      // A small key space, so the parts share many addresses.
+      part.add(addr(rng.bounded(8), rng.bounded(512)),
+               static_cast<util::SimTime>(rng.bounded(1 << 20)),
+               static_cast<std::uint8_t>(rng.bounded(40)));
+    }
+  }
+  Corpus want(16);
+  std::vector<const Corpus*> pointers;
+  for (const Corpus& part : parts) {
+    want.merge(part);
+    pointers.push_back(&part);
+  }
+  want.canonicalize();
+
+  const Corpus got = Corpus::from_canonical(Corpus::canonical_union(pointers));
+  expect_same_records(got.records(), want.records());
+  EXPECT_EQ(got.total_observations(), want.total_observations());
+  for (const AddressRecord& rec : want.records()) {
+    const AddressRecord* found = got.find(rec.address);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->count, rec.count);
+  }
+  EXPECT_EQ(got.find(addr(99, 99)), nullptr);
+
+  EXPECT_TRUE(Corpus::canonical_union({}).empty());
+  EXPECT_EQ(Corpus::from_canonical({}).size(), 0u);
 }
 
 TEST(Corpus, MoveTransfersContents) {

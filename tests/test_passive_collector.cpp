@@ -336,6 +336,38 @@ TEST_F(PassiveCollectorTest, EmptyDeviceRangeCollectsNothing) {
   }
 }
 
+// A vantage that never answers (loss 1) and retry_backoff = 0: every
+// captured packet is re-sent retry_limit times at the same instant. From
+// attempt 63 on, 2^attempt no longer fits the signed offset type; the
+// offset saturates instead of overflowing (the sanitizer job runs this),
+// and a backoff whose first re-send falls past the window sends none.
+TEST_F(PassiveCollectorTest, RetryBackoffSaturatesPastSixtyFourRetries) {
+  const auto run = [&](std::uint32_t retry_limit, util::SimDuration backoff) {
+    CollectorConfig config{false, 1.0, 3};
+    config.retry_limit = retry_limit;
+    config.retry_backoff = backoff;
+    netsim::DataPlane plane(*world_, {1.0, 1});
+    netsim::PoolDns dns(*world_, 0.10, 0.2);
+    PassiveCollector collector(*world_, plane, dns, config);
+    Corpus corpus(1 << 4);
+    collector.run(corpus, 0, util::kDay);
+    EXPECT_EQ(corpus.size(), 0u);
+    EXPECT_EQ(collector.polls_answered(), 0u);
+    return collector.vantage_health();
+  };
+  std::uint64_t resent = 0;
+  for (const VantageHealthStats& v : run(100, 0)) {
+    // Each captured packet: the original plus 100 re-sends.
+    EXPECT_EQ(v.polls % 101, 0u);
+    EXPECT_EQ(v.retries, v.polls / 101 * 100);
+    resent += v.retries;
+  }
+  EXPECT_GT(resent, 0u);
+  for (const VantageHealthStats& v : run(100, util::SimDuration{1} << 40)) {
+    EXPECT_EQ(v.retries, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Identity gate for the collector hot path. Every output a collection run
 // produces is pinned: the saved-corpus bytes, the poll counters, the

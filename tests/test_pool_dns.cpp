@@ -41,7 +41,7 @@ TEST_F(PoolDnsTest, InCountryClientsSteerToInCountryVantage) {
   const auto client = address_in_country(*world_, "DE");
   ASSERT_TRUE(client);
   for (int i = 0; i < 50; ++i) {
-    const auto* vantage = dns.resolve(*client, rng);
+    const auto* vantage = dns.resolve(*client, rng, 1000);
     ASSERT_NE(vantage, nullptr);
     EXPECT_EQ(vantage->country.to_string(), "DE");
   }
@@ -54,7 +54,7 @@ TEST_F(PoolDnsTest, RoundRobinRotatesAmongServers) {
   ASSERT_TRUE(client);
   std::unordered_set<std::uint8_t> seen;
   for (int i = 0; i < 200; ++i) {
-    seen.insert(dns.resolve(*client, rng)->id);
+    seen.insert(dns.resolve(*client, rng, 1000)->id);
   }
   EXPECT_EQ(seen.size(), 6u);  // all six US vantages get traffic
 }
@@ -77,7 +77,7 @@ TEST_F(PoolDnsTest, GlobalFractionHitsRemoteVantages) {
   ASSERT_TRUE(client);
   std::unordered_set<std::string> countries;
   for (int i = 0; i < 300; ++i) {
-    countries.insert(dns.resolve(*client, rng)->country.to_string());
+    countries.insert(dns.resolve(*client, rng, 1000)->country.to_string());
   }
   EXPECT_GT(countries.size(), 5u);
 }
@@ -85,29 +85,58 @@ TEST_F(PoolDnsTest, GlobalFractionHitsRemoteVantages) {
 TEST_F(PoolDnsTest, ZeroVantageShareSeesNothing) {
   const PoolDns dns(*world_, 0.0, /*vantage_share=*/0.0);
   util::Rng rng(5);
-  const auto client = address_in_country(*world_, "US");
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(dns.resolve(*client, rng), nullptr);
-  }
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(dns.captures(rng));
 }
 
 TEST_F(PoolDnsTest, PartialVantageShareSamples) {
   const PoolDns dns(*world_, 0.0, /*vantage_share=*/0.25);
   util::Rng rng(6);
-  const auto client = address_in_country(*world_, "US");
   int captured = 0;
   constexpr int kQueries = 4000;
   for (int i = 0; i < kQueries; ++i) {
-    if (dns.resolve(*client, rng) != nullptr) ++captured;
+    if (dns.captures(rng)) ++captured;
   }
   EXPECT_NEAR(static_cast<double>(captured) / kQueries, 0.25, 0.03);
+}
+
+// The collector decides capture before it computes a client address, so
+// the draw count is part of every device stream: exactly one draw for a
+// fractional share, none for a share of 0 or 1.
+TEST_F(PoolDnsTest, CapturesConsumesExactlyOneDraw) {
+  const auto draws = [&](double share) {
+    const PoolDns dns(*world_, 0.0, share);
+    util::Rng rng(7);
+    util::Rng mirror(7);
+    dns.captures(rng);
+    // Draws `mirror` must skip to catch up with `rng`.
+    const std::uint64_t next = rng.next();
+    int n = 0;
+    while (mirror.next() != next && n < 8) ++n;
+    return n;
+  };
+  EXPECT_EQ(draws(0.03), 1);
+  EXPECT_EQ(draws(0.5), 1);
+  EXPECT_EQ(draws(0.0), 0);
+  EXPECT_EQ(draws(1.0), 0);
+
+  // A world with no countries has no vantage: the pool is empty, nothing
+  // is captured and nothing is drawn.
+  sim::WorldConfig config;
+  config.country_count = 0;
+  const sim::World empty = sim::World::generate(config);
+  ASSERT_TRUE(empty.vantages().empty());
+  const PoolDns dns(empty, 0.0, 0.5);
+  util::Rng rng(7);
+  util::Rng mirror(7);
+  EXPECT_FALSE(dns.captures(rng));
+  EXPECT_EQ(rng.next(), mirror.next());
 }
 
 TEST_F(PoolDnsTest, UnroutedClientStillGetsAServer) {
   const PoolDns dns(*world_, 0.0);
   util::Rng rng(4);
   const auto* vantage =
-      dns.resolve(*net::Ipv6Address::parse("2001:db8::1"), rng);
+      dns.resolve(*net::Ipv6Address::parse("2001:db8::1"), rng, 1000);
   EXPECT_NE(vantage, nullptr);
 }
 
@@ -197,21 +226,24 @@ TEST_F(PoolDnsTest, AllCandidatesDownFallsBackToHealthyWorldwide) {
   }
 }
 
-TEST_F(PoolDnsTest, HealthFreePlanMatchesLegacyResolveBitForBit) {
+TEST_F(PoolDnsTest, ZeroFaultMonitorMatchesNoMonitorBitForBit) {
   PoolDns dns(*world_, 0.25, 0.8);
   FaultSchedule faults(world_->vantages());  // zero faults
   dns.set_health_monitor(&faults, 600);
-  const PoolDns legacy(*world_, 0.25, 0.8);
+  const PoolDns unmonitored(*world_, 0.25, 0.8);
 
   const auto client = address_in_country(*world_, "DE");
   ASSERT_TRUE(client);
   util::Rng a(12);
   util::Rng b(12);
   for (int i = 0; i < 500; ++i) {
+    const auto t = static_cast<util::SimTime>(i * 64);
+    const bool captured = dns.captures(a);
+    ASSERT_EQ(captured, unmonitored.captures(b));
+    if (!captured) continue;
     bool steered = false;
-    const auto* with_health =
-        dns.resolve(*client, a, static_cast<util::SimTime>(i * 64), &steered);
-    const auto* without = legacy.resolve(*client, b);
+    const auto* with_health = dns.resolve(*client, a, t, &steered);
+    const auto* without = unmonitored.resolve(*client, b, t);
     EXPECT_EQ(with_health, without);
     EXPECT_FALSE(steered);
   }

@@ -138,6 +138,36 @@ TEST(TieredCorpus, CollapseMaterializesTheMergedStream) {
   }
 }
 
+// collapse(live) is the epoch union: spilled runs plus a canonical live
+// array give the records, order and totals that collapsing the runs,
+// merging the live table and canonicalizing used to give.
+TEST(TieredCorpus, CollapseWithLiveTableEqualsMergeThenCanonicalize) {
+  const auto sightings = random_sightings(3000, 13);
+  const auto runs = spilled(sightings, 4);
+  Corpus live(16);
+  for (const auto& s : random_sightings(500, 14)) {
+    live.add(s.address, s.time, s.vantage);
+  }
+  live.canonicalize();
+
+  Corpus want = runs->collapse();
+  want.merge(live);
+  want.canonicalize();
+  const Corpus got = runs->collapse(live.records());
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.total_observations(), want.total_observations());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const AddressRecord& a = got.records()[i];
+    const AddressRecord& b = want.records()[i];
+    EXPECT_EQ(a.address, b.address) << i;
+    EXPECT_EQ(a.first_seen, b.first_seen) << i;
+    EXPECT_EQ(a.last_seen, b.last_seen) << i;
+    EXPECT_EQ(a.count, b.count) << i;
+    EXPECT_EQ(a.vantage_mask, b.vantage_mask) << i;
+    ASSERT_NE(got.find(b.address), nullptr) << i;
+  }
+}
+
 TEST(TieredCorpus, SaveBytesMatchInMemorySnapshot) {
   const auto sightings = random_sightings(5000, 13);
   const Corpus want = reference_corpus(sightings);
@@ -213,8 +243,8 @@ TEST(TieredCorpus, MergedSizeWithExtraCountsTheUnion) {
 
   Corpus combined = runs->collapse();
   combined.merge(extra);
-  EXPECT_EQ(runs->merged_size_with(extra), combined.size());
-  EXPECT_EQ(runs->merged_size_with(Corpus(1)), runs->merged_size());
+  EXPECT_EQ(runs->merged_size_with(extra.records()), combined.size());
+  EXPECT_EQ(runs->merged_size_with({}), runs->merged_size());
 }
 
 TEST(TieredCorpus, ParallelScanIsBackendAndThreadCountInvariant) {
