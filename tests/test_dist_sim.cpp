@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -337,6 +338,92 @@ TEST_F(DistIdentityTest, ClusterObsSurvivesSeededFaultPlan) {
             study_->results().polls_attempted);
   EXPECT_EQ(snap.counter_sum("v6_collector_answered_total"),
             study_->results().polls_answered);
+}
+
+// Identity gate for the dist layer's barrier work: 4 workers, one forced
+// kill, 2-day chunks. Pins the merged corpus, every DistReport counter and
+// each cluster timeline window's deterministic collector families
+// (counter deltas and per-vantage series). The wall-clock histogram
+// fields of the kObsReport windows (and the frame log that carries them)
+// are left out.
+TEST_F(DistIdentityTest, PinnedDigests) {
+  const auto fnv1a = [](std::uint64_t h, std::string_view bytes) {
+    for (const char c : bytes) {
+      h ^= static_cast<std::uint8_t>(c);
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  };
+  const auto hex = [](std::uint64_t v) {
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    return std::string(buf);
+  };
+  constexpr std::uint64_t kOffset = 0xcbf29ce484222325ull;
+
+  DistConfig config;
+  config.workers = 4;
+  config.forced_kills = 1;
+  config.chunk_interval = 2 * util::kDay;
+  hitlist::Corpus merged(1);
+  const DistReport report = run_cluster(config, merged);
+
+  EXPECT_EQ(hex(fnv1a(kOffset, corpus_bytes(merged))), "0x0e55bcd270303b62");
+
+  std::uint64_t health = kOffset;
+  for (const hitlist::VantageHealthStats& v : report.vantage_health) {
+    for (const std::uint64_t field :
+         {v.polls, v.answered, v.lost_to_fault, v.retries, v.steered_polls}) {
+      health = fnv1a(health, std::to_string(field) + ",");
+    }
+  }
+  const std::string counters =
+      "workers=" + std::to_string(report.workers) +
+      " ranges=" + std::to_string(report.ranges) +
+      " leases=" + std::to_string(report.leases_granted) +
+      " uploads=" + std::to_string(report.checkpoints_uploaded) +
+      " heartbeats=" + std::to_string(report.heartbeats) +
+      " deaths=" + std::to_string(report.worker_deaths) +
+      " timeouts=" + std::to_string(report.timeouts) +
+      " reassignments=" + std::to_string(report.reassignments) +
+      " stale=" + std::to_string(report.stale_uploads_rejected) +
+      " replayed=" + std::to_string(report.replayed_chunks) +
+      " recovery=" + std::to_string(report.recovery_latency_total) +
+      " finished=" + std::to_string(report.finished_at) +
+      " polls=" + std::to_string(report.polls_attempted) +
+      " answered=" + std::to_string(report.polls_answered) +
+      " health=" + hex(health);
+  EXPECT_EQ(counters,
+            "workers=5 ranges=4 leases=5 uploads=24 heartbeats=24 deaths=1 "
+            "timeouts=1 reassignments=1 stale=0 replayed=3 recovery=93600 "
+            "finished=1454400 polls=219985 answered=215645 "
+            "health=0xd52c4a55364f3a48");
+
+  std::uint64_t windows = kOffset;
+  std::size_t window_count = 0;
+  for (const obs::ClusterWindow& cw : report.cluster_obs.cluster_timeline()) {
+    const obs::WindowRecord& w = cw.window;
+    std::string line = std::to_string(cw.worker) + " " +
+                       std::to_string(w.begin) + " " + std::to_string(w.end) +
+                       " " + w.stage;
+    for (const obs::WindowCounter& c : w.counters) {
+      if (!c.name.starts_with("v6_collector_")) continue;
+      line += " " + c.name;
+      for (const auto& [key, value] : c.labels) line += "," + key + "=" + value;
+      line += "=" + std::to_string(c.delta);
+    }
+    for (const obs::VantageWindow& v : w.vantages) {
+      line += " v" + std::to_string(v.vantage) + ":" +
+              std::to_string(v.polls) + "/" + std::to_string(v.answered) +
+              "/" + std::to_string(v.fault_lost) + "/" +
+              std::to_string(v.records);
+    }
+    windows = fnv1a(windows, line + "\n");
+    ++window_count;
+  }
+  EXPECT_EQ(window_count, 25u);
+  EXPECT_EQ(hex(windows), "0xfeabd46361fbc4c7");
 }
 
 TEST_F(DistIdentityTest, RespawnDisabledFailsLoudlyWhenFleetDies) {

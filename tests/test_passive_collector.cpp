@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "hitlist/corpus_io.h"
 #include "hitlist/tiered_corpus.h"
 #include "netsim/fault_schedule.h"
+#include "obs/timeline.h"
 #include "serve/snapshot.h"
 #include "util/thread_pool.h"
 
@@ -391,17 +395,57 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
+// FNV-1a over every VantageHealthStats field, vantage by vantage.
+std::uint64_t vantage_health_digest(
+    const std::vector<VantageHealthStats>& health) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const VantageHealthStats& v : health) {
+    for (const std::uint64_t field :
+         {v.polls, v.answered, v.lost_to_fault, v.retries, v.steered_polls}) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (field >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  return h;
+}
+
+// One checkpoint handed to the sink: its cursor plus the FNV-1a of the
+// saved bytes of a canonicalized copy of its corpus (the sink's own
+// layout is insertion order, which is not part of the contract).
+struct CheckpointPin {
+  util::SimTime resume_from = 0;
+  std::uint64_t polls_attempted = 0;
+  std::uint64_t polls_answered = 0;
+  std::uint64_t vantage_health = 0;
+  std::uint64_t content = 0;
+};
+
+std::string describe(const CheckpointPin& c) {
+  return "t=" + std::to_string(c.resume_from) +
+         " polls=" + std::to_string(c.polls_attempted) +
+         " answered=" + std::to_string(c.polls_answered) +
+         " health=" + hex(c.vantage_health) + " content=" + hex(c.content);
+}
+
 struct CollectorDigests {
   std::uint64_t corpus = 0;  // FNV-1a of the saved corpus bytes
   std::uint64_t polls_attempted = 0;
   std::uint64_t polls_answered = 0;
-  // FNV-1a over every VantageHealthStats field, vantage by vantage.
-  std::uint64_t vantage_health = 0;
+  std::uint64_t vantage_health = 0;  // vantage_health_digest()
   std::uint64_t pool_resolutions = 0;
   std::vector<std::uint64_t> epochs;  // Snapshot::digest() per epoch
+  // Checkpointed config only: every checkpoint, and each timeline
+  // window's (records_total, dedup_hits_total) deltas.
+  std::vector<CheckpointPin> checkpoints = {};
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> windows = {};
 };
 
-enum class GateConfig { kDefaults, kFaulted, kTiered };
+// kCheckpointed runs the defaults in memory with a 3-day checkpoint sink
+// and a 2-day timeline sampler on top of the epochs: three barrier grids
+// that interleave, so some barriers serve one consumer and some several.
+enum class GateConfig { kDefaults, kFaulted, kTiered, kCheckpointed };
 
 // A 600-site, 30-day world with epochs every 7 days. The pool DNS keeps
 // most sync events away from the vantages, as in the study.
@@ -442,6 +486,26 @@ CollectorDigests run_collector_gate(GateConfig which, unsigned threads) {
                                t)
             ->digest());
   };
+  std::unique_ptr<obs::TimelineSampler> sampler;
+  CheckpointSink sink;
+  if (which == GateConfig::kCheckpointed) {
+    sampler = std::make_unique<obs::TimelineSampler>(registry,
+                                                     2 * util::kDay, 0);
+    config.metrics = &registry;
+    config.sampler = sampler.get();
+    config.checkpoint_interval = 3 * util::kDay;
+    sink = [&d](const CheckpointState& state, const Corpus& snapshot) {
+      Corpus canonical(std::max<std::size_t>(snapshot.size(), 1));
+      canonical.merge(snapshot);
+      canonical.canonicalize();
+      std::ostringstream bytes;
+      save_corpus(bytes, canonical);
+      d.checkpoints.push_back({state.resume_from, state.polls_attempted,
+                               state.polls_answered,
+                               vantage_health_digest(state.vantage_health),
+                               fnv1a(std::move(bytes).str())});
+    };
+  }
   PassiveCollector collector(world, plane, dns, config);
   std::ostringstream saved;
   if (which == GateConfig::kTiered) {
@@ -458,8 +522,22 @@ CollectorDigests run_collector_gate(GateConfig which, unsigned threads) {
     runs.save(saved);
   } else {
     Corpus corpus(1 << 12);
-    collector.run(corpus, 0, world_config.study_duration);
+    collector.run(corpus, 0, world_config.study_duration, {}, sink);
     save_corpus(saved, corpus);
+  }
+  if (sampler != nullptr) {
+    // The window-end sample is the caller's; it covers the final flush.
+    sampler->sample(world_config.study_duration, "collect");
+    const auto delta = [](const obs::WindowRecord& w, std::string_view name) {
+      for (const obs::WindowCounter& c : w.counters) {
+        if (c.name == name) return c.delta;
+      }
+      return std::uint64_t{0};
+    };
+    for (const obs::WindowRecord& w : sampler->timeline()) {
+      d.windows.emplace_back(delta(w, "v6_collector_records_total"),
+                             delta(w, "v6_collector_dedup_hits_total"));
+    }
   }
   d.corpus = fnv1a(std::move(saved).str());
   d.polls_attempted = collector.polls_attempted();
@@ -476,16 +554,7 @@ CollectorDigests run_collector_gate(GateConfig which, unsigned threads) {
     EXPECT_GT(steered, 0u);
     EXPECT_GT(retries, 0u);
   }
-  d.vantage_health = 0xcbf29ce484222325ull;
-  for (const VantageHealthStats& v : collector.vantage_health()) {
-    for (const std::uint64_t field :
-         {v.polls, v.answered, v.lost_to_fault, v.retries, v.steered_polls}) {
-      for (int i = 0; i < 8; ++i) {
-        d.vantage_health ^= (field >> (8 * i)) & 0xff;
-        d.vantage_health *= 0x100000001b3ull;
-      }
-    }
-  }
+  d.vantage_health = vantage_health_digest(collector.vantage_health());
   d.pool_resolutions =
       registry.snapshot().counter_sum("v6_pool_resolutions_total");
   return d;
@@ -501,6 +570,15 @@ void expect_pinned(const CollectorDigests& got, const CollectorDigests& want) {
   for (const std::uint64_t e : got.epochs) got_epochs.push_back(hex(e));
   for (const std::uint64_t e : want.epochs) want_epochs.push_back(hex(e));
   EXPECT_EQ(got_epochs, want_epochs);
+  std::vector<std::string> got_checkpoints, want_checkpoints;
+  for (const CheckpointPin& c : got.checkpoints) {
+    got_checkpoints.push_back(describe(c));
+  }
+  for (const CheckpointPin& c : want.checkpoints) {
+    want_checkpoints.push_back(describe(c));
+  }
+  EXPECT_EQ(got_checkpoints, want_checkpoints);
+  EXPECT_EQ(got.windows, want.windows);
 }
 
 TEST(CollectorIdentity, PinnedDigests) {
@@ -517,6 +595,24 @@ TEST(CollectorIdentity, PinnedDigests) {
        {0x3f457cd0da08be64, 835752, 409438, 0x7a23aceac0155948, 114467,
         {0xb06c1bb3af497a3f, 0xb2b3f8b609aaa940, 0x6937f2fd4842fdf0,
          0x76d19b5d0044647d}}},
+      // The same corpus, counters and epochs as kDefaults: checkpoints and
+      // sampling only add barriers.
+      {GateConfig::kCheckpointed,
+       {0xa6e90e17bf341e48, 835752, 25138, 0x40dba8d2014c1015, 6949,
+        {0xb387e6e5ec53c35a, 0xfda9cd33f7952f94, 0xab917f6d4a527464,
+         0x0503b19734715f10},
+        {{259200, 80896, 2282, 0x72deff087a4fab52, 0x10c4fc870d23fe78},
+         {518400, 162388, 4901, 0x85334063991d83fe, 0x6fa0cef82ef8c1e8},
+         {777600, 244418, 7149, 0x847b07fbb87ede20, 0x940c26db0db53d11},
+         {1036800, 327232, 9656, 0xdbc31bcd0a0fcd91, 0xef0beb8b32e9f4f6},
+         {1296000, 410531, 12265, 0xa7d8de821e6bdb42, 0x34ed3f36e05f96f0},
+         {1555200, 494152, 14739, 0x8556f772059181db, 0x909f68ed13fac6eb},
+         {1814400, 578225, 17249, 0x7cbf0a7b3e685705, 0x681485a21aaf8841},
+         {2073600, 663436, 19961, 0x0fb0848891a2bf40, 0xfacb12bc0f2ef249},
+         {2332800, 750269, 22522, 0x87e09ceb76d81d22, 0x7e6cedab9dafed90}},
+        {{198, 1322}, {126, 1481}, {111, 1718}, {101, 1378}, {110, 1484},
+         {114, 1613}, {117, 1668}, {123, 1567}, {117, 1528}, {119, 1486},
+         {134, 1633}, {135, 1762}, {120, 1552}, {132, 1664}, {154, 1615}}}},
   };
   for (const auto& [which, want] : pins) {
     for (const unsigned threads : {1u, 4u}) {
