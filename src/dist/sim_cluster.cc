@@ -21,12 +21,6 @@ double unit(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-hitlist::Corpus clone(const hitlist::Corpus& src) {
-  hitlist::Corpus out(std::max<std::size_t>(src.size(), 1));
-  out.merge(src);
-  return out;
-}
-
 std::string checkpoint_path(std::uint32_t lease, std::uint32_t epoch,
                             std::uint64_t resume_from) {
   return "ckpt/l" + std::to_string(lease) + "-e" + std::to_string(epoch) +
@@ -122,11 +116,19 @@ DistReport SimCluster::run(hitlist::Corpus& out,
                            const hitlist::CheckpointState& from) {
   const std::size_t records = out.size();
   const std::uint64_t observations = out.total_observations();
-  DistReport report =
-      collect(from, [&out](hitlist::Corpus&& range) { out.merge(range); });
-  // Corpus aggregation is commutative and the ranges are disjoint, so
-  // this is the same reduce the sharded single-process run performs.
-  out.canonicalize();
+  std::vector<hitlist::Corpus> ranges;
+  DistReport report = collect(from, [&ranges](hitlist::Corpus&& range) {
+    ranges.push_back(std::move(range));
+  });
+  // Corpus aggregation is commutative and the ranges are disjoint, so one
+  // canonical union of the caller's snapshot and the delivered ranges is
+  // the same reduce the sharded single-process run performs.
+  std::vector<const hitlist::Corpus*> parts{&out};
+  for (const hitlist::Corpus& range : ranges) parts.push_back(&range);
+  std::vector<hitlist::AddressRecord> merged =
+      hitlist::Corpus::canonical_union(parts);
+  ranges.clear();
+  out = hitlist::Corpus::from_canonical(std::move(merged));
   count_records(out.size() - records,
                 out.total_observations() - observations);
   return report;
@@ -404,7 +406,7 @@ DistReport SimCluster::collect(
     cfg.device_end = ss.devices.end;
 
     hitlist::Corpus corpus =
-        ss.ckpt ? clone(ss.ckpt->corpus) : hitlist::Corpus(1 << 12);
+        ss.ckpt ? ss.ckpt->corpus.copy() : hitlist::Corpus(1 << 12);
     hitlist::PassiveCollector collector(*world_, *plane_, *dns_, cfg);
 
     const std::optional<util::SimTime> kill = plan->kill_at(wk.id);
@@ -448,7 +450,7 @@ DistReport SimCluster::collect(
       advance_to(state.resume_from);
       // Durable: the coordinator holds the (state, corpus) pair; a later
       // recovery lease resumes from exactly this instant.
-      ss.ckpt = hitlist::CollectionCheckpoint{state, clone(snapshot)};
+      ss.ckpt = hitlist::CollectionCheckpoint{state, snapshot.copy()};
       wire.emit(FrameType::kHeartbeat, wk.id, ss.id, ss.epoch,
                 static_cast<std::uint64_t>(lane));
       ++report.heartbeats;

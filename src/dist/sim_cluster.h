@@ -18,7 +18,8 @@
 //   * a lease executes through the existing checkpoint machinery — every
 //     chunk boundary uploads a durable (state, corpus) snapshot of the
 //     range; a kill or revocation loses at most the chunks since the last
-//     upload;
+//     upload. The snapshot is a Corpus::copy() of the collector's running
+//     union: a plain copy of the record array and index, not a re-hash;
 //   * recovery is PassiveCollector::resume() of that range from its
 //     snapshot — only the dead lease's devices replay;
 //   * epoch fencing rejects uploads from zombie (revoked-then-woken)
@@ -144,7 +145,8 @@ class SimCluster {
              obs::TimelineSampler* sampler = nullptr);
 
   // Runs distributed collection over [start, end) into `out` (merged and
-  // canonicalized). Throws std::runtime_error if the fleet dies out with
+  // canonicalized: one canonical union of the delivered ranges, with no
+  // hash-merge). Throws std::runtime_error if the fleet dies out with
   // respawn disabled — fail loudly rather than hang.
   DistReport run(hitlist::Corpus& out, util::SimTime start, util::SimTime end);
 

@@ -40,7 +40,12 @@ std::size_t save_checkpoint(std::ostream& out, const CheckpointState& state,
   }
   writer.u32(proto::crc32(
       std::span(writer.data()).subspan(state_begin)));
-  save_corpus(writer, corpus);
+  // Records go out in ascending address order, so the bytes are a pure
+  // function of (state, content): the sink's corpus is in insertion
+  // order, which depends on the collector's shard count.
+  const Corpus* parts[] = {&corpus};
+  save_records(writer, Corpus::canonical_union(parts),
+               corpus.total_observations());
 
   out.write(reinterpret_cast<const char*>(writer.data().data()),
             static_cast<std::streamsize>(writer.size()));

@@ -10,7 +10,12 @@
 //          vantage count(4), then per vantage
 //          polls/answered/lost_to_fault/retries/steered_polls (5 x 8)
 //   state CRC32                  u32 over the state section
-//   corpus snapshot              corpus_io v2 (self-checksummed)
+//   corpus snapshot              corpus_io v2 (self-checksummed), records
+//                                in ascending address order
+//
+// The record order makes the bytes a pure function of (state, content):
+// the collector hands its sink the corpus in insertion order, which
+// depends on the shard count, and save_checkpoint sorts it on the way out.
 //
 // Like corpus_io, every integer is big-endian via proto::BufferWriter and
 // each section carries a CRC32 so a corrupted file fails loudly at load

@@ -78,6 +78,15 @@ Corpus& Corpus::operator=(Corpus&& other) noexcept {
   return *this;
 }
 
+Corpus Corpus::copy() const {
+  Corpus out(0);
+  out.records_ = records_;
+  out.index_ = index_;
+  out.index_mask_ = index_mask_;
+  out.observations_ = observations_;
+  return out;
+}
+
 std::uint32_t* Corpus::lookup_slot(const net::Ipv6Address& address) noexcept {
   return lookup_slot(address, net::Ipv6AddressHash{}(address));
 }

@@ -74,6 +74,11 @@ class Corpus {
   Corpus(const Corpus&) = delete;
   Corpus& operator=(const Corpus&) = delete;
 
+  // An explicit deep copy: the record array and index are copied as they
+  // are, so the copy has the same layout and nothing is re-hashed.
+  // Implicit copies stay deleted; a full-corpus copy should be visible.
+  Corpus copy() const;
+
   // Records one sighting. `t` is clamped into u32 seconds: negative times
   // clamp to 0 and times past 2^32-1 saturate at UINT32_MAX (truncating
   // instead would wrap first_seen/last_seen and manufacture negative

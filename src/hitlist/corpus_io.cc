@@ -67,19 +67,25 @@ Corpus read_records(proto::BufferReader& reader, std::uint64_t records,
 }  // namespace
 
 void save_corpus(proto::BufferWriter& out, const Corpus& corpus) {
+  save_records(out, corpus.records(), corpus.total_observations());
+}
+
+void save_records(proto::BufferWriter& out,
+                  std::span<const AddressRecord> records,
+                  std::uint64_t observations) {
   out.bytes(magic_span(kMagicV2));
   const std::size_t header_begin = out.size();
-  out.u64(corpus.size());
-  out.u64(corpus.total_observations());
+  out.u64(records.size());
+  out.u64(observations);
   out.u32(proto::crc32(std::span(out.data()).subspan(header_begin, 16)));
   const std::size_t records_begin = out.size();
-  corpus.for_each([&out](const AddressRecord& rec) {
+  for (const AddressRecord& rec : records) {
     out.bytes(rec.address.bytes());
     out.u32(rec.first_seen);
     out.u32(rec.last_seen);
     out.u32(rec.count);
     out.u32(rec.vantage_mask);
-  });
+  }
   out.u32(proto::crc32(std::span(out.data()).subspan(records_begin)));
 }
 

@@ -73,9 +73,15 @@ class CorpusSnapshotWriter {
 // serialized corpus.
 std::size_t save_corpus(std::ostream& out, const Corpus& corpus);
 
-// Appends a v2 snapshot to an existing writer (used to embed the corpus
-// inside a collection checkpoint).
+// Appends a v2 snapshot to an existing writer.
 void save_corpus(proto::BufferWriter& out, const Corpus& corpus);
+
+// Appends a v2 snapshot of `records`, written in the order given, with
+// `observations` as the header total. The checkpoint writer embeds a
+// canonical record array this way without building a Corpus for it.
+void save_records(proto::BufferWriter& out,
+                  std::span<const AddressRecord> records,
+                  std::uint64_t observations);
 
 // Loads a snapshot (v1 or v2), reading the stream in bounded chunks —
 // peak memory is the corpus itself plus one chunk, whatever the file

@@ -301,6 +301,21 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     for (ShardState& shard : states) shard.recording = true;
   }
 
+  // In memory, one running union absorbs the shard tables at every merge
+  // barrier and they start over empty, so a barrier costs what was
+  // recorded since the last one, not the corpus so far. It starts as a
+  // copy of the caller's corpus, which stays untouched until the chunk
+  // loop finishes (the sink-failure contract). In tiered mode the caller's
+  // corpus is an empty stand-in and the shard tables spill instead.
+  Corpus running = corpus.copy();
+  // Merges every shard table into `into` and resets the tables.
+  const auto drain_shards = [&](Corpus& into) {
+    for (ShardState& shard : states) {
+      into.merge(shard.corpus);
+      shard.corpus = Corpus(1 << 12);
+    }
+  };
+
   // Incremental metric flushing: with a sampler attached, the cumulative
   // shard tallies are folded into the registry at every sample boundary
   // (so each WindowRecord's deltas are exact); the `flushed_*` baselines
@@ -309,9 +324,10 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   // behavior.
   const std::size_t records_before =
       tiered_ != nullptr ? static_cast<std::size_t>(tiered_->merged_size())
-                         : corpus.size();
+                         : running.size();
   const std::uint64_t observations_before =
-      tiered_ != nullptr ? tiered_->total_observations() : 0;
+      tiered_ != nullptr ? tiered_->total_observations()
+                         : running.total_observations();
   std::uint64_t flushed_polls = 0;
   std::uint64_t flushed_answered = 0;
   std::uint64_t flushed_records = 0;
@@ -330,11 +346,12 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   const auto flush_metrics = [&](std::uint64_t admitted) {
     std::uint64_t polls = 0;
     std::uint64_t answered = 0;
-    // Spilled observations live in the run headers, not the shard tables.
+    // Spilled observations live in the run headers, drained ones in the
+    // running union; the shard tables hold the rest.
     std::uint64_t observations =
-        tiered_ != nullptr
-            ? tiered_->total_observations() - observations_before
-            : 0;
+        (tiered_ != nullptr ? tiered_->total_observations()
+                            : running.total_observations()) -
+        observations_before;
     std::vector<std::uint64_t> v_polls(vantages.size(), 0);
     std::vector<std::uint64_t> v_answered(vantages.size(), 0);
     std::vector<std::uint64_t> v_fault(vantages.size(), 0);
@@ -365,21 +382,21 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
       bump(metric_vantage_records_[v], v_obs[v], flushed_v_obs[v]);
     }
   };
-  // The canonical record array of the caller's corpus plus every shard
+  // The canonical record array of the running union plus every shard
   // table: the not-yet-spilled part of the corpus-so-far at a merge
-  // barrier, in the ascending order a k-way merge over runs takes.
+  // barrier, in the ascending order a k-way merge over runs takes. In
+  // memory the shard tables are drained by then, so it is the union.
   const auto live_union = [&] {
-    std::vector<const Corpus*> parts{&corpus};
+    std::vector<const Corpus*> parts{&running};
     for (const ShardState& shard : states) parts.push_back(&shard.corpus);
     return Corpus::canonical_union(parts);
   };
-  // The size of that union plus any spilled records, taken mid-run so the
-  // records counter stays exact (insertion counting would double-count
-  // addresses seen by two shards).
+  // The record count of the corpus-so-far, taken mid-run so the records
+  // counter stays exact (insertion counting would double-count addresses
+  // seen by two shards).
   const auto union_size = [&]() -> std::size_t {
-    const std::vector<AddressRecord> live = live_union();
-    if (tiered_ == nullptr) return live.size();
-    return static_cast<std::size_t>(tiered_->merged_size_with(live));
+    if (tiered_ == nullptr) return running.size();
+    return static_cast<std::size_t>(tiered_->merged_size_with(live_union()));
   };
 
   // Merges every shard table into one union corpus and flushes it to disk
@@ -391,10 +408,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     for (const ShardState& shard : states) upper += shard.corpus.size();
     if (upper == 0) return;
     Corpus combined(upper);
-    for (ShardState& shard : states) {
-      combined.merge(shard.corpus);
-      shard.corpus = Corpus(1 << 12);
-    }
+    drain_shards(combined);
     tiered_->spill(std::move(combined));
   };
 
@@ -450,6 +464,8 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
           heap > tiered_->config().memory_budget_bytes) {
         spill_shards();
       }
+    } else {
+      drain_shards(running);
     }
     // With both grids active `hi` may be a sample-only boundary, so gate
     // checkpoint emission on actually being on the checkpoint grid.
@@ -468,19 +484,19 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
         add_vantage_health(snap.vantage_health, shard.vantage);
       }
       // The corpus-so-far: whatever the caller's corpus already held (a
-      // resumed-from snapshot) plus every shard's recordings — in tiered
-      // mode, the spilled runs collapsed back into memory plus whatever
-      // the shards still hold. Union at a barrier, so the content is a
-      // pure function of the boundary time, not the shard count.
-      std::size_t records = corpus.size();
-      for (const ShardState& shard : states) records += shard.corpus.size();
-      Corpus snapshot = tiered_ != nullptr
-                            ? tiered_->collapse()
-                            : Corpus(std::max<std::size_t>(records, 1));
-      snapshot.merge(corpus);
-      for (const ShardState& shard : states) snapshot.merge(shard.corpus);
+      // resumed-from snapshot) plus every shard's recordings. In memory
+      // that is the running union itself; in tiered mode, the spilled
+      // runs collapsed back into memory plus whatever the shards still
+      // hold. Union at a barrier, so the content is a pure function of
+      // the boundary time, not the shard count.
       metric_checkpoints_.inc();
-      sink(snap, snapshot);
+      if (tiered_ == nullptr) {
+        sink(snap, running);
+      } else {
+        Corpus snapshot = tiered_->collapse();
+        for (const ShardState& shard : states) snapshot.merge(shard.corpus);
+        sink(snap, snapshot);
+      }
     }
     // Epoch publication rides the same merge barrier. The handed corpus
     // is canonical, so its layout — and every serve::Snapshot table built
@@ -512,9 +528,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   polls_ += from.polls_attempted;
   answered_ += from.polls_answered;
   vantage_health_ = std::move(base_vh);
-  for (ShardState& shard : states) {
-    // Tiered mode flushed every shard at the final barrier already.
-    if (tiered_ == nullptr) corpus.merge(shard.corpus);
+  for (const ShardState& shard : states) {
     polls_ += shard.tally.polls;
     answered_ += shard.tally.answered;
     add_vantage_health(vantage_health_, shard.vantage);
@@ -522,10 +536,10 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   // Metrics cover what this run itself recorded (the checkpointed `from`
   // baseline was already counted when the original run emitted it). With
   // a sampler this flush covers only the tail since the last boundary —
-  // the shard corpora are all merged now, so the union is `corpus`.
+  // the shard tables were drained (or spilled) at the final barrier.
   flush_metrics(
       (tiered_ != nullptr ? static_cast<std::size_t>(tiered_->merged_size())
-                          : corpus.size()) -
+                          : running.size()) -
       records_before);
   // Chunk grids (checkpoints, sampling boundaries) change the order merged
   // sightings reach the corpus, which would leak into save_corpus() bytes
@@ -534,7 +548,10 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   // shard counts and with sampling on or off. (Tiered mode needs no
   // equivalent: run files are written canonicalized and the k-way merge
   // emits ascending order by construction.)
-  if (tiered_ == nullptr) corpus.canonicalize();
+  if (tiered_ == nullptr) {
+    corpus = std::move(running);
+    corpus.canonicalize();
+  }
 }
 
 void PassiveCollector::run(Corpus& corpus, util::SimTime start,

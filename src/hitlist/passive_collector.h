@@ -40,10 +40,20 @@
 // property the tests assert. The dist layer cuts the same partition
 // across machines (device_begin/end).
 //
+// Merge barriers: every chunk boundary (checkpoint, sampler, epoch or
+// spill grid) joins the shards. In memory, each barrier then drains the
+// shard tables into one running union, seeded from the caller's corpus,
+// and resets them, so a barrier costs what was recorded since the last
+// one. The checkpoint sink, the record counter and the epoch union all
+// read that one table; at window end it is moved into the caller's corpus
+// and canonicalized. Out of core, the shard tables spill instead (see the
+// TieredCorpus run() overload).
+//
 // Checkpoint/resume: with `checkpoint_interval > 0` and a CheckpointSink,
-// collection pauses at every sim-time boundary window_start + k*interval,
-// snapshots the corpus-so-far plus a CheckpointState cursor, and hands
-// both to the sink. A crashed run restarts via resume(): the enumeration
+// collection pauses at every sim-time boundary window_start + k*interval
+// and hands the sink a CheckpointState cursor plus the corpus-so-far (in
+// memory, the running union itself, by reference). A crashed run
+// restarts via resume(): the enumeration
 // [window_start, resume_from) is replayed with recording suppressed —
 // consuming RNG, DNS, and data-plane state exactly as the original run
 // did — then recording switches on at resume_from. The chunk boundaries
@@ -183,7 +193,11 @@ struct CheckpointState {
 };
 
 // Receives each checkpoint: the cursor plus the full corpus as of
-// `state.resume_from`. The corpus reference is only valid for the call.
+// `state.resume_from`. In memory that corpus is the collector's running
+// union, in insertion order (which depends on the shard count; the
+// content does not), and the reference is only valid for the call: a sink
+// that keeps the corpus must copy it (Corpus::copy()). save_checkpoint()
+// writes ascending address order, so saved bytes do not depend on it.
 using CheckpointSink =
     std::function<void(const CheckpointState&, const Corpus&)>;
 
@@ -238,8 +252,9 @@ class PassiveCollector {
   // Sink-failure contract (worker-upload sinks throw on coordinator
   // disconnect): if `sink` throws, the exception propagates and `corpus`
   // is left EXACTLY as the caller passed it in — the tail recorded since
-  // resume_from lives in shard-private tables that are only merged into
-  // `corpus` after the chunk loop finishes cleanly. The caller may
+  // resume_from lives in the shard tables and the collector's running
+  // union (a copy of `corpus`), which replaces `corpus` only after the
+  // chunk loop finishes cleanly. The caller may
   // therefore either retry this resume() verbatim (same corpus, same
   // `from`) or reload the last checkpoint the sink durably accepted and
   // resume from that; both reproduce the uninterrupted run bit-exactly.

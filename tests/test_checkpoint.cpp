@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -568,6 +569,55 @@ TEST(CheckpointIo, RoundTripsStateAndCorpus) {
   EXPECT_EQ(loaded.state.polls_answered, state.polls_answered);
   expect_identical_health(loaded.state.vantage_health, state.vantage_health);
   expect_identical_corpora(loaded.corpus, corpus);
+}
+
+// V6CKPT01 bytes are a pure function of (state, content): the same
+// checkpoint saved from collections at 1 and 4 threads is byte-identical,
+// although the corpora the sink sees are in different insertion orders,
+// and every file round-trips through load_checkpoint to the same bytes.
+TEST(CheckpointIo, BytesIndependentOfCollectorThreads) {
+  sim::WorldConfig world_config;
+  world_config.seed = 77;
+  world_config.total_sites = 300;
+  world_config.study_duration = 4 * util::kDay;
+  const sim::World world = sim::World::generate(world_config);
+  const auto saved_checkpoints = [&](unsigned threads, bool& unsorted) {
+    CollectorConfig config{false, 0.01, 3};
+    config.threads = threads;
+    config.checkpoint_interval = util::kDay;
+    netsim::DataPlane plane(world, {config.loss_rate, 1});
+    netsim::PoolDns dns(world);
+    PassiveCollector collector(world, plane, dns, config);
+    std::vector<std::string> files;
+    Corpus corpus(1 << 12);
+    collector.run(corpus, 0, world_config.study_duration, {},
+                  [&](const CheckpointState& state, const Corpus& snapshot) {
+                    const auto records = snapshot.records();
+                    unsorted |= !std::is_sorted(
+                        records.begin(), records.end(),
+                        [](const AddressRecord& a, const AddressRecord& b) {
+                          return a.address < b.address;
+                        });
+                    std::stringstream out;
+                    save_checkpoint(out, state, snapshot);
+                    files.push_back(out.str());
+                  });
+    return files;
+  };
+  bool unsorted = false;
+  const std::vector<std::string> serial = saved_checkpoints(1, unsorted);
+  const std::vector<std::string> sharded = saved_checkpoints(4, unsorted);
+  ASSERT_EQ(serial.size(), 3u);  // boundaries at day 1..3
+  EXPECT_TRUE(unsorted);
+  EXPECT_EQ(serial, sharded);
+  for (const std::string& file : serial) {
+    std::stringstream in(file);
+    const CollectionCheckpoint loaded = load_checkpoint(in);
+    EXPECT_GT(loaded.corpus.size(), 0u);
+    std::stringstream again;
+    save_checkpoint(again, loaded.state, loaded.corpus);
+    EXPECT_EQ(again.str(), file);
+  }
 }
 
 TEST(CheckpointIo, RejectsTruncationAtEveryByteOffset) {
