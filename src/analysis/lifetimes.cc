@@ -1,7 +1,6 @@
 #include "analysis/lifetimes.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "kernels/batch.h"
 #include "util/thread_pool.h"
@@ -22,14 +21,16 @@ struct AddressTallies {
   std::vector<std::uint64_t> at_least;
 };
 
-// IID span collapse state (Fig 2b phase 1). Merging maps takes per-key
-// min(first)/max(last) — commutative, so the merged map holds the same
-// spans as a serial build no matter the shard layout.
-struct Span {
+// One record's IID span (Fig 2b phase 1). Shards collect these in scan
+// order and concatenate in shard order; one sort by IID then groups every
+// IID's entries, folded by min(first)/max(last) — commutative, so the
+// folded spans do not depend on the shard layout or the sort's tie order.
+struct IidSpan {
+  std::uint64_t iid;
   std::uint32_t first;
   std::uint32_t last;
 };
-using IidSpans = std::unordered_map<std::uint64_t, Span>;
+using IidSpans = std::vector<IidSpan>;
 
 struct BandTallies {
   std::array<std::uint64_t, 3> total{};
@@ -108,41 +109,44 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
                                 std::vector<AnalysisStageStats>* stats) {
   // Phase 1: collapse addresses to IID spans (lifetime spans all
   // sightings of the IID across every prefix it appeared under).
-  IidSpans iids = scan_corpus<IidSpans>(
+  IidSpans spans = scan_corpus_blocks<IidSpans>(
       source, config, "iid_lifetimes/spans",
       [&source, &config] {
-        IidSpans m;
-        m.reserve(static_cast<std::size_t>(source.records) /
-                      config.resolved_threads() +
-                  1);
-        return m;
+        IidSpans shard;
+        shard.reserve(static_cast<std::size_t>(source.records) /
+                          config.resolved_threads() +
+                      1);
+        return shard;
       },
-      [](IidSpans& m, const hitlist::AddressRecord& rec) {
-        const auto [it, inserted] = m.try_emplace(
-            rec.address.iid(), Span{rec.first_seen, rec.last_seen});
-        if (!inserted) {
-          it->second.first = std::min(it->second.first, rec.first_seen);
-          it->second.last = std::max(it->second.last, rec.last_seen);
+      [](IidSpans& shard, std::span<const hitlist::AddressRecord> block) {
+        for (const auto& rec : block) {
+          shard.push_back({rec.address.iid(), rec.first_seen, rec.last_seen});
         }
       },
-      [](IidSpans& into, IidSpans&& from) {
-        for (const auto& [iid, span] : from) {
-          const auto [it, inserted] = into.try_emplace(iid, span);
-          if (!inserted) {
-            it->second.first = std::min(it->second.first, span.first);
-            it->second.last = std::max(it->second.last, span.last);
-          }
-        }
+      [&source](IidSpans& into, IidSpans&& from) {
+        // One entry per record: the concatenation's exact size.
+        into.reserve(static_cast<std::size_t>(source.records));
+        into.insert(into.end(), from.begin(), from.end());
       },
       stats);
 
-  // Phase 2: entropy-band the unique IIDs. The merged map's iteration
-  // order varies with the shard layout, but every tally below is an
-  // integer sum over per-IID pure functions, so the report does not.
-  // Sharded as well — iid_entropy per unique IID is the expensive part.
+  // Phase 2: fold each IID's entries, then entropy-band the unique IIDs.
+  // Every tally below is an integer sum over per-IID pure functions, so
+  // the report does not depend on the shard layout. Sharded as well —
+  // iid_entropy per unique IID is the expensive part.
   const double t_bands = util::steady_micros();
-  std::vector<std::pair<std::uint64_t, Span>> entries(iids.begin(),
-                                                      iids.end());
+  std::sort(spans.begin(), spans.end(),
+            [](const IidSpan& a, const IidSpan& b) { return a.iid < b.iid; });
+  std::size_t unique = 0;
+  for (std::size_t i = 0; i < spans.size(); ++unique) {
+    IidSpan span = spans[i];
+    for (++i; i < spans.size() && spans[i].iid == span.iid; ++i) {
+      span.first = std::min(span.first, spans[i].first);
+      span.last = std::max(span.last, spans[i].last);
+    }
+    spans[unique] = span;
+  }
+  spans.resize(unique);
   const unsigned shards = config.resolved_threads();
   const std::size_t n_points = cdf_points.size();
   std::vector<BandTallies> shard_tallies(shards);
@@ -151,7 +155,7 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
   }
   std::uint64_t merge_us = 0;
   util::run_sharded(
-      entries.size(), shards,
+      spans.size(), shards,
       [&](unsigned s, std::size_t begin, std::size_t end) {
         // Entropy is the expensive part of this pass; band it through the
         // batch kernel a chunk at a time (bit-identical to per-IID
@@ -164,11 +168,11 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
         for (std::size_t base = begin; base < end; base += kChunk) {
           const std::size_t n = std::min(kChunk, end - base);
           for (std::size_t i = 0; i < n; ++i) {
-            iids[i] = entries[base + i].first;
+            iids[i] = spans[base + i].iid;
           }
           kernels::iid_entropy_batch(iids, n, entropies);
           for (std::size_t i = 0; i < n; ++i) {
-            const Span& span = entries[base + i].second;
+            const IidSpan& span = spans[base + i];
             const auto band =
                 static_cast<std::size_t>(net::entropy_band(entropies[i]));
             ++t.total[band];
@@ -200,7 +204,7 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
   }
 
   IidLifetimeReport report;
-  report.unique_iids = entries.size();
+  report.unique_iids = spans.size();
   const BandTallies& tallies = shard_tallies[0];
   for (std::size_t band = 0; band < 3; ++band) {
     auto& b = report.bands[band];
@@ -227,7 +231,7 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
     stat.wall_us = wall_us;
     stats->push_back(std::move(stat));
   }
-  // This pass shards by hand (run_sharded over the span map, not a corpus
+  // This pass shards by hand (run_sharded over the folded spans, not a corpus
   // scan), so it reports into the registry itself — same families as the
   // ParallelScan engine, keeping v6_analysis_records_total exhaustive.
   if (config.metrics != nullptr) {

@@ -261,8 +261,10 @@ RunReader::RunReader(std::istream& in) : in_(&in) {
     info.crc = entries.u32();
     // Blocks must tile [header, index) contiguously in file order with
     // ascending first addresses — anything else is a forged index.
+    // Every record takes at least 3 bytes (tag, address varint,
+    // first_seen), which bounds what a block's decode may allocate.
     if (info.offset != expected_offset || info.record_count == 0 ||
-        info.byte_length == 0 ||
+        info.record_count > info.byte_length / 3 ||
         (b > 0 && !(index_.back().first_address < info.first_address))) {
       throw std::runtime_error("run file: corrupt index");
     }
@@ -275,22 +277,24 @@ RunReader::RunReader(std::istream& in) : in_(&in) {
   }
 }
 
-std::vector<AddressRecord> RunReader::read_block(std::size_t b) const {
+void RunReader::read_block(std::size_t b, std::vector<std::uint8_t>& bytes,
+                           std::vector<AddressRecord>& out) const {
   const RunBlockInfo& info = index_[b];
-  std::vector<std::uint8_t> data(info.byte_length);
+  bytes.resize(info.byte_length);
   in_->clear();
   in_->seekg(static_cast<std::streamoff>(info.offset));
-  in_->read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  if (in_->gcount() != static_cast<std::streamsize>(data.size())) {
+  in_->read(reinterpret_cast<char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  if (in_->gcount() != static_cast<std::streamsize>(bytes.size())) {
     throw std::runtime_error("run file: truncated block");
   }
-  if (proto::crc32(data) != info.crc) {
+  if (proto::crc32(bytes) != info.crc) {
     throw std::runtime_error("run file: block CRC mismatch");
   }
 
   constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
-  std::vector<AddressRecord> out;
+  const std::span<const std::uint8_t> data(bytes);
+  out.clear();
   out.reserve(info.record_count);
   std::size_t pos = 0;
   std::uint64_t prev_hi = 0;
@@ -302,6 +306,7 @@ std::vector<AddressRecord> RunReader::read_block(std::size_t b) const {
     if ((tag & kTagSmallMask) == 0 && (tag >> 4) != 0) corrupt();
     if (first && (tag & kTagSamePrefix) != 0) corrupt();
 
+    // Non-zero deltas make every block strictly ascending on their own.
     std::uint64_t hi = 0;
     std::uint64_t lo = 0;
     if ((tag & kTagSamePrefix) != 0) {
@@ -352,40 +357,50 @@ std::vector<AddressRecord> RunReader::read_block(std::size_t b) const {
     }
 
     if (first && rec.address != info.first_address) corrupt();
-    // Cross-block order: every record stays below the next block's bound
-    // (ascent against the previous block follows from the index check).
-    if (b + 1 < index_.size() &&
-        !(rec.address < index_[b + 1].first_address)) {
-      corrupt();
-    }
     prev_hi = hi;
     prev_lo = lo;
     out.push_back(rec);
   }
   if (pos != data.size()) corrupt();
-  return out;
+  // Cross-block order: the block's largest record stays below the next
+  // block's bound (ascent against the previous block follows from the
+  // index check).
+  if (b + 1 < index_.size() &&
+      !(out.back().address < index_[b + 1].first_address)) {
+    corrupt();
+  }
 }
 
-RunReader::Cursor::Cursor(const RunReader* reader, std::size_t block,
-                          std::size_t skip)
-    : reader_(reader), block_(block), skip_(skip) {}
+RunReader::Cursor::Cursor(const RunReader* reader, std::size_t block)
+    : reader_(reader), block_(block) {}
 
-void RunReader::Cursor::load_block() {
-  while (block_ < reader_->index_.size()) {
-    decoded_ = reader_->read_block(block_++);
-    pos_ = std::min(skip_, decoded_.size());
-    skip_ = 0;
-    if (pos_ < decoded_.size()) return;
-  }
-  decoded_.clear();
+bool RunReader::Cursor::fill() {
+  // Records a next() caller (or cursor_at's skip) left come first; blocks
+  // are never empty (the index rejects record_count == 0).
+  if (pos_ < decoded_.size()) return true;
+  if (block_ >= reader_->index_.size()) return false;
   pos_ = 0;
+  try {
+    reader_->read_block(block_++, bytes_, decoded_);
+  } catch (...) {
+    // A failed decode leaves a partial block: end the cursor instead, so
+    // a caller that carries on never sees an unvalidated record.
+    decoded_.clear();
+    block_ = reader_->index_.size();
+    throw;
+  }
+  return true;
+}
+
+bool RunReader::Cursor::next_block(std::span<const AddressRecord>& out) {
+  if (!fill()) return false;
+  out = std::span<const AddressRecord>(decoded_).subspan(pos_);
+  pos_ = decoded_.size();
+  return true;
 }
 
 bool RunReader::Cursor::next(AddressRecord& out) {
-  if (pos_ >= decoded_.size()) {
-    load_block();
-    if (pos_ >= decoded_.size()) return false;
-  }
+  if (!fill()) return false;
   out = decoded_[pos_++];
   return true;
 }
@@ -410,47 +425,16 @@ RunReader::Cursor RunReader::cursor_at(const net::Ipv6Address& lo) const {
     }
     b = first;  // first block with first_address > lo
   }
-  if (b == 0) return Cursor(this, 0, 0);
-  const std::size_t block = b - 1;
-  const std::vector<AddressRecord> decoded = read_block(block);
-  std::size_t skip = 0;
-  while (skip < decoded.size() && decoded[skip].address < lo) ++skip;
-  return Cursor(this, block, skip);
-}
-
-void merge_record_streams(
-    std::vector<RecordStream> streams,
-    const std::function<bool(const AddressRecord&)>& emit) {
-  struct Head {
-    AddressRecord rec;
-    bool valid = false;
-  };
-  std::vector<Head> heads(streams.size());
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    heads[i].valid = streams[i](heads[i].rec);
+  if (b == 0) return Cursor(this, 0);
+  // The cursor starts with that block decoded, positioned past the
+  // records below lo.
+  Cursor cursor(this, b);
+  read_block(b - 1, cursor.bytes_, cursor.decoded_);
+  while (cursor.pos_ < cursor.decoded_.size() &&
+         cursor.decoded_[cursor.pos_].address < lo) {
+    ++cursor.pos_;
   }
-  for (;;) {
-    std::size_t best = streams.size();
-    for (std::size_t i = 0; i < heads.size(); ++i) {
-      if (heads[i].valid &&
-          (best == streams.size() ||
-           heads[i].rec.address < heads[best].rec.address)) {
-        best = i;
-      }
-    }
-    if (best == streams.size()) return;
-    AddressRecord agg = heads[best].rec;
-    heads[best].valid = streams[best](heads[best].rec);
-    // Each input is strictly ascending, so every other stream contributes
-    // at most one record for this address.
-    for (std::size_t i = best + 1; i < heads.size(); ++i) {
-      while (heads[i].valid && heads[i].rec.address == agg.address) {
-        fold_record(agg, heads[i].rec);
-        heads[i].valid = streams[i](heads[i].rec);
-      }
-    }
-    if (!emit(agg)) return;
-  }
+  return cursor;
 }
 
 }  // namespace v6::hitlist

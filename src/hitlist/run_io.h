@@ -36,11 +36,23 @@
 // Every byte of the file is covered by a CRC32 (header, per block, index),
 // mirroring the corpus snapshot v2 contract: the hostile-input tests flip
 // and truncate every offset and expect a throw, never a wrong record.
+// Index bounds, checked before any block is read: blocks tile [header,
+// index) contiguously, first addresses strictly ascend, and each block
+// holds 1 <= record_count <= byte_length / 3 records (a record is at least
+// a tag, an address varint and first_seen), so a forged count cannot size
+// a decode buffer. Decoding then checks strict ascent: within a block the
+// non-zero deltas guarantee it, and each block's last record must sit
+// below the next block's first address.
+//
+// Reading is block-pull: RunReader::Cursor hands over one decoded block at
+// a time, and merge_record_blocks folds any number of such block streams
+// (plus in-memory arrays) into one ascending, duplicate-free stream.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "hitlist/corpus.h"
@@ -123,34 +135,47 @@ class RunReader {
   std::uint64_t observations() const noexcept { return observations_; }
   const std::vector<RunBlockInfo>& blocks() const noexcept { return index_; }
 
-  // Pull-style record stream. next() returns false at end of run.
+  // Pull-style stream over the run, one decoded block at a time. The
+  // cursor owns (and reuses) its byte and record buffers, so a spilled run
+  // streams with no allocation per block.
   class Cursor {
    public:
+    // Stores the next records in `out` (the rest of one decoded block) and
+    // returns true, or returns false at end of run. The span stays valid
+    // until the next call on this cursor.
+    bool next_block(std::span<const AddressRecord>& out);
+    // Per-record convenience over the same buffer; false at end of run.
     bool next(AddressRecord& out);
 
    private:
     friend class RunReader;
-    Cursor(const RunReader* reader, std::size_t block, std::size_t skip);
-    void load_block();
+    Cursor(const RunReader* reader, std::size_t block);
+    // Decodes the next block once the current one is handed out; false
+    // at end of run.
+    bool fill();
 
     const RunReader* reader_ = nullptr;
-    std::size_t block_ = 0;          // next block to load
-    std::size_t skip_ = 0;           // records to discard from that block
+    std::size_t block_ = 0;  // next block to load
+    std::vector<std::uint8_t> bytes_;
     std::vector<AddressRecord> decoded_;
-    std::size_t pos_ = 0;
+    std::size_t pos_ = 0;  // first record of decoded_ not yet handed out
   };
 
   // Cursor over the whole run, in ascending address order.
-  Cursor cursor() const { return Cursor(this, 0, 0); }
+  Cursor cursor() const { return Cursor(this, 0); }
 
   // Cursor positioned at the first record with address >= lo.
   Cursor cursor_at(const net::Ipv6Address& lo) const;
 
  private:
   friend class Cursor;
-  // Reads, CRC-checks, and delta-decodes block `b` (validating strict
-  // ascent, including against the previous block's bound).
-  std::vector<AddressRecord> read_block(std::size_t b) const;
+  // Reads, CRC-checks, and delta-decodes block `b` into `out`, reusing
+  // `bytes` as the read buffer. Validates strict ascent: within the block
+  // it follows from the non-zero deltas, and the block's last record must
+  // sit below the next block's first address (the index already orders
+  // first addresses).
+  void read_block(std::size_t b, std::vector<std::uint8_t>& bytes,
+                  std::vector<AddressRecord>& out) const;
 
   std::istream* in_;
   std::uint64_t records_ = 0;
@@ -158,19 +183,127 @@ class RunReader {
   std::vector<RunBlockInfo> index_;
 };
 
-// A pull stream of ascending, pre-aggregated records; returns false when
-// exhausted. The k-way merge consumes any mix of these (run cursors,
-// in-memory sorted spans), which is what the run-count-invariance
-// property tests exercise directly.
-using RecordStream = std::function<bool(AddressRecord&)>;
+// A pull stream of strictly ascending, pre-aggregated records, handed over
+// a span at a time: each call stores the next span in `out` and returns
+// true, or returns false once exhausted. A span may be empty; it stays
+// valid until the next call. A run cursor yields one decoded block per
+// call, an in-memory array (span_stream) itself as one span.
+using BlockStream = std::function<bool(std::span<const AddressRecord>&)>;
+
+// `records` as a one-span BlockStream. The array must outlive the stream.
+inline BlockStream span_stream(std::span<const AddressRecord> records) {
+  return [records, done = false](std::span<const AddressRecord>& out) mutable {
+    if (done) return false;
+    done = true;
+    out = records;
+    return true;
+  };
+}
+
+// `cursor` as a BlockStream. The cursor must outlive the stream.
+inline BlockStream cursor_stream(RunReader::Cursor& cursor) {
+  return [&cursor](std::span<const AddressRecord>& out) {
+    return cursor.next_block(out);
+  };
+}
 
 // K-way merge: emits the union of `streams` in ascending address order,
-// aggregating duplicates across streams (min first_seen, max last_seen,
-// sum count, OR vantage_mask — identical to Corpus::add_record, including
-// u32 wrap-on-sum for count). Each input stream must itself be strictly
-// ascending. Emission stops early when `emit` returns false.
-void merge_record_streams(
-    std::vector<RecordStream> streams,
-    const std::function<bool(const AddressRecord&)>& emit);
+// one record per address. Duplicates across streams fold with
+// fold_record (min first_seen, max last_seen, sum count with u32 wrap, OR
+// vantage_mask) — field-for-field Corpus::add_record, and commutative, so
+// the stream order does not matter. Each stream must itself be strictly
+// ascending. `emit(const AddressRecord&)` returns false to stop early;
+// the record is only valid during the call.
+//
+// Streams are pulled a span at a time (one type-erased call per block, not
+// per record), and each head caches its address as two u64 keys. A head
+// that is the unique minimum keeps emitting until it reaches the
+// runner-up's key, so one pass over the heads is paid per switch of
+// input, not per record.
+template <typename Emit>
+void merge_record_blocks(std::vector<BlockStream>& streams, Emit&& emit) {
+  struct Head {
+    std::uint64_t hi = 0;  // cached address of *pos
+    std::uint64_t lo = 0;
+    const AddressRecord* pos = nullptr;
+    const AddressRecord* end = nullptr;
+    BlockStream* stream = nullptr;
+
+    // Pulls spans until one is non-empty and caches its head's key;
+    // false once the stream is exhausted.
+    bool settle() {
+      while (pos == end) {
+        std::span<const AddressRecord> block;
+        if (!(*stream)(block)) return false;
+        pos = block.data();
+        end = pos + block.size();
+      }
+      hi = pos->address.hi64();
+      lo = pos->address.lo64();
+      return true;
+    }
+    bool before(const Head& other) const noexcept {
+      return hi < other.hi || (hi == other.hi && lo < other.lo);
+    }
+    bool same_key(const Head& other) const noexcept {
+      return hi == other.hi && lo == other.lo;
+    }
+  };
+
+  std::vector<Head> heads;
+  heads.reserve(streams.size());
+  for (BlockStream& stream : streams) {
+    Head head;
+    head.stream = &stream;
+    if (head.settle()) heads.push_back(head);
+  }
+  const auto drop = [&heads](std::size_t i) {
+    heads[i] = heads.back();
+    heads.pop_back();
+  };
+
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  while (!heads.empty()) {
+    // The minimum head and the runner-up (equal on a cross-stream tie).
+    std::size_t best = 0;
+    std::size_t second = kNone;
+    for (std::size_t i = 1; i < heads.size(); ++i) {
+      if (heads[i].before(heads[best])) {
+        second = best;
+        best = i;
+      } else if (second == kNone || heads[i].before(heads[second])) {
+        second = i;
+      }
+    }
+
+    if (second != kNone && heads[second].same_key(heads[best])) {
+      // The address is in several streams; each holds it at most once.
+      const Head key = heads[best];
+      AddressRecord agg = *key.pos;
+      for (std::size_t i = heads.size(); i-- > 0;) {
+        Head& head = heads[i];
+        if (!head.same_key(key)) continue;
+        if (i != best) fold_record(agg, *head.pos);
+        ++head.pos;
+        if (!head.settle()) drop(i);
+      }
+      if (!emit(agg)) return;
+      continue;
+    }
+
+    // A unique minimum: stream it until it reaches the runner-up's key.
+    Head& head = heads[best];
+    const Head* const bound = second == kNone ? nullptr : &heads[second];
+    for (;;) {
+      if (!emit(*head.pos)) return;
+      ++head.pos;
+      if (!head.settle()) {
+        drop(best);
+        break;
+      }
+      if (bound != nullptr && !head.before(*bound)) break;
+    }
+  }
+}
 
 }  // namespace v6::hitlist

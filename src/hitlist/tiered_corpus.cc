@@ -27,6 +27,28 @@ std::uint64_t next_directory_id() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+std::ifstream open_run_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) {
+    throw std::runtime_error("tiered corpus: cannot open run file: " + path);
+  }
+  return file;
+}
+
+// One run opened for a merge: its stream, validated header and index, and
+// a cursor. Heap-held by merge_runs, so the reader's and the cursor's
+// back-pointers stay put.
+struct OpenRun {
+  std::ifstream file;
+  RunReader reader;
+  RunReader::Cursor cursor;
+
+  OpenRun(const std::string& path, const net::Ipv6Address* lo)
+      : file(open_run_file(path)),
+        reader(file),
+        cursor(lo != nullptr ? reader.cursor_at(*lo) : reader.cursor()) {}
+};
+
 std::string zero_padded(std::uint64_t v) {
   std::string digits = std::to_string(v);
   if (digits.size() < 6) digits.insert(0, 6 - digits.size(), '0');
@@ -133,42 +155,20 @@ void TieredCorpus::spill(Corpus&& shard) {
   invalidate_caches();
 }
 
-std::vector<RecordStream> TieredCorpus::open_streams(
-    const net::Ipv6Address* lo,
-    std::vector<std::unique_ptr<std::ifstream>>& files,
-    std::vector<std::unique_ptr<RunReader>>& readers) const {
-  std::vector<RecordStream> streams;
-  streams.reserve(runs_.size());
+template <typename Emit>
+void TieredCorpus::merge_runs(const net::Ipv6Address* lo,
+                              std::span<const AddressRecord> extra,
+                              Emit&& emit) const {
+  std::vector<std::unique_ptr<OpenRun>> open;
+  std::vector<BlockStream> streams;
+  open.reserve(runs_.size());
+  streams.reserve(runs_.size() + 1);
   for (const Run& run : runs_) {
-    auto file = std::make_unique<std::ifstream>(run.path, std::ios::binary);
-    if (!*file) {
-      throw std::runtime_error("tiered corpus: cannot open run file: " +
-                               run.path);
-    }
-    auto reader = std::make_unique<RunReader>(*file);
-    auto cursor = (lo != nullptr) ? reader->cursor_at(*lo) : reader->cursor();
-    streams.push_back([cur = std::move(cursor)](AddressRecord& out) mutable {
-      return cur.next(out);
-    });
-    files.push_back(std::move(file));
-    readers.push_back(std::move(reader));
+    open.push_back(std::make_unique<OpenRun>(run.path, lo));
+    streams.push_back(cursor_stream(open.back()->cursor));
   }
-  return streams;
-}
-
-std::vector<RecordStream> TieredCorpus::streams_with(
-    std::span<const AddressRecord> extra,
-    std::vector<std::unique_ptr<std::ifstream>>& files,
-    std::vector<std::unique_ptr<RunReader>>& readers) const {
-  auto streams = open_streams(nullptr, files, readers);
-  if (!extra.empty()) {
-    streams.push_back([extra, i = std::size_t{0}](AddressRecord& out) mutable {
-      if (i >= extra.size()) return false;
-      out = extra[i++];
-      return true;
-    });
-  }
-  return streams;
+  if (!extra.empty()) streams.push_back(span_stream(extra));
+  merge_record_blocks(streams, emit);
 }
 
 void TieredCorpus::compact() {
@@ -186,15 +186,10 @@ void TieredCorpus::compact() {
                                path);
     }
     RunWriter writer(out, {.block_records = config_.block_records});
-    {
-      std::vector<std::unique_ptr<std::ifstream>> files;
-      std::vector<std::unique_ptr<RunReader>> readers;
-      merge_record_streams(open_streams(nullptr, files, readers),
-                           [&writer](const AddressRecord& rec) {
-                             writer.append(rec);
-                             return true;
-                           });
-    }
+    merge_runs(nullptr, {}, [&writer](const AddressRecord& rec) {
+      writer.append(rec);
+      return true;
+    });
     written = writer.finish();
     out.flush();
     if (!out) {
@@ -235,14 +230,11 @@ std::uint64_t TieredCorpus::merged_size() const {
 
 std::uint64_t TieredCorpus::merged_size_with(
     std::span<const AddressRecord> extra) const {
-  std::vector<std::unique_ptr<std::ifstream>> files;
-  std::vector<std::unique_ptr<RunReader>> readers;
   std::uint64_t unique = 0;
-  merge_record_streams(streams_with(extra, files, readers),
-                       [&unique](const AddressRecord&) {
-                         ++unique;
-                         return true;
-                       });
+  merge_runs(nullptr, extra, [&unique](const AddressRecord&) {
+    ++unique;
+    return true;
+  });
   return unique;
 }
 
@@ -254,13 +246,10 @@ std::uint64_t TieredCorpus::total_observations() const noexcept {
 
 void TieredCorpus::for_each_merged(
     const std::function<void(const AddressRecord&)>& fn) const {
-  std::vector<std::unique_ptr<std::ifstream>> files;
-  std::vector<std::unique_ptr<RunReader>> readers;
-  merge_record_streams(open_streams(nullptr, files, readers),
-                       [&fn](const AddressRecord& rec) {
-                         fn(rec);
-                         return true;
-                       });
+  merge_runs(nullptr, {}, [&fn](const AddressRecord& rec) {
+    fn(rec);
+    return true;
+  });
 }
 
 const std::vector<net::Ipv6Address>& TieredCorpus::segment_bounds() const {
@@ -278,39 +267,27 @@ const std::vector<net::Ipv6Address>& TieredCorpus::segment_bounds() const {
   return *bounds_cache_;
 }
 
-void TieredCorpus::scan_segments(
+void TieredCorpus::scan_segment_blocks(
     std::size_t begin, std::size_t end,
-    const std::function<void(const AddressRecord&)>& fn) const {
+    const std::function<void(std::span<const AddressRecord>)>& fn) const {
   const auto& bounds = segment_bounds();
   end = std::min(end, bounds.size());
   if (begin >= end) return;
   const net::Ipv6Address lo = bounds[begin];
   const bool bounded = end < bounds.size();
   const net::Ipv6Address hi = bounded ? bounds[end] : net::Ipv6Address{};
-  std::vector<std::unique_ptr<std::ifstream>> files;
-  std::vector<std::unique_ptr<RunReader>> readers;
-  merge_record_streams(open_streams(&lo, files, readers),
-                       [&](const AddressRecord& rec) {
-                         if (bounded && !(rec.address < hi)) return false;
-                         fn(rec);
-                         return true;
-                       });
-}
-
-void TieredCorpus::scan_segment_blocks(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::span<const AddressRecord>)>& fn) const {
-  // The k-way merge surfaces one aggregated record at a time; stage them
-  // in a scan-local buffer and hand off full blocks. Same stream, same
-  // order — only the callback granularity changes.
+  // The merge surfaces one aggregated record at a time; stage them in a
+  // scan-local buffer and hand off full blocks.
   std::vector<AddressRecord> buffer;
   buffer.reserve(kScanBlockRecords);
-  scan_segments(begin, end, [&](const AddressRecord& rec) {
+  merge_runs(&lo, {}, [&](const AddressRecord& rec) {
+    if (bounded && !(rec.address < hi)) return false;
     buffer.push_back(rec);
     if (buffer.size() == kScanBlockRecords) {
       fn(std::span<const AddressRecord>(buffer));
       buffer.clear();
     }
+    return true;
   });
   if (!buffer.empty()) fn(std::span<const AddressRecord>(buffer));
 }
@@ -319,15 +296,9 @@ std::optional<AddressRecord> TieredCorpus::find(
     const net::Ipv6Address& address) const {
   std::optional<AddressRecord> result;
   for (const Run& run : runs_) {
-    std::ifstream file(run.path, std::ios::binary);
-    if (!file) {
-      throw std::runtime_error("tiered corpus: cannot open run file: " +
-                               run.path);
-    }
-    RunReader reader(file);
-    auto cursor = reader.cursor_at(address);
+    OpenRun open(run.path, &address);
     AddressRecord rec;
-    if (!cursor.next(rec) || rec.address != address) continue;
+    if (!open.cursor.next(rec) || rec.address != address) continue;
     if (!result.has_value()) {
       result = rec;
     } else {
@@ -344,13 +315,10 @@ Corpus TieredCorpus::collapse(std::span<const AddressRecord> live) const {
   for (const Run& run : runs_) upper += static_cast<std::size_t>(run.records);
   std::vector<AddressRecord> records;
   records.reserve(upper);
-  std::vector<std::unique_ptr<std::ifstream>> files;
-  std::vector<std::unique_ptr<RunReader>> readers;
-  merge_record_streams(streams_with(live, files, readers),
-                       [&records](const AddressRecord& rec) {
-                         records.push_back(rec);
-                         return true;
-                       });
+  merge_runs(nullptr, live, [&records](const AddressRecord& rec) {
+    records.push_back(rec);
+    return true;
+  });
   return Corpus::from_canonical(std::move(records));
 }
 

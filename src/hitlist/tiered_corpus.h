@@ -4,10 +4,11 @@
 // in-memory table holds. This engine keeps collection's shard tables
 // in memory but, at the deterministic merge barriers the chunk loop
 // already runs, flushes their union as a sorted, delta-encoded run file
-// (run_io.h) and resets the tables. Analysis, snapshot export, and
-// compaction then see one ascending record stream via a k-way merge over
-// the runs that aggregates duplicates exactly like Corpus::add_record
-// (min first_seen, max last_seen, sum count, OR vantage_mask).
+// (run_io.h) and resets the tables. Analysis, snapshot export, epoch
+// collapse and compaction then all see one ascending record stream: one
+// block-pull k-way merge (merge_record_blocks) over the runs' cursors,
+// which aggregates duplicates exactly like Corpus::add_record (min
+// first_seen, max last_seen, sum count, OR vantage_mask).
 //
 // Determinism contract (the headline invariant, asserted by tests): for a
 // fixed spill budget and thread count the run files are bit-identical
@@ -18,9 +19,10 @@
 // ALL shards (thread-count-independent content), and the merge's
 // aggregation is field-for-field the in-memory fold.
 //
-// Concurrency: the read path (scan_segments, for_each_merged, contains)
-// is const and opens its own file streams, so ParallelScan workers may
-// call it concurrently — PROVIDED the lazy caches were warmed first:
+// Concurrency: the read path (scan_segment_blocks, for_each_merged,
+// contains) is const, and every call opens its own file streams and
+// cursors (whose decode buffers are call-local), so ParallelScan workers
+// may call it concurrently — PROVIDED the lazy caches were warmed first:
 // call segment_bounds() and merged_size() once from one thread (which is
 // what analysis::make_source does). Mutations (spill, compact) must be
 // externally serialized against everything else.
@@ -29,7 +31,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -110,23 +111,16 @@ class TieredCorpus {
   // unique block-start addresses across all runs. Segment i covers
   // addresses [bounds[i], bounds[i+1]) (the last one unbounded above);
   // bounds[0] is the global minimum record address, so concatenating
-  // scan_segments over [0, size) in order replays for_each_merged
+  // scan_segment_blocks over [0, size) in order replays for_each_merged
   // exactly.
   const std::vector<net::Ipv6Address>& segment_bounds() const;
 
   // Streams the merged records of segments [begin, end), in ascending
-  // address order. Thread-safe against concurrent scan_segments calls
-  // (each opens its own streams); see the caching caveat above.
-  void scan_segments(std::size_t begin, std::size_t end,
-                     const std::function<void(const AddressRecord&)>& fn)
-      const;
-
-  // Block form of scan_segments: the merged stream of segments
-  // [begin, end) arrives as contiguous spans of up to kScanBlockRecords
-  // records (the k-way merge emits one record at a time, so records are
-  // staged in a scan-local buffer — the span is only valid inside the
-  // callback). Concatenating the blocks replays scan_segments exactly;
-  // block boundaries carry no meaning.
+  // address order, as contiguous spans of up to kScanBlockRecords records
+  // (staged in a scan-local buffer: a span is only valid inside the
+  // callback). Block boundaries carry no meaning; only the concatenated
+  // stream is contractual. Thread-safe against concurrent calls (each
+  // opens its own streams and cursors); see the caching caveat above.
   static constexpr std::size_t kScanBlockRecords = 4096;
   void scan_segment_blocks(
       std::size_t begin, std::size_t end,
@@ -159,18 +153,13 @@ class TieredCorpus {
     std::vector<RunBlockInfo> blocks;
   };
 
-  // Ascending streams over every run, each starting at the first record
-  // >= lo (or the run's start). The ifstreams land in `files` so they
-  // outlive the returned cursors.
-  std::vector<RecordStream> open_streams(
-      const net::Ipv6Address* lo,
-      std::vector<std::unique_ptr<std::ifstream>>& files,
-      std::vector<std::unique_ptr<RunReader>>& readers) const;
-  // open_streams from the start, plus `extra` as one more stream.
-  std::vector<RecordStream> streams_with(
-      std::span<const AddressRecord> extra,
-      std::vector<std::unique_ptr<std::ifstream>>& files,
-      std::vector<std::unique_ptr<RunReader>>& readers) const;
+  // The one read path: opens every run — each from its first record
+  // >= *lo, or from its start when lo is null — plus `extra` (strictly
+  // ascending) as one more stream, and merges them into `emit` (see
+  // merge_record_blocks). Defined in the .cc, its only user.
+  template <typename Emit>
+  void merge_runs(const net::Ipv6Address* lo,
+                  std::span<const AddressRecord> extra, Emit&& emit) const;
   void invalidate_caches();
   void remove_run_files();
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "proto/buffer.h"
 #include "proto/checksum.h"
 #include "proto/icmpv6.h"
@@ -91,6 +96,52 @@ TEST(Checksum, PseudoHeaderVerifiesToZero) {
   const Icmpv6Message msg = make_echo_request(7, 9, {1, 2, 3, 4});
   const auto wire = encode_icmpv6(msg, src, dst);
   EXPECT_EQ(pseudo_header_checksum(src, dst, kProtoIcmpv6, wire), 0);
+}
+
+// Bit-at-a-time CRC-32 (IEEE, reflected 0xEDB88320): the definition the
+// table-driven crc32 must reproduce.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data,
+                            std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(check.data()),
+                   check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+  EXPECT_EQ(crc32({}, 0x12345678u), 0x12345678u);  // empty chain is a no-op
+}
+
+TEST(Crc32, ChainsAtEverySplitFromOddOffsets) {
+  // The sliced loop takes eight bytes at a time and finishes byte-wise,
+  // so every (start, length) mix of the two paths must agree with the
+  // bit-at-a-time definition, and chaining must compose at any split.
+  util::Rng rng(97);
+  std::vector<std::uint8_t> buffer(112);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.bounded(256));
+  const std::span<const std::uint8_t> all(buffer);
+  for (const std::size_t start : {1u, 3u, 5u, 7u}) {
+    const auto data = all.subspan(start, 100);
+    const std::uint32_t whole = crc32(data);
+    ASSERT_EQ(whole, crc32_bitwise(data, 0)) << "start " << start;
+    for (std::size_t split = 0; split <= data.size(); ++split) {
+      const auto a = data.first(split);
+      const auto b = data.subspan(split);
+      EXPECT_EQ(crc32(a), crc32_bitwise(a, 0))
+          << "start " << start << " length " << split;
+      EXPECT_EQ(crc32(b, crc32(a)), whole)
+          << "start " << start << " split " << split;
+    }
+  }
 }
 
 // ------------------------------------------------------------ IPv6 header

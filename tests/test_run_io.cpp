@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <vector>
 
 #include "hitlist/corpus.h"
+#include "proto/checksum.h"
 #include "util/rng.h"
 
 namespace v6::hitlist {
@@ -199,60 +203,260 @@ TEST(RunIo, DetectsTruncationAtEveryLength) {
   expect_same(read_run(bytes), records);  // the intact file still loads
 }
 
-// --- k-way merge properties ---------------------------------------------
+// --- forged files: valid CRCs, invalid content ----------------------------
 
-RecordStream stream_of(const std::vector<AddressRecord>& records) {
-  return [&records, i = std::size_t{0}](AddressRecord& out) mutable {
-    if (i >= records.size()) return false;
-    out = records[i++];
-    return true;
-  };
+// File layout offsets (see run_io.h): magic 8, records u64, observations
+// u64, index offset u64, header CRC u32; index = count u32, then 36-byte
+// entries (first address 16, offset u64, length u32, count u32, CRC u32),
+// then the index CRC u32.
+constexpr std::size_t kHeaderCrcAt = 32;
+constexpr std::size_t kHeaderBytes = 36;
+constexpr std::size_t kIndexEntryBytes = 36;
+
+std::uint64_t get_be(const std::string& bytes, std::size_t at,
+                     std::size_t width) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    v = (v << 8) | static_cast<std::uint8_t>(bytes[at + i]);
+  }
+  return v;
 }
 
-std::vector<AddressRecord> merge_all(
-    const std::vector<std::vector<AddressRecord>>& inputs) {
-  std::vector<RecordStream> streams;
-  streams.reserve(inputs.size());
-  for (const auto& in : inputs) streams.push_back(stream_of(in));
+void put_be(std::string& bytes, std::size_t at, std::size_t width,
+            std::uint64_t v) {
+  for (std::size_t i = width; i-- > 0;) {
+    bytes[at + i] = static_cast<char>(v & 0xff);
+    v >>= 8;
+  }
+}
+
+std::uint32_t crc_of(const std::string& bytes, std::size_t at,
+                     std::size_t length) {
+  return proto::crc32(
+      {reinterpret_cast<const std::uint8_t*>(bytes.data()) + at, length});
+}
+
+std::size_t index_at(const std::string& bytes) {
+  return static_cast<std::size_t>(get_be(bytes, 24, 8));
+}
+
+std::size_t entry_at(const std::string& bytes, std::size_t block) {
+  return index_at(bytes) + 4 + block * kIndexEntryBytes;
+}
+
+// Recomputes the header and index CRCs after a forgery.
+void reseal(std::string& bytes) {
+  put_be(bytes, kHeaderCrcAt, 4, crc_of(bytes, 8, 24));
+  const std::size_t index = index_at(bytes);
+  const std::size_t count = get_be(bytes, index, 4);
+  const std::size_t length = 4 + count * kIndexEntryBytes;
+  put_be(bytes, index + length, 4, crc_of(bytes, index, length));
+}
+
+TEST(RunIo, RejectsRecordCountPastBlockBytes) {
+  // A record takes at least 3 bytes, so an index entry claiming more
+  // records than byte_length / 3 is forged — rejected before any decode
+  // could size a buffer from it.
+  const auto records = random_records(40, 67);
+  const auto bytes = write_run(records, 8);
+  for (const std::uint32_t forged : {0x7fffffffu, 0u}) {
+    std::string bad = bytes;
+    const std::size_t entry = entry_at(bad, 0);
+    const std::uint64_t claimed = get_be(bad, entry + 28, 4);
+    put_be(bad, entry + 28, 4, forged);
+    // Keep the header total consistent with the forged entry.
+    put_be(bad, 8, 8, get_be(bad, 8, 8) - claimed + forged);
+    reseal(bad);
+    EXPECT_THROW(read_run(bad), std::runtime_error) << "count " << forged;
+  }
+  // The bound itself: exactly byte_length / 3 records is not rejected by
+  // the index check (the block decode then fails on its own).
+  {
+    std::string edge = bytes;
+    const std::size_t entry = entry_at(edge, 0);
+    const std::uint64_t claimed = get_be(edge, entry + 28, 4);
+    const std::uint64_t length = get_be(edge, entry + 24, 4);
+    put_be(edge, entry + 28, 4, length / 3);
+    put_be(edge, 8, 8, get_be(edge, 8, 8) - claimed + length / 3);
+    reseal(edge);
+    std::stringstream in(edge, std::ios::in | std::ios::binary);
+    EXPECT_NO_THROW(RunReader reader(in));
+  }
+}
+
+TEST(RunIo, RejectsBlocksThatOverlapTheNextBlock) {
+  // Blocks [(1,0), (1,5)] and [(1,8), (1,20)]. Forge block 0 as
+  // [(1,0), (1,10)] — same encoded length, a valid block CRC — so its
+  // last record passes the next block's first address. The index still
+  // orders the first addresses, so only the decode's cross-block check
+  // can catch it.
+  const std::vector<AddressRecord> records = {
+      rec(1, 0, 0, 0, 1, 1), rec(1, 5, 0, 0, 1, 1), rec(1, 8, 0, 0, 1, 1),
+      rec(1, 20, 0, 0, 1, 1)};
+  const auto bytes = write_run(records, 2);
+  for (const std::uint64_t last : {10u, 8u}) {
+    const auto donor =
+        write_run({rec(1, 0, 0, 0, 1, 1), rec(1, last, 0, 0, 1, 1)}, 2);
+    const std::size_t length = get_be(bytes, entry_at(bytes, 0) + 24, 4);
+    ASSERT_EQ(get_be(donor, entry_at(donor, 0) + 24, 4), length);
+    std::string bad = bytes;
+    bad.replace(kHeaderBytes, length, donor, kHeaderBytes, length);
+    put_be(bad, entry_at(bad, 0) + 32, 4, crc_of(bad, kHeaderBytes, length));
+    reseal(bad);
+    EXPECT_THROW(read_run(bad), std::runtime_error) << "last " << last;
+    // A merge over the forged run throws too, never emits.
+    std::stringstream in(bad, std::ios::in | std::ios::binary);
+    RunReader reader(in);
+    auto cursor = reader.cursor();
+    std::vector<BlockStream> streams;
+    streams.push_back(cursor_stream(cursor));
+    EXPECT_THROW(merge_record_blocks(
+                     streams, [](const AddressRecord&) { return true; }),
+                 std::runtime_error);
+    // The failed decode ended the cursor: no partial block leaks out.
+    AddressRecord r;
+    EXPECT_FALSE(cursor.next(r));
+  }
+}
+
+// --- k-way merge properties ---------------------------------------------
+
+std::vector<AddressRecord> merge_streams(std::vector<BlockStream> streams) {
   std::vector<AddressRecord> out;
-  merge_record_streams(std::move(streams), [&](const AddressRecord& r) {
+  merge_record_blocks(streams, [&](const AddressRecord& r) {
     out.push_back(r);
     return true;
   });
   return out;
 }
 
-TEST(RunIo, MergeAggregatesDuplicatesLikeCorpus) {
-  // Random records partitioned into K runs, with duplicates across runs:
-  // the merge must equal the Corpus fold of the same multiset.
-  util::Rng rng(47);
+std::vector<AddressRecord> merge_all(
+    const std::vector<std::vector<AddressRecord>>& inputs) {
+  std::vector<BlockStream> streams;
+  streams.reserve(inputs.size());
+  for (const auto& in : inputs) streams.push_back(span_stream(in));
+  return merge_streams(std::move(streams));
+}
+
+// `records` handed over in spans whose sizes cycle through `sizes` (0 is
+// an empty span in the middle of the stream).
+BlockStream ragged_stream(const std::vector<AddressRecord>& records,
+                          std::vector<std::size_t> sizes) {
+  return [&records, sizes = std::move(sizes), pos = std::size_t{0},
+          turn = std::size_t{0}](
+             std::span<const AddressRecord>& out) mutable {
+    if (pos >= records.size()) return false;
+    const std::size_t n =
+        std::min(sizes[turn++ % sizes.size()], records.size() - pos);
+    out = std::span<const AddressRecord>(records).subspan(pos, n);
+    pos += n;
+    return true;
+  };
+}
+
+// Random records partitioned into `k` canonical shards (duplicates across
+// shards), with the Corpus fold of the same multiset as the reference.
+struct Partition {
+  std::vector<std::vector<AddressRecord>> inputs;
+  std::vector<AddressRecord> want;
+};
+
+Partition partition(int k, int sightings, std::uint64_t seed) {
+  util::Rng rng(seed);
   Corpus reference(64);
-  std::vector<std::vector<Corpus>> partitions;
-  for (int k = 1; k <= 4; ++k) {
-    partitions.emplace_back();
-    for (int s = 0; s < k; ++s) partitions.back().emplace_back(16);
-  }
-  for (int i = 0; i < 5000; ++i) {
+  std::vector<Corpus> shards;
+  for (int s = 0; s < k; ++s) shards.emplace_back(16);
+  for (int i = 0; i < sightings; ++i) {
     const auto a = addr(rng.bounded(40), rng.bounded(40));
     const auto t = static_cast<util::SimTime>(rng.bounded(1 << 20));
     const auto v = static_cast<std::uint8_t>(rng.bounded(34));
     reference.add(a, t, v);
-    for (auto& shards : partitions) {
-      shards[rng.bounded(shards.size())].add(a, t, v);
-    }
+    shards[rng.bounded(shards.size())].add(a, t, v);
+  }
+  reference.canonicalize();
+  Partition p;
+  p.want = {reference.records().begin(), reference.records().end()};
+  for (auto& shard : shards) {
+    shard.canonicalize();
+    p.inputs.emplace_back(shard.records().begin(), shard.records().end());
+  }
+  return p;
+}
+
+TEST(RunIo, MergeAggregatesDuplicatesLikeCorpus) {
+  // Random records partitioned into K runs, with duplicates across runs:
+  // the merge must equal the Corpus fold of the same multiset.
+  for (int k = 1; k <= 4; ++k) {
+    const Partition p = partition(k, 5000, 47);
+    expect_same(merge_all(p.inputs), p.want);
+  }
+}
+
+TEST(RunIo, MergeIsBlockBoundaryOblivious) {
+  // The same inputs handed over in ragged spans — sizes 1, 2, 3 and 4096
+  // with empty spans in between, a different rhythm per stream — merge
+  // to the same output as whole arrays.
+  const Partition p = partition(4, 5000, 61);
+  const std::vector<std::vector<std::size_t>> rhythms = {
+      {1}, {2, 0, 3}, {0, 4096}, {3, 0, 0, 1, 2}};
+  std::vector<BlockStream> streams;
+  for (std::size_t i = 0; i < p.inputs.size(); ++i) {
+    streams.push_back(ragged_stream(p.inputs[i], rhythms[i]));
+  }
+  expect_same(merge_streams(std::move(streams)), p.want);
+}
+
+TEST(RunIo, MergeFoldsOneAddressInEveryStream) {
+  // Nine streams all holding the same address (among others of their
+  // own): every tie folds into one record, exactly like Corpus.
+  const auto shared = addr(5, 5);
+  Corpus reference(64);
+  std::vector<std::vector<AddressRecord>> inputs;
+  for (std::uint32_t s = 0; s < 9; ++s) {
+    Corpus shard(8);
+    shard.add(shared, 100 + 7 * s, static_cast<std::uint8_t>(s));
+    shard.add(shared, 900 - 11 * s, static_cast<std::uint8_t>(s + 9));
+    shard.add(addr(s, 1), s, static_cast<std::uint8_t>(s));
+    shard.add(addr(9 + s, 0), 3 * s, 0);
+    for (const auto& r : shard.records()) reference.add_record(r);
+    shard.canonicalize();
+    inputs.emplace_back(shard.records().begin(), shard.records().end());
   }
   reference.canonicalize();
   const std::vector<AddressRecord> want = {reference.records().begin(),
                                            reference.records().end()};
+  const auto merged = merge_all(inputs);
+  expect_same(merged, want);
+  const auto it = std::find_if(merged.begin(), merged.end(),
+                               [&](const AddressRecord& r) {
+                                 return r.address == shared;
+                               });
+  ASSERT_NE(it, merged.end());
+  EXPECT_EQ(it->count, 18u);
+  EXPECT_EQ(it->vantage_mask, (1u << 18) - 1);
+}
 
-  for (auto& shards : partitions) {
-    std::vector<std::vector<AddressRecord>> inputs;
-    for (auto& shard : shards) {
-      shard.canonicalize();
-      inputs.emplace_back(shard.records().begin(), shard.records().end());
-    }
-    expect_same(merge_all(inputs), want);
+TEST(RunIo, MergeContinuesPastAStreamThatEndsEarly) {
+  // One stream runs out mid-merge, between and after the others' records:
+  // the rest stream on unchanged.
+  const std::vector<AddressRecord> short_run = {rec(1, 0, 0, 0, 1, 1),
+                                                rec(3, 0, 0, 0, 1, 2)};
+  const std::vector<AddressRecord> long_run = {
+      rec(2, 0, 0, 0, 1, 4), rec(3, 0, 5, 5, 1, 4), rec(4, 0, 0, 0, 1, 4),
+      rec(5, 0, 0, 0, 1, 4), rec(6, 0, 0, 0, 1, 4)};
+  const std::vector<AddressRecord> empty_run;
+  std::vector<BlockStream> streams;
+  streams.push_back(span_stream(long_run));
+  streams.push_back(span_stream(empty_run));
+  streams.push_back(ragged_stream(short_run, {1, 0}));
+  const auto merged = merge_streams(std::move(streams));
+  ASSERT_EQ(merged.size(), 6u);
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    EXPECT_EQ(merged[i].address, addr(i + 1, 0)) << "record " << i;
   }
+  EXPECT_EQ(merged[2].vantage_mask, 6u);  // the one shared address
+  EXPECT_EQ(merged[2].last_seen, 5u);
+  EXPECT_EQ(merged[2].count, 2u);
 }
 
 TEST(RunIo, MergeCountSumWrapsLikeCorpus) {
@@ -274,13 +478,17 @@ TEST(RunIo, MergeCountSumWrapsLikeCorpus) {
 TEST(RunIo, MergeStopsWhenEmitReturnsFalse) {
   const std::vector<AddressRecord> input = {
       rec(1, 0, 0, 0, 1, 1), rec(2, 0, 0, 0, 1, 1), rec(3, 0, 0, 0, 1, 1)};
-  std::vector<RecordStream> streams;
-  streams.push_back(stream_of(input));
-  std::size_t emitted = 0;
-  merge_record_streams(std::move(streams), [&](const AddressRecord&) {
-    return ++emitted < 2;
-  });
-  EXPECT_EQ(emitted, 2u);
+  const std::vector<AddressRecord> other = {rec(2, 0, 0, 0, 1, 2)};
+  for (const bool tie : {false, true}) {
+    std::vector<BlockStream> streams;
+    streams.push_back(span_stream(input));
+    if (tie) streams.push_back(span_stream(other));
+    std::size_t emitted = 0;
+    merge_record_blocks(streams, [&](const AddressRecord&) {
+      return ++emitted < 2;
+    });
+    EXPECT_EQ(emitted, 2u) << "tie " << tie;
+  }
 }
 
 TEST(RunIo, MergeOverRunFilesMatchesInMemoryStreams) {
@@ -294,23 +502,17 @@ TEST(RunIo, MergeOverRunFilesMatchesInMemoryStreams) {
   for (const auto& in : inputs) files.push_back(write_run(in, 8));
   std::vector<std::stringstream> streams_storage;
   std::vector<std::unique_ptr<RunReader>> readers;
-  std::vector<RecordStream> streams;
+  std::vector<RunReader::Cursor> cursors;
   for (const auto& bytes : files) {
     streams_storage.emplace_back(bytes, std::ios::in | std::ios::binary);
   }
   for (auto& s : streams_storage) {
     readers.push_back(std::make_unique<RunReader>(s));
-    streams.push_back(
-        [cursor = readers.back()->cursor()](AddressRecord& out) mutable {
-          return cursor.next(out);
-        });
+    cursors.push_back(readers.back()->cursor());
   }
-  std::vector<AddressRecord> merged;
-  merge_record_streams(std::move(streams), [&](const AddressRecord& r) {
-    merged.push_back(r);
-    return true;
-  });
-  expect_same(merged, records);
+  std::vector<BlockStream> streams;
+  for (auto& cursor : cursors) streams.push_back(cursor_stream(cursor));
+  expect_same(merge_streams(std::move(streams)), records);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -217,10 +218,13 @@ TEST(TieredCorpus, ScanSegmentsConcatenationReplaysMergedStream) {
     std::vector<AddressRecord> got;
     const std::size_t per = bounds.size() / pieces + 1;
     for (std::size_t begin = 0; begin < bounds.size(); begin += per) {
-      runs->scan_segments(begin, std::min(begin + per, bounds.size()),
-                         [&](const AddressRecord& rec) {
-                           got.push_back(rec);
-                         });
+      runs->scan_segment_blocks(
+          begin, std::min(begin + per, bounds.size()),
+          [&](std::span<const AddressRecord> block) {
+            EXPECT_FALSE(block.empty());
+            EXPECT_LE(block.size(), TieredCorpus::kScanBlockRecords);
+            got.insert(got.end(), block.begin(), block.end());
+          });
     }
     ASSERT_EQ(got.size(), want.size()) << pieces << " pieces";
     for (std::size_t i = 0; i < want.size(); ++i) {
