@@ -255,33 +255,30 @@ void reseal(std::string& bytes) {
 
 TEST(RunIo, RejectsRecordCountPastBlockBytes) {
   // A record takes at least 3 bytes, so an index entry claiming more
-  // records than byte_length / 3 is forged — rejected before any decode
-  // could size a buffer from it.
-  const auto records = random_records(40, 67);
-  const auto bytes = write_run(records, 8);
-  for (const std::uint32_t forged : {0x7fffffffu, 0u}) {
-    std::string bad = bytes;
-    const std::size_t entry = entry_at(bad, 0);
-    const std::uint64_t claimed = get_be(bad, entry + 28, 4);
-    put_be(bad, entry + 28, 4, forged);
-    // Keep the header total consistent with the forged entry.
-    put_be(bad, 8, 8, get_be(bad, 8, 8) - claimed + forged);
-    reseal(bad);
-    EXPECT_THROW(read_run(bad), std::runtime_error) << "count " << forged;
+  // records than byte_length / 3 is forged — rejected when the reader is
+  // constructed, before any decode could size a buffer from it.
+  const auto bytes = write_run(random_records(40, 67), 8);
+  const std::size_t entry = entry_at(bytes, 0);
+  const std::uint64_t claimed = get_be(bytes, entry + 28, 4);
+  const std::uint64_t length = get_be(bytes, entry + 24, 4);
+  // Block 0 claiming `count` records, the header total kept consistent.
+  const auto forge = [&](std::uint64_t count) {
+    std::string forged = bytes;
+    put_be(forged, entry + 28, 4, count);
+    put_be(forged, 8, 8, get_be(forged, 8, 8) - claimed + count);
+    reseal(forged);
+    return forged;
+  };
+  for (const std::uint64_t count : {std::uint64_t{0x7fffffff},
+                                    length / 3 + 1, std::uint64_t{0}}) {
+    std::stringstream in(forge(count), std::ios::in | std::ios::binary);
+    EXPECT_THROW(RunReader reader(in), std::runtime_error) << count;
   }
-  // The bound itself: exactly byte_length / 3 records is not rejected by
-  // the index check (the block decode then fails on its own).
-  {
-    std::string edge = bytes;
-    const std::size_t entry = entry_at(edge, 0);
-    const std::uint64_t claimed = get_be(edge, entry + 28, 4);
-    const std::uint64_t length = get_be(edge, entry + 24, 4);
-    put_be(edge, entry + 28, 4, length / 3);
-    put_be(edge, 8, 8, get_be(edge, 8, 8) - claimed + length / 3);
-    reseal(edge);
-    std::stringstream in(edge, std::ios::in | std::ios::binary);
-    EXPECT_NO_THROW(RunReader reader(in));
-  }
+  // Exactly byte_length / 3 passes the index check; the decode rejects it.
+  const std::string edge = forge(length / 3);
+  std::stringstream in(edge, std::ios::in | std::ios::binary);
+  EXPECT_NO_THROW(RunReader reader(in));
+  EXPECT_THROW(read_run(edge), std::runtime_error);
 }
 
 TEST(RunIo, RejectsBlocksThatOverlapTheNextBlock) {
