@@ -124,9 +124,9 @@ int main() {
   // are incompressible, so the honest floor is ~1 (tag) + ~8 (IID) +
   // ~4 (first_seen) bytes; report the fraction so the JSON records why.
   std::uint64_t full_entropy = 0;
-  reference.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : reference.records()) {
     if (rec.address.lo64() >= (std::uint64_t{1} << 56)) ++full_entropy;
-  });
+  }
   const double full_entropy_share =
       reference.size() > 0 ? static_cast<double>(full_entropy) /
                                  static_cast<double>(reference.size())

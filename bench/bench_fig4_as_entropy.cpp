@@ -11,7 +11,9 @@ int main() {
   bench::print_banner("Figure 4: per-AS entropy profiles", config);
 
   core::Study study(config);
-  bench::timed("passive NTP collection", [&] { study.collect(); });
+  bench::timed("passive NTP collection", [&] {
+    study.run({.campaigns = false, .backscan = false, .analysis = false});
+  });
   const auto& r = study.results();
 
   const auto full_window = study.config().world.study_duration;

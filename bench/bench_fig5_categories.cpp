@@ -11,8 +11,12 @@ int main() {
   bench::print_banner("Figure 5: address categories (single day)", config);
 
   core::Study study(config);
-  bench::timed("passive NTP collection", [&] { study.collect(); });
-  bench::timed("active campaigns", [&] { study.run_campaigns(); });
+  bench::timed("passive NTP collection", [&] {
+    study.run({.campaigns = false, .backscan = false, .analysis = false});
+  });
+  bench::timed("active campaigns", [&] {
+    study.run({.collect = false, .backscan = false, .analysis = false});
+  });
   const auto& r = study.results();
 
   // The paper compares 1 July (study day ~157): one NTP day against the

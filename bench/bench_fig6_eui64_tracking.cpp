@@ -13,7 +13,9 @@ int main() {
   bench::print_banner("Figure 6 / §5.2: EUI-64 tracking", config);
 
   core::Study study(config);
-  bench::timed("passive NTP collection", [&] { study.collect(); });
+  bench::timed("passive NTP collection", [&] {
+    study.run({.campaigns = false, .backscan = false, .analysis = false});
+  });
   const auto& r = study.results();
 
   analysis::Eui64Tracker tracker(r.ntp, study.world());

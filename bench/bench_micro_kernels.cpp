@@ -12,7 +12,6 @@
 #include "net/eui64.h"
 #include "netsim/pool_dns.h"
 #include "proto/checksum.h"
-#include "proto/icmpv6.h"
 #include "proto/ntp_packet.h"
 #include "sim/feistel.h"
 #include "sim/world.h"
@@ -92,17 +91,6 @@ void BM_InternetChecksum1k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InternetChecksum1k);
-
-void BM_Icmpv6EncodeDecode(benchmark::State& state) {
-  const auto src = net::Ipv6Address::from_u64(1, 2);
-  const auto dst = net::Ipv6Address::from_u64(3, 4);
-  const auto msg = proto::make_echo_request(7, 9);
-  for (auto _ : state) {
-    const auto wire = proto::encode_icmpv6(msg, src, dst);
-    benchmark::DoNotOptimize(proto::decode_icmpv6(wire, src, dst));
-  }
-}
-BENCHMARK(BM_Icmpv6EncodeDecode);
 
 void BM_NtpPacketEncodeDecode(benchmark::State& state) {
   const auto packet = proto::make_client_request(1000, 0xfeed);

@@ -29,9 +29,9 @@ std::vector<net::Ipv6Address> sample_addresses(const hitlist::Corpus& corpus,
                           : static_cast<double>(cap) /
                                 static_cast<double>(corpus.size());
   util::Rng rng(seed);
-  corpus.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : corpus.records()) {
     if (rng.chance(keep)) out.push_back(rec.address);
-  });
+  }
   return out;
 }
 
@@ -43,8 +43,12 @@ int main() {
   bench::print_banner("TGA bias: who you train on is what you find", config);
 
   core::Study study(config);
-  bench::timed("passive NTP collection", [&] { study.collect(); });
-  bench::timed("active campaigns", [&] { study.run_campaigns(); });
+  bench::timed("passive NTP collection", [&] {
+    study.run({.campaigns = false, .backscan = false, .analysis = false});
+  });
+  bench::timed("active campaigns", [&] {
+    study.run({.collect = false, .backscan = false, .analysis = false});
+  });
   const auto& r = study.results();
 
   struct TrainingSet {

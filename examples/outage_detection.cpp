@@ -27,7 +27,7 @@ int main() {
   analysis::OutageMonitor monitor(study.world());
 
   // Wire the monitor into collection by rerunning the collector with a
-  // hook (Study::collect has no hook; use the collector directly).
+  // hook (the study's collect stage takes none; use the collector directly).
   netsim::PoolDns dns(study.world(), 0.25, 1.0);
   hitlist::PassiveCollector collector(study.world(), study.plane(), dns,
                                       config.collector);

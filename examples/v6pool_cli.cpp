@@ -858,9 +858,9 @@ int cmd_obs_report(int argc, char** argv) {
     ntp = &collapsed;
   }
   std::vector<net::Ipv6Address> targets;
-  ntp->for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : ntp->records()) {
     if (targets.size() < query_count) targets.push_back(rec.address);
-  });
+  }
   for (const net::Ipv6Address& a : targets) {
     (void)service.point(a);
     (void)service.slash48_density(a);

@@ -36,10 +36,10 @@ Eui64Tracker::Eui64Tracker(const hitlist::Corpus& corpus,
   };
   std::unordered_map<net::MacAddress, Raw> by_mac;
 
-  corpus.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : corpus.records()) {
     ++corpus_addresses_;
     const auto mac = net::mac_from_eui64(rec.address);
-    if (!mac) return;
+    if (!mac) continue;
     ++eui64_addresses_;
     Raw& raw = by_mac[*mac];
     TimelinePoint point;
@@ -52,7 +52,7 @@ Eui64Tracker::Eui64Tracker(const hitlist::Corpus& corpus,
     raw.points.push_back(point);
     raw.first = std::min(raw.first, rec.first_seen);
     raw.last = std::max(raw.last, rec.last_seen);
-  });
+  }
 
   tracks_.reserve(by_mac.size());
   ranges_.reserve(by_mac.size());

@@ -13,7 +13,7 @@
 //     shard-index order — NEVER completion order — so floating-point
 //     accumulation sees one fixed association for a given thread count,
 //     and concatenation-style states (sample vectors) reproduce the
-//     serial for_each() sequence exactly.
+//     serial records() sequence exactly.
 //
 // Determinism contract: a kernel whose merge() makes shard-order
 // concatenation equal to the serial visit sequence (or whose aggregates

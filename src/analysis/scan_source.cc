@@ -16,7 +16,6 @@ ScanSource make_source(const hitlist::TieredCorpus& runs) {
   };
   // No `contains`: a point probe costs a block decode per run. Callers
   // invert the membership scan instead (see summarize_dataset).
-  src.finalize();
   return src;
 }
 

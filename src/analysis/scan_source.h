@@ -10,8 +10,7 @@
 // contiguous std::span<const AddressRecord> slices whose concatenation is
 // the ascending record stream, so analyses hand whole blocks to the batch
 // kernels (kernels/batch.h) instead of paying a type-erased callback per
-// record. The per-record visit() remains as a thin adapter over it for
-// out-of-tree callers.
+// record.
 //
 // The bit-identity contract carries over: concatenating visit_blocks()
 // over an ascending partition of [0, span) yields the records in
@@ -38,7 +37,6 @@ class TieredCorpus;
 namespace v6::analysis {
 
 struct ScanSource {
-  using RecordFn = std::function<void(const hitlist::AddressRecord&)>;
   using BlockFn = std::function<void(std::span<const hitlist::AddressRecord>)>;
 
   // Sharding domain: ParallelScan partitions [0, span) into contiguous
@@ -46,31 +44,15 @@ struct ScanSource {
   std::size_t span = 0;
   // Unique records a full visit sees (metrics / sizing, not control flow).
   std::uint64_t records = 0;
-  // PRIMARY contract: streams the records of domain sub-range [begin, end)
-  // as contiguous blocks, in order. Must be safe to call concurrently on
-  // disjoint ranges. Spans are only valid for the duration of the
-  // callback.
+  // Streams the records of domain sub-range [begin, end) as contiguous
+  // blocks, in order. Must be safe to call concurrently on disjoint
+  // ranges. Spans are only valid for the duration of the callback.
   std::function<void(std::size_t, std::size_t, const BlockFn&)> visit_blocks;
-  // deprecated: block API — per-record adapter kept so existing callers
-  // compile; new code consumes visit_blocks. Populated by finalize().
-  std::function<void(std::size_t, std::size_t, const RecordFn&)> visit;
   // Optional membership probe. Null when point lookups are prohibitive
   // (the tiered engine pays a block decode per probe) — callers needing
   // membership against such a source invert the scan instead (see
   // summarize_dataset).
   std::function<bool(const net::Ipv6Address&)> contains;
-
-  // Derives the per-record adapter from visit_blocks. Factories call this
-  // once visit_blocks is set; hand-rolled sources that only define
-  // visit_blocks can too.
-  void finalize() {
-    visit = [vb = visit_blocks](std::size_t begin, std::size_t end,
-                                const RecordFn& fn) {
-      vb(begin, end, [&fn](std::span<const hitlist::AddressRecord> block) {
-        for (const auto& rec : block) fn(rec);
-      });
-    };
-  }
 };
 
 // In-memory source. The corpus must outlive the source and stay
@@ -87,7 +69,6 @@ inline ScanSource make_source(const hitlist::Corpus& corpus) {
   src.contains = [&corpus](const net::Ipv6Address& address) {
     return corpus.find(address) != nullptr;
   };
-  src.finalize();
   return src;
 }
 

@@ -255,16 +255,16 @@ void Study::do_backscan() {
       ++check.aliased_new;
     }
   }
-  results_.backscan_week.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : results_.backscan_week.records()) {
     if (ours.contains(net::slash64_of(rec.address))) {
       ++check.ntp_clients_in_aliased;
     }
-  });
-  results_.hitlist.corpus.for_each([&](const hitlist::AddressRecord& rec) {
+  }
+  for (const auto& rec : results_.hitlist.corpus.records()) {
     if (ours.contains(net::slash64_of(rec.address))) {
       ++check.hitlist_addresses_in_aliased;
     }
-  });
+  }
   results_.alias_check = check;
 }
 
@@ -347,7 +347,7 @@ std::vector<std::pair<geo::CountryCode, std::uint64_t>> Study::country_mix()
   if (results_.ntp_runs != nullptr) {
     results_.ntp_runs->for_each_merged(tally);
   } else {
-    results_.ntp.for_each(tally);
+    for (const auto& rec : results_.ntp.records()) tally(rec);
   }
   std::vector<std::pair<geo::CountryCode, std::uint64_t>> out(counts.begin(),
                                                               counts.end());
@@ -455,19 +455,6 @@ const StudyResults& Study::run(RunOptions options) {
   results_.metrics = metrics_->snapshot();
   return results_;
 }
-
-void Study::collect(const hitlist::CheckpointSink& sink) { do_collect(sink); }
-
-void Study::resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
-                           const hitlist::CheckpointSink& sink) {
-  do_resume_collect(std::move(checkpoint), sink);
-}
-
-void Study::run_campaigns() { do_campaigns(); }
-
-void Study::run_backscan() { do_backscan(); }
-
-void Study::run_analysis() { do_analysis(); }
 
 Study Study::run(const StudyConfig& config) {
   Study study(config);

@@ -6,9 +6,9 @@
 //
 // run() takes a RunOptions to toggle stages, resume stage 1 from a
 // checkpoint, or receive checkpoint snapshots — one entry point, one
-// result. Stages are idempotent: a second run() re-runs nothing. The
-// legacy per-stage methods (collect / resume_collect / run_campaigns /
-// run_backscan / run_analysis) survive as thin shims.
+// result. Stages are idempotent: a second run() re-runs nothing, so a
+// caller can drive the stages one run() at a time, e.g.
+// run({.campaigns = false, .backscan = false, .analysis = false}).
 //
 // Observability: every Study owns an obs::Registry. All layers (data
 // plane, pool DNS, collector, scanners, analysis engine) report into it,
@@ -143,17 +143,16 @@ struct StudyResults {
   std::uint64_t polls_attempted = 0;
   std::uint64_t polls_answered = 0;
   // Per-vantage degradation under the fault plan (indexed by vantage id;
-  // empty until collect()). The study reports how much each vantage lost
+  // empty until stage 1 runs). The study reports how much each vantage lost
   // instead of aborting on churn.
   std::vector<hitlist::VantageHealthStats> vantage_health;
-  // Stage 4 (empty until run_analysis()).
+  // Stage 4 (empty until the analysis stage runs).
   AnalysisReport analysis;
   // Distributed-collection report (set only when RunOptions::distributed
   // drove stage 1): lease/recovery counters and the V6DIST02 frame log.
   std::optional<dist::DistReport> dist;
   // Folded view of the study's metrics registry plus its trace spans,
-  // captured when run() finishes (empty when driven via the legacy
-  // per-stage shims without a final run()).
+  // captured when each run() finishes.
   obs::Snapshot metrics;
   // Sim-time series of WindowRecords (empty unless RunOptions::
   // sample_interval > 0): one window per sampling boundary inside the
@@ -164,18 +163,25 @@ struct StudyResults {
 };
 
 // Stage selection and stage-1 plumbing for Study::run(). The defaults run
-// the whole pipeline.
+// the whole pipeline. Every member has a default initializer, so a caller
+// names only what it changes: run({.campaigns = false}).
 struct RunOptions {
+  // Stage 1: passive NTP collection over the study window.
   bool collect = true;
+  // Stage 2: the Hitlist and CAIDA active comparison campaigns.
   bool campaigns = true;
+  // Stage 3: the backscan week (collects clients in its own window, probes
+  // them back, cross-checks aliases against the Hitlist campaign).
   bool backscan = true;
+  // Stage 4: the corpus analyses behind Table 1 and Figs 1, 2, 4, 5. The
+  // Table 1 campaign columns are filled only if stage 2 ran first.
   bool analysis = true;
   // Stage-1 checkpointing: combined with collector.checkpoint_interval,
   // receives periodic crash-recovery snapshots.
-  hitlist::CheckpointSink checkpoint_sink;
+  hitlist::CheckpointSink checkpoint_sink = {};
   // Resume stage 1 from a checkpoint written by a previous (crashed) run
   // with the same configuration; bit-identical to an uninterrupted run.
-  std::optional<hitlist::CollectionCheckpoint> resume_from;
+  std::optional<hitlist::CollectionCheckpoint> resume_from = {};
   // Sim-time spacing of timeline sampling windows; 0 disables sampling.
   // Samples are taken only at deterministic merge barriers (collector
   // grid boundaries, stage transitions, campaign snapshots, analysis
@@ -191,7 +197,7 @@ struct RunOptions {
   // with spill (each range's corpus spills as one run) and resume_from
   // (every range replays to the checkpoint, then records); incompatible
   // with checkpoint_sink and collector.wire_fidelity (std::invalid_argument).
-  std::optional<dist::DistConfig> distributed;
+  std::optional<dist::DistConfig> distributed = {};
   // Hitlist-as-a-service: with serve.enabled, stage 1 publishes epoch
   // snapshots into Study::query_service() — interior epochs every
   // serve.epoch_interval sim-seconds at collection merge barriers
@@ -202,7 +208,7 @@ struct RunOptions {
   // reader/ingest thread count. Call query_service() once before
   // spawning run() on a background thread (lazy construction is not
   // thread-safe).
-  serve::ServeConfig serve;
+  serve::ServeConfig serve = {};
 };
 
 class Study {
@@ -224,8 +230,8 @@ class Study {
   // Runs the selected stages in pipeline order (collect -> campaigns ->
   // backscan -> analysis), wraps each in a sim-time trace span, and
   // snapshots the metrics registry into the returned results. Stages
-  // already run (by a previous run() or a legacy shim) are skipped, so
-  // repeated calls are cheap and safe.
+  // already run by a previous run() are skipped, so repeated calls are
+  // cheap and safe.
   const StudyResults& run(RunOptions options = {});
 
   // The study's metrics registry. Always present; layers report into it
@@ -238,24 +244,6 @@ class Study {
   // study to a background ingest thread; after that, the service itself
   // is safe to query from any number of reader threads.
   serve::QueryService& query_service();
-
-  // --- Legacy per-stage API (thin shims over run()) ---------------------
-  // Deprecated: prefer run(RunOptions). Kept so existing callers compile.
-
-  // Stage 1: passive NTP collection over the study window.
-  void collect(const hitlist::CheckpointSink& sink = {});
-  // Stage 1, resumed from a checkpoint of a previous (crashed) run.
-  void resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
-                      const hitlist::CheckpointSink& sink = {});
-  // Stage 2: the two active comparison campaigns.
-  void run_campaigns();
-  // Stage 3: backscan week (collects clients in its own window, probes
-  // them back, cross-checks aliases against the Hitlist campaign).
-  void run_backscan();
-  // Stage 4: the corpus analyses behind Table 1 and Figs 1, 2, 4, 5,
-  // sharded per config.analysis.threads. Requires collect(); the Table 1
-  // campaign columns are filled only if run_campaigns() ran first.
-  void run_analysis();
 
   const StudyResults& results() const noexcept { return results_; }
   StudyResults& mutable_results() noexcept { return results_; }

@@ -313,9 +313,9 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
   // aggregate. The published responsive list never contains such
   // artifacts (the real Hitlist re-filters every snapshot the same way).
   Corpus filtered(result.corpus.size());
-  result.corpus.for_each([&](const AddressRecord& rec) {
+  for (const auto& rec : result.corpus.records()) {
     if (!in_aliased(rec.address)) filtered.add_record(rec);
-  });
+  }
   result.corpus = std::move(filtered);
   return result;
 }

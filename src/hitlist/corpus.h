@@ -107,7 +107,7 @@ class Corpus {
 
   // Re-sorts the record array into ascending address order (and rebuilds
   // the index). Records land in records() in first-insertion order, so
-  // the raw layout — and with it for_each() order and save_corpus()
+  // the raw layout — and with it records() order and save_corpus()
   // bytes — depends on the order sightings arrived. Canonicalizing makes
   // the layout a pure function of the stored content; collection calls
   // this at its final merge barrier so chunk grids (checkpoints, timeline
@@ -133,25 +133,17 @@ class Corpus {
   }
 
   // Hands the whole record array to `fn` as one contiguous block, in
-  // insertion order (ascending address order after canonicalize()). The
-  // block form of for_each(): callers feed the span straight into the
-  // batch kernels.
+  // insertion order (ascending address order after canonicalize()), so
+  // callers feed the span straight into the batch kernels.
   template <typename Fn>
   void for_each_block(Fn&& fn) const {
     fn(std::span<const AddressRecord>(records_));
   }
 
-  // deprecated: block API — iterate via for_each_block() and the batch
-  // kernels instead; kept so out-of-tree per-record callers compile.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& rec : records_) fn(rec);
-  }
-
   // Sharded iteration domain for analysis::ParallelScan: the number of
   // stored records. Partitioning [0, slot_span()) into contiguous ranges
   // and concatenating for_each_block_in_slot_range() over them in
-  // ascending order visits records in exactly for_each() order — the
+  // ascending order visits records in exactly records() order — the
   // invariant the parallel analyses' determinism rests on.
   std::size_t slot_span() const noexcept { return records_.size(); }
 
@@ -164,15 +156,6 @@ class Corpus {
     end = std::min(end, records_.size());
     if (begin >= end) return;
     fn(std::span<const AddressRecord>(records_.data() + begin, end - begin));
-  }
-
-  // deprecated: block API — use for_each_block_in_slot_range(); kept so
-  // out-of-tree per-record callers compile.
-  template <typename Fn>
-  void for_each_in_slot_range(std::size_t begin, std::size_t end,
-                              Fn&& fn) const {
-    end = std::min(end, records_.size());
-    for (std::size_t i = begin; i < end; ++i) fn(records_[i]);
   }
 
   // Smallest power-of-two index capacity keeping `expected` records at or

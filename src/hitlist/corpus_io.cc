@@ -154,8 +154,7 @@ std::size_t CorpusSnapshotWriter::finish() {
 std::size_t save_corpus(std::ostream& out, const Corpus& corpus) {
   CorpusSnapshotWriter writer(out, corpus.size(),
                               corpus.total_observations());
-  corpus.for_each(
-      [&writer](const AddressRecord& rec) { writer.append(rec); });
+  for (const auto& rec : corpus.records()) writer.append(rec);
   return writer.finish();
 }
 

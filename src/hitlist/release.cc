@@ -13,9 +13,9 @@ namespace v6::hitlist {
 
 std::vector<ReleaseEntry> aggregate_to_slash48(const Corpus& corpus) {
   std::unordered_map<net::Ipv6Prefix, std::uint64_t> counts;
-  corpus.for_each([&counts](const AddressRecord& rec) {
+  for (const auto& rec : corpus.records()) {
     ++counts[net::slash48_of(rec.address)];
-  });
+  }
   std::vector<ReleaseEntry> rows;
   rows.reserve(counts.size());
   for (const auto& [prefix, count] : counts) rows.push_back({prefix, count});

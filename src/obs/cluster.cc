@@ -1,13 +1,13 @@
 #include "obs/cluster.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
 #include <utility>
 
 #include "obs/exposition.h"
+#include "obs/json.h"
 #include "obs/trace_export.h"
 
 namespace v6::obs {
@@ -64,62 +64,20 @@ void sort_samples(std::vector<MetricSample>& samples) {
             });
 }
 
-bool is_json_ws(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\n';
-}
-
-std::size_t skip_json_ws(std::string_view text, std::size_t at) {
-  while (at < text.size() && is_json_ws(text[at])) ++at;
-  return at;
-}
-
-// One past the end of the JSON value starting at text[at]. The text has
-// passed lint_json, so only strings and nesting need tracking.
-std::size_t json_value_end(std::string_view text, std::size_t at) {
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = at; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-        if (depth == 0) return i + 1;
+// The first p50_us/p90_us/p99_us member at any depth of `value` whose
+// value is not a JSON number or null.
+std::optional<std::string_view> non_numeric_percentile(const JsonValue& value) {
+  for (std::size_t i = 0; i < value.items.size(); ++i) {
+    const JsonValue& item = value.items[i];
+    if (i < value.keys.size()) {
+      const std::string_view key = value.keys[i];
+      if ((key == "p50_us" || key == "p90_us" || key == "p99_us") &&
+          item.kind != JsonValue::Kind::kNumber &&
+          item.kind != JsonValue::Kind::kNull) {
+        return key;
       }
-      continue;
     }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      if (depth == 0) return i;  // a scalar closed by its container
-      if (--depth == 0) return i + 1;
-    } else if (depth == 0 && (c == ',' || is_json_ws(c))) {
-      return i;
-    }
-  }
-  return text.size();
-}
-
-// The value of member `key` of the JSON object `object` (lint_json-clean
-// text), as raw text. Only the object's own members count: a same-named
-// key nested deeper is not found.
-std::optional<std::string_view> json_member(std::string_view object,
-                                            std::string_view key) {
-  std::size_t i = skip_json_ws(object, 0);
-  if (i >= object.size() || object[i] != '{') return std::nullopt;
-  i = skip_json_ws(object, i + 1);
-  while (i < object.size() && object[i] == '"') {
-    const std::size_t key_end = json_value_end(object, i);
-    const std::string_view name = object.substr(i + 1, key_end - i - 2);
-    const std::size_t value_at =
-        skip_json_ws(object, skip_json_ws(object, key_end) + 1);  // past ':'
-    const std::size_t value_end = json_value_end(object, value_at);
-    if (name == key) return object.substr(value_at, value_end - value_at);
-    i = skip_json_ws(object, value_end);
-    if (i < object.size() && object[i] == ',') i = skip_json_ws(object, i + 1);
+    if (const auto key = non_numeric_percentile(item)) return key;
   }
   return std::nullopt;
 }
@@ -283,42 +241,32 @@ std::string ClusterAggregator::render_trace() const {
 
 std::optional<std::string> lint_report(std::string_view text) {
   if (text.empty()) return "empty report";
-  if (const auto err = lint_json(text)) return *err;
-  const std::size_t first = skip_json_ws(text, 0);
-  if (first == text.size() || text[first] != '{') {
+  const JsonParse parsed = parse_json(text);
+  if (parsed.error) return parsed.error;
+  const JsonValue& report = parsed.root;
+  if (report.kind != JsonValue::Kind::kObject) {
     return "report is not a JSON object";
   }
-  if (json_member(text, "report") != "\"v6pool_run_report\"") {
+  const JsonValue* identity = report.find("report");
+  if (identity == nullptr || identity->kind != JsonValue::Kind::kString ||
+      identity->text != "v6pool_run_report") {
     return "missing \"report\":\"v6pool_run_report\" identity";
   }
   for (const std::string_view key :
        {"version", "config", "kernel_backend", "metrics", "serve_latency",
         "epochs", "timeline"}) {
-    if (!json_member(text, key)) {
+    if (report.find(key) == nullptr) {
       return "missing required key \"" + std::string(key) + "\"";
     }
   }
-  if (!json_member(*json_member(text, "config"), "digest")) {
+  if (report.find("config")->find("digest") == nullptr) {
     return "missing required key \"digest\" in config";
   }
   // Percentile fields must be a JSON number or null — a renderer that
-  // leaks "inf"/"nan" (not JSON) or a string would slip past lint_json
-  // consumers expecting numbers.
-  for (const std::string_view key : {"p50_us", "p90_us", "p99_us"}) {
-    std::string pattern = "\"";
-    pattern += key;
-    pattern += "\"";
-    std::size_t at = 0;
-    while ((at = text.find(pattern, at)) != std::string_view::npos) {
-      at = skip_json_ws(text, at + pattern.size());
-      if (at == text.size() || text[at] != ':') continue;  // a string value
-      at = skip_json_ws(text, at + 1);
-      const char c = at < text.size() ? text[at] : '\0';
-      if (!(std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '-' ||
-            c == 'n')) {
-        return std::string(key) + " value is not a number or null";
-      }
-    }
+  // leaks "inf"/"nan" (not JSON) or a string would slip past consumers
+  // expecting numbers.
+  if (const auto key = non_numeric_percentile(report)) {
+    return std::string(*key) + " value is not a number or null";
   }
   return std::nullopt;
 }

@@ -108,7 +108,7 @@ class ClusterAggregator {
 };
 
 // Dependency-free validator for the `v6pool_cli obs-report` artifact:
-// the text must be one valid JSON object (lint_json) declaring
+// the text must parse as one JSON object (parse_json) declaring
 // "report":"v6pool_run_report", carrying the required sections as its own
 // members (version, config with digest, kernel_backend, metrics,
 // serve_latency, epochs, timeline; copies nested deeper do not count),

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 
 #include "obs/exposition.h"
+#include "obs/json.h"
 
 namespace v6::obs {
 
@@ -307,216 +307,6 @@ std::string render_timeline_csv(const Timeline& timeline) {
   return out;
 }
 
-// --- Minimal JSON validator ------------------------------------------------
-
-class JsonLinter {
- public:
-  explicit JsonLinter(std::string_view text) : text_(text) {}
-
-  std::optional<std::string> lint() {
-    skip_ws();
-    if (!value()) return error();
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing data after value");
-    return std::nullopt;
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  std::optional<std::string> error() const {
-    return "offset " + std::to_string(error_pos_) + ": " + error_;
-  }
-
-  bool fail_at(std::size_t pos, std::string_view what) {
-    if (error_.empty()) {
-      error_pos_ = pos;
-      error_ = std::string(what);
-    }
-    return false;
-  }
-  std::optional<std::string> fail(std::string_view what) {
-    fail_at(pos_, what);
-    return error();
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) {
-      return fail_at(pos_, "invalid literal");
-    }
-    pos_ += word.size();
-    return true;
-  }
-
-  bool string() {
-    ++pos_;  // opening quote
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
-      if (c < 0x20) return fail_at(pos_, "raw control char in string");
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return fail_at(pos_, "dangling escape");
-        const char e = text_[pos_];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              return fail_at(pos_, "invalid \\u escape");
-            }
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return fail_at(pos_, "invalid escape");
-        }
-      }
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return fail_at(pos_, "unterminated string");
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    const auto digits = [&] {
-      const std::size_t first = pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-      return pos_ > first;
-    };
-    const std::size_t int_start = pos_;
-    if (!digits()) return fail_at(start, "invalid number");
-    // RFC 8259: no leading zeros ("01" is two tokens, i.e. invalid).
-    if (pos_ - int_start > 1 && text_[int_start] == '0') {
-      return fail_at(start, "invalid number");
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (!digits()) return fail_at(start, "invalid number");
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (!digits()) return fail_at(start, "invalid number");
-    }
-    return true;
-  }
-
-  bool value() {
-    if (++depth_ > kMaxDepth) return fail_at(pos_, "nesting too deep");
-    bool ok = false;
-    if (pos_ >= text_.size()) {
-      ok = fail_at(pos_, "expected value");
-    } else {
-      switch (text_[pos_]) {
-        case '{': ok = object(); break;
-        case '[': ok = array(); break;
-        case '"': ok = string(); break;
-        case 't': ok = literal("true"); break;
-        case 'f': ok = literal("false"); break;
-        case 'n': ok = literal("null"); break;
-        default: ok = number(); break;
-      }
-    }
-    --depth_;
-    return ok;
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return fail_at(pos_, "expected object key");
-      }
-      if (!string()) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return fail_at(pos_, "expected ':'");
-      }
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail_at(pos_, "expected ',' or '}'");
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail_at(pos_, "expected ',' or ']'");
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  std::size_t error_pos_ = 0;
-  std::string error_;
-};
-
-// Integer value of `"key":<int>` in a line our renderer emitted. The
-// timeline stages are fixed identifiers, so a key pattern can't occur
-// inside a string value.
-std::optional<std::int64_t> top_level_int(std::string_view line,
-                                          std::string_view key) {
-  std::string pattern = "\"";
-  pattern += key;
-  pattern += "\":";
-  const std::size_t at = line.find(pattern);
-  if (at == std::string_view::npos) return std::nullopt;
-  const std::size_t value_at = at + pattern.size();
-  std::int64_t parsed = 0;
-  const auto [ptr, ec] = std::from_chars(
-      line.data() + value_at, line.data() + line.size(), parsed);
-  if (ec != std::errc{} || ptr == line.data() + value_at) return std::nullopt;
-  return parsed;
-}
-
 }  // namespace
 
 std::optional<TimelineFormat> parse_timeline_format(std::string_view name) {
@@ -541,7 +331,7 @@ std::string render_window_json(const WindowRecord& rec) {
 }
 
 std::optional<std::string> lint_json(std::string_view text) {
-  return JsonLinter(text).lint();
+  return parse_json(text).error;
 }
 
 std::optional<std::string> lint_timeline_jsonl(std::string_view text) {
@@ -558,12 +348,17 @@ std::optional<std::string> lint_timeline_jsonl(std::string_view text) {
     start = nl + 1;
     ++line_no;
     if (line.empty()) continue;
-    if (line[0] != '{') return fail("window is not a JSON object");
-    if (const auto err = lint_json(line)) return fail(*err);
-    const auto begin = top_level_int(line, "begin");
-    const auto end = top_level_int(line, "end");
-    if (!begin || !end) return fail("missing begin/end");
-    if (line.find("\"stage\":") == std::string_view::npos) {
+    const JsonParse parsed = parse_json(line);
+    if (parsed.error) return fail(*parsed.error);
+    const JsonValue& window = parsed.root;
+    if (window.kind != JsonValue::Kind::kObject) {
+      return fail("window is not a JSON object");
+    }
+    const auto begin = window.int_member("begin");
+    const auto end = window.int_member("end");
+    if (!begin || !end) return fail("missing integer begin/end");
+    const JsonValue* stage = window.find("stage");
+    if (stage == nullptr || stage->kind != JsonValue::Kind::kString) {
       return fail("missing stage");
     }
     if (*begin > *end) return fail("begin after end");

@@ -172,15 +172,14 @@ std::string render_timeline(const Timeline& timeline, TimelineFormat format);
 // it to keep the two window shapes byte-compatible.
 std::string render_window_json(const WindowRecord& rec);
 
-// Dependency-free JSON syntax validator (objects, arrays, strings with
-// escapes, numbers, literals). Returns nullopt on success, else
-// "offset N: <problem>". Used by the JSONL/trace linters and CI.
+// JSON syntax check: nullopt when `text` is one JSON value (parse_json,
+// obs/json.h), else "offset N: <problem>".
 std::optional<std::string> lint_json(std::string_view text);
 
 // Validates a JSONL timeline export: every line parses as a JSON object
-// carrying begin/end/stage, windows are well-formed (begin <= end) and
-// gapless (each begin equals the previous end). Returns nullopt on
-// success, else "line N: <problem>".
+// whose own members carry integer begin/end and a string stage, windows
+// are well-formed (begin <= end) and gapless (each begin equals the
+// previous end). Returns nullopt on success, else "line N: <problem>".
 std::optional<std::string> lint_timeline_jsonl(std::string_view text);
 
 }  // namespace v6::obs

@@ -1,13 +1,13 @@
 #include "obs/trace_export.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "obs/exposition.h"
+#include "obs/json.h"
 
 namespace v6::obs {
 
@@ -135,55 +135,43 @@ std::string render_cluster_trace(const std::vector<TraceLane>& lanes) {
 }
 
 std::optional<std::string> lint_trace_events(std::string_view text) {
-  if (const auto err = lint_json(text)) return err;
+  const JsonParse parsed = parse_json(text);
+  if (parsed.error) return parsed.error;
+  const JsonValue* events = parsed.root.find("traceEvents");
+  if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
+    return "missing traceEvents array";
+  }
 
-  // Events are one per line by construction; scan each line carrying a
-  // "ph" field, tracking per-(pid, tid) ts monotonicity and B/E balance.
+  // Walk the events in order, tracking per-(pid, tid) ts monotonicity and
+  // B/E balance.
   using Lane = std::pair<std::int64_t, std::int64_t>;
   std::map<Lane, std::int64_t> last_ts;
   std::map<Lane, std::int64_t> open_depth;
-  std::size_t line_no = 0;
-  std::size_t start = 0;
-  const auto fail = [&](std::string_view what) {
-    return "line " + std::to_string(line_no) + ": " + std::string(what);
-  };
-  const auto field_int = [](std::string_view line, std::string_view key)
-      -> std::optional<std::int64_t> {
-    std::string pattern = "\"";
-    pattern += key;
-    pattern += "\":";
-    const std::size_t at = line.find(pattern);
-    if (at == std::string_view::npos) return std::nullopt;
-    std::int64_t parsed = 0;
-    const char* begin = line.data() + at + pattern.size();
-    const auto [ptr, ec] =
-        std::from_chars(begin, line.data() + line.size(), parsed);
-    if (ec != std::errc{} || ptr == begin) return std::nullopt;
-    return parsed;
-  };
-  while (start < text.size()) {
-    std::size_t nl = text.find('\n', start);
-    if (nl == std::string_view::npos) nl = text.size();
-    const std::string_view line = text.substr(start, nl - start);
-    start = nl + 1;
-    ++line_no;
-    const std::size_t ph_at = line.find("\"ph\":\"");
-    if (ph_at == std::string_view::npos) continue;
-    if (ph_at + 6 >= line.size()) return fail("truncated ph");
-    const char ph = line[ph_at + 6];
-    const auto ts = field_int(line, "ts");
-    const auto tid = field_int(line, "tid");
-    if (!ts) return fail("event missing ts");
-    if (!tid) return fail("event missing tid");
-    const Lane lane{field_int(line, "pid").value_or(1), *tid};
+  for (std::size_t i = 0; i < events->items.size(); ++i) {
+    const JsonValue& event = events->items[i];
+    const auto fail = [i](std::string_view what) {
+      return "event " + std::to_string(i) + ": " + std::string(what);
+    };
+    const JsonValue* ph = event.find("ph");
+    if (ph == nullptr || ph->kind != JsonValue::Kind::kString) {
+      return fail("event missing ph");
+    }
+    const auto ts = event.int_member("ts");
+    const auto tid = event.int_member("tid");
+    if (!ts) return fail("event missing integer ts");
+    if (!tid) return fail("event missing integer tid");
+    const std::optional<std::int64_t> pid =
+        event.find("pid") != nullptr ? event.int_member("pid") : 1;
+    if (!pid) return fail("event pid is not an integer");
+    const Lane lane{*pid, *tid};
     if (const auto it = last_ts.find(lane);
         it != last_ts.end() && *ts < it->second) {
       return fail("ts not monotone within pid/tid lane");
     }
     last_ts[lane] = *ts;
-    if (ph == 'B') {
+    if (ph->text == "B") {
       ++open_depth[lane];
-    } else if (ph == 'E') {
+    } else if (ph->text == "E") {
       if (open_depth[lane] == 0) return fail("E without matching B");
       --open_depth[lane];
     }

@@ -47,8 +47,9 @@ struct TraceLane {
 // given (callers sort by worker id for determinism).
 std::string render_cluster_trace(const std::vector<TraceLane>& lanes);
 
-// Validates a trace-event export: the whole text is valid JSON
-// (lint_json), every event's ph/ts/tid parse, ts is monotone
+// Validates a trace-event export: the text parses as a JSON object whose
+// "traceEvents" array holds events with a string ph and integer ts and
+// tid (read from each event's own members), ts is monotone
 // non-decreasing per (pid, tid) lane, and B/E events pair up (never
 // unbalanced, all closed at the end). Events without an explicit pid
 // count as pid 1. Returns nullopt on success, else a description.

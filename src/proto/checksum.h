@@ -1,5 +1,5 @@
 // RFC 1071 Internet checksum and the IPv6 pseudo-header variant used by
-// ICMPv6 (RFC 4443 §2.3) and UDP over IPv6 (RFC 8200 §8.1).
+// UDP over IPv6 (RFC 8200 §8.1).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "proto/udp.h"
 
 #include "proto/checksum.h"
-#include "proto/ipv6_header.h"
 
 namespace v6::proto {
 

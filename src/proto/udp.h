@@ -11,6 +11,8 @@
 
 namespace v6::proto {
 
+// IANA protocol number of UDP (the IPv6 next-header value).
+inline constexpr std::uint8_t kProtoUdp = 17;
 inline constexpr std::uint16_t kNtpPort = 123;
 
 struct UdpDatagram {

@@ -65,9 +65,9 @@ struct OuiRisk {
 class Snapshot {
  public:
   // Builds a snapshot from the ascending record stream of `src` (the
-  // ScanSource contract: concatenating visit() over [0, span) yields
-  // records in ascending address order — a canonicalized Corpus or any
-  // TieredCorpus qualifies). Single-threaded; call at a merge barrier.
+  // ScanSource contract: concatenating visit_blocks() over [0, span)
+  // yields records in ascending address order — a canonicalized Corpus or
+  // any TieredCorpus qualifies). Single-threaded; call at a merge barrier.
   static std::shared_ptr<const Snapshot> build(const analysis::ScanSource& src,
                                                std::uint64_t epoch,
                                                util::SimTime as_of);

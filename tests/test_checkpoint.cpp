@@ -40,14 +40,14 @@ sim::World* CheckpointTest::world_ = nullptr;
 void expect_identical_corpora(const Corpus& a, const Corpus& b) {
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.total_observations(), b.total_observations());
-  a.for_each([&](const AddressRecord& rec) {
+  for (const auto& rec : a.records()) {
     const auto* other = b.find(rec.address);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->first_seen, rec.first_seen);
     EXPECT_EQ(other->last_seen, rec.last_seen);
     EXPECT_EQ(other->count, rec.count);
     EXPECT_EQ(other->vantage_mask, rec.vantage_mask);
-  });
+  }
 }
 
 void expect_identical_health(const std::vector<VantageHealthStats>& a,
@@ -294,11 +294,15 @@ TEST_F(CheckpointTest, StudyResumeMatchesUninterruptedCollect) {
 
   std::vector<std::string> snapshots;
   core::Study reference(config);
-  reference.collect([&](const CheckpointState& state, const Corpus& corpus) {
-    std::stringstream out;
-    save_checkpoint(out, state, corpus);
-    snapshots.push_back(out.str());
-  });
+  reference.run({.campaigns = false,
+                 .backscan = false,
+                 .analysis = false,
+                 .checkpoint_sink = [&](const CheckpointState& state,
+                                        const Corpus& corpus) {
+                   std::stringstream out;
+                   save_checkpoint(out, state, corpus);
+                   snapshots.push_back(out.str());
+                 }});
   ASSERT_EQ(snapshots.size(), 2u);  // boundaries at day 2 and 4
   ASSERT_NE(reference.faults(), nullptr);
 
@@ -307,7 +311,10 @@ TEST_F(CheckpointTest, StudyResumeMatchesUninterruptedCollect) {
     // A fresh Study reconstructs the identical world, plane, pool and
     // fault plan from config alone, then resumes from the checkpoint.
     core::Study resumed(config);
-    resumed.resume_collect(load_checkpoint(in));
+    resumed.run({.campaigns = false,
+                 .backscan = false,
+                 .analysis = false,
+                 .resume_from = load_checkpoint(in)});
     expect_identical_corpora(reference.results().ntp, resumed.results().ntp);
     EXPECT_EQ(resumed.results().polls_attempted,
               reference.results().polls_attempted);

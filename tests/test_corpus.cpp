@@ -150,7 +150,10 @@ TEST(Corpus, ForEachVisitsEveryRecordOnce) {
   Corpus c;
   for (std::uint64_t i = 0; i < 100; ++i) c.add(addr(i, i), 1, 0);
   std::size_t visits = 0;
-  c.for_each([&](const AddressRecord&) { ++visits; });
+  for (const auto& rec : c.records()) {
+    EXPECT_EQ(rec.count, 1u);
+    ++visits;
+  }
   EXPECT_EQ(visits, 100u);
 }
 
@@ -262,9 +265,7 @@ TEST(Corpus, MovedFromCorpusIsSafeToUse) {
   EXPECT_EQ(a.size(), 0u);
   EXPECT_EQ(a.total_observations(), 0u);
   EXPECT_EQ(a.find(addr(1, 1)), nullptr);
-  std::size_t visits = 0;
-  a.for_each([&](const AddressRecord&) { ++visits; });
-  EXPECT_EQ(visits, 0u);
+  EXPECT_TRUE(a.records().empty());
 
   a.add(addr(2, 2), 5, 1);  // revives a minimal table
   EXPECT_EQ(a.size(), 1u);
@@ -319,7 +320,7 @@ TEST_P(CorpusShardMergeProperty, MergeOfShardsEqualsInterleavedAdd) {
   ASSERT_EQ(merged.size(), combined.size());
   ASSERT_EQ(merged.total_observations(), combined.total_observations());
   std::size_t checked = 0;
-  combined.for_each([&](const AddressRecord& rec) {
+  for (const auto& rec : combined.records()) {
     const auto* other = merged.find(rec.address);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->first_seen, rec.first_seen);
@@ -327,7 +328,7 @@ TEST_P(CorpusShardMergeProperty, MergeOfShardsEqualsInterleavedAdd) {
     EXPECT_EQ(other->count, rec.count);
     EXPECT_EQ(other->vantage_mask, rec.vantage_mask);
     ++checked;
-  });
+  }
   EXPECT_EQ(checked, merged.size());
 }
 

@@ -349,20 +349,17 @@ TEST_F(KernelAnalysisIdentity, CorpusBlockInsertMatchesPerRecord) {
     by_block.add_block(block);
   });
   hitlist::Corpus by_record;
-  corpus_->for_each(  // deprecated: block API (kept as the reference here)
-      [&by_record](const hitlist::AddressRecord& rec) {
-        by_record.add_record(rec);
-      });
+  for (const auto& rec : corpus_->records()) by_record.add_record(rec);
   ASSERT_EQ(by_block.size(), corpus_->size());
   ASSERT_EQ(by_block.size(), by_record.size());
-  by_block.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : by_block.records()) {
     const auto* other = by_record.find(rec.address);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(rec.count, other->count);
     EXPECT_EQ(rec.first_seen, other->first_seen);
     EXPECT_EQ(rec.last_seen, other->last_seen);
     EXPECT_EQ(rec.vantage_mask, other->vantage_mask);
-  });
+  }
 }
 
 }  // namespace

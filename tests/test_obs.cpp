@@ -515,14 +515,14 @@ void expect_identical_corpora(const hitlist::Corpus& a,
                               const hitlist::Corpus& b) {
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.total_observations(), b.total_observations());
-  a.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : a.records()) {
     const auto* other = b.find(rec.address);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->first_seen, rec.first_seen);
     EXPECT_EQ(other->last_seen, rec.last_seen);
     EXPECT_EQ(other->count, rec.count);
     EXPECT_EQ(other->vantage_mask, rec.vantage_mask);
-  });
+  }
 }
 
 // One full instrumented study shared by the read-only assertions below.
@@ -637,20 +637,21 @@ TEST_F(StudyMetricsTest, MetricsOffIsBitIdenticalAndUnsampled) {
   EXPECT_FALSE(ro.metrics.spans.empty());
 }
 
+// The "per-stage shims" of the name are now one run() per stage, each
+// selecting a single stage; together they must match one full run().
 TEST(StudyRunApi, RunMatchesTheLegacyPerStageShims) {
   const auto config = tiny_study(9);
   core::Study via_run(config);
   const auto& ra = via_run.run();
 
-  core::Study via_shims(config);
-  via_shims.collect();
-  via_shims.run_campaigns();
-  via_shims.run_backscan();
-  via_shims.run_analysis();
-  // The shims never snapshot; a final run() re-runs nothing and fills it.
-  EXPECT_TRUE(via_shims.results().metrics.samples.empty());
-  const auto before = via_shims.results().ntp.size();
-  const auto& rb = via_shims.run();
+  core::Study per_stage(config);
+  per_stage.run({.campaigns = false, .backscan = false, .analysis = false});
+  per_stage.run({.collect = false, .backscan = false, .analysis = false});
+  per_stage.run({.collect = false, .campaigns = false, .analysis = false});
+  per_stage.run({.collect = false, .campaigns = false, .backscan = false});
+  // Every stage has run: a final run() re-runs nothing.
+  const auto before = per_stage.results().ntp.size();
+  const auto& rb = per_stage.run();
   EXPECT_EQ(rb.ntp.size(), before);
   EXPECT_FALSE(rb.metrics.samples.empty());
 

@@ -42,9 +42,9 @@ hitlist::Corpus synthetic_corpus(std::size_t n) {
 TEST(ParallelScanEngine, ShardConcatenationReproducesSerialOrder) {
   const auto corpus = synthetic_corpus(5000);
   std::vector<std::uint64_t> serial;
-  corpus.for_each([&serial](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : corpus.records()) {
     serial.push_back(rec.address.iid());
-  });
+  }
 
   for (unsigned threads : {2u, 4u, 7u}) {
     AnalysisConfig config;
@@ -134,8 +134,7 @@ class ParallelIdentityTest : public ::testing::Test {
     config.caida_campaign.duration = 10 * util::kDay;
     config.caida_campaign.slash48_fraction = 0.005;
     study_ = new core::Study(config);
-    study_->collect();
-    study_->run_campaigns();
+    study_->run(core::RunOptions{.backscan = false, .analysis = false});
   }
   static void TearDownTestSuite() {
     delete study_;
@@ -309,7 +308,7 @@ TEST_F(ParallelIdentityTest, StageStatsAreRecorded) {
 }
 
 TEST_F(ParallelIdentityTest, StudyRunAnalysisUsesKnobAndRecordsStats) {
-  study_->run_analysis();
+  study_->run({.collect = false, .campaigns = false, .backscan = false});
   const auto& report = study_->results().analysis;
   EXPECT_GT(report.entropy.count(), 1000u);
   ASSERT_EQ(report.table1.size(), 3u);

@@ -7,8 +7,6 @@
 
 #include "proto/buffer.h"
 #include "proto/checksum.h"
-#include "proto/icmpv6.h"
-#include "proto/ipv6_header.h"
 #include "proto/ntp_packet.h"
 #include "proto/udp.h"
 #include "util/rng.h"
@@ -93,9 +91,9 @@ TEST(Checksum, OddLengthPadsWithZero) {
 TEST(Checksum, PseudoHeaderVerifiesToZero) {
   const auto src = addr(0x20010db800000001ULL, 1);
   const auto dst = addr(0x20010db800000002ULL, 2);
-  const Icmpv6Message msg = make_echo_request(7, 9, {1, 2, 3, 4});
-  const auto wire = encode_icmpv6(msg, src, dst);
-  EXPECT_EQ(pseudo_header_checksum(src, dst, kProtoIcmpv6, wire), 0);
+  const UdpDatagram datagram{40000, kNtpPort, {1, 2, 3, 4}};
+  const auto wire = encode_udp(datagram, src, dst);
+  EXPECT_EQ(pseudo_header_checksum(src, dst, kProtoUdp, wire), 0);
 }
 
 // Bit-at-a-time CRC-32 (IEEE, reflected 0xEDB88320): the definition the
@@ -142,101 +140,6 @@ TEST(Crc32, ChainsAtEverySplitFromOddOffsets) {
           << "start " << start << " split " << split;
     }
   }
-}
-
-// ------------------------------------------------------------ IPv6 header
-
-TEST(Ipv6Header, EncodeDecodeRoundTrip) {
-  Ipv6Header h;
-  h.traffic_class = 0x42;
-  h.flow_label = 0xabcde;
-  h.next_header = kProtoUdp;
-  h.hop_limit = 61;
-  h.src = addr(1, 2);
-  h.dst = addr(3, 4);
-  const std::uint8_t payload[] = {0xaa, 0xbb};
-  const auto wire = build_datagram(h, payload);
-  EXPECT_EQ(wire.size(), 42u);
-  EXPECT_EQ(wire[0] >> 4, 6);  // version
-
-  BufferReader r(wire);
-  const auto decoded = Ipv6Header::decode(r);
-  ASSERT_TRUE(decoded);
-  EXPECT_EQ(decoded->traffic_class, 0x42);
-  EXPECT_EQ(decoded->flow_label, 0xabcdeu);
-  EXPECT_EQ(decoded->payload_length, 2);
-  EXPECT_EQ(decoded->hop_limit, 61);
-  EXPECT_EQ(decoded->src, addr(1, 2));
-  EXPECT_EQ(decoded->dst, addr(3, 4));
-}
-
-TEST(Ipv6Header, RejectsWrongVersion) {
-  Ipv6Header h;
-  BufferWriter w;
-  h.encode(w);
-  auto bytes = std::move(w).take();
-  bytes[0] = 0x45;  // IPv4 version nibble
-  BufferReader r(bytes);
-  EXPECT_FALSE(Ipv6Header::decode(r));
-}
-
-TEST(Ipv6Header, RejectsTruncated) {
-  const std::uint8_t short_buf[10] = {0x60};
-  BufferReader r(short_buf);
-  EXPECT_FALSE(Ipv6Header::decode(r));
-}
-
-// ----------------------------------------------------------------- ICMPv6
-
-TEST(Icmpv6, EchoRoundTrip) {
-  const auto src = addr(10, 1), dst = addr(20, 2);
-  const auto request = make_echo_request(0x1234, 0x5678, {9, 8, 7});
-  const auto wire = encode_icmpv6(request, src, dst);
-  const auto decoded = decode_icmpv6(wire, src, dst);
-  ASSERT_TRUE(decoded);
-  EXPECT_EQ(*decoded, request);
-  EXPECT_EQ(decoded->identifier(), 0x1234);
-  EXPECT_EQ(decoded->sequence(), 0x5678);
-}
-
-TEST(Icmpv6, ChecksumBindsToAddresses) {
-  const auto src = addr(10, 1), dst = addr(20, 2);
-  const auto wire = encode_icmpv6(make_echo_request(1, 2), src, dst);
-  // Decoding with a different pseudo-header (spoofed peer) fails.
-  EXPECT_FALSE(decode_icmpv6(wire, src, addr(20, 3)));
-}
-
-TEST(Icmpv6, CorruptionDetected) {
-  const auto src = addr(10, 1), dst = addr(20, 2);
-  auto wire = encode_icmpv6(make_echo_request(1, 2, {1, 2, 3, 4, 5}), src, dst);
-  for (std::size_t i = 0; i < wire.size(); ++i) {
-    auto corrupted = wire;
-    corrupted[i] ^= 0x40;
-    EXPECT_FALSE(decode_icmpv6(corrupted, src, dst)) << "byte " << i;
-  }
-}
-
-TEST(Icmpv6, TruncationDetected) {
-  const auto src = addr(10, 1), dst = addr(20, 2);
-  const auto wire = encode_icmpv6(make_echo_request(1, 2, {1, 2, 3}), src, dst);
-  for (std::size_t n = 0; n < wire.size(); ++n) {
-    EXPECT_FALSE(decode_icmpv6(std::span(wire.data(), n), src, dst));
-  }
-}
-
-TEST(Icmpv6, EchoReplyMirrorsRequest) {
-  const auto request = make_echo_request(3, 4, {42});
-  const auto reply = make_echo_reply(request);
-  EXPECT_EQ(reply.type, Icmpv6Type::kEchoReply);
-  EXPECT_EQ(reply.body, request.body);
-  EXPECT_EQ(reply.payload, request.payload);
-}
-
-TEST(Icmpv6, TimeExceededCarriesInvokingPacket) {
-  const auto te = make_time_exceeded({0xde, 0xad});
-  EXPECT_EQ(te.type, Icmpv6Type::kTimeExceeded);
-  EXPECT_EQ(te.code, 0);
-  EXPECT_EQ(te.payload.size(), 2u);
 }
 
 // -------------------------------------------------------------------- UDP
@@ -333,19 +236,6 @@ TEST(NtpPacket, FuzzedDecodeNeverCrashes) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
     (void)NtpPacket::decode(junk);  // must not crash
   }
-}
-
-TEST(Icmpv6, FuzzedDecodeNeverCrashes) {
-  util::Rng rng(78);
-  const auto src = addr(1, 1), dst = addr(2, 2);
-  int accepted = 0;
-  for (int i = 0; i < 2000; ++i) {
-    std::vector<std::uint8_t> junk(rng.bounded(64));
-    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
-    if (decode_icmpv6(junk, src, dst)) ++accepted;
-  }
-  // Random bytes essentially never satisfy the checksum.
-  EXPECT_LE(accepted, 1);
 }
 
 }  // namespace

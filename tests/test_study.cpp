@@ -125,7 +125,7 @@ TEST_F(StudyTest, StagesAreIdempotent) {
   // Rerunning a stage must not change results.
   auto& study = *study_;
   const auto before = study.results().ntp.size();
-  study.collect();
+  study.run({.campaigns = false, .backscan = false, .analysis = false});
   EXPECT_EQ(study.results().ntp.size(), before);
 }
 
@@ -137,8 +137,7 @@ TEST_P(StudySeedSweep, InvariantsHoldAcrossSeeds) {
   auto config = small_study(GetParam());
   config.world.total_sites = 350;
   Study study(config);
-  study.collect();
-  study.run_campaigns();
+  study.run(RunOptions{.backscan = false, .analysis = false});
   const auto& r = study.results();
 
   // Passive beats active in volume; corpora are mostly disjoint.
@@ -156,11 +155,11 @@ TEST_P(StudySeedSweep, InvariantsHoldAcrossSeeds) {
 
   // The Hitlist never publishes addresses inside its own aliased list.
   std::uint64_t inside = 0;
-  r.hitlist.corpus.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : r.hitlist.corpus.records()) {
     for (const auto& p : r.hitlist.aliased_prefixes) {
       if (p.contains(rec.address)) ++inside;
     }
-  });
+  }
   EXPECT_EQ(inside, 0u);
 }
 
@@ -170,8 +169,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StudySeedSweep,
 TEST(StudyDeterminism, SameConfigSameCorpus) {
   auto a = Study(small_study(11));
   auto b = Study(small_study(11));
-  a.collect();
-  b.collect();
+  a.run({.campaigns = false, .backscan = false, .analysis = false});
+  b.run({.campaigns = false, .backscan = false, .analysis = false});
   EXPECT_EQ(a.results().ntp.size(), b.results().ntp.size());
   EXPECT_EQ(a.results().ntp.total_observations(),
             b.results().ntp.total_observations());
@@ -180,8 +179,8 @@ TEST(StudyDeterminism, SameConfigSameCorpus) {
 TEST(StudyDeterminism, DifferentSeedsDiffer) {
   auto a = Study(small_study(11));
   auto b = Study(small_study(12));
-  a.collect();
-  b.collect();
+  a.run({.campaigns = false, .backscan = false, .analysis = false});
+  b.run({.campaigns = false, .backscan = false, .analysis = false});
   EXPECT_NE(a.results().ntp.size(), b.results().ntp.size());
 }
 

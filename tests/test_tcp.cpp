@@ -1,70 +1,11 @@
-#include "proto/tcp.h"
-
 #include <gtest/gtest.h>
 
 #include "netsim/data_plane.h"
 #include "scan/zmap6.h"
 #include "util/rng.h"
 
-namespace v6::proto {
+namespace v6::netsim {
 namespace {
-
-net::Ipv6Address addr(std::uint64_t hi, std::uint64_t lo) {
-  return net::Ipv6Address::from_u64(hi, lo);
-}
-
-TEST(TcpCodec, SynRoundTrip) {
-  const auto src = addr(1, 1), dst = addr(2, 2);
-  const auto syn = make_syn(40000, 443, 0xdeadbeef);
-  const auto wire = encode_tcp(syn, src, dst);
-  EXPECT_EQ(wire.size(), 20u);
-  const auto decoded = decode_tcp(wire, src, dst);
-  ASSERT_TRUE(decoded);
-  EXPECT_EQ(*decoded, syn);
-  EXPECT_TRUE(decoded->is_syn());
-  EXPECT_FALSE(decoded->is_syn_ack());
-  EXPECT_FALSE(decoded->is_rst());
-}
-
-TEST(TcpCodec, SynAckAcknowledgesSequence) {
-  const auto syn = make_syn(1, 80, 100);
-  const auto syn_ack = make_syn_ack(syn, 777);
-  EXPECT_TRUE(syn_ack.is_syn_ack());
-  EXPECT_EQ(syn_ack.ack_number, 101u);
-  EXPECT_EQ(syn_ack.src_port, 80);
-  EXPECT_EQ(syn_ack.dst_port, 1);
-}
-
-TEST(TcpCodec, RstAcknowledgesSequence) {
-  const auto syn = make_syn(1, 80, 100);
-  const auto rst = make_rst(syn);
-  EXPECT_TRUE(rst.is_rst());
-  EXPECT_EQ(rst.ack_number, 101u);
-}
-
-TEST(TcpCodec, ChecksumBindsToAddresses) {
-  const auto src = addr(1, 1), dst = addr(2, 2);
-  const auto wire = encode_tcp(make_syn(1, 80, 5), src, dst);
-  EXPECT_FALSE(decode_tcp(wire, src, addr(2, 3)));
-}
-
-TEST(TcpCodec, CorruptionDetected) {
-  const auto src = addr(1, 1), dst = addr(2, 2);
-  auto wire = encode_tcp(make_syn(1, 80, 5), src, dst);
-  for (std::size_t i = 0; i < wire.size(); ++i) {
-    auto corrupted = wire;
-    corrupted[i] ^= 0x20;
-    EXPECT_FALSE(decode_tcp(corrupted, src, dst)) << "byte " << i;
-  }
-}
-
-TEST(TcpCodec, TruncationDetected) {
-  const auto src = addr(1, 1), dst = addr(2, 2);
-  const auto wire = encode_tcp(make_syn(1, 80, 5), src, dst);
-  for (std::size_t n = 0; n < wire.size(); ++n) {
-    EXPECT_FALSE(decode_tcp(std::span(wire.data(), n), src, dst));
-  }
-}
 
 class TcpPlaneTest : public ::testing::Test {
  protected:
@@ -191,4 +132,4 @@ TEST_F(TcpPlaneTest, ClientsHaveNoListeners) {
 }
 
 }  // namespace
-}  // namespace v6::proto
+}  // namespace v6::netsim

@@ -12,11 +12,13 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/study.h"
 #include "hitlist/corpus_io.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace_export.h"
 
@@ -231,6 +233,29 @@ TEST(TimelineExposition, CsvGolden) {
             "0,86400,collect,vantage_records,2,8\n");
 }
 
+TEST(JsonParse, BuildsATreeOverTheRawText) {
+  const std::string text =
+      "{\"a\":[1,-2.5e3,\"x\\\"y\"],\"b\":{\"a\":true},\"a\":null}";
+  const JsonParse parsed = parse_json(text);
+  ASSERT_EQ(parsed.error, std::nullopt);
+  const JsonValue& root = parsed.root;
+  ASSERT_EQ(root.kind, JsonValue::Kind::kObject);
+  EXPECT_EQ(root.keys, (std::vector<std::string_view>{"a", "b", "a"}));
+  const JsonValue* a = root.find("a");  // the first of the two "a"s
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->kind, JsonValue::Kind::kArray);
+  ASSERT_EQ(a->items.size(), 3u);
+  EXPECT_EQ(a->items[0].as_int(), 1);
+  EXPECT_EQ(a->items[1].text, "-2.5e3");
+  EXPECT_EQ(a->items[1].as_int(), std::nullopt);
+  EXPECT_EQ(a->items[2].text, "x\\\"y");  // still escaped
+  EXPECT_EQ(a->find("a"), nullptr);          // arrays have no members
+  EXPECT_EQ(root.find("b")->find("a")->kind, JsonValue::Kind::kBool);
+  EXPECT_EQ(root.find("c"), nullptr);
+  EXPECT_EQ(root.int_member("a"), std::nullopt);
+  EXPECT_EQ(parse_json("99999999999999999999").root.as_int(), std::nullopt);
+}
+
 TEST(TimelineExposition, JsonLinter) {
   EXPECT_FALSE(lint_json("{\"a\":[1,2.5,-3e2,true,false,null,\"x\\n\"]}")
                    .has_value());
@@ -259,6 +284,30 @@ TEST(TimelineExposition, TimelineLinterRejectsMalformedSequences) {
       lint_timeline_jsonl("{\"begin\":0,\"end\":5,\"stage\":\"a\"}\n"
                           "{\"begin\":5,\"end\":5,\"stage\":\"b\"}\n")
           .has_value());
+}
+
+TEST(TimelineExposition, TimelineLinterReadsTopLevelMembersOnly) {
+  // A nested begin that would close the gap does not hide it.
+  EXPECT_TRUE(lint_timeline_jsonl("{\"begin\":0,\"end\":5,\"stage\":\"a\"}\n"
+                                  "{\"x\":{\"begin\":5},\"begin\":7,"
+                                  "\"end\":9,\"stage\":\"a\"}\n")
+                  .has_value());
+  // A stage that exists only inside a nested object does not count.
+  EXPECT_TRUE(
+      lint_timeline_jsonl("{\"begin\":0,\"end\":5,\"x\":{\"stage\":\"a\"}}\n")
+          .has_value());
+}
+
+TEST(TimelineExposition, JsonLinterReportsOffsetsAndCapsDepth) {
+  EXPECT_EQ(lint_json("{\"a\":1,}"), "offset 7: expected object key");
+  EXPECT_EQ(lint_json("{\"a\":1} x"), "offset 8: trailing data after value");
+  EXPECT_EQ(lint_json("{\"a\":01}"), "offset 5: invalid number");
+  EXPECT_EQ(lint_json(""), "offset 0: expected value");
+  // 64 levels parse; the 65th is refused.
+  EXPECT_EQ(lint_json(std::string(64, '[') + std::string(64, ']')),
+            std::nullopt);
+  EXPECT_EQ(lint_json(std::string(65, '[') + std::string(65, ']')),
+            "offset 64: nesting too deep");
 }
 
 // --- Chrome trace export ---------------------------------------------------
@@ -325,6 +374,35 @@ TEST(TraceExport, LinterRejectsUnbalancedAndBackwardsEvents) {
           .has_value());
   // Invalid JSON overall.
   EXPECT_TRUE(lint_trace_events("{\"traceEvents\":[").has_value());
+}
+
+TEST(TraceExport, LinterAcceptsEventsSharingOneLine) {
+  // Events are walked in the parsed traceEvents array, not line by line.
+  EXPECT_EQ(lint_trace_events(
+                "{\"traceEvents\":[{\"ph\":\"B\",\"ts\":1,\"pid\":1,\"tid\":1},"
+                "{\"ph\":\"E\",\"ts\":2,\"pid\":1,\"tid\":1}]}"),
+            std::nullopt);
+  // ...and the one-line form still catches a backwards lane.
+  EXPECT_TRUE(lint_trace_events(
+                  "{\"traceEvents\":[{\"ph\":\"B\",\"ts\":9,\"tid\":1},"
+                  "{\"ph\":\"E\",\"ts\":2,\"tid\":1}]}")
+                  .has_value());
+}
+
+TEST(TraceExport, LinterReadsEachEventsOwnTs) {
+  // A nested args.ts written before the event's ts must not stand in for
+  // it: this lane runs 9 -> 2.
+  EXPECT_TRUE(
+      lint_trace_events(
+          "{\"traceEvents\":[\n"
+          "{\"args\":{\"ts\":1},\"ph\":\"X\",\"ts\":9,\"pid\":1,\"tid\":1},\n"
+          "{\"args\":{\"ts\":5},\"ph\":\"X\",\"ts\":2,\"pid\":1,\"tid\":1}\n"
+          "]}\n")
+          .has_value());
+  // Nor may a nested ts fill in for a missing one.
+  EXPECT_TRUE(lint_trace_events("{\"traceEvents\":[{\"args\":{\"ts\":1},"
+                                "\"ph\":\"X\",\"tid\":1}]}")
+                  .has_value());
 }
 
 // --- Study-level determinism contract --------------------------------------
