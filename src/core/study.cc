@@ -91,84 +91,62 @@ void set_vantage_gauges(obs::Registry& registry,
 
 }  // namespace
 
-void Study::do_collect(const hitlist::CheckpointSink& sink) {
-  if (collected_) return;
-  collected_ = true;
-  hitlist::PassiveCollector collector(*world_, *plane_, *dns_,
-                                      collector_config());
+void Study::do_collect(RunOptions& options) {
   const util::SimTime start = config_.world.study_start;
-  const util::SimTime end = start + config_.world.study_duration;
-  if (config_.spill.active()) {
-    // Out-of-core: shard tables flush to sorted runs at merge barriers;
-    // the merged stream is what every later stage reads.
-    results_.ntp_runs = std::make_unique<hitlist::TieredCorpus>(
-        config_.spill, config_.metrics ? metrics_.get() : nullptr);
-    collector.run(*results_.ntp_runs, start, end, {}, sink);
-  } else {
-    collector.run(results_.ntp, start, end, {}, sink);
-  }
-  results_.polls_attempted = collector.polls_attempted();
-  results_.polls_answered = collector.polls_answered();
-  results_.vantage_health = collector.vantage_health();
-  if (config_.metrics) set_vantage_gauges(*metrics_, results_.vantage_health);
-}
-
-void Study::do_resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
-                              const hitlist::CheckpointSink& sink) {
-  if (collected_) return;
-  collected_ = true;
-  hitlist::PassiveCollector collector(*world_, *plane_, *dns_,
-                                      collector_config());
-  if (config_.spill.active()) {
-    // Resume honors the memory budget: the checkpointed snapshot becomes
-    // the TieredCorpus's first spilled run and the resumed tail flushes
-    // through the same deterministic barriers as a fresh spilled run.
-    results_.ntp_runs = std::make_unique<hitlist::TieredCorpus>(
-        config_.spill, config_.metrics ? metrics_.get() : nullptr);
-    collector.resume(*results_.ntp_runs, std::move(checkpoint.corpus),
-                     checkpoint.state, {}, sink);
-  } else {
-    results_.ntp = std::move(checkpoint.corpus);
-    collector.resume(results_.ntp, checkpoint.state, {}, sink);
-  }
-  results_.polls_attempted = collector.polls_attempted();
-  results_.polls_answered = collector.polls_answered();
-  results_.vantage_health = collector.vantage_health();
-  if (config_.metrics) set_vantage_gauges(*metrics_, results_.vantage_health);
-}
-
-void Study::do_collect_distributed(
-    const dist::DistConfig& dist_config,
-    std::optional<hitlist::CollectionCheckpoint>&& checkpoint) {
-  if (collected_) return;
-  collected_ = true;
-  dist::SimCluster cluster(*world_, *plane_, *dns_, config_.collector,
-                           dist_config, nullptr,
-                           config_.metrics ? metrics_.get() : nullptr,
-                           config_.metrics ? sampler_ : nullptr);
   hitlist::CheckpointState from = hitlist::CheckpointState::fresh(
-      config_.world.study_start,
-      config_.world.study_start + config_.world.study_duration);
-  hitlist::Corpus snapshot(1);
-  if (checkpoint) {
-    from = std::move(checkpoint->state);
-    snapshot = std::move(checkpoint->corpus);
-  }
+      start, start + config_.world.study_duration);
+  // The target starts over, so a retried stage never folds in what a
+  // failed one left behind: a resume that threw leaves its snapshot in
+  // `ntp` (a fresh run leaves the pre-sized table untouched). Out of core,
+  // shard tables (or, distributed, each device range's final corpus) flush
+  // to sorted runs and every later stage reads the merged stream. A
+  // resumed snapshot seeds the target once: as its first run, or as the
+  // in-memory corpus.
+  if (results_.ntp.size() != 0) results_.ntp = hitlist::Corpus();
+  results_.ntp_runs.reset();
   if (config_.spill.active()) {
-    // Each device range's final corpus becomes one spilled run; a resumed
-    // snapshot is the first.
     results_.ntp_runs = std::make_unique<hitlist::TieredCorpus>(
         config_.spill, config_.metrics ? metrics_.get() : nullptr);
-    results_.ntp_runs->spill(std::move(snapshot));
-    results_.dist = cluster.run(*results_.ntp_runs, from);
-  } else {
-    results_.ntp = std::move(snapshot);
-    results_.dist = cluster.run(results_.ntp, from);
   }
-  results_.polls_attempted = results_.dist->polls_attempted;
-  results_.polls_answered = results_.dist->polls_answered;
-  results_.vantage_health = results_.dist->vantage_health;
+  if (options.resume_from) {
+    from = std::move(options.resume_from->state);
+    if (results_.ntp_runs != nullptr) {
+      results_.ntp_runs->spill(std::move(options.resume_from->corpus));
+    } else {
+      results_.ntp = std::move(options.resume_from->corpus);
+    }
+  }
+
+  if (options.distributed) {
+    dist::SimCluster cluster(*world_, *plane_, *dns_, config_.collector,
+                             *options.distributed, nullptr,
+                             config_.metrics ? metrics_.get() : nullptr,
+                             config_.metrics ? sampler_ : nullptr);
+    results_.dist = results_.ntp_runs != nullptr
+                        ? cluster.run(*results_.ntp_runs, from)
+                        : cluster.run(results_.ntp, from);
+    results_.polls_attempted = results_.dist->polls_attempted;
+    results_.polls_answered = results_.dist->polls_answered;
+    results_.vantage_health = results_.dist->vantage_health;
+  } else {
+    hitlist::PassiveCollector collector(*world_, *plane_, *dns_,
+                                        collector_config());
+    if (results_.ntp_runs != nullptr) {
+      collector.resume(*results_.ntp_runs, from, {}, options.checkpoint_sink);
+    } else {
+      collector.resume(results_.ntp, from, {}, options.checkpoint_sink);
+    }
+    results_.polls_attempted = collector.polls_attempted();
+    results_.polls_answered = collector.polls_answered();
+    results_.vantage_health = collector.vantage_health();
+  }
   if (config_.metrics) set_vantage_gauges(*metrics_, results_.vantage_health);
+}
+
+analysis::ScanSource Study::ntp_source() const {
+  return results_.ntp_runs != nullptr
+             ? analysis::make_source(*results_.ntp_runs)
+             : analysis::make_source(results_.ntp);
 }
 
 void Study::do_campaigns() {
@@ -286,9 +264,7 @@ void Study::do_analysis() {
 
   // All five analyses run over a ScanSource, so the same kernels stream
   // the merged on-disk runs when the study collected out-of-core.
-  const analysis::ScanSource ntp_src =
-      results_.ntp_runs != nullptr ? analysis::make_source(*results_.ntp_runs)
-                                   : analysis::make_source(results_.ntp);
+  const analysis::ScanSource ntp_src = ntp_source();
 
   // Fig 1: IID entropy over the NTP corpus.
   report.entropy = analysis::entropy_distribution(ntp_src, cfg, stats);
@@ -362,12 +338,15 @@ std::size_t Study::save_ntp(std::ostream& out) const {
 }
 
 const StudyResults& Study::run(RunOptions options) {
-  if (options.distributed && options.checkpoint_sink) {
-    // Device ranges checkpoint independently; there is no single-process
-    // cursor to hand the sink. Fail loudly rather than never call it.
+  if (options.distributed &&
+      (options.checkpoint_sink || config_.collector.wire_fidelity)) {
+    // Device ranges checkpoint independently, so there is no
+    // single-process cursor to hand the sink; and every wire-fidelity poll
+    // goes through the one shared DataPlane, which ranges cannot share.
+    // Fail loudly, before any work.
     throw std::invalid_argument(
         "RunOptions::distributed is incompatible with checkpoint_sink "
-        "(checkpoints flow through the coordinator protocol)");
+        "and collector.wire_fidelity");
   }
   obs::Tracer& tracer = metrics_->tracer();
   const util::SimTime study_start = config_.world.study_start;
@@ -384,20 +363,18 @@ const StudyResults& Study::run(RunOptions options) {
   if (options.sample_interval > 0 && config_.metrics) {
     sampler = std::make_unique<obs::TimelineSampler>(
         *metrics_, options.sample_interval, study_start);
-    sampler_ = sampler.get();
   }
+  // Set on every call, so a run() that threw leaves no stale wiring.
+  sampler_ = sampler.get();
 
   // Serving: interior epochs come from the collector's merge barriers
   // (collector_config() wires the sink); the final window-end epoch is
   // published below regardless of path. Distributed collection runs the
   // cluster's own merge protocol, so it publishes the final epoch only.
   const bool serving = options.serve.enabled;
-  if (serving) {
-    query_service().set_retain_epochs(options.serve.retain_epochs);
-    if (!options.distributed) {
-      serve_epoch_interval_ = options.serve.epoch_interval;
-    }
-  }
+  if (serving) query_service().set_retain_epochs(options.serve.retain_epochs);
+  serve_epoch_interval_ =
+      serving && !options.distributed ? options.serve.epoch_interval : 0;
 
   // Spans are stamped with the *simulated* window each stage covers (the
   // study runs on a virtual clock); skipped/already-done stages record no
@@ -405,23 +382,14 @@ const StudyResults& Study::run(RunOptions options) {
   const auto root = tracer.begin_span("study.run", study_start);
   if (options.collect && !collected_) {
     const auto span = tracer.begin_span("study.collect", study_start);
-    if (options.distributed) {
-      do_collect_distributed(*options.distributed,
-                             std::move(options.resume_from));
-    } else if (options.resume_from) {
-      do_resume_collect(std::move(*options.resume_from),
-                        options.checkpoint_sink);
-    } else {
-      do_collect(options.checkpoint_sink);
-    }
+    do_collect(options);
+    // Only a stage that finished counts as done: one that threw (a
+    // checkpoint sink, a dead fleet) runs again on the next run().
+    collected_ = true;
     if (serving) {
       // The window-end epoch: every serving run that collected publishes
       // at least one snapshot covering the full (canonicalized) corpus.
-      const analysis::ScanSource src =
-          results_.ntp_runs != nullptr
-              ? analysis::make_source(*results_.ntp_runs)
-              : analysis::make_source(results_.ntp);
-      serve_->publish(src, study_end);
+      serve_->publish(ntp_source(), study_end);
     }
     serve_epoch_interval_ = 0;
     tracer.end_span(span, study_end);

@@ -268,12 +268,10 @@ class Study {
   static Study run(const StudyConfig& config);
 
  private:
-  void do_collect(const hitlist::CheckpointSink& sink);
-  void do_collect_distributed(
-      const dist::DistConfig& dist_config,
-      std::optional<hitlist::CollectionCheckpoint>&& checkpoint);
-  void do_resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
-                         const hitlist::CheckpointSink& sink);
+  // Stage 1, the one way: seeds the target from options.resume_from (if
+  // set, consuming it), then collects through the PassiveCollector or,
+  // with options.distributed, a dist::SimCluster.
+  void do_collect(RunOptions& options);
   void do_campaigns();
   void do_backscan();
   void do_analysis();
@@ -282,6 +280,9 @@ class Study {
   // serving layer's epoch sink) wired in (when config_.metrics is on;
   // epoch publication is independent of the metrics toggle).
   hitlist::CollectorConfig collector_config();
+  // The NTP corpus as the analyses and the serving layer read it: the
+  // merged runs out of core, else the in-memory table.
+  analysis::ScanSource ntp_source() const;
 
   StudyConfig config_;
   std::unique_ptr<sim::World> world_;

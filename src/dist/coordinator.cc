@@ -17,6 +17,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// How long a revoked range waits before it is granted again.
+constexpr std::uint64_t kRetryBackoffMs = 200;
+
 std::uint64_t ms_since(Clock::time_point t0) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - t0)
@@ -211,7 +214,7 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
       ++result.reassignments;
       ++slot.epoch;  // stale uploads from the zombie now bounce
       slot.running = false;
-      slot.available_at_ms = now + config_.retry_backoff_ms;
+      slot.available_at_ms = now + kRetryBackoffMs;
       send(id, FrameType::kRevoke, slot.id, slot.epoch,
            static_cast<std::uint64_t>(slot.resume_from));
     }
@@ -251,8 +254,7 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
       }
     }
     if (all_done) break;
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(config_.poll_interval_ms));
+    std::this_thread::sleep_for(kMailboxPollInterval);
   }
 
   // Shutdown everyone we know about plus the configured initial fleet
@@ -266,18 +268,22 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
   }
 
   // Deterministic merge over the final artifacts: the ranges partition the
-  // devices, so their union is the single-process corpus and their
-  // counters add up to its counters.
+  // devices, so one canonical union of them is the single-process corpus
+  // and their counters add up to its counters.
+  std::vector<hitlist::Corpus> ranges;
   for (const LeaseSlot& slot : leases) {
     hitlist::CollectionCheckpoint final_ckpt =
         hitlist::load_checkpoint_file(config_.dir + "/" + slot.final_path);
-    result.corpus.merge(final_ckpt.corpus);
+    ranges.push_back(std::move(final_ckpt.corpus));
     result.polls_attempted += final_ckpt.state.polls_attempted;
     result.polls_answered += final_ckpt.state.polls_answered;
     hitlist::add_vantage_health(result.vantage_health,
                                 final_ckpt.state.vantage_health);
   }
-  result.corpus.canonicalize();
+  std::vector<const hitlist::Corpus*> parts;
+  for (const hitlist::Corpus& range : ranges) parts.push_back(&range);
+  result.corpus =
+      hitlist::Corpus::from_canonical(hitlist::Corpus::canonical_union(parts));
   return result;
 }
 

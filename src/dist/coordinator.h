@@ -3,11 +3,15 @@
 // heartbeat silence, fences revoked leases with epochs, and performs the
 // deterministic merge over the workers' final checkpoint artifacts.
 //
-// The in-process SimCluster and this class implement the same protocol;
-// the cluster proves the merge invariants deterministically under seeded
-// faults, this one survives actual `kill -9` (the CI smoke job does
-// exactly that and diffs the merged corpus against the single-process
-// reference byte-for-byte).
+// The in-process SimCluster and the Coordinator/Worker pair implement the
+// same protocol and share its parts: the lease runner (run_lease() in
+// dist/lease.h), the artifact names (checkpoint_path()), and the reduce
+// (one Corpus::canonical_union over the final ranges). The cluster proves
+// the merge invariants deterministically under seeded faults on a
+// simulated clock; this class owns the wall clock, the mailboxes and
+// frames.log, and survives actual `kill -9` (the CI smoke job does exactly
+// that and diffs the merged corpus against the single-process reference
+// byte-for-byte).
 #pragma once
 
 #include <cstddef>
@@ -33,10 +37,9 @@ struct CoordinatorConfig {
   std::size_t devices = 0;
   std::uint32_t ranges = 0;  // 0 -> workers
   util::SimDuration chunk_interval = util::kWeek;
-  // Wall-clock liveness and pacing.
+  // Wall-clock heartbeat silence after which a leased worker is dead; its
+  // range is re-offered 200 ms later.
   std::uint32_t heartbeat_timeout_ms = 10000;
-  std::uint32_t retry_backoff_ms = 200;
-  std::uint32_t poll_interval_ms = 25;
   // Overall deadline; exceeded means the run failed loudly.
   std::uint32_t max_wall_ms = 600000;
 };

@@ -1,13 +1,19 @@
-#include "dist/obs_report.h"
+#include "dist/lease.h"
 
 #include <algorithm>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
+
+#include "obs/metrics.h"
+#include "obs/timeline.h"
 
 namespace v6::dist {
 
+namespace {
+
+// The deterministic counter families a completing lease reports (see
+// run_lease()).
 obs::Snapshot completion_snapshot(const hitlist::PassiveCollector& collector) {
   obs::Snapshot snap;
   const auto counter = [&snap](std::string_view name, std::string_view help,
@@ -48,12 +54,32 @@ obs::Snapshot completion_snapshot(const hitlist::PassiveCollector& collector) {
   return snap;
 }
 
-ObsReport build_obs_report(const hitlist::PassiveCollector& collector,
-                           obs::Timeline windows) {
-  ObsReport report;
-  report.snapshot = completion_snapshot(collector);
-  report.windows = std::move(windows);
-  return report;
+}  // namespace
+
+LeaseResult run_lease(const NodeEnv& env, util::ShardRange devices,
+                      util::SimDuration chunk_interval,
+                      const hitlist::CheckpointState& from,
+                      hitlist::Corpus& corpus,
+                      const hitlist::CheckpointSink& upload_sink) {
+  obs::Registry registry;
+  obs::TimelineSampler sampler(registry, chunk_interval, from.window_start);
+  hitlist::CollectorConfig cfg = env.collector;
+  cfg.metrics = &registry;
+  cfg.sampler = &sampler;
+  cfg.checkpoint_interval = chunk_interval;
+  cfg.device_begin = devices.begin;
+  cfg.device_end = devices.end;
+
+  hitlist::PassiveCollector collector(*env.world, *env.plane, *env.dns, cfg);
+  collector.resume(corpus, from, {}, upload_sink);
+  // Close the lease's final window: the collector leaves the window-end
+  // sample to the caller.
+  sampler.sample(from.window_end, cfg.sampler_stage);
+
+  return {{from.window_start, from.window_end, from.window_end,
+           collector.polls_attempted(), collector.polls_answered(),
+           collector.vantage_health()},
+          {completion_snapshot(collector), sampler.take()}};
 }
 
 }  // namespace v6::dist

@@ -354,6 +354,12 @@ ObsReport decode_obs_report(std::span<const std::uint8_t> payload) {
   return report;
 }
 
+std::string checkpoint_path(std::uint32_t lease, std::uint32_t epoch,
+                            std::uint64_t resume_from) {
+  return "ckpt/l" + std::to_string(lease) + "-e" + std::to_string(epoch) +
+         "-t" + std::to_string(resume_from) + ".v6ckpt";
+}
+
 std::optional<std::string> validate_artifact_path(std::string_view path) {
   if (path.empty()) return "empty path";
   if (path.size() > kMaxPath) return "path too long";

@@ -152,6 +152,12 @@ Artifact decode_artifact(std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> encode_obs_report(const ObsReport& report);
 ObsReport decode_obs_report(std::span<const std::uint8_t> payload);
 
+// The run-directory-relative name of lease `lease`'s checkpoint at
+// `resume_from` under `epoch`. Both drivers name every artifact with it; a
+// lease's final artifact is its checkpoint at the window end.
+std::string checkpoint_path(std::uint32_t lease, std::uint32_t epoch,
+                            std::uint64_t resume_from);
+
 // Artifact/checkpoint paths cross process boundaries, so they are treated
 // as hostile: relative, no "..", no NUL/newline, no leading '/', at most
 // 4096 bytes. Returns the reason a path is unacceptable, or nullopt.

@@ -6,7 +6,7 @@
 #include <string>
 #include <string_view>
 
-#include "dist/obs_report.h"
+#include "dist/lease.h"
 #include "hitlist/checkpoint_io.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -15,16 +15,22 @@ namespace v6::dist {
 
 namespace {
 
+// Reassignment backoff: retry r of a lease waits
+// min(kRetryCap, kRetryBackoff * 2^(r-1)), stretched by up to kRetryJitter
+// of itself (seeded jitter: a pure hash of (seed, lease, r)).
+constexpr util::SimDuration kRetryBackoff = util::kHour;
+constexpr util::SimDuration kRetryCap = 12 * util::kHour;
+constexpr double kRetryJitter = 0.5;
+// A replacement worker comes up this long after a death is detected.
+constexpr util::SimDuration kRespawnDelay = 2 * util::kHour;
+// Lane cost of replaying one already-collected sim second of a range
+// (replay skips recording and the corpus table work, so it is cheaper).
+constexpr double kReplayCost = 0.125;
+
 // Same raw-draw-to-[0,1) mapping as util::Rng::uniform(), applied to a
 // pure hash so the reassignment jitter never consumes an RNG stream.
 double unit(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-std::string checkpoint_path(std::uint32_t lease, std::uint32_t epoch,
-                            std::uint64_t resume_from) {
-  return "ckpt/l" + std::to_string(lease) + "-e" + std::to_string(epoch) +
-         "-t" + std::to_string(resume_from) + ".v6ckpt";
 }
 
 // Lease-aborting events, thrown out of the checkpoint sink.
@@ -83,10 +89,10 @@ SimCluster::SimCluster(const sim::World& world, netsim::DataPlane& plane,
                        const DistConfig& config,
                        netsim::WorkerFaultSchedule* faults,
                        obs::Registry* registry, obs::TimelineSampler* sampler)
-    : world_(&world),
-      plane_(&plane),
-      dns_(&dns),
-      collector_cfg_(collector_cfg),
+    : env_{.world = &world,
+           .plane = &plane,
+           .dns = &dns,
+           .collector = collector_cfg},
       config_(config),
       faults_(faults),
       registry_(registry),
@@ -97,7 +103,7 @@ SimCluster::SimCluster(const sim::World& world, netsim::DataPlane& plane,
   if (config_.chunk_interval <= 0) {
     throw std::invalid_argument("SimCluster: chunk_interval must be > 0");
   }
-  if (collector_cfg_.wire_fidelity) {
+  if (env_.collector.wire_fidelity) {
     // The wire path delivers every poll to the UDP services bound on the
     // one shared DataPlane (one binding per vantage address), which
     // per-range runs cannot share. Fail loudly instead of silently losing
@@ -218,23 +224,22 @@ DistReport SimCluster::collect(
   for (std::uint32_t r = 0; r < range_count; ++r) {
     leases[r].id = r;
     leases[r].devices =
-        util::shard_range(world_->devices().size(), r, range_count);
+        util::shard_range(env_.world->devices().size(), r, range_count);
     leases[r].available_at = start;
   }
 
   const auto backoff_until = [&](const LeaseState& ss,
                                  util::SimTime from) -> util::SimTime {
-    // Capped exponential backoff with seeded jitter: retry r waits
-    // min(cap, backoff * 2^(r-1)) stretched by up to retry_jitter of
-    // itself. Pure hash -> deterministic at any scheduling order.
+    // Capped exponential backoff with seeded jitter (see kRetryBackoff).
+    // Pure hash -> deterministic at any scheduling order.
     const std::uint32_t r = std::max<std::uint32_t>(ss.retries, 1);
-    util::SimDuration base = config_.retry_backoff;
-    for (std::uint32_t i = 1; i < r && base < config_.retry_cap; ++i) {
+    util::SimDuration base = kRetryBackoff;
+    for (std::uint32_t i = 1; i < r && base < kRetryCap; ++i) {
       base *= 2;
     }
-    base = std::min(base, config_.retry_cap);
+    base = std::min(base, kRetryCap);
     const double jitter =
-        config_.retry_jitter *
+        kRetryJitter *
         unit(util::mix64(config_.seed ^ 0xba2c0ffu ^
                          util::mix64((static_cast<std::uint64_t>(ss.id) << 32) |
                                      r)));
@@ -252,10 +257,10 @@ DistReport SimCluster::collect(
     }
     if (config_.respawn) {
       // The coordinator notices the death one heartbeat timeout after the
-      // last heartbeat and provisions a replacement after respawn_delay.
+      // last heartbeat and provisions a replacement kRespawnDelay later.
       WorkerState fresh;
       fresh.id = next_worker_id++;
-      fresh.free_at = at + config_.heartbeat_timeout + config_.respawn_delay;
+      fresh.free_at = at + config_.heartbeat_timeout + kRespawnDelay;
       workers.push_back(fresh);
       ++report.workers;
       set_alive(fresh.id, 1.0);
@@ -390,25 +395,8 @@ DistReport SimCluster::collect(
               static_cast<std::uint64_t>(g), encode_lease_grant(grant));
 
     // --- the lease itself -------------------------------------------------
-    // Per-lease observability: a private registry + sampler whose grid
-    // coincides with the checkpoint grid (same interval, same origin), so
-    // wiring them adds no merge barriers and perturbs neither the corpus
-    // nor the frame schedule. Aborted leases discard the pair; only the
-    // completing lease's report is uploaded.
-    obs::Registry lease_registry;
-    obs::TimelineSampler lease_sampler(lease_registry, config_.chunk_interval,
-                                       start);
-    hitlist::CollectorConfig cfg = collector_cfg_;
-    cfg.metrics = &lease_registry;
-    cfg.sampler = &lease_sampler;
-    cfg.checkpoint_interval = config_.chunk_interval;
-    cfg.device_begin = ss.devices.begin;
-    cfg.device_end = ss.devices.end;
-
     hitlist::Corpus corpus =
         ss.ckpt ? ss.ckpt->corpus.copy() : hitlist::Corpus(1 << 12);
-    hitlist::PassiveCollector collector(*world_, *plane_, *dns_, cfg);
-
     const std::optional<util::SimTime> kill = plan->kill_at(wk.id);
     // Lane clock: where this worker's process is on the cluster clock.
     util::SimTime lane = g;
@@ -445,8 +433,8 @@ DistReport SimCluster::collect(
       prev = to;
     };
 
-    const auto sink = [&](const hitlist::CheckpointState& state,
-                          const hitlist::Corpus& snapshot) {
+    const auto upload = [&](const hitlist::CheckpointState& state,
+                            const hitlist::Corpus& snapshot) {
       advance_to(state.resume_from);
       // Durable: the coordinator holds the (state, corpus) pair; a later
       // recovery lease resumes from exactly this instant.
@@ -473,32 +461,28 @@ DistReport SimCluster::collect(
       // not free; the process can die mid-replay too.
       if (lease_from.resume_from > start) {
         lane += static_cast<util::SimDuration>(
-            config_.replay_cost *
-            static_cast<double>(lease_from.resume_from - start));
+            kReplayCost * static_cast<double>(lease_from.resume_from - start));
         if (kill && *kill <= lane) throw WorkerDied{*kill};
       }
-      collector.resume(corpus, lease_from, {}, sink);
+      LeaseResult done = run_lease(env_, ss.devices, config_.chunk_interval,
+                                   lease_from, corpus, upload);
       // The final partial chunk has no interior boundary; its upload is
       // the completion itself, and death or a stall-out on the way still
       // aborts the lease.
       advance_to(end);
       ss.done = true;
       ss.ckpt.reset();
-      report.polls_attempted += collector.polls_attempted();
-      report.polls_answered += collector.polls_answered();
+      report.polls_attempted += done.state.polls_attempted;
+      report.polls_answered += done.state.polls_answered;
       hitlist::add_vantage_health(report.vantage_health,
-                                  collector.vantage_health());
-      // Close the lease's final window (the collector leaves the
-      // window-end sample to the caller) and upload the observability
-      // report at the completion barrier, just before kComplete.
-      lease_sampler.sample(static_cast<util::SimTime>(end), cfg.sampler_stage);
-      ObsReport obs_report = build_obs_report(collector, lease_sampler.take());
+                                  done.state.vantage_health);
+      // The observability report goes up at the completion barrier, just
+      // before kComplete.
       wire.emit(FrameType::kObsReport, wk.id, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(lane),
-                encode_obs_report(obs_report));
+                static_cast<std::uint64_t>(lane), encode_obs_report(done.obs));
       report.cluster_obs.add_worker(wk.id, ss.id,
-                                    std::move(obs_report.snapshot),
-                                    std::move(obs_report.windows));
+                                    std::move(done.obs.snapshot),
+                                    std::move(done.obs.windows));
       Artifact artifact;
       artifact.path =
           checkpoint_path(ss.id, ss.epoch, static_cast<std::uint64_t>(end));
@@ -542,7 +526,7 @@ DistReport SimCluster::collect(
   wire.emit(FrameType::kShutdown, kCoordinatorId, kNoLease, 0,
             static_cast<std::uint64_t>(report.finished_at));
 
-  report.vantage_health.resize(world_->vantages().size());
+  report.vantage_health.resize(env_.world->vantages().size());
   if (registry_ != nullptr) {
     // Collector-family totals of this run's work, bulk-added post-merge
     // exactly like the single-process collector's merge-time flush.

@@ -25,10 +25,17 @@
 //   * epoch fencing rejects uploads from zombie (revoked-then-woken)
 //     workers, so reassignment never double-counts.
 //
+// What it shares with the real Coordinator/Worker pair: every lease runs
+// through run_lease() (dist/lease.h), every artifact is named by
+// checkpoint_path(), and in memory the final ranges reduce through one
+// Corpus::canonical_union. What it owns: the lane clock, the kills and
+// stalls (thrown out of the lease's upload sink), and in-memory delivery
+// of each range's corpus.
+//
 // The cluster clock is sim seconds: a healthy chunk of S sim seconds
 // costs S lane seconds (times the fault plan's slow factor); replaying an
-// already-checkpointed prefix costs replay_cost per sim second. Kills and
-// stalls are keyed on lane time. Everything runs on one thread in a
+// already-checkpointed prefix costs 1/8 lane second per sim second. Kills
+// and stalls are keyed on lane time. Everything runs on one thread in a
 // deterministic event loop, so DistReport numbers are exact and
 // reproducible — the recovery-latency figures in bench_dist_collection
 // are pure functions of (config, seed).
@@ -38,6 +45,7 @@
 #include <functional>
 #include <vector>
 
+#include "dist/lease.h"
 #include "dist/protocol.h"
 #include "hitlist/corpus.h"
 #include "hitlist/passive_collector.h"
@@ -63,23 +71,14 @@ struct DistConfig {
   // after a death. Never changes the merged corpus.
   util::SimDuration chunk_interval = util::kWeek;
   // Heartbeat silence after which the coordinator declares a worker dead
-  // or stalled-out and revokes its lease.
+  // or stalled-out and revokes its lease. A revoked lease is reassigned
+  // after a capped exponential backoff (one hour doubling to twelve) with
+  // seeded jitter.
   util::SimDuration heartbeat_timeout = util::kDay;
-  // Reassignment backoff: retry r of a lease waits
-  // min(retry_cap, retry_backoff * 2^r), stretched by up to retry_jitter
-  // of itself (seeded jitter — a pure hash of (seed, lease, r)).
-  util::SimDuration retry_backoff = util::kHour;
-  util::SimDuration retry_cap = 12 * util::kHour;
-  double retry_jitter = 0.5;
-  // Replacement workers: a detected death spawns a fresh worker
-  // respawn_delay after detection (keeps workers=1 runs alive through a
-  // kill). Replacements carry no planned faults.
+  // Replacement workers: a detected death spawns a fresh worker two hours
+  // after detection (keeps workers=1 runs alive through a kill).
+  // Replacements carry no planned faults.
   bool respawn = true;
-  util::SimDuration respawn_delay = 2 * util::kHour;
-  // Lane cost of replaying one already-collected sim second of a range
-  // (replay skips recording and the corpus table work, so it is
-  // cheaper).
-  double replay_cost = 0.125;
   // Seed for the reassignment jitter.
   std::uint64_t seed = 71;
   // Seeded worker fault plan; inactive means a healthy fleet. Forced
@@ -128,10 +127,9 @@ struct DistReport {
 class SimCluster {
  public:
   // `collector_cfg` is the single-process collector configuration the
-  // cluster must reproduce; its metrics/sampler are replaced per lease
-  // (each lease runs a private Registry + TimelineSampler whose grid
-  // coincides with the checkpoint grid; the completing lease uploads the
-  // pair as a kObsReport frame, aggregated into DistReport::cluster_obs).
+  // cluster must reproduce; run_lease() replaces its metrics/sampler per
+  // lease, and the completing lease's kObsReport is aggregated into
+  // DistReport::cluster_obs.
   // The cluster still reports merged totals into the caller's `registry`
   // after the merge. `faults` (optional) lets the caller inject
   // forced kills on top of config.worker_faults; pass nullptr to let the
@@ -173,10 +171,7 @@ class SimCluster {
   // collector's final flush.
   void count_records(std::uint64_t admitted, std::uint64_t observations);
 
-  const sim::World* world_;
-  netsim::DataPlane* plane_;
-  const netsim::PoolDns* dns_;
-  hitlist::CollectorConfig collector_cfg_;
+  NodeEnv env_;
   DistConfig config_;
   netsim::WorkerFaultSchedule* faults_;
   obs::Registry* registry_;

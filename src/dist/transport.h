@@ -18,6 +18,7 @@
 // machines with NFS) has.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -26,6 +27,9 @@
 #include "dist/protocol.h"
 
 namespace v6::dist {
+
+// How long the coordinator and an idle worker sleep between mailbox drains.
+inline constexpr std::chrono::milliseconds kMailboxPollInterval{25};
 
 // Atomic whole-file write (tmp + rename). Throws std::runtime_error.
 void write_file_atomic(const std::string& path,

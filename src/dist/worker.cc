@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "dist/obs_report.h"
 #include "dist/transport.h"
 #include "hitlist/checkpoint_io.h"
 
@@ -54,12 +53,6 @@ void Worker::run() {
         throw std::runtime_error("worker: malformed lease grant");
       }
 
-      hitlist::CollectorConfig cfg = env_.collector;
-      cfg.checkpoint_interval =
-          static_cast<util::SimDuration>(grant.chunk_interval);
-      cfg.device_begin = grant.device_begin;
-      cfg.device_end = grant.device_end;
-
       hitlist::CheckpointState from;
       hitlist::Corpus corpus(1 << 12);
       if (!grant.checkpoint_path.empty()) {
@@ -77,29 +70,20 @@ void Worker::run() {
         from.resume_from = static_cast<util::SimTime>(grant.resume_from);
       }
 
-      // Per-lease observability: a private registry + sampler whose grid
-      // coincides with the checkpoint grid (same interval, anchored at the
-      // window start), so wiring them adds no merge barriers. The pair is
-      // uploaded as a kObsReport frame at the completion barrier; a killed
-      // worker uploads nothing and the replacement lease's report carries
-      // the checkpoint-restored cumulative totals.
-      obs::Registry lease_registry;
-      obs::TimelineSampler lease_sampler(lease_registry,
-                                         cfg.checkpoint_interval,
-                                         from.window_start);
-      cfg.metrics = &lease_registry;
-      cfg.sampler = &lease_sampler;
-
-      hitlist::PassiveCollector collector(*env_.world, *env_.plane, *env_.dns,
-                                          cfg);
-      const auto sink = [&](const hitlist::CheckpointState& state,
+      // Writes (state, corpus) as the lease's durable artifact at
+      // state.resume_from.
+      const auto save = [&](const hitlist::CheckpointState& state,
                             const hitlist::Corpus& snapshot) {
         Artifact artifact;
-        artifact.path = "ckpt/l" + std::to_string(lease) + "-e" +
-                        std::to_string(epoch) + "-t" +
-                        std::to_string(state.resume_from) + ".v6ckpt";
+        artifact.path = checkpoint_path(
+            lease, epoch, static_cast<std::uint64_t>(state.resume_from));
         artifact.bytes = hitlist::save_checkpoint_file(
             config_.dir + "/" + artifact.path, state, snapshot);
+        return artifact;
+      };
+      const auto upload = [&](const hitlist::CheckpointState& state,
+                              const hitlist::Corpus& snapshot) {
+        const Artifact artifact = save(state, snapshot);
         send(FrameType::kHeartbeat, lease, epoch,
              static_cast<std::uint64_t>(state.resume_from));
         send(FrameType::kCheckpointUpload, lease, epoch,
@@ -110,31 +94,18 @@ void Worker::run() {
               std::chrono::milliseconds(config_.chunk_delay_ms));
         }
       };
-      collector.resume(corpus, from, {}, sink);
+      const LeaseResult done = run_lease(
+          env_, {grant.device_begin, grant.device_end},
+          static_cast<util::SimDuration>(grant.chunk_interval), from, corpus,
+          upload);
 
-      // Completion: the final (state, corpus) as one durable artifact the
-      // coordinator merges from.
-      hitlist::CheckpointState final_state;
-      final_state.window_start = from.window_start;
-      final_state.window_end = from.window_end;
-      final_state.resume_from = from.window_end;
-      final_state.polls_attempted = collector.polls_attempted();
-      final_state.polls_answered = collector.polls_answered();
-      final_state.vantage_health = collector.vantage_health();
-      Artifact artifact;
-      artifact.path = "ckpt/l" + std::to_string(lease) + "-final-e" +
-                      std::to_string(epoch) + ".v6ckpt";
-      artifact.bytes = hitlist::save_checkpoint_file(
-          config_.dir + "/" + artifact.path, final_state, corpus);
-      // Close the lease's final window (the collector leaves the
-      // window-end sample to the caller) and upload the observability
-      // report at the completion barrier, just before kComplete.
-      lease_sampler.sample(from.window_end, cfg.sampler_stage);
-      const ObsReport obs_report =
-          build_obs_report(collector, lease_sampler.take());
+      // Completion: the checkpoint at the window end is the one durable
+      // artifact the coordinator merges from. The observability report
+      // goes up just before kComplete.
+      const Artifact artifact = save(done.state, corpus);
       send(FrameType::kObsReport, lease, epoch,
            static_cast<std::uint64_t>(from.window_end),
-           encode_obs_report(obs_report));
+           encode_obs_report(done.obs));
       send(FrameType::kComplete, lease, epoch,
            static_cast<std::uint64_t>(from.window_end),
            encode_artifact(artifact));
@@ -144,8 +115,7 @@ void Worker::run() {
         std::chrono::milliseconds(config_.max_idle_ms)) {
       throw std::runtime_error("worker: no shutdown within the idle deadline");
     }
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(config_.poll_interval_ms));
+    std::this_thread::sleep_for(kMailboxPollInterval);
   }
 }
 

@@ -1,40 +1,22 @@
-// The real-process worker: polls its mailbox for chunk leases, collects
-// each lease's device range through PassiveCollector's checkpoint
-// machinery, uploads a durable V6CKPT01 artifact at every chunk
-// boundary, and reports completion. A `kill -9` at any instant loses at
-// most the chunks since the last upload — the coordinator's replacement
-// lease resumes that range from the artifact and the merged corpus stays
-// bit-identical (the invariant PR 2 established per-process and the CI
-// smoke job asserts across processes).
+// The real-process worker: polls its mailbox for chunk leases and runs
+// each through run_lease() (dist/lease.h), the same lease runner the
+// in-process SimCluster uses, so the collection, the checkpoint grid and
+// the kObsReport payload are shared. What the worker owns is the process
+// side: the mailbox, and the files. Every chunk boundary writes a durable
+// V6CKPT01 artifact named by checkpoint_path() and uploads it; completion
+// writes the checkpoint at the window end, uploads the observability
+// report, and reports kComplete. A `kill -9` at any instant loses at most
+// the chunks since the last upload: the coordinator's replacement lease
+// resumes that range from the artifact and the merged corpus stays
+// bit-identical (the CI smoke job asserts it across processes).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "hitlist/passive_collector.h"
-#include "netsim/data_plane.h"
-#include "netsim/pool_dns.h"
-#include "sim/world.h"
-#include "util/sim_time.h"
+#include "dist/lease.h"
 
 namespace v6::dist {
-
-// Everything a node needs to run collection: the deterministic simulation
-// inputs every process rebuilds identically from the shared study flags.
-// Pointers are borrowed; the owner (the CLI's Study) must outlive the
-// worker.
-struct NodeEnv {
-  const sim::World* world = nullptr;
-  netsim::DataPlane* plane = nullptr;
-  const netsim::PoolDns* dns = nullptr;
-  // Base collector configuration (metrics/sampler are replaced by a
-  // per-lease registry + sampler whose report is uploaded as a
-  // kObsReport frame; the device range and checkpoint interval come
-  // from each lease).
-  hitlist::CollectorConfig collector;
-  util::SimTime start = 0;
-  util::SimTime end = 0;
-};
 
 struct WorkerConfig {
   std::string dir;  // shared run directory
@@ -42,7 +24,6 @@ struct WorkerConfig {
   // Artificial per-chunk delay: widens the window in which the CI smoke
   // job can land its `kill -9` mid-run. 0 in production.
   std::uint32_t chunk_delay_ms = 0;
-  std::uint32_t poll_interval_ms = 25;
   // Give up when no shutdown arrives for this long (orphan protection).
   std::uint32_t max_idle_ms = 600000;
 };

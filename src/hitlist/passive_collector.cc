@@ -35,6 +35,11 @@ util::SimDuration backoff_offset(std::uint32_t attempt,
   return backoff > kNoResend / steps ? kNoResend : backoff * steps;
 }
 
+// Out of core, a spill check runs at least this often: the spill grid
+// guarantees interior merge barriers even when neither checkpointing nor
+// sampling provides them.
+constexpr util::SimDuration kSpillBarrierInterval = util::kDay;
+
 }  // namespace
 
 PassiveCollector::PassiveCollector(const sim::World& world,
@@ -443,12 +448,11 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
       hi = std::min<util::SimTime>(
           hi, from.window_start + k * config_.epoch_interval);
     }
-    if (tiered_ != nullptr && tiered_->config().barrier_interval > 0) {
-      // The spill grid guarantees interior merge barriers even when
-      // neither checkpointing nor sampling provides them.
-      const util::SimDuration interval = tiered_->config().barrier_interval;
-      const std::int64_t k = (lo - from.window_start) / interval + 1;
-      hi = std::min<util::SimTime>(hi, from.window_start + k * interval);
+    if (tiered_ != nullptr) {
+      const std::int64_t k =
+          (lo - from.window_start) / kSpillBarrierInterval + 1;
+      hi = std::min<util::SimTime>(
+          hi, from.window_start + k * kSpillBarrierInterval);
     }
     run_chunk(hi);
     if (tiered_ != nullptr) {
@@ -563,7 +567,7 @@ void PassiveCollector::run(Corpus& corpus, util::SimTime start,
 void PassiveCollector::run(TieredCorpus& runs, util::SimTime start,
                            util::SimTime end, const ObservationHook& hook,
                            const CheckpointSink& sink) {
-  resume(runs, Corpus(1), CheckpointState::fresh(start, end), hook, sink);
+  resume(runs, CheckpointState::fresh(start, end), hook, sink);
 }
 
 void PassiveCollector::resume(Corpus& corpus, const CheckpointState& from,
@@ -572,16 +576,10 @@ void PassiveCollector::resume(Corpus& corpus, const CheckpointState& from,
   collect(corpus, from, hook, sink);
 }
 
-void PassiveCollector::resume(TieredCorpus& runs, Corpus&& snapshot,
-                              const CheckpointState& from,
+void PassiveCollector::resume(TieredCorpus& runs, const CheckpointState& from,
                               const ObservationHook& hook,
                               const CheckpointSink& sink) {
   tiered_ = &runs;
-  // The checkpointed prefix becomes the first on-disk run; the tail then
-  // spills through the normal barrier machinery. Run *boundaries* differ
-  // from an uninterrupted spilled run, but the k-way merge erases
-  // boundaries — the merged stream is a pure function of content.
-  if (snapshot.size() > 0) runs.spill(std::move(snapshot));
   // Scratch stand-in for the caller corpus: collect() keeps it empty in
   // tiered mode (shards spill instead of merging into it).
   Corpus scratch(1);

@@ -231,8 +231,8 @@ class PassiveCollector {
   // crosses runs.config().memory_budget_bytes at a merge barrier, their
   // union is flushed into `runs` as one on-disk run and the tables reset
   // (the tail is flushed at window end regardless). Barriers come from
-  // the checkpoint/sampling grids plus runs.config().barrier_interval,
-  // so a run without either still spills on a sim-time grid. The spilled
+  // the checkpoint/sampling grids plus a one-day spill grid, so a run
+  // without either still spills on a sim-time grid. The spilled
   // union always covers ALL shards, which keeps each run's *content* a
   // pure function of the boundary time — the merged stream (and thus
   // every analysis and save() byte) is identical to the in-memory run at
@@ -263,17 +263,19 @@ class PassiveCollector {
               const ObservationHook& hook = {},
               const CheckpointSink& sink = {});
 
-  // Out-of-core resume: honors a spill budget while resuming. `snapshot`
-  // (the checkpointed corpus for `from`) is seeded into `runs` as its
-  // first on-disk run, then the tail collects through the same spill
-  // machinery as run(TieredCorpus&). The merged stream — and every
-  // analysis float and save() byte derived from it — is identical to the
-  // in-memory resume at any thread count and budget. On a sink throw,
-  // `runs` keeps every run spilled so far (including the seeded
-  // snapshot); recovery is a fresh TieredCorpus resumed from the last
-  // checkpoint the sink durably accepted, not a retry on the same `runs`.
-  void resume(TieredCorpus& runs, Corpus&& snapshot,
-              const CheckpointState& from, const ObservationHook& hook = {},
+  // Out-of-core resume: honors a spill budget while resuming. `runs`
+  // must hold the snapshot written with `from` (seed it with
+  // runs.spill(std::move(snapshot)), as for dist::SimCluster::run); the
+  // tail then collects through the same spill machinery as
+  // run(TieredCorpus&). The k-way merge erases run boundaries, so the
+  // merged stream — and every analysis float and save() byte derived
+  // from it — is identical to the in-memory resume at any thread count
+  // and budget. On a sink throw, `runs` keeps every run spilled so far
+  // (including the seeded snapshot); recovery is a fresh TieredCorpus
+  // resumed from the last checkpoint the sink durably accepted, not a
+  // retry on the same `runs`.
+  void resume(TieredCorpus& runs, const CheckpointState& from,
+              const ObservationHook& hook = {},
               const CheckpointSink& sink = {});
 
   std::uint64_t polls_attempted() const noexcept { return polls_; }

@@ -87,10 +87,6 @@ TieredCorpus::TieredCorpus(SpillConfig config, obs::Registry* metrics)
 }
 
 TieredCorpus::~TieredCorpus() {
-  if (!config_.keep_files) remove_run_files();
-}
-
-void TieredCorpus::remove_run_files() {
   std::error_code ec;  // destructor path: never throw, best effort
   for (const Run& run : runs_) fs::remove(run.path, ec);
   if (owns_directory_) fs::remove(config_.directory, ec);

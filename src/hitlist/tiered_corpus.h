@@ -39,7 +39,6 @@
 #include "hitlist/corpus.h"
 #include "hitlist/run_io.h"
 #include "obs/metrics.h"
-#include "util/sim_time.h"
 
 namespace v6::hitlist {
 
@@ -51,14 +50,9 @@ struct SpillConfig {
   // Where run files live. Empty: a fresh directory under the system temp
   // root, removed with the TieredCorpus.
   std::string directory;
-  // Sim-time spacing of spill-check barriers the collector adds when no
-  // other grid (checkpointing, sampling) provides interior barriers.
-  util::SimDuration barrier_interval = util::kDay;
   // Records per run-file block (delta-chain reset + seek granularity).
   // Tests shrink it to force multi-block runs on tiny corpora.
   std::uint32_t block_records = 4096;
-  // Leave the run files on disk at destruction (debugging/bench probing).
-  bool keep_files = false;
 
   bool active() const noexcept { return memory_budget_bytes > 0; }
 };
@@ -161,7 +155,6 @@ class TieredCorpus {
   void merge_runs(const net::Ipv6Address* lo,
                   std::span<const AddressRecord> extra, Emit&& emit) const;
   void invalidate_caches();
-  void remove_run_files();
 
   SpillConfig config_;
   bool owns_directory_ = false;

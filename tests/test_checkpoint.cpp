@@ -485,10 +485,11 @@ TEST_F(CheckpointTest, ThrowingSinkMidResumeHonorsTheContract) {
     TieredCorpus runs(spill);
     std::stringstream in(snapshots[1]);
     auto ck = load_checkpoint(in);
+    runs.spill(std::move(ck.corpus));
     with_collector([&](PassiveCollector& collector) {
       int uploads = 0;
       EXPECT_THROW(
-          collector.resume(runs, std::move(ck.corpus), ck.state, {},
+          collector.resume(runs, ck.state, {},
                            [&](const CheckpointState&, const Corpus&) {
                              if (++uploads == 2) throw Crash{};
                            }),
@@ -500,8 +501,9 @@ TEST_F(CheckpointTest, ThrowingSinkMidResumeHonorsTheContract) {
     TieredCorpus runs(spill);
     std::stringstream in(last_durable);
     auto ck = load_checkpoint(in);
+    runs.spill(std::move(ck.corpus));
     with_collector([&](PassiveCollector& collector) {
-      collector.resume(runs, std::move(ck.corpus), ck.state);
+      collector.resume(runs, ck.state);
     });
     EXPECT_GE(runs.stats().spills, 1u);
     std::stringstream got(std::ios::in | std::ios::out | std::ios::binary);

@@ -4,19 +4,28 @@
 // observation is lost or double-counted. Plus the Study-level plumbing:
 // full-pipeline equality (analysis floats compared bit-for-bit), export
 // lints, composition with spill and resume, and the fail-loudly guard.
+// Last, the real Coordinator and Workers on threads over a run directory.
 #include "dist/sim_cluster.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
+#include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/study.h"
+#include "dist/coordinator.h"
+#include "dist/transport.h"
+#include "dist/worker.h"
 #include "hitlist/corpus_io.h"
 #include "obs/exposition.h"
 #include "obs/timeline.h"
@@ -597,6 +606,113 @@ TEST(DistStudy, IncompatibleKnobsFailLoudly) {
   options.checkpoint_sink = [](const hitlist::CheckpointState&,
                                const hitlist::Corpus&) {};
   EXPECT_THROW(study.run(std::move(options)), std::invalid_argument);
+
+  // Rejected before any work, so stage 1 is still to do: a plain run()
+  // afterwards collects.
+  core::StudyConfig wire_config = small_config();
+  wire_config.collector.wire_fidelity = true;
+  core::Study wire(wire_config);
+  core::RunOptions distributed = collect_only();
+  distributed.distributed = DistConfig{};
+  EXPECT_THROW(wire.run(std::move(distributed)), std::invalid_argument);
+  const core::StudyResults& r = wire.run(collect_only());
+  EXPECT_GT(wire.ntp_size(), 0u);
+  EXPECT_GT(r.polls_attempted, 0u);
+  EXPECT_FALSE(r.dist.has_value());
+}
+
+// --- the real multi-process path, on threads -------------------------------
+
+// A Coordinator and two Workers over a run directory, each worker with its
+// own Study (its own world, data plane and pool DNS, as a separate process
+// would have). The merged corpus and the poll totals equal the
+// single-process collect.
+TEST(DistRealFleet, ThreadedWorkersMatchSingleProcess) {
+  core::StudyConfig config = small_config();
+  core::Study single(config);
+  const core::StudyResults& rs = single.run(collect_only());
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("v6-real-fleet-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+
+  constexpr std::uint32_t kWorkers = 2;
+  CoordinatorConfig coordinator_config;
+  coordinator_config.dir = dir.string();
+  coordinator_config.workers = kWorkers;
+  coordinator_config.devices = single.world().devices().size();
+  coordinator_config.chunk_interval = 3 * util::kDay;
+  // Generous: a sanitizer build must never see a live worker as dead.
+  coordinator_config.heartbeat_timeout_ms = 120000;
+  coordinator_config.max_wall_ms = 300000;
+
+  config.collector.threads = util::Parallelism::serial();
+  std::vector<std::unique_ptr<core::Study>> nodes;
+  std::vector<std::thread> workers;
+  std::vector<std::exception_ptr> worker_errors(kWorkers);
+  for (std::uint32_t id = 0; id < kWorkers; ++id) {
+    nodes.push_back(std::make_unique<core::Study>(config));
+  }
+  for (std::uint32_t id = 0; id < kWorkers; ++id) {
+    core::Study& node = *nodes[id];
+    NodeEnv env;
+    env.world = &node.world();
+    env.plane = &node.plane();
+    env.dns = &node.pool_dns();
+    env.collector = node.config().collector;
+    env.start = config.world.study_start;
+    env.end = env.start + config.world.study_duration;
+    WorkerConfig worker_config;
+    worker_config.dir = dir.string();
+    worker_config.id = id;
+    worker_config.max_idle_ms = 300000;
+    workers.emplace_back([env, worker_config, &worker_errors, id] {
+      try {
+        Worker(env, worker_config).run();
+      } catch (...) {
+        worker_errors[id] = std::current_exception();
+      }
+    });
+  }
+
+  CoordinatorResult result;
+  std::exception_ptr coordinator_error;
+  try {
+    const util::SimTime start = config.world.study_start;
+    result = Coordinator(coordinator_config)
+                 .run(start, start + config.world.study_duration);
+  } catch (...) {
+    coordinator_error = std::current_exception();
+    // Release the workers, which would otherwise wait out their idle
+    // deadline (a seq far past any the coordinator sent, so no mailbox
+    // file name collides).
+    for (std::uint32_t id = 0; id < kWorkers; ++id) {
+      Mailbox(dir.string() + "/to-worker-" + std::to_string(id))
+          .post(Frame{FrameType::kShutdown, kCoordinatorId, kNoLease, 0,
+                      1u << 20, 0, {}});
+    }
+  }
+  for (std::thread& worker : workers) worker.join();
+  if (coordinator_error) std::rethrow_exception(coordinator_error);
+  for (const std::exception_ptr& error : worker_errors) {
+    if (error) std::rethrow_exception(error);
+  }
+
+  EXPECT_EQ(corpus_bytes(result.corpus), corpus_bytes(rs.ntp));
+  EXPECT_EQ(result.polls_attempted, rs.polls_attempted);
+  EXPECT_EQ(result.polls_answered, rs.polls_answered);
+  EXPECT_EQ(result.leases_granted, kWorkers);
+  EXPECT_EQ(result.worker_deaths, 0u);
+  EXPECT_EQ(result.cluster_obs.report_count(), kWorkers);
+  const std::vector<std::uint8_t> frames =
+      read_file(dir.string() + "/frames.log");
+  EXPECT_FALSE(lint_dist_frames(
+                   std::string_view(
+                       reinterpret_cast<const char*>(frames.data()),
+                       frames.size()))
+                   .has_value());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <sstream>
+#include <string>
+
 #include "analysis/entropy_distribution.h"
 
 namespace v6::core {
@@ -182,6 +186,62 @@ TEST(StudyDeterminism, DifferentSeedsDiffer) {
   a.run({.campaigns = false, .backscan = false, .analysis = false});
   b.run({.campaigns = false, .backscan = false, .analysis = false});
   EXPECT_NE(a.results().ntp.size(), b.results().ntp.size());
+}
+
+RunOptions collect_only() {
+  return {.campaigns = false, .backscan = false, .analysis = false};
+}
+
+std::string saved_ntp(const Study& study) {
+  std::ostringstream out(std::ios::binary);
+  study.save_ntp(out);
+  return std::move(out).str();
+}
+
+// A stage 1 whose checkpoint sink throws is not done: the next run()
+// collects again from scratch and matches a study that never failed, in
+// memory and spilled (where the failed attempts already wrote runs). Two
+// attempts fail first: a fresh sampled one, and one resumed from the
+// reference's first checkpoint.
+TEST(StudyRetry, ThrowingCheckpointSinkLeavesCollectionToRetry) {
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{1}}) {
+    StudyConfig config = small_study(13);
+    config.collector.checkpoint_interval = 5 * util::kDay;
+    config.spill.memory_budget_bytes = budget;
+    Study reference(config);
+    std::optional<hitlist::CollectionCheckpoint> first;
+    RunOptions with_sink = collect_only();
+    with_sink.checkpoint_sink = [&first](const hitlist::CheckpointState& state,
+                                         const hitlist::Corpus& corpus) {
+      if (!first) first = hitlist::CollectionCheckpoint{state, corpus.copy()};
+    };
+    const StudyResults& want = reference.run(std::move(with_sink));
+    ASSERT_TRUE(first.has_value());
+
+    Study retried(config);
+    struct UploadFailed {};
+    RunOptions fresh = collect_only();
+    fresh.sample_interval = util::kDay;
+    fresh.checkpoint_sink = [uploads = 0](const hitlist::CheckpointState&,
+                                          const hitlist::Corpus&) mutable {
+      if (++uploads == 2) throw UploadFailed{};
+    };
+    EXPECT_THROW(retried.run(std::move(fresh)), UploadFailed);
+    RunOptions resumed = collect_only();
+    resumed.resume_from = std::move(first);
+    resumed.checkpoint_sink = [](const hitlist::CheckpointState&,
+                                 const hitlist::Corpus&) {
+      throw UploadFailed{};
+    };
+    EXPECT_THROW(retried.run(std::move(resumed)), UploadFailed);
+    const StudyResults& got = retried.run(collect_only());
+
+    EXPECT_GT(retried.ntp_size(), 0u) << "budget " << budget;
+    EXPECT_EQ(retried.ntp_size(), reference.ntp_size()) << "budget " << budget;
+    EXPECT_EQ(got.polls_attempted, want.polls_attempted) << "budget " << budget;
+    EXPECT_EQ(got.polls_answered, want.polls_answered) << "budget " << budget;
+    EXPECT_EQ(saved_ntp(retried), saved_ntp(reference)) << "budget " << budget;
+  }
 }
 
 }  // namespace
