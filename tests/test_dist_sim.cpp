@@ -352,9 +352,9 @@ TEST_F(DistIdentityTest, ClusterObsSurvivesSeededFaultPlan) {
 // Identity gate for the dist layer's barrier work: 4 workers, one forced
 // kill, 2-day chunks. Pins the merged corpus, every DistReport counter and
 // each cluster timeline window's deterministic collector families
-// (counter deltas and per-vantage series). The wall-clock histogram
-// fields of the kObsReport windows (and the frame log that carries them)
-// are left out.
+// (counter deltas and per-vantage series), and the frame log. A lease's
+// registry holds only collector counters, so its kObsReport windows carry
+// no wall-clock histograms and the frame log is deterministic too.
 TEST_F(DistIdentityTest, PinnedDigests) {
   const auto fnv1a = [](std::uint64_t h, std::string_view bytes) {
     for (const char c : bytes) {
@@ -433,6 +433,11 @@ TEST_F(DistIdentityTest, PinnedDigests) {
   }
   EXPECT_EQ(window_count, 25u);
   EXPECT_EQ(hex(windows), "0xfeabd46361fbc4c7");
+
+  EXPECT_EQ(hex(fnv1a(kOffset, std::string_view(reinterpret_cast<const char*>(
+                                                    report.frame_log.data()),
+                                                report.frame_log.size()))),
+            "0x9e7379cf3f79b428");
 }
 
 TEST_F(DistIdentityTest, RespawnDisabledFailsLoudlyWhenFleetDies) {

@@ -445,7 +445,15 @@ struct CollectorDigests {
 // kCheckpointed runs the defaults in memory with a 3-day checkpoint sink
 // and a 2-day timeline sampler on top of the epochs: three barrier grids
 // that interleave, so some barriers serve one consumer and some several.
-enum class GateConfig { kDefaults, kFaulted, kTiered, kCheckpointed };
+// kTieredCheckpointed adds the same two grids to kTiered, so checkpoints
+// and record counts are taken while part of the corpus is spilled.
+enum class GateConfig {
+  kDefaults,
+  kFaulted,
+  kTiered,
+  kCheckpointed,
+  kTieredCheckpointed
+};
 
 // A 600-site, 30-day world with epochs every 7 days. The pool DNS keeps
 // most sync events away from the vantages, as in the study.
@@ -454,6 +462,10 @@ CollectorDigests run_collector_gate(GateConfig which, unsigned threads) {
   world_config.seed = 41;
   world_config.total_sites = 600;
   world_config.study_duration = 30 * util::kDay;
+  const bool tiered = which == GateConfig::kTiered ||
+                      which == GateConfig::kTieredCheckpointed;
+  const bool checkpointed = which == GateConfig::kCheckpointed ||
+                            which == GateConfig::kTieredCheckpointed;
   if (which == GateConfig::kFaulted) world_config.outage_count = 6;
   const sim::World world = sim::World::generate(world_config);
 
@@ -463,8 +475,7 @@ CollectorDigests run_collector_gate(GateConfig which, unsigned threads) {
   netsim::DataPlane plane(world, {config.loss_rate, 1});
   // The study's capture share, except for the tiered config, which needs
   // a corpus large enough to spill at some barriers and not at others.
-  netsim::PoolDns dns(world, 0.25,
-                      which == GateConfig::kTiered ? 0.5 : 0.03);
+  netsim::PoolDns dns(world, 0.25, tiered ? 0.5 : 0.03);
   obs::Registry registry;
   dns.set_metrics(&registry);
   std::unique_ptr<netsim::FaultSchedule> faults;
@@ -488,7 +499,7 @@ CollectorDigests run_collector_gate(GateConfig which, unsigned threads) {
   };
   std::unique_ptr<obs::TimelineSampler> sampler;
   CheckpointSink sink;
-  if (which == GateConfig::kCheckpointed) {
+  if (checkpointed) {
     sampler = std::make_unique<obs::TimelineSampler>(registry,
                                                      2 * util::kDay, 0);
     config.metrics = &registry;
@@ -508,7 +519,7 @@ CollectorDigests run_collector_gate(GateConfig which, unsigned threads) {
   }
   PassiveCollector collector(world, plane, dns, config);
   std::ostringstream saved;
-  if (which == GateConfig::kTiered) {
+  if (tiered) {
     // Each shard table starts at 160 KiB, so 180 KiB per thread spills
     // at some daily barriers and not at others: epochs see both spilled
     // runs and a live table.
@@ -516,7 +527,7 @@ CollectorDigests run_collector_gate(GateConfig which, unsigned threads) {
     spill.memory_budget_bytes = threads * (180 << 10);
     spill.block_records = 256;
     TieredCorpus runs(spill);
-    collector.run(runs, 0, world_config.study_duration);
+    collector.run(runs, 0, world_config.study_duration, {}, sink);
     EXPECT_GT(runs.stats().spills, 1u);
     EXPECT_LT(runs.stats().spills, 30u);
     runs.save(saved);
@@ -613,6 +624,24 @@ TEST(CollectorIdentity, PinnedDigests) {
         {{198, 1322}, {126, 1481}, {111, 1718}, {101, 1378}, {110, 1484},
          {114, 1613}, {117, 1668}, {123, 1567}, {117, 1528}, {119, 1486},
          {134, 1633}, {135, 1762}, {120, 1552}, {132, 1664}, {154, 1615}}}},
+      // The same corpus, counters and epochs as kTiered.
+      {GateConfig::kTieredCheckpointed,
+       {0x3f457cd0da08be64, 835752, 409438, 0x7a23aceac0155948, 114467,
+        {0xb06c1bb3af497a3f, 0xb2b3f8b609aaa940, 0x6937f2fd4842fdf0,
+         0x76d19b5d0044647d},
+        {{259200, 80896, 39405, 0x4062af51a102c842, 0x6bd50c0e87e00d21},
+         {518400, 162388, 79472, 0xf8fb695e9402d286, 0x34f3a57bc28e836f},
+         {777600, 244418, 119329, 0xa6570fe977b5f0ec, 0x7f8dea2a75d370fc},
+         {1036800, 327232, 159889, 0x1bc22b0a2c96e94e, 0x2409fe04a22c732a},
+         {1296000, 410531, 200661, 0x93f9e7634520fced, 0x6faddff5fcd38a02},
+         {1555200, 494152, 241973, 0x8414267cabae4c34, 0xe316996f82f7d8ac},
+         {1814400, 578225, 282749, 0xa6894637e557d88d, 0xdd5ceffef8c899a0},
+         {2073600, 663436, 324695, 0x604ab6cbd0625678, 0x7be5c73900b63f11},
+         {2332800, 750269, 367643, 0x59b7ef37aad1c9ec, 0x8d0ca99f6de49325}},
+        {{1094, 25576}, {880, 25963}, {945, 25788}, {1009, 25773},
+         {1051, 25932}, {1010, 26447}, {1041, 26561}, {1054, 26715},
+         {1137, 26446}, {1121, 26215}, {1150, 26831}, {1155, 27085},
+         {1214, 27734}, {1156, 27313}, {1195, 26974}}}},
   };
   for (const auto& [which, want] : pins) {
     for (const unsigned threads : {1u, 4u}) {

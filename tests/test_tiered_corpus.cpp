@@ -444,7 +444,9 @@ TEST(TieredCorpusStudy, OutOfCoreIsBitIdenticalAcrossBudgetsAndThreads) {
       const std::string label = "budget " + std::to_string(budget) + ", " +
                                 std::to_string(threads) + " threads";
       EXPECT_GE(got.spills, 1u) << label;
-      if (budget == 1) EXPECT_GE(got.runs, 4u) << label;
+      if (budget == 1) {
+        EXPECT_GE(got.runs, 4u) << label;
+      }
       expect_same_fingerprint(got, want, label);
     }
   }
