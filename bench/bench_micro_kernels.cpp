@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the pipeline's hot kernels:
-// address parsing/formatting, IID entropy, EUI-64 codec, checksums, ICMPv6
-// encode/decode, Feistel permutation, corpus insert/lookup, resolver, and
-// the two collection paths (wire-fidelity vs fast) — the ablation behind
-// the CollectorConfig::wire_fidelity design choice in DESIGN.md.
+// address parsing/formatting, IID entropy and classification, EUI-64
+// codec, checksums, NTP packet encode/decode, Feistel permutation, corpus
+// insert/lookup, device addressing and resolution, and the two collection
+// paths (wire-fidelity vs fast) — the ablation behind the
+// CollectorConfig::wire_fidelity design choice in DESIGN.md.
 #include <benchmark/benchmark.h>
 
 #include "hitlist/corpus.h"

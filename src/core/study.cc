@@ -12,6 +12,14 @@
 
 namespace v6::core {
 
+namespace {
+
+// How long the pool monitor takes to notice a crash (and, later, the
+// recovery) before adjusting steering.
+constexpr util::SimDuration kPoolMonitorDelay = 15 * util::kMinute;
+
+}  // namespace
+
 Study::Study(const StudyConfig& config) : config_(config) {
   metrics_ = std::make_unique<obs::Registry>();
   // Record which batch-kernel backend this run dispatches to (resolved
@@ -38,7 +46,7 @@ Study::Study(const StudyConfig& config) : config_(config) {
         world_->vantages(), config.faults, config.world.study_start,
         config.world.study_start + config.world.study_duration);
     plane_->set_faults(faults_.get());
-    dns_->set_health_monitor(faults_.get(), config.pool_monitor_delay);
+    dns_->set_health_monitor(faults_.get(), kPoolMonitorDelay);
   }
 }
 

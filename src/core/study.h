@@ -59,9 +59,6 @@ struct StudyConfig {
   // datagrams), the pool's health monitoring (steering), and the
   // per-vantage degradation stats in StudyResults.
   netsim::FaultPlanConfig faults;
-  // How long the pool monitor takes to notice a crash (and, later, the
-  // recovery) before adjusting steering.
-  util::SimDuration pool_monitor_delay = 15 * util::kMinute;
 
   // Backscanning (§3): one week, from a handful of the vantage servers,
   // months after the main window (the paper ran it in January 2023).

@@ -154,17 +154,12 @@ DistReport SimCluster::run(hitlist::TieredCorpus& runs,
 
 void SimCluster::count_records(std::uint64_t admitted,
                                std::uint64_t observations) {
-  if (registry_ == nullptr) return;
   // Dedup-aware record count (union size), matching the single-process
   // exposition.
-  registry_
-      ->counter("v6_collector_records_total",
-                "Unique client addresses admitted to the corpus")
-      .inc(admitted);
-  registry_
-      ->counter("v6_collector_dedup_hits_total",
-                "Observations folded into an existing corpus record")
-      .inc(observations - std::min(observations, admitted));
+  if (registry_ != nullptr) {
+    hitlist::count_records(*registry_, admitted,
+                           observations - std::min(observations, admitted));
+  }
 }
 
 DistReport SimCluster::collect(
@@ -530,28 +525,10 @@ DistReport SimCluster::collect(
   if (registry_ != nullptr) {
     // Collector-family totals of this run's work, bulk-added post-merge
     // exactly like the single-process collector's merge-time flush.
-    counter("v6_collector_polls_total",
-            "NTP poll packets attempted by pool clients")
-        .inc(report.polls_attempted);
-    counter("v6_collector_answered_total",
-            "Poll attempts whose response passed client-side validation")
-        .inc(report.polls_answered);
+    hitlist::count_collection(*registry_, report.polls_attempted,
+                              report.polls_answered, report.vantage_health);
     counter("v6_dist_heartbeats_total", "Worker heartbeats received")
         .inc(report.heartbeats);
-    for (std::size_t v = 0; v < report.vantage_health.size(); ++v) {
-      const obs::Labels labels{{"vantage", std::to_string(v)}};
-      counter(obs::kVantagePollsFamily,
-              "Recorded poll packets steered to this vantage", labels)
-          .inc(report.vantage_health[v].polls);
-      counter(obs::kVantageAnsweredFamily,
-              "Poll attempts this vantage answered past client validation",
-              labels)
-          .inc(report.vantage_health[v].answered);
-      counter(obs::kVantageFaultLostFamily,
-              "Poll attempts the fault plan swallowed at this vantage",
-              labels)
-          .inc(report.vantage_health[v].lost_to_fault);
-    }
   }
   // Report totals continue from the caller's checkpoint.
   report.polls_attempted += from.polls_attempted;

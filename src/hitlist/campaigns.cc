@@ -16,6 +16,27 @@ namespace v6::hitlist {
 
 namespace {
 
+// Hitlist campaign: one snapshot a week.
+constexpr util::SimDuration kSnapshotInterval = util::kWeek;
+// TGA expansion rounds per snapshot.
+constexpr std::uint32_t kTgaIterations = 2;
+// Frontier cap per snapshot (probe budget).
+constexpr std::size_t kMaxFrontier = 150000;
+// Fraction of frontier targets additionally traced with Yarrp.
+constexpr double kTraceFraction = 0.12;
+constexpr std::uint8_t kYarrpMaxHops = 12;
+// Fraction of CPEs whose current address is exposed via reverse DNS.
+constexpr double kRdnsCpeFraction = 0.08;
+// Fraction of client devices whose current address leaks through
+// crowdsourced panels / CDN logs / CT-style public sources per snapshot
+// (the Hitlist ingests such feeds; Gasser et al. even ran MTurk).
+constexpr double kCrowdsourcedClientFraction = 0.005;
+// BGP-informed candidates: a light routed-/48 ::1 sample folded into the
+// first snapshot's frontier (the real Hitlist also consumes BGP data).
+constexpr double kRoutedSeedFraction = 0.001;
+// CAIDA campaign: hop limit of its per-day Yarrp traces.
+constexpr std::uint8_t kCaidaMaxHops = 12;
+
 // Synthetic "public sources": addresses the campaign can learn without
 // probing. Servers published in DNS, a slice of CPE WAN addresses visible
 // through reverse DNS, and rDNS-named router interfaces. The per-site and
@@ -180,13 +201,13 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
 
   const util::SimTime end = config.start + config.duration;
   for (util::SimTime snap = config.start; snap < end;
-       snap += config.snapshot_interval) {
+       snap += kSnapshotInterval) {
     ++result.snapshots;
     scan::Zmap6Scanner zmap(
         plane, {source, 100000, 0, rng.next(),
                 scan::ProbeProtocol::kIcmpv6Echo, config.metrics, pool.get()});
     scan::YarrpTracer yarrp(plane,
-                            {source, config.yarrp_max_hops, 50000, rng.next(),
+                            {source, kYarrpMaxHops, 50000, rng.next(),
                              config.metrics, pool.get()});
 
     // Re-verify previously published addresses: each weekly release
@@ -201,12 +222,11 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
 
     // Frontier: public sources plus TGA expansion of known structure.
     std::vector<net::Ipv6Address> frontier = public_source_addresses(
-        world, snap, config.rdns_cpe_fraction,
-        config.crowdsourced_client_fraction, pool.get());
-    if (snap == config.start && config.routed_seed_fraction > 0.0) {
+        world, snap, kRdnsCpeFraction, kCrowdsourcedClientFraction,
+        pool.get());
+    if (snap == config.start) {
       const auto routed = scan::routed_slash48_targets(
-          world, config.routed_seed_fraction, config.seed ^ 0xb69,
-          pool.get());
+          world, kRoutedSeedFraction, config.seed ^ 0xb69, pool.get());
       frontier.insert(frontier.end(), routed.begin(), routed.end());
     }
     {
@@ -217,12 +237,12 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
       const auto sweeps = scan::subnet_sweep_candidates(v48, 16);
       frontier.insert(frontier.end(), sweeps.begin(), sweeps.end());
     }
-    if (frontier.size() > config.max_frontier) {
+    if (frontier.size() > kMaxFrontier) {
       rng.shuffle(frontier);
-      frontier.resize(config.max_frontier);
+      frontier.resize(kMaxFrontier);
     }
 
-    for (std::uint32_t iteration = 0; iteration < config.tga_iterations;
+    for (std::uint32_t iteration = 0; iteration < kTgaIterations;
          ++iteration) {
       if (frontier.empty()) break;
       std::vector<net::Ipv6Address> found;
@@ -251,7 +271,7 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
       // Yarrp a sample: traces harvest periphery (CPE) and core routers.
       std::vector<net::Ipv6Address> trace_targets;
       for (const auto& target : frontier) {
-        if (rng.chance(config.trace_fraction)) trace_targets.push_back(target);
+        if (rng.chance(kTraceFraction)) trace_targets.push_back(target);
       }
       const auto traces = yarrp.trace(trace_targets, snap);
       const auto hops = scan::YarrpTracer::discovered(traces, pool.get());
@@ -290,15 +310,15 @@ HitlistResult run_hitlist_campaign(const sim::World& world,
         }
       }
       frontier = scan::low_iid_candidates(fresh64);
-      if (frontier.size() > config.max_frontier) {
+      if (frontier.size() > kMaxFrontier) {
         rng.shuffle(frontier);
-        frontier.resize(config.max_frontier);
+        frontier.resize(kMaxFrontier);
       }
     }
     result.probes_sent += zmap.probes_sent() + yarrp.probes_sent();
     if (config.sampler != nullptr) {
       config.sampler->sample(
-          std::min<util::SimTime>(snap + config.snapshot_interval, end),
+          std::min<util::SimTime>(snap + kSnapshotInterval, end),
           "campaigns");
     }
   }
@@ -358,7 +378,7 @@ CaidaResult run_caida_campaign(const sim::World& world,
           const std::size_t offset = day * per_day;
           scan::YarrpTracer yarrp(
               plane,
-              {source, config.max_hops, 50000,
+              {source, kCaidaMaxHops, 50000,
                config.seed ^ (0x471ULL + static_cast<std::uint64_t>(day)),
                config.metrics});
           const auto traces = yarrp.trace(

@@ -41,23 +41,6 @@ struct HitlistCampaignConfig {
   // Feb 16 .. Aug 29 relative to the study epoch (Jan 25).
   util::SimTime start = 22 * util::kDay;
   util::SimDuration duration = 194 * util::kDay;
-  util::SimDuration snapshot_interval = util::kWeek;
-  // TGA expansion rounds per snapshot.
-  std::uint32_t tga_iterations = 2;
-  // Frontier cap per snapshot (probe budget).
-  std::size_t max_frontier = 150000;
-  // Fraction of frontier targets additionally traced with Yarrp.
-  double trace_fraction = 0.12;
-  std::uint8_t yarrp_max_hops = 12;
-  // Fraction of CPEs whose current address is exposed via reverse DNS.
-  double rdns_cpe_fraction = 0.08;
-  // Fraction of client devices whose current address leaks through
-  // crowdsourced panels / CDN logs / CT-style public sources per snapshot
-  // (the Hitlist ingests such feeds; Gasser et al. even ran MTurk).
-  double crowdsourced_client_fraction = 0.005;
-  // BGP-informed candidates: a light routed-/48 ::1 sample folded into the
-  // first snapshot's frontier (the real Hitlist also consumes BGP data).
-  double routed_seed_fraction = 0.001;
   std::uint64_t seed = 17;
   // Optional metrics sink (not owned), forwarded to every scanner the
   // campaign constructs. Appended last so positional initializers stay
@@ -93,7 +76,6 @@ struct CaidaCampaignConfig {
   util::SimDuration duration = 62 * util::kDay;
   // Deterministic subsample of each /32's 65536 constituent /48s.
   double slash48_fraction = 0.02;
-  std::uint8_t max_hops = 12;
   std::uint64_t seed = 19;
   // Optional metrics sink (not owned), forwarded to the per-day tracers.
   obs::Registry* metrics = nullptr;

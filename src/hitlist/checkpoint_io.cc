@@ -1,12 +1,14 @@
 #include "hitlist/checkpoint_io.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "hitlist/corpus_io.h"
@@ -16,7 +18,23 @@
 namespace v6::hitlist {
 
 namespace {
+
 constexpr char kMagic[8] = {'V', '6', 'C', 'K', 'P', 'T', '0', '1'};
+// The state section's fixed fields (window, resume point, poll counters,
+// vantage count) and one vantage entry (five u64 counters).
+constexpr std::size_t kFixedStateBytes = 5 * 8 + 4;
+constexpr std::size_t kVantageBytes = 5 * 8;
+
+// Reads exactly `buf.size()` bytes or throws "checkpoint: <what>".
+void read_exact(std::istream& in, std::span<std::uint8_t> buf,
+                const char* what) {
+  in.read(reinterpret_cast<char*>(buf.data()),
+          static_cast<std::streamsize>(buf.size()));
+  if (static_cast<std::size_t>(in.gcount()) != buf.size()) {
+    throw std::runtime_error(std::string("checkpoint: ") + what);
+  }
+}
+
 }  // namespace
 
 std::size_t save_checkpoint(std::ostream& out, const CheckpointState& state,
@@ -40,31 +58,35 @@ std::size_t save_checkpoint(std::ostream& out, const CheckpointState& state,
   }
   writer.u32(proto::crc32(
       std::span(writer.data()).subspan(state_begin)));
+  out.write(reinterpret_cast<const char*>(writer.data().data()),
+            static_cast<std::streamsize>(writer.size()));
+  if (!out) throw std::runtime_error("checkpoint write failed");
+
   // Records go out in ascending address order, so the bytes are a pure
   // function of (state, content): the sink's corpus is in insertion
   // order, which depends on the collector's shard count.
   const Corpus* parts[] = {&corpus};
-  save_records(writer, Corpus::canonical_union(parts),
-               corpus.total_observations());
-
-  out.write(reinterpret_cast<const char*>(writer.data().data()),
-            static_cast<std::streamsize>(writer.size()));
-  if (!out) throw std::runtime_error("checkpoint write failed");
-  return writer.size();
+  const std::vector<AddressRecord> records = Corpus::canonical_union(parts);
+  CorpusSnapshotWriter snapshot(out, records.size(),
+                                corpus.total_observations());
+  for (const AddressRecord& rec : records) snapshot.append(rec);
+  return writer.size() + snapshot.finish();
 }
 
 CollectionCheckpoint load_checkpoint(std::istream& in) {
-  const std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  proto::BufferReader reader(bytes);
-
-  std::uint8_t magic[8];
-  reader.bytes(magic);
-  if (reader.truncated() ||
-      !std::equal(std::begin(magic), std::end(magic), kMagic)) {
+  std::array<std::uint8_t, 8> magic{};
+  read_exact(in, magic, "bad magic");
+  if (!std::equal(magic.begin(), magic.end(), std::begin(kMagic))) {
     throw std::runtime_error("checkpoint: bad magic");
   }
 
+  // The state section streams in one vantage entry at a time, so a
+  // hostile vantage count sizes no allocation: it fails at the first
+  // short read. The CRC chains across the pieces.
+  std::array<std::uint8_t, kFixedStateBytes> fixed{};
+  read_exact(in, fixed, "truncated state");
+  std::uint32_t crc = proto::crc32(fixed);
+  proto::BufferReader reader{std::span<const std::uint8_t>(fixed)};
   CheckpointState state;
   state.window_start = static_cast<util::SimTime>(reader.u64());
   state.window_end = static_cast<util::SimTime>(reader.u64());
@@ -72,41 +94,26 @@ CollectionCheckpoint load_checkpoint(std::istream& in) {
   state.polls_attempted = reader.u64();
   state.polls_answered = reader.u64();
   const std::uint32_t vantage_count = reader.u32();
-  if (reader.truncated()) {
-    throw std::runtime_error("checkpoint: truncated state");
+  for (std::uint32_t v = 0; v < vantage_count; ++v) {
+    std::array<std::uint8_t, kVantageBytes> entry{};
+    read_exact(in, entry, "truncated state");
+    crc = proto::crc32(entry, crc);
+    proto::BufferReader fields{std::span<const std::uint8_t>(entry)};
+    // Braced initializers evaluate left to right: the field order.
+    state.vantage_health.push_back(VantageHealthStats{
+        fields.u64(), fields.u64(), fields.u64(), fields.u64(),
+        fields.u64()});
   }
-  // Untrusted count sizes the vector below: the section must actually
-  // hold 40 bytes per vantage plus the 4-byte CRC.
-  constexpr std::uint64_t kVantageBytes = 40;
-  if (reader.remaining() < 4 ||
-      vantage_count > (reader.remaining() - 4) / kVantageBytes) {
-    throw std::runtime_error(
-        "checkpoint: vantage count disagrees with payload size");
-  }
-  state.vantage_health.resize(vantage_count);
-  for (VantageHealthStats& vh : state.vantage_health) {
-    vh.polls = reader.u64();
-    vh.answered = reader.u64();
-    vh.lost_to_fault = reader.u64();
-    vh.retries = reader.u64();
-    vh.steered_polls = reader.u64();
-  }
-  const std::size_t state_end = bytes.size() - reader.remaining();
-  const std::uint32_t state_crc = reader.u32();
-  if (reader.truncated()) {
-    throw std::runtime_error("checkpoint: truncated state");
-  }
-  if (state_crc !=
-      proto::crc32(std::span(bytes).subspan(8, state_end - 8))) {
+  std::array<std::uint8_t, 4> crc_bytes{};
+  read_exact(in, crc_bytes, "truncated state");
+  if (proto::BufferReader{std::span<const std::uint8_t>(crc_bytes)}.u32() !=
+      crc) {
     throw std::runtime_error("checkpoint: state CRC mismatch");
   }
 
-  // The embedded corpus is the rest of the file; corpus_io enforces its
+  // The embedded corpus is the rest of the stream; corpus_io enforces its
   // own CRCs and rejects trailing garbage.
-  CollectionCheckpoint checkpoint{
-      std::move(state),
-      load_corpus(std::span(bytes).subspan(state_end + 4))};
-  return checkpoint;
+  return {std::move(state), load_corpus(in)};
 }
 
 std::size_t save_checkpoint_file(const std::string& path,

@@ -5,7 +5,9 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "proto/buffer.h"
@@ -65,29 +67,6 @@ Corpus read_records(proto::BufferReader& reader, std::uint64_t records,
 }
 
 }  // namespace
-
-void save_corpus(proto::BufferWriter& out, const Corpus& corpus) {
-  save_records(out, corpus.records(), corpus.total_observations());
-}
-
-void save_records(proto::BufferWriter& out,
-                  std::span<const AddressRecord> records,
-                  std::uint64_t observations) {
-  out.bytes(magic_span(kMagicV2));
-  const std::size_t header_begin = out.size();
-  out.u64(records.size());
-  out.u64(observations);
-  out.u32(proto::crc32(std::span(out.data()).subspan(header_begin, 16)));
-  const std::size_t records_begin = out.size();
-  for (const AddressRecord& rec : records) {
-    out.bytes(rec.address.bytes());
-    out.u32(rec.first_seen);
-    out.u32(rec.last_seen);
-    out.u32(rec.count);
-    out.u32(rec.vantage_mask);
-  }
-  out.u32(proto::crc32(std::span(out.data()).subspan(records_begin)));
-}
 
 CorpusSnapshotWriter::CorpusSnapshotWriter(std::ostream& out,
                                            std::uint64_t records,
@@ -156,6 +135,14 @@ std::size_t save_corpus(std::ostream& out, const Corpus& corpus) {
                               corpus.total_observations());
   for (const auto& rec : corpus.records()) writer.append(rec);
   return writer.finish();
+}
+
+void save_corpus(proto::BufferWriter& out, const Corpus& corpus) {
+  std::ostringstream bytes;
+  save_corpus(bytes, corpus);
+  const std::string snapshot = std::move(bytes).str();
+  out.bytes(std::span(reinterpret_cast<const std::uint8_t*>(snapshot.data()),
+                      snapshot.size()));
 }
 
 Corpus load_corpus(std::span<const std::uint8_t> bytes) {

@@ -14,8 +14,10 @@
 // as a silently wrong corpus. Format v1 ("V6CORP01", no CRCs) is still
 // readable.
 //
-// Everything goes through proto::BufferWriter/Reader, so byte order and
-// truncation handling match the rest of the codebase.
+// CorpusSnapshotWriter is the one v2 writer: save_corpus(), the
+// checkpoint writer and TieredCorpus::save() all stream through it. The
+// loaders read through proto::BufferReader, so byte order and truncation
+// handling match the rest of the codebase.
 #pragma once
 
 #include <cstdint>
@@ -73,15 +75,9 @@ class CorpusSnapshotWriter {
 // serialized corpus.
 std::size_t save_corpus(std::ostream& out, const Corpus& corpus);
 
-// Appends a v2 snapshot to an existing writer.
+// Appends a v2 snapshot to an existing writer (the bytes come from the
+// stream writer above).
 void save_corpus(proto::BufferWriter& out, const Corpus& corpus);
-
-// Appends a v2 snapshot of `records`, written in the order given, with
-// `observations` as the header total. The checkpoint writer embeds a
-// canonical record array this way without building a Corpus for it.
-void save_records(proto::BufferWriter& out,
-                  std::span<const AddressRecord> records,
-                  std::uint64_t observations);
 
 // Loads a snapshot (v1 or v2), reading the stream in bounded chunks —
 // peak memory is the corpus itself plus one chunk, whatever the file

@@ -35,6 +35,12 @@ util::SimDuration backoff_offset(std::uint32_t attempt,
   return backoff > kNoResend / steps ? kNoResend : backoff * steps;
 }
 
+// First boundary strictly after `lo` on the grid start + k * interval.
+util::SimTime next_on_grid(util::SimTime lo, util::SimTime start,
+                           util::SimDuration interval) noexcept {
+  return start + ((lo - start) / interval + 1) * interval;
+}
+
 // Out of core, a spill check runs at least this often: the spill grid
 // guarantees interior merge barriers even when neither checkpointing nor
 // sampling provides them.
@@ -42,49 +48,67 @@ constexpr util::SimDuration kSpillBarrierInterval = util::kDay;
 
 }  // namespace
 
+void count_collection(obs::Registry& registry, std::uint64_t polls,
+                      std::uint64_t answered,
+                      const std::vector<VantageHealthStats>& vantage_health) {
+  registry
+      .counter("v6_collector_polls_total",
+               "NTP poll packets attempted by pool clients")
+      .inc(polls);
+  registry
+      .counter("v6_collector_answered_total",
+               "Poll attempts whose response passed client-side validation")
+      .inc(answered);
+  for (std::size_t v = 0; v < vantage_health.size(); ++v) {
+    const obs::Labels labels{{"vantage", std::to_string(v)}};
+    registry
+        .counter(obs::kVantagePollsFamily,
+                 "Recorded poll packets steered to this vantage", labels)
+        .inc(vantage_health[v].polls);
+    registry
+        .counter(obs::kVantageAnsweredFamily,
+                 "Poll attempts this vantage answered past client validation",
+                 labels)
+        .inc(vantage_health[v].answered);
+    registry
+        .counter(obs::kVantageFaultLostFamily,
+                 "Poll attempts the fault plan swallowed at this vantage",
+                 labels)
+        .inc(vantage_health[v].lost_to_fault);
+  }
+}
+
+void count_records(obs::Registry& registry, std::uint64_t admitted,
+                   std::uint64_t dedup_hits) {
+  registry
+      .counter("v6_collector_records_total",
+               "Unique client addresses admitted to the corpus")
+      .inc(admitted);
+  registry
+      .counter("v6_collector_dedup_hits_total",
+               "Observations folded into an existing corpus record")
+      .inc(dedup_hits);
+}
+
 PassiveCollector::PassiveCollector(const sim::World& world,
                                    netsim::DataPlane& plane,
                                    const netsim::PoolDns& dns,
                                    const CollectorConfig& config)
     : world_(&world), plane_(&plane), dns_(&dns), config_(config) {
-  if (config_.metrics != nullptr) {
-    obs::Registry& reg = *config_.metrics;
-    metric_polls_ = reg.counter("v6_collector_polls_total",
-                                "NTP poll packets attempted by pool clients");
-    metric_answered_ = reg.counter(
-        "v6_collector_answered_total",
-        "Poll attempts whose response passed client-side validation");
-    metric_records_ = reg.counter(
-        "v6_collector_records_total",
-        "Unique client addresses admitted to the corpus");
-    metric_dedup_hits_ = reg.counter(
-        "v6_collector_dedup_hits_total",
-        "Observations folded into an existing corpus record");
-    metric_checkpoints_ = reg.counter(
-        "v6_collector_checkpoints_total",
-        "Checkpoint snapshots handed to the sink");
-    const std::size_t vantage_count = world.vantages().size();
-    metric_vantage_polls_.reserve(vantage_count);
-    metric_vantage_answered_.reserve(vantage_count);
-    metric_vantage_fault_lost_.reserve(vantage_count);
-    metric_vantage_records_.reserve(vantage_count);
-    for (std::size_t v = 0; v < vantage_count; ++v) {
-      const obs::Labels labels{{"vantage", std::to_string(v)}};
-      metric_vantage_polls_.push_back(
-          reg.counter(obs::kVantagePollsFamily,
-                      "Recorded poll packets steered to this vantage",
-                      labels));
-      metric_vantage_answered_.push_back(reg.counter(
-          obs::kVantageAnsweredFamily,
-          "Poll attempts this vantage answered past client validation",
-          labels));
-      metric_vantage_fault_lost_.push_back(reg.counter(
-          obs::kVantageFaultLostFamily,
-          "Poll attempts the fault plan swallowed at this vantage", labels));
-      metric_vantage_records_.push_back(reg.counter(
-          obs::kVantageRecordsFamily,
-          "Observations recorded into the corpus via this vantage", labels));
-    }
+  const std::size_t vantage_count = world.vantages().size();
+  metric_vantage_records_.resize(vantage_count);
+  if (config_.metrics == nullptr) return;
+  obs::Registry& reg = *config_.metrics;
+  // Zero deltas register the shared families up front.
+  count_collection(reg, 0, 0, std::vector<VantageHealthStats>(vantage_count));
+  count_records(reg, 0, 0);
+  metric_checkpoints_ = reg.counter("v6_collector_checkpoints_total",
+                                    "Checkpoint snapshots handed to the sink");
+  for (std::size_t v = 0; v < vantage_count; ++v) {
+    metric_vantage_records_[v] = reg.counter(
+        obs::kVantageRecordsFamily,
+        "Observations recorded into the corpus via this vantage",
+        {{"vantage", std::to_string(v)}});
   }
 }
 
@@ -203,7 +227,8 @@ void PassiveCollector::process_chunk(ShardState& shard,
   }
 }
 
-void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
+void PassiveCollector::collect(Corpus* memory, TieredCorpus* runs,
+                               const CheckpointState& from,
                                const ObservationHook& hook,
                                const CheckpointSink& sink) {
   const auto all_devices = world_->devices();
@@ -220,10 +245,6 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   if (config_.wire_fidelity) shards = 1;
   shards = static_cast<unsigned>(std::min<std::size_t>(
       shards, std::max<std::size_t>(devices.size(), 1)));
-
-  // Counters carried in from the checkpoint (all zero on a fresh run).
-  std::vector<VantageHealthStats> base_vh = from.vantage_health;
-  if (base_vh.size() < vantages.size()) base_vh.resize(vantages.size());
 
   std::mutex hook_mu;
   std::mutex* mu = (hook && shards > 1) ? &hook_mu : nullptr;
@@ -306,290 +327,189 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     for (ShardState& shard : states) shard.recording = true;
   }
 
-  // In memory, one running union absorbs the shard tables at every merge
-  // barrier and they start over empty, so a barrier costs what was
-  // recorded since the last one, not the corpus so far. It starts as a
-  // copy of the caller's corpus, which stays untouched until the chunk
-  // loop finishes (the sink-failure contract). In tiered mode the caller's
-  // corpus is an empty stand-in and the shard tables spill instead.
-  Corpus running = corpus.copy();
-  // Merges every shard table into `into` and resets the tables.
-  const auto drain_shards = [&](Corpus& into) {
-    for (ShardState& shard : states) {
-      into.merge(shard.corpus);
-      shard.corpus = Corpus(1 << 12);
-    }
-  };
-
-  // Incremental metric flushing: with a sampler attached, the cumulative
-  // shard tallies are folded into the registry at every sample boundary
-  // (so each WindowRecord's deltas are exact); the `flushed_*` baselines
-  // make each flush increment-only. Without a sampler there is exactly
-  // one flush, after the final merge — byte-identical to the pre-sampler
-  // behavior.
-  const std::size_t records_before =
-      tiered_ != nullptr ? static_cast<std::size_t>(tiered_->merged_size())
-                         : running.size();
-  const std::uint64_t observations_before =
-      tiered_ != nullptr ? tiered_->total_observations()
-                         : running.total_observations();
-  std::uint64_t flushed_polls = 0;
-  std::uint64_t flushed_answered = 0;
-  std::uint64_t flushed_records = 0;
-  std::uint64_t flushed_dedup = 0;
-  std::vector<std::uint64_t> flushed_v_polls(vantages.size(), 0);
-  std::vector<std::uint64_t> flushed_v_answered(vantages.size(), 0);
-  std::vector<std::uint64_t> flushed_v_fault(vantages.size(), 0);
-  std::vector<std::uint64_t> flushed_v_obs(vantages.size(), 0);
-  const auto bump = [](obs::Counter& counter, std::uint64_t cumulative,
-                       std::uint64_t& flushed) {
-    counter.inc(cumulative - flushed);
-    flushed = cumulative;
-  };
-  // `admitted` is the dedup-aware record count recorded so far (union
-  // size minus the caller's baseline), exact at any merge barrier.
-  const auto flush_metrics = [&](std::uint64_t admitted) {
-    std::uint64_t polls = 0;
-    std::uint64_t answered = 0;
-    // Spilled observations live in the run headers, drained ones in the
-    // running union; the shard tables hold the rest.
-    std::uint64_t observations =
-        (tiered_ != nullptr ? tiered_->total_observations()
-                            : running.total_observations()) -
-        observations_before;
-    std::vector<std::uint64_t> v_polls(vantages.size(), 0);
-    std::vector<std::uint64_t> v_answered(vantages.size(), 0);
-    std::vector<std::uint64_t> v_fault(vantages.size(), 0);
-    std::vector<std::uint64_t> v_obs(vantages.size(), 0);
-    for (const ShardState& shard : states) {
-      polls += shard.tally.polls;
-      answered += shard.tally.answered;
-      observations += shard.corpus.total_observations();
-      for (std::size_t v = 0; v < shard.vantage.size(); ++v) {
-        v_polls[v] += shard.vantage[v].polls;
-        v_answered[v] += shard.vantage[v].answered;
-        v_fault[v] += shard.vantage[v].lost_to_fault;
-        v_obs[v] += shard.vantage_obs[v];
-      }
-    }
-    bump(metric_polls_, polls, flushed_polls);
-    bump(metric_answered_, answered, flushed_answered);
-    bump(metric_records_, admitted, flushed_records);
-    // Every observation either admits a record or folds into one, so the
-    // cumulative dedup count is monotone too.
-    bump(metric_dedup_hits_, observations - std::min(observations, admitted),
-         flushed_dedup);
-    for (std::size_t v = 0;
-         v < std::min(vantages.size(), metric_vantage_polls_.size()); ++v) {
-      bump(metric_vantage_polls_[v], v_polls[v], flushed_v_polls[v]);
-      bump(metric_vantage_answered_[v], v_answered[v], flushed_v_answered[v]);
-      bump(metric_vantage_fault_lost_[v], v_fault[v], flushed_v_fault[v]);
-      bump(metric_vantage_records_[v], v_obs[v], flushed_v_obs[v]);
-    }
-  };
-  // The canonical record array of the running union plus every shard
-  // table: the not-yet-spilled part of the corpus-so-far at a merge
-  // barrier, in the ascending order a k-way merge over runs takes. In
-  // memory the shard tables are drained by then, so it is the union.
-  const auto live_union = [&] {
+  // In memory, the shard tables drain into one running union at every
+  // merge barrier, so a barrier costs what was recorded since the last
+  // one. It starts as a copy of the caller's corpus, which stays untouched
+  // until the chunk loop finishes (the sink-failure contract). Out of
+  // core it stays empty and the tables wait in the shards until they spill.
+  Corpus running = memory != nullptr ? memory->copy() : Corpus(1);
+  // The canonical union of the running union and the shard tables: the
+  // part of the corpus so far that is in no spilled run.
+  const auto live = [&] {
     std::vector<const Corpus*> parts{&running};
     for (const ShardState& shard : states) parts.push_back(&shard.corpus);
     return Corpus::canonical_union(parts);
   };
-  // The record count of the corpus-so-far, taken mid-run so the records
-  // counter stays exact (insertion counting would double-count addresses
-  // seen by two shards).
-  const auto union_size = [&]() -> std::size_t {
-    if (tiered_ == nullptr) return running.size();
-    return static_cast<std::size_t>(tiered_->merged_size_with(live_union()));
+  // The corpus so far as one canonical Corpus (out of core, one k-way
+  // merge over the runs and the live union), so its layout is a pure
+  // function of its content at any shard count.
+  const auto snapshot = [&] {
+    std::vector<AddressRecord> rest = live();
+    return runs != nullptr ? runs->collapse(rest)
+                           : Corpus::from_canonical(std::move(rest));
+  };
+  // Records in the corpus so far. Out of core that is a counting merge
+  // over the runs, which the TieredCorpus caches while nothing is live.
+  const auto record_count = [&]() -> std::uint64_t {
+    if (runs == nullptr) return running.size();
+    const std::vector<AddressRecord> rest = live();
+    return rest.empty() ? runs->merged_size() : runs->merged_size_with(rest);
   };
 
-  // Merges every shard table into one union corpus and flushes it to disk
-  // as a single run. Spilling the union of ALL shards (not one run per
-  // shard) is what makes each run's content — and with it the merged
-  // stream — independent of the shard count.
-  const auto spill_shards = [&] {
-    std::size_t upper = 0;
-    for (const ShardState& shard : states) upper += shard.corpus.size();
-    if (upper == 0) return;
-    Corpus combined(upper);
-    drain_shards(combined);
-    tiered_->spill(std::move(combined));
+  // The cursor of the corpus so far: the checkpoint's counters carried in
+  // plus every tally drained since. Each barrier moves the counters by
+  // the drained deltas and zeroes the shard tallies.
+  CheckpointState totals = from;
+  if (totals.vantage_health.size() < vantages.size()) {
+    totals.vantage_health.resize(vantages.size());
+  }
+  std::uint64_t observations = 0;  // recorded by this call, pre-dedup
+  const auto drain_tallies = [&] {
+    ShardTally tally;
+    std::vector<VantageHealthStats> health(vantages.size());
+    for (ShardState& shard : states) {
+      tally.polls += shard.tally.polls;
+      tally.answered += shard.tally.answered;
+      add_vantage_health(health, shard.vantage);
+      for (std::size_t v = 0; v < shard.vantage_obs.size(); ++v) {
+        observations += shard.vantage_obs[v];
+        metric_vantage_records_[v].inc(shard.vantage_obs[v]);
+      }
+      shard.tally = {};
+      shard.vantage.assign(vantages.size(), {});
+      shard.vantage_obs.assign(vantages.size(), 0);
+    }
+    totals.polls_attempted += tally.polls;
+    totals.polls_answered += tally.answered;
+    add_vantage_health(totals.vantage_health, health);
+    if (config_.metrics != nullptr) {
+      count_collection(*config_.metrics, tally.polls, tally.answered, health);
+    }
+  };
+  // The records and dedup counters need the union size, so they move only
+  // at sampler boundaries and at the end, each time by the distance from
+  // the last move.
+  const std::uint64_t records_before = record_count();
+  std::uint64_t flushed_records = 0;
+  std::uint64_t flushed_dedup = 0;
+  const auto flush_records = [&] {
+    if (config_.metrics == nullptr) return;
+    const std::uint64_t admitted = record_count() - records_before;
+    // Every observation either admits a record or folds into one, so the
+    // dedup count is monotone too.
+    const std::uint64_t dedup = observations - std::min(observations, admitted);
+    count_records(*config_.metrics, admitted - flushed_records,
+                  dedup - flushed_dedup);
+    flushed_records = admitted;
+    flushed_dedup = dedup;
   };
 
-  const bool checkpointing = sink && config_.checkpoint_interval > 0;
-  // A hook observes sightings in chunk-iteration order (and may feed
-  // order-sensitive consumers like the backscanner's shared RNG), so the
-  // sampler's grid must not reshape the chunking there: a hooked pass
-  // runs whole-window and leaves sampling to the caller's stage sample.
+  // The sim-time grids that end a chunk (0 = off). A hooked pass runs
+  // whole-window: a hook observes sightings in chunk order and may feed an
+  // order-sensitive consumer (the backscanner's shared RNG), so neither the
+  // epoch grid nor the sampler's may reshape it; sampling is the caller's.
+  const util::SimDuration checkpoint_grid =
+      sink ? config_.checkpoint_interval : 0;
+  const util::SimDuration epoch_grid =
+      config_.epoch_sink && !hook ? config_.epoch_interval : 0;
+  const util::SimDuration spill_grid =
+      runs != nullptr ? kSpillBarrierInterval : 0;
   const bool sampling =
       config_.sampler != nullptr && config_.metrics != nullptr && !hook;
-  // Epoch publication obeys the same hooked-pass exemption as sampling.
-  const bool epoching =
-      config_.epoch_sink && config_.epoch_interval > 0 && !hook;
+  // With several grids active a boundary may lie on only some of them.
+  const auto on_grid = [&](util::SimTime t, util::SimDuration grid) {
+    return grid > 0 && t < from.window_end &&
+           (t - from.window_start) % grid == 0;
+  };
   util::SimTime lo = std::max(from.window_start, from.resume_from);
   while (lo < from.window_end) {
     util::SimTime hi = from.window_end;
-    if (checkpointing) {
-      // Next boundary strictly after `lo` on the grid
-      // window_start + k * interval.
-      const std::int64_t k =
-          (lo - from.window_start) / config_.checkpoint_interval + 1;
-      hi = std::min<util::SimTime>(
-          from.window_end,
-          from.window_start + k * config_.checkpoint_interval);
+    for (const util::SimDuration grid :
+         {checkpoint_grid, epoch_grid, spill_grid}) {
+      if (grid > 0) {
+        hi = std::min(hi, next_on_grid(lo, from.window_start, grid));
+      }
     }
-    if (sampling) {
-      hi = std::min(hi, config_.sampler->next_boundary(lo));
-    }
-    if (epoching) {
-      const std::int64_t k =
-          (lo - from.window_start) / config_.epoch_interval + 1;
-      hi = std::min<util::SimTime>(
-          hi, from.window_start + k * config_.epoch_interval);
-    }
-    if (tiered_ != nullptr) {
-      const std::int64_t k =
-          (lo - from.window_start) / kSpillBarrierInterval + 1;
-      hi = std::min<util::SimTime>(
-          hi, from.window_start + k * kSpillBarrierInterval);
-    }
+    if (sampling) hi = std::min(hi, config_.sampler->next_boundary(lo));
     run_chunk(hi);
-    if (tiered_ != nullptr) {
-      // Spill before checkpoint emission and sampling so the checkpoint
-      // snapshot can be rebuilt from the runs and the spill counters fold
-      // into this boundary's timeline window. The window-end tail always
-      // spills: after the loop the shard tables must be empty.
-      std::size_t heap = 0;
-      for (const ShardState& shard : states) {
-        heap += shard.corpus.memory_bytes();
-      }
-      if (hi >= from.window_end ||
-          heap > tiered_->config().memory_budget_bytes) {
-        spill_shards();
-      }
-    } else {
-      drain_shards(running);
+    // All shards joined at `hi`: a merge barrier, so everything below is
+    // exact and independent of the shard count.
+    drain_tallies();
+    // Out of core the tables stay in the shards until their heap crosses
+    // the budget; the window-end tail always spills, so after the loop
+    // they are empty. Spilling the union of ALL shards (not one run per
+    // shard) keeps each run's content, and with it the merged stream,
+    // independent of the shard count.
+    std::size_t table_bytes = 0;
+    for (const ShardState& shard : states) {
+      table_bytes += shard.corpus.memory_bytes();
     }
-    // With both grids active `hi` may be a sample-only boundary, so gate
-    // checkpoint emission on actually being on the checkpoint grid.
-    if (checkpointing && hi < from.window_end &&
-        (hi - from.window_start) % config_.checkpoint_interval == 0) {
-      CheckpointState snap;
-      snap.window_start = from.window_start;
-      snap.window_end = from.window_end;
-      snap.resume_from = hi;
-      snap.polls_attempted = from.polls_attempted;
-      snap.polls_answered = from.polls_answered;
-      snap.vantage_health = base_vh;
-      for (const ShardState& shard : states) {
-        snap.polls_attempted += shard.tally.polls;
-        snap.polls_answered += shard.tally.answered;
-        add_vantage_health(snap.vantage_health, shard.vantage);
-      }
-      // The corpus-so-far: whatever the caller's corpus already held (a
-      // resumed-from snapshot) plus every shard's recordings. In memory
-      // that is the running union itself; in tiered mode, the spilled
-      // runs collapsed back into memory plus whatever the shards still
-      // hold. Union at a barrier, so the content is a pure function of
-      // the boundary time, not the shard count.
-      metric_checkpoints_.inc();
-      if (tiered_ == nullptr) {
-        sink(snap, running);
+    if (runs == nullptr || hi >= from.window_end ||
+        table_bytes > runs->config().memory_budget_bytes) {
+      if (runs == nullptr) {
+        for (ShardState& shard : states) running.merge(shard.corpus);
       } else {
-        Corpus snapshot = tiered_->collapse();
-        for (const ShardState& shard : states) snapshot.merge(shard.corpus);
-        sink(snap, snapshot);
+        runs->spill(Corpus::from_canonical(live()));
+      }
+      for (ShardState& shard : states) shard.corpus = Corpus(1 << 12);
+    }
+    if (on_grid(hi, checkpoint_grid)) {
+      totals.resume_from = hi;
+      metric_checkpoints_.inc();
+      if (runs == nullptr) {
+        sink(totals, running);
+      } else {
+        sink(totals, snapshot());
       }
     }
-    // Epoch publication rides the same merge barrier. The handed corpus
-    // is canonical, so its layout — and every serve::Snapshot table built
-    // from it — is a pure function of its content. In tiered mode one
-    // k-way merge over the runs and the live union builds it.
-    if (epoching && hi < from.window_end &&
-        (hi - from.window_start) % config_.epoch_interval == 0) {
-      const Corpus snapshot = [&] {
-        std::vector<AddressRecord> live = live_union();
-        return tiered_ != nullptr ? tiered_->collapse(live)
-                                  : Corpus::from_canonical(std::move(live));
-      }();
-      config_.epoch_sink(hi, snapshot);
-    }
-    // All shards joined at `hi` — a merge barrier, so the flushed counter
-    // state is exact and thread-count-independent when the sampler reads
-    // it. The window-end boundary is left to the caller's stage sample.
+    if (on_grid(hi, epoch_grid)) config_.epoch_sink(hi, snapshot());
+    // The window-end sample is left to the caller's stage sample.
     if (sampling && hi < from.window_end && config_.sampler->on_boundary(hi)) {
-      flush_metrics(union_size() - records_before);
+      flush_records();
       config_.sampler->sample(hi, config_.sampler_stage);
     }
     lo = hi;
   }
 
-  // Deterministic reduce: Corpus aggregates are commutative (min/max/
-  // sum/or), so the merged corpus matches the serial run field-for-field —
-  // and, for a resumed run, the union of the snapshot and the tail
-  // matches the uninterrupted run.
-  polls_ += from.polls_attempted;
-  answered_ += from.polls_answered;
-  vantage_health_ = std::move(base_vh);
-  for (const ShardState& shard : states) {
-    polls_ += shard.tally.polls;
-    answered_ += shard.tally.answered;
-    add_vantage_health(vantage_health_, shard.vantage);
-  }
-  // Metrics cover what this run itself recorded (the checkpointed `from`
-  // baseline was already counted when the original run emitted it). With
-  // a sampler this flush covers only the tail since the last boundary —
-  // the shard tables were drained (or spilled) at the final barrier.
-  flush_metrics(
-      (tiered_ != nullptr ? static_cast<std::size_t>(tiered_->merged_size())
-                          : running.size()) -
-      records_before);
-  // Chunk grids (checkpoints, sampling boundaries) change the order merged
-  // sightings reach the corpus, which would leak into save_corpus() bytes
-  // through linear-probe slot placement. Canonicalize so the layout is a
-  // pure function of the content: outputs stay byte-identical across
-  // shard counts and with sampling on or off. (Tiered mode needs no
-  // equivalent: run files are written canonicalized and the k-way merge
-  // emits ascending order by construction.)
-  if (tiered_ == nullptr) {
-    corpus = std::move(running);
-    corpus.canonicalize();
+  // Metrics cover what this call itself recorded (the checkpointed `from`
+  // baseline was counted when the original run emitted it); the getters
+  // describe the corpus so far, baseline included.
+  flush_records();
+  polls_ = totals.polls_attempted;
+  answered_ = totals.polls_answered;
+  vantage_health_ = std::move(totals.vantage_health);
+  // The chunk grids and the shard count change the order sightings reach
+  // the running union, which would leak into save_corpus() bytes through
+  // linear-probe slot placement; canonical order makes the layout a pure
+  // function of the content, as run files are by construction.
+  if (memory != nullptr) {
+    *memory = std::move(running);
+    memory->canonicalize();
   }
 }
 
 void PassiveCollector::run(Corpus& corpus, util::SimTime start,
                            util::SimTime end, const ObservationHook& hook,
                            const CheckpointSink& sink) {
-  collect(corpus, CheckpointState::fresh(start, end), hook, sink);
+  collect(&corpus, nullptr, CheckpointState::fresh(start, end), hook, sink);
 }
 
 void PassiveCollector::run(TieredCorpus& runs, util::SimTime start,
                            util::SimTime end, const ObservationHook& hook,
                            const CheckpointSink& sink) {
-  resume(runs, CheckpointState::fresh(start, end), hook, sink);
+  collect(nullptr, &runs, CheckpointState::fresh(start, end), hook, sink);
 }
 
 void PassiveCollector::resume(Corpus& corpus, const CheckpointState& from,
                               const ObservationHook& hook,
                               const CheckpointSink& sink) {
-  collect(corpus, from, hook, sink);
+  collect(&corpus, nullptr, from, hook, sink);
 }
 
 void PassiveCollector::resume(TieredCorpus& runs, const CheckpointState& from,
                               const ObservationHook& hook,
                               const CheckpointSink& sink) {
-  tiered_ = &runs;
-  // Scratch stand-in for the caller corpus: collect() keeps it empty in
-  // tiered mode (shards spill instead of merging into it).
-  Corpus scratch(1);
-  try {
-    collect(scratch, from, hook, sink);
-  } catch (...) {
-    tiered_ = nullptr;
-    throw;
-  }
-  tiered_ = nullptr;
+  collect(nullptr, &runs, from, hook, sink);
 }
 
 }  // namespace v6::hitlist

@@ -41,13 +41,21 @@
 // across machines (device_begin/end).
 //
 // Merge barriers: every chunk boundary (checkpoint, sampler, epoch or
-// spill grid) joins the shards. In memory, each barrier then drains the
-// shard tables into one running union, seeded from the caller's corpus,
-// and resets them, so a barrier costs what was recorded since the last
-// one. The checkpoint sink, the record counter and the epoch union all
-// read that one table; at window end it is moved into the caller's corpus
-// and canonicalized. Out of core, the shard tables spill instead (see the
-// TieredCorpus run() overload).
+// spill grid) joins the shards, and both targets then take the same
+// steps. (1) The shard tallies (polls, answers, per-vantage health and
+// observation counts) drain into one CheckpointState of the corpus so
+// far, the counters move by the same deltas, and the tallies reset.
+// (2) The shard tables drain: in memory into one running union, seeded
+// from the caller's corpus, so a barrier costs what was recorded since
+// the last one; out of core they stay in the shards until their heap
+// crosses the spill budget or the window ends, then spill as one run
+// (see the TieredCorpus run() overload). (3) The checkpoint, the epoch
+// and the sampler's record count read one corpus so far: the running
+// union in memory, the runs plus the live shard tables out of core. At
+// window end the running union is moved into the caller's corpus and
+// canonicalized. Only the record and dedup counters wait for a sampler
+// boundary or the window end: they need the union size, which out of
+// core costs a counting merge over the runs.
 //
 // Checkpoint/resume: with `checkpoint_interval > 0` and a CheckpointSink,
 // collection pauses at every sim-time boundary window_start + k*interval
@@ -117,9 +125,9 @@ struct CollectorConfig {
   // Optional timeline sampler (not owned), invoked at interior sim-time
   // grid boundaries (sampler->next_boundary) inside the collection
   // window. Each boundary is a merge barrier: the chunk loop joins all
-  // shards there, flushes the cumulative tallies into the registry, and
-  // only then samples — so every WindowRecord is exact and independent of
-  // the shard count. The window-end sample is the *caller's* job (Study
+  // shards there, drains their tallies into the registry, brings the
+  // record and dedup counters up to date, and only then samples — so
+  // every WindowRecord is exact and independent of the shard count. The window-end sample is the *caller's* job (Study
   // samples at each stage transition), keeping stage windows out of the
   // collector. Requires `metrics` to point at the sampler's registry.
   obs::TimelineSampler* sampler = nullptr;
@@ -195,8 +203,9 @@ struct CheckpointState {
 // Receives each checkpoint: the cursor plus the full corpus as of
 // `state.resume_from`. In memory that corpus is the collector's running
 // union, in insertion order (which depends on the shard count; the
-// content does not), and the reference is only valid for the call: a sink
-// that keeps the corpus must copy it (Corpus::copy()). save_checkpoint()
+// content does not); out of core it is built canonical for the call. The
+// reference is only valid for the call: a sink that keeps the corpus must
+// copy it (Corpus::copy()). save_checkpoint()
 // writes ascending address order, so saved bytes do not depend on it.
 using CheckpointSink =
     std::function<void(const CheckpointState&, const Corpus&)>;
@@ -215,6 +224,20 @@ using CheckpointSink =
 using ObservationHook = std::function<void(
     const ntp::Observation&, const net::Ipv6Address& vantage_address)>;
 
+// The collector counter families, named in one place. Adds `polls`,
+// `answered` and each vantage's polls, answered and fault-lost attempts to
+// `registry`, registering any family it has not seen (zero deltas
+// included). The single-process collector, a dist lease's completion
+// report and the dist cluster's totals all count through it.
+void count_collection(obs::Registry& registry, std::uint64_t polls,
+                      std::uint64_t answered,
+                      const std::vector<VantageHealthStats>& vantage_health);
+
+// The dedup-aware record families: `admitted` new unique addresses and
+// `dedup_hits` observations folded into an existing record.
+void count_records(obs::Registry& registry, std::uint64_t admitted,
+                   std::uint64_t dedup_hits);
+
 class PassiveCollector {
  public:
   PassiveCollector(const sim::World& world, netsim::DataPlane& plane,
@@ -226,20 +249,23 @@ class PassiveCollector {
   void run(Corpus& corpus, util::SimTime start, util::SimTime end,
            const ObservationHook& hook = {}, const CheckpointSink& sink = {});
 
-  // Out-of-core collection: identical window semantics and observation
-  // streams, but whenever the shard tables' combined heap footprint
-  // crosses runs.config().memory_budget_bytes at a merge barrier, their
-  // union is flushed into `runs` as one on-disk run and the tables reset
-  // (the tail is flushed at window end regardless). Barriers come from
-  // the checkpoint/sampling grids plus a one-day spill grid, so a run
-  // without either still spills on a sim-time grid. The spilled
+  // Out-of-core collection: identical window semantics, observation
+  // streams and counters. The shard tallies drain at every merge barrier,
+  // as in memory; the shard tables do not. They stay in the shards until
+  // their combined heap footprint crosses
+  // runs.config().memory_budget_bytes at a barrier, and then their union
+  // is flushed into `runs` as one on-disk run and the tables reset (the
+  // tail is flushed at window end regardless). Barriers come from the
+  // checkpoint/sampling/epoch grids plus a one-day spill grid, so a run
+  // without any of them still spills on a sim-time grid. The spilled
   // union always covers ALL shards, which keeps each run's *content* a
   // pure function of the boundary time — the merged stream (and thus
   // every analysis and save() byte) is identical to the in-memory run at
   // any thread count and any budget; a test asserts exactly that.
-  // Checkpoint sinks see the same corpus-so-far snapshots as the
-  // in-memory path (reconstructed from the runs); the tiered resume()
-  // overload below resumes a crashed out-of-core run.
+  // Checkpoint sinks and epochs see the same corpus-so-far content as the
+  // in-memory path: one k-way merge of the runs and the live shard
+  // tables. The tiered resume() overload below resumes a crashed
+  // out-of-core run.
   void run(TieredCorpus& runs, util::SimTime start, util::SimTime end,
            const ObservationHook& hook = {}, const CheckpointSink& sink = {});
 
@@ -278,6 +304,8 @@ class PassiveCollector {
               const ObservationHook& hook = {},
               const CheckpointSink& sink = {});
 
+  // Totals of the last run()/resume() call, including the counters of
+  // the checkpoint it resumed from; a reused collector starts over.
   std::uint64_t polls_attempted() const noexcept { return polls_; }
   std::uint64_t polls_answered() const noexcept { return answered_; }
   // Indexed by vantage id; empty before the first run()/resume().
@@ -321,7 +349,9 @@ class PassiveCollector {
     bool recording = true;
   };
 
-  void collect(Corpus& corpus, const CheckpointState& from,
+  // Collects into exactly one target: `memory` (in memory) or `runs`
+  // (out of core); the other is null.
+  void collect(Corpus* memory, TieredCorpus* runs, const CheckpointState& from,
                const ObservationHook& hook, const CheckpointSink& sink);
 
   // Processes every sync event of this shard with base time < chunk_end.
@@ -336,24 +366,14 @@ class PassiveCollector {
   netsim::DataPlane* plane_;
   const netsim::PoolDns* dns_;
   CollectorConfig config_;
-  // Non-null only inside the TieredCorpus run() overload: collect()
-  // spills into it instead of merging into the caller's corpus.
-  TieredCorpus* tiered_ = nullptr;
+  // The last run()/resume() call's totals, checkpoint baseline included.
   std::uint64_t polls_ = 0;
   std::uint64_t answered_ = 0;
   std::vector<VantageHealthStats> vantage_health_;
-  // No-op handles unless CollectorConfig::metrics was wired.
-  obs::Counter metric_polls_;
-  obs::Counter metric_answered_;
-  obs::Counter metric_records_;
-  obs::Counter metric_dedup_hits_;
+  // No-op handles unless CollectorConfig::metrics was wired. The shared
+  // families go through count_collection() and count_records().
   obs::Counter metric_checkpoints_;
-  // Labeled per vantage; the four families the TimelineSampler folds into
-  // per-vantage series (see obs/timeline.h).
-  std::vector<obs::Counter> metric_vantage_polls_;
-  std::vector<obs::Counter> metric_vantage_answered_;
-  std::vector<obs::Counter> metric_vantage_fault_lost_;
-  std::vector<obs::Counter> metric_vantage_records_;
+  std::vector<obs::Counter> metric_vantage_records_;  // per vantage id
 };
 
 }  // namespace v6::hitlist

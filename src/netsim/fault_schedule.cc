@@ -10,6 +10,9 @@ namespace v6::netsim {
 
 namespace {
 
+// Mean length of a short blip, in seconds.
+constexpr util::SimDuration kMeanFlap = 90;
+
 // Locates the window active at t, or the most recent one that ended at or
 // before t, via binary search on the sorted starts. Returns nullptr when t
 // precedes every window.
@@ -75,7 +78,7 @@ FaultSchedule::FaultSchedule(std::span<const sim::VantagePoint> vantages,
     }
     const std::uint32_t flaps = draw_count(config.flaps_per_vantage);
     for (std::uint32_t i = 0; i < flaps; ++i) {
-      add(config.mean_flap, 1);
+      add(kMeanFlap, 1);
     }
 
     std::sort(out.begin(), out.end(),
@@ -159,6 +162,10 @@ std::span<const OutageWindow> FaultSchedule::windows(
 
 namespace {
 
+// Mean length of a worker's slow window, and its chunk cost multiplier.
+constexpr util::SimDuration kMeanSlow = util::kHour;
+constexpr double kSlowFactor = 4.0;
+
 // The dist layer keys lanes by uint32 worker ids; the base class's window
 // store is uint8-keyed. Constructors reject wider fleets up front.
 std::uint8_t lane(std::uint32_t worker) {
@@ -226,9 +233,9 @@ WorkerFaultSchedule::WorkerFaultSchedule(std::uint32_t workers,
           plan_start + static_cast<util::SimDuration>(rng.uniform() * span);
       const auto len = std::max<util::SimDuration>(
           1, static_cast<util::SimDuration>(
-                 rng.exponential(static_cast<double>(config.mean_slow))));
+                 rng.exponential(static_cast<double>(kMeanSlow))));
       slow_windows.push_back(
-          {start, std::min(plan_end, start + len), config.slow_factor});
+          {start, std::min(plan_end, start + len), kSlowFactor});
     }
     std::sort(slow_windows.begin(), slow_windows.end(),
               [](const SlowWindow& a, const SlowWindow& b) {

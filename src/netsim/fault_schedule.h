@@ -41,7 +41,6 @@ struct FaultPlanConfig {
   util::SimDuration min_outage = 10 * util::kMinute;
   // Short blips (seconds-to-minutes), on top of the crash windows.
   double flaps_per_vantage = 0.0;
-  util::SimDuration mean_flap = 90;
   // Post-recovery ramp during which the server answers a linearly
   // growing fraction of requests. 0 disables slow start.
   util::SimDuration slow_start = 20 * util::kMinute;
@@ -136,10 +135,9 @@ struct WorkerFaultPlanConfig {
   // Expected stall windows per worker (heartbeat silence, then recovery).
   double stalls_per_worker = 0.0;
   util::SimDuration mean_stall = 30 * util::kMinute;
-  // Expected slow windows per worker, and how much slower chunks get.
+  // Expected slow windows per worker (each about an hour long, chunks
+  // inside one four times slower).
   double slows_per_worker = 0.0;
-  util::SimDuration mean_slow = util::kHour;
-  double slow_factor = 4.0;
 
   bool active() const noexcept {
     return kills_per_worker > 0.0 || stalls_per_worker > 0.0 ||
@@ -171,7 +169,7 @@ class WorkerFaultSchedule : public FaultSchedule {
   util::SimTime stall_end(std::uint32_t worker, util::SimTime t) const noexcept;
 
   // Chunk-processing cost multiplier at t: 1.0 when healthy,
-  // config.slow_factor inside a slow window.
+  // the slow factor inside a slow window.
   double cost_factor(std::uint32_t worker, util::SimTime t) const noexcept;
 
   // Test/CLI hooks. set_kill overwrites any planned kill; add_stall and

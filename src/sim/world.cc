@@ -17,6 +17,14 @@ constexpr std::uint32_t kSubnetsPerSite = 4;
 constexpr std::uint32_t kIfacesPerRouter = 2;
 constexpr std::uint64_t kCellSlotMask = 0xfffffff;  // 28 bits
 
+// Mean client devices per site (besides the CPE).
+constexpr double kDevicesPerSiteMean = 3.0;
+// Cellular-only subscribers as a multiple of total_sites.
+constexpr double kCellularOnlyRatio = 1.2;
+// Probability a given CPE access point appears in the wardriving DB,
+// scaled per-country (Germany is heavily wardriven).
+constexpr double kWardrivingCoverage = 0.6;
+
 // Domain-separation tags for derived randomness.
 constexpr std::uint64_t kTagSiteRotation = 0x517e;
 constexpr std::uint64_t kTagCellAttach = 0xce11;
@@ -574,8 +582,8 @@ World World::generate(const WorldConfig& config) {
   // Upper bound for reservation: sites + clients + servers + cellular.
   w.sites_.reserve(config.total_sites + 64);
   w.devices_.reserve(static_cast<std::size_t>(
-      config.total_sites * (1.0 + config.devices_per_site_mean) +
-      config.total_sites * config.cellular_only_ratio + 4096));
+      config.total_sites * (1.0 + kDevicesPerSiteMean) +
+      config.total_sites * kCellularOnlyRatio + 4096));
 
   // Client-device churn: a bit under half the population is present for
   // the whole study; the rest appear for a window averaging ~2 weeks
@@ -788,7 +796,7 @@ World World::generate(const WorldConfig& config) {
         if (cpe.bssid) {
           const double coverage = std::min(
               0.95,
-              config.wardriving_coverage * wardriving_factor(country.code));
+              kWardrivingCoverage * wardriving_factor(country.code));
           if (as_rng.chance(coverage)) {
             w.wardriving_.add(*cpe.bssid,
                               {site.location.latitude +
@@ -801,7 +809,7 @@ World World::generate(const WorldConfig& config) {
 
       // --- client devices ---
       const int clients = 1 + static_cast<int>(as_rng.exponential(
-                                  config.devices_per_site_mean - 1.0));
+                                  kDevicesPerSiteMean - 1.0));
       site.first_device = static_cast<DeviceId>(w.devices_.size());
       site.device_count = static_cast<std::uint16_t>(
           std::min(clients, 12));
@@ -908,7 +916,7 @@ World World::generate(const WorldConfig& config) {
     const double share = country.client_weight / weight_total;
     auto phones = static_cast<std::uint32_t>(std::llround(
         share * static_cast<double>(config.total_sites) *
-        config.cellular_only_ratio));
+        kCellularOnlyRatio));
     util::Rng crng(util::mix64(config.seed ^ (0xce11u + ci)));
     for (std::uint32_t p = 0; p < phones; ++p) {
       Device dev;

@@ -53,16 +53,9 @@ struct WorldConfig {
   // The paper's world is ~3 orders of magnitude larger; all reported
   // quantities are shape-preserving ratios.
   std::uint32_t total_sites = 20000;
-  // Mean client devices per site (besides the CPE).
-  double devices_per_site_mean = 3.0;
-  // Cellular-only subscribers as a multiple of total_sites.
-  double cellular_only_ratio = 1.2;
   // Study window.
   util::SimTime study_start = 0;
   util::SimDuration study_duration = 219 * util::kDay;  // Jan 25 - Aug 31
-  // Probability a given CPE access point appears in the wardriving DB,
-  // scaled per-country (Germany is heavily wardriven).
-  double wardriving_coverage = 0.6;
   // Probability the IP-geolocation DB entry for an AS is wrong (MaxMind
   // error model).
   double geodb_error_rate = 0.02;

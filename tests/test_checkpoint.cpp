@@ -146,6 +146,51 @@ TEST_F(CheckpointTest, ResumeFromAnyCheckpointIsBitIdentical) {
   }
 }
 
+// The counter getters describe the last run()/resume() call, checkpoint
+// baseline included, so a collector reused for a run and then a resume
+// reports what a fresh collector would, not the sum of both calls.
+TEST_F(CheckpointTest, ReusedCollectorReportsItsLastCall) {
+  const util::SimTime end = 4 * util::kDay;
+  const auto config = checkpointing_config();
+  const netsim::FaultSchedule faults(world_->vantages(), busy_plan(), 0, end);
+  netsim::DataPlane plane(*world_, {config.loss_rate, 1});
+  plane.set_faults(&faults);
+  netsim::PoolDns dns(*world_);
+  dns.set_health_monitor(&faults, 15 * util::kMinute);
+
+  PassiveCollector fresh(*world_, plane, dns, config);
+  Corpus reference(1 << 12);
+  fresh.run(reference, 0, end);
+  ASSERT_GT(fresh.polls_attempted(), 0u);
+
+  PassiveCollector reused(*world_, plane, dns, config);
+  std::vector<std::string> snapshots;
+  Corpus first(1 << 12);
+  reused.run(first, 0, end, {},
+             [&](const CheckpointState& state, const Corpus& corpus) {
+               std::stringstream out;
+               save_checkpoint(out, state, corpus);
+               snapshots.push_back(out.str());
+             });
+  ASSERT_EQ(snapshots.size(), 3u);
+  EXPECT_EQ(reused.polls_attempted(), fresh.polls_attempted());
+
+  std::stringstream in(snapshots[1]);
+  auto checkpoint = load_checkpoint(in);
+  ASSERT_GT(checkpoint.state.polls_attempted, 0u);
+  reused.resume(checkpoint.corpus, checkpoint.state);
+  expect_identical_corpora(reference, checkpoint.corpus);
+  EXPECT_EQ(reused.polls_attempted(), fresh.polls_attempted());
+  EXPECT_EQ(reused.polls_answered(), fresh.polls_answered());
+  expect_identical_health(reused.vantage_health(), fresh.vantage_health());
+
+  Corpus again(1 << 12);
+  reused.run(again, 0, end);
+  EXPECT_EQ(reused.polls_attempted(), fresh.polls_attempted());
+  EXPECT_EQ(reused.polls_answered(), fresh.polls_answered());
+  expect_identical_health(reused.vantage_health(), fresh.vantage_health());
+}
+
 TEST_F(CheckpointTest, ThrowingSinkSimulatesCrashMidRun) {
   const util::SimTime end = 4 * util::kDay;
   const auto config = checkpointing_config();
