@@ -127,9 +127,10 @@ struct CollectorConfig {
   // window. Each boundary is a merge barrier: the chunk loop joins all
   // shards there, drains their tallies into the registry, brings the
   // record and dedup counters up to date, and only then samples — so
-  // every WindowRecord is exact and independent of the shard count. The window-end sample is the *caller's* job (Study
-  // samples at each stage transition), keeping stage windows out of the
-  // collector. Requires `metrics` to point at the sampler's registry.
+  // every WindowRecord is exact and independent of the shard count. The
+  // window-end sample is the *caller's* job (Study samples at each stage
+  // transition), keeping stage windows out of the collector. Requires
+  // `metrics` to point at the sampler's registry.
   obs::TimelineSampler* sampler = nullptr;
   // Stage tag the sampler stamps on windows closed inside this collector
   // (the backscan pass runs a second collector with its own tag).
@@ -205,8 +206,8 @@ struct CheckpointState {
 // union, in insertion order (which depends on the shard count; the
 // content does not); out of core it is built canonical for the call. The
 // reference is only valid for the call: a sink that keeps the corpus must
-// copy it (Corpus::copy()). save_checkpoint()
-// writes ascending address order, so saved bytes do not depend on it.
+// copy it (Corpus::copy()). save_checkpoint() writes ascending address
+// order, so saved bytes do not depend on it.
 using CheckpointSink =
     std::function<void(const CheckpointState&, const Corpus&)>;
 
@@ -315,7 +316,7 @@ class PassiveCollector {
 
  private:
   // Per-shard poll counters, kept thread-local during collection and
-  // summed into the collector's totals once the shards join.
+  // drained into the collector's totals at every merge barrier.
   struct ShardTally {
     std::uint64_t polls = 0;
     std::uint64_t answered = 0;
