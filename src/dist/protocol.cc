@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <map>
+#include <set>
 #include <span>
 #include <stdexcept>
 
@@ -388,6 +389,8 @@ std::optional<std::string> lint_dist_frames(std::string_view log) {
   const std::span<const std::uint8_t> bytes(
       reinterpret_cast<const std::uint8_t*>(log.data()), log.size());
   std::map<std::uint32_t, std::uint64_t> next_seq;  // per sender
+  // (lease, artifact path) of every checkpoint uploaded so far.
+  std::set<std::pair<std::uint32_t, std::string>> uploaded;
   std::size_t offset = 0;
   std::size_t index = 0;
   const auto fail = [&](const std::string& reason) {
@@ -441,6 +444,10 @@ std::optional<std::string> lint_dist_frames(std::string_view log) {
           if (const auto why = validate_artifact_path(grant.checkpoint_path)) {
             return fail(*why);
           }
+          if (!uploaded.contains({frame.lease, grant.checkpoint_path})) {
+            return fail("grant names " + grant.checkpoint_path +
+                        ", never uploaded for its lease");
+          }
         }
         break;
       }
@@ -459,6 +466,9 @@ std::optional<std::string> lint_dist_frames(std::string_view log) {
           return fail(*why);
         }
         if (frame.lease == kNoLease) return fail("upload without a lease");
+        if (frame.type == FrameType::kCheckpointUpload) {
+          uploaded.emplace(frame.lease, artifact.path);
+        }
         break;
       }
       case FrameType::kObsReport: {

@@ -169,8 +169,10 @@ std::optional<std::string> validate_artifact_path(std::string_view path);
 // an in-memory DistReport::frame_log). Checks per frame: framing, CRC,
 // known type, payload decodes and passes semantic validation (grant
 // windows ordered, chunk interval positive, resume point inside the
-// window, device range ordered, artifact paths safe); per sender:
-// strictly increasing seq starting at 0; whole log: no trailing bytes.
+// window, device range ordered, artifact paths safe, a grant's
+// checkpoint path names a checkpoint uploaded earlier for its lease); per
+// sender: strictly increasing seq starting at 0; whole log: no trailing
+// bytes.
 // Returns nullopt when the log is clean, else "frame N: reason".
 std::optional<std::string> lint_dist_frames(std::string_view log);
 

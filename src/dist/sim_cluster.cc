@@ -79,6 +79,8 @@ struct LeaseState {
   // Failure instant awaiting its recovery grant (for latency accounting).
   std::optional<util::SimTime> failed_at;
   std::optional<hitlist::CollectionCheckpoint> ckpt;
+  // The artifact path of the upload `ckpt` holds.
+  std::string ckpt_path;
 };
 
 }  // namespace
@@ -382,10 +384,7 @@ DistReport SimCluster::collect(
     grant.resume_from = static_cast<std::uint64_t>(lease_from.resume_from);
     grant.device_begin = ss.devices.begin;
     grant.device_end = ss.devices.end;
-    if (ss.ckpt) {
-      grant.checkpoint_path = checkpoint_path(
-          ss.id, ss.epoch, static_cast<std::uint64_t>(lease_from.resume_from));
-    }
+    if (ss.ckpt) grant.checkpoint_path = ss.ckpt_path;
     wire.emit(FrameType::kLeaseGrant, kCoordinatorId, ss.id, ss.epoch,
               static_cast<std::uint64_t>(g), encode_lease_grant(grant));
 
@@ -441,6 +440,7 @@ DistReport SimCluster::collect(
       artifact.path = checkpoint_path(
           ss.id, ss.epoch, static_cast<std::uint64_t>(state.resume_from));
       artifact.bytes = snapshot.total_observations();
+      ss.ckpt_path = artifact.path;
       wire.emit(FrameType::kCheckpointUpload, wk.id, ss.id, ss.epoch,
                 static_cast<std::uint64_t>(lane), encode_artifact(artifact));
       ++report.checkpoints_uploaded;

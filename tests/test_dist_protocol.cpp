@@ -393,6 +393,44 @@ TEST(DistLint, ResumedGrantWithoutCheckpointPathIsClean) {
   EXPECT_FALSE(lint_dist_frames(as_view(lint_log({grant}))).has_value());
 }
 
+// A recovery grant resumes from an artifact a worker uploaded; naming one
+// never uploaded for that lease (here: the right lease at the wrong epoch)
+// is reported.
+TEST(DistLint, GrantNamingAnArtifactNeverUploadedIsReported) {
+  Frame upload;
+  upload.type = FrameType::kCheckpointUpload;
+  upload.sender = 1;
+  upload.lease = 0;
+  upload.seq = 0;
+  Artifact artifact;
+  artifact.path = "ckpt/l0-e0-t200.v6ckpt";
+  upload.payload = encode_artifact(artifact);
+
+  Frame grant;
+  grant.type = FrameType::kLeaseGrant;
+  grant.sender = kCoordinatorId;
+  grant.lease = 0;
+  grant.epoch = 1;
+  grant.seq = 0;
+  LeaseGrant lease;
+  lease.window_end = 1000;
+  lease.chunk_interval = 100;
+  lease.resume_from = 200;
+  lease.device_end = 50;
+  lease.checkpoint_path = "ckpt/l0-e1-t200.v6ckpt";
+  grant.payload = encode_lease_grant(lease);
+  const auto problem = lint_dist_frames(as_view(lint_log({upload, grant})));
+  ASSERT_TRUE(problem.has_value());
+  EXPECT_NE(problem->find("never uploaded"), std::string::npos) << *problem;
+
+  lease.checkpoint_path = artifact.path;
+  grant.payload = encode_lease_grant(lease);
+  EXPECT_FALSE(lint_dist_frames(as_view(lint_log({upload, grant}))).has_value());
+  // The same artifact uploaded for another lease does not count.
+  grant.lease = 1;
+  EXPECT_TRUE(lint_dist_frames(as_view(lint_log({upload, grant}))).has_value());
+}
+
 TEST(DistLint, UploadWithHostilePathIsReported) {
   Frame upload;
   upload.type = FrameType::kCheckpointUpload;

@@ -437,7 +437,7 @@ TEST_F(DistIdentityTest, PinnedDigests) {
   EXPECT_EQ(hex(fnv1a(kOffset, std::string_view(reinterpret_cast<const char*>(
                                                     report.frame_log.data()),
                                                 report.frame_log.size()))),
-            "0x9e7379cf3f79b428");
+            "0x9e8282d00a1603bb");
 }
 
 TEST_F(DistIdentityTest, RespawnDisabledFailsLoudlyWhenFleetDies) {
