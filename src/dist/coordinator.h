@@ -1,28 +1,21 @@
-// The real-process coordinator: grants chunk leases to worker processes
-// over the file-mailbox transport, tracks liveness by wall-clock
-// heartbeat silence, fences revoked leases with epochs, and performs the
-// deterministic merge over the workers' final checkpoint artifacts.
-//
-// The in-process SimCluster and the Coordinator/Worker pair implement the
-// same protocol and share its parts: the lease runner (run_lease() in
-// dist/lease.h), the artifact names (checkpoint_path()), and the reduce
-// (one Corpus::canonical_union over the final ranges). The cluster proves
-// the merge invariants deterministically under seeded faults on a
-// simulated clock; this class owns the wall clock, the mailboxes and
-// frames.log, and survives actual `kill -9` (the CI smoke job does exactly
-// that and diffs the merged corpus against the single-process reference
-// byte-for-byte).
+// The real-process coordinator. It shares with the in-process SimCluster
+// the lease state machine (LeaseTable: grants, the epoch fence, revokes,
+// backoff), the lease runner (run_lease()), the artifact names
+// (checkpoint_path()) and the reduce (one Corpus::canonical_union over
+// the final ranges). It owns the process side: the file mailboxes,
+// wall-clock liveness (a leased worker silent past the heartbeat timeout
+// is declared dead and its lease revoked; any later frame from it
+// re-admits it), frames.log and the merge over the workers' final
+// checkpoint artifacts. It survives actual `kill -9` (the CI smoke job
+// diffs the merged corpus against the single-process reference).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "dist/protocol.h"
-#include "hitlist/checkpoint_io.h"
+#include "dist/lease_table.h"
 #include "hitlist/corpus.h"
-#include "obs/cluster.h"
 #include "util/sim_time.h"
 
 namespace v6::dist {
@@ -38,26 +31,21 @@ struct CoordinatorConfig {
   std::uint32_t ranges = 0;  // 0 -> workers
   util::SimDuration chunk_interval = util::kWeek;
   // Wall-clock heartbeat silence after which a leased worker is dead; its
-  // range is re-offered 200 ms later.
+  // range is re-offered after kCoordinatorRetry's backoff.
   std::uint32_t heartbeat_timeout_ms = 10000;
   // Overall deadline; exceeded means the run failed loudly.
   std::uint32_t max_wall_ms = 600000;
 };
 
-struct CoordinatorResult {
+// The reassignment backoff: 200 ms doubling to 2.4 s, the same 12x ratio
+// as the simulated cluster's one hour to twelve.
+inline constexpr RetryPolicy kCoordinatorRetry{200, 2400, 71};
+
+// The fleet's DistReport (instants in wall milliseconds since run()
+// began; frame_log stays empty, the frames are in frames.log) plus the
+// merged corpus.
+struct CoordinatorResult : DistReport {
   hitlist::Corpus corpus{1};  // merged + canonicalized
-  std::uint64_t polls_attempted = 0;
-  std::uint64_t polls_answered = 0;
-  std::vector<hitlist::VantageHealthStats> vantage_health;
-  std::uint64_t leases_granted = 0;
-  std::uint64_t checkpoints_uploaded = 0;
-  std::uint64_t worker_deaths = 0;
-  std::uint64_t reassignments = 0;
-  std::uint64_t stale_uploads_rejected = 0;
-  // Per-lease worker observability reports (kObsReport frames), epoch-
-  // fenced exactly like checkpoint uploads. Counter families aggregate to
-  // the single-process values because only completing leases report.
-  obs::ClusterAggregator cluster_obs;
 };
 
 class Coordinator {

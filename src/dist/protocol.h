@@ -21,7 +21,9 @@
 //                             kNoLease for fleet-wide frames)
 //   epoch               u32  (lease fencing token, see below)
 //   seq                 u64  (per-sender, strictly increasing from 0)
-//   sim_time            u64  (cluster-clock stamp of the event)
+//   sim_time            u64  (stamp of the event: the simulated lane
+//                             clock; in a real fleet the coordinator's
+//                             wall-clock ms, a worker's resume point)
 //   payload_len         u32  (<= kMaxPayload)
 //   payload             payload_len bytes (type-specific, below)
 //   crc32               u32  over type..payload
@@ -90,7 +92,7 @@ struct LeaseGrant {
   std::uint64_t resume_from = 0;
   std::uint64_t device_begin = 0;
   std::uint64_t device_end = 0;
-  std::string checkpoint_path;  // empty on a fresh lease
+  std::string checkpoint_path = {};  // empty on a fresh lease
 };
 
 // kCheckpointUpload / kComplete payload: a durable artifact the sender

@@ -1,37 +1,24 @@
 #include "dist/sim_cluster.h"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "dist/lease.h"
 #include "hitlist/checkpoint_io.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace v6::dist {
 
 namespace {
 
-// Reassignment backoff: retry r of a lease waits
-// min(kRetryCap, kRetryBackoff * 2^(r-1)), stretched by up to kRetryJitter
-// of itself (seeded jitter: a pure hash of (seed, lease, r)).
-constexpr util::SimDuration kRetryBackoff = util::kHour;
-constexpr util::SimDuration kRetryCap = 12 * util::kHour;
-constexpr double kRetryJitter = 0.5;
 // A replacement worker comes up this long after a death is detected.
 constexpr util::SimDuration kRespawnDelay = 2 * util::kHour;
 // Lane cost of replaying one already-collected sim second of a range
 // (replay skips recording and the corpus table work, so it is cheaper).
 constexpr double kReplayCost = 0.125;
-
-// Same raw-draw-to-[0,1) mapping as util::Rng::uniform(), applied to a
-// pure hash so the reassignment jitter never consumes an RNG stream.
-double unit(std::uint64_t h) noexcept {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 // Lease-aborting events, thrown out of the checkpoint sink.
 struct WorkerDied {
@@ -42,46 +29,16 @@ struct LeaseRevoked {
   util::SimTime wake;
 };
 
-// Appends frames to the log with per-sender strictly-increasing seqs (the
-// invariant lint_dist_frames enforces).
-class Emitter {
- public:
-  explicit Emitter(std::vector<std::uint8_t>* log) : log_(log) {}
-
-  void emit(FrameType type, std::uint32_t sender, std::uint32_t lease,
-            std::uint32_t epoch, std::uint64_t sim_time,
-            std::vector<std::uint8_t> payload = {}) {
-    const std::vector<std::uint8_t> bytes =
-        encode_frame(Frame{type, sender, lease, epoch, seq_[sender]++,
-                           sim_time, std::move(payload)});
-    log_->insert(log_->end(), bytes.begin(), bytes.end());
-  }
-
- private:
-  std::vector<std::uint8_t>* log_;
-  std::map<std::uint32_t, std::uint64_t> seq_;
-};
-
 struct WorkerState {
   std::uint32_t id = 0;
   util::SimTime free_at = 0;
   bool alive = true;
-  bool said_hello = false;
+  std::uint64_t seq = 0;  // of its next frame; 0 until its hello
 };
 
-struct LeaseState {
-  std::uint32_t id = 0;
-  util::ShardRange devices;
-  bool done = false;
-  util::SimTime available_at = 0;
-  std::uint32_t epoch = 0;
-  std::uint32_t retries = 0;
-  // Failure instant awaiting its recovery grant (for latency accounting).
-  std::optional<util::SimTime> failed_at;
-  std::optional<hitlist::CollectionCheckpoint> ckpt;
-  // The artifact path of the upload `ckpt` holds.
-  std::string ckpt_path;
-};
+std::uint64_t instant(util::SimTime t) {
+  return static_cast<std::uint64_t>(t);
+}
 
 }  // namespace
 
@@ -169,9 +126,6 @@ DistReport SimCluster::collect(
     const std::function<void(hitlist::Corpus&&)>& deliver) {
   const util::SimTime start = from.window_start;
   const util::SimTime end = from.window_end;
-  const std::uint32_t range_count =
-      config_.ranges != 0 ? config_.ranges
-                          : std::max<std::uint32_t>(1, config_.workers);
   netsim::WorkerFaultSchedule local_plan =
       config_.worker_faults.active()
           ? netsim::WorkerFaultSchedule(config_.workers, config_.worker_faults,
@@ -191,13 +145,42 @@ DistReport SimCluster::collect(
   netsim::WorkerFaultSchedule* plan = faults_ != nullptr ? faults_ : &local_plan;
 
   DistReport report;
-  report.ranges = range_count;
   report.workers = config_.workers;
-  Emitter wire(&report.frame_log);
+  LeaseTable table(
+      LeaseGrant{.window_start = instant(start),
+                 .window_end = instant(end),
+                 .chunk_interval = instant(config_.chunk_interval),
+                 .resume_from = instant(from.resume_from),
+                 .device_end = env_.world->devices().size()},
+      config_.workers,
+      // Reassignment backoff: one hour doubling to twelve.
+      {instant(util::kHour), instant(12 * util::kHour), config_.seed}, report);
+  // The in-memory checkpoint of each lease's last accepted upload.
+  std::vector<std::optional<hitlist::CollectionCheckpoint>> ckpts(
+      table.size());
 
-  const auto counter = [this](std::string_view name, std::string_view help,
-                              obs::Labels labels = {}) {
-    return registry_->counter(name, help, std::move(labels));
+  const auto log = [&report](const Frame& frame) {
+    const std::vector<std::uint8_t> bytes = encode_frame(frame);
+    report.frame_log.insert(report.frame_log.end(), bytes.begin(),
+                            bytes.end());
+  };
+  // Logs a frame `wk` sends and returns it for the fence.
+  const auto send = [&log](WorkerState& wk, FrameType type,
+                           std::uint32_t lease, std::uint32_t epoch,
+                           util::SimTime at,
+                           std::vector<std::uint8_t> payload = {}) {
+    Frame frame{type, wk.id, lease, epoch, wk.seq++, instant(at),
+                std::move(payload)};
+    log(frame);
+    return frame;
+  };
+
+  // Adds to a v6_dist_* counter of the caller's registry, if any.
+  const auto count = [this](std::string_view name, std::string_view help,
+                            obs::Labels labels = {}, std::uint64_t n = 1) {
+    if (registry_ != nullptr) {
+      registry_->counter(name, help, std::move(labels)).inc(n);
+    }
   };
   const auto worker_labels = [](std::uint32_t w) {
     return obs::Labels{{"worker", std::to_string(w)}};
@@ -210,111 +193,51 @@ DistReport SimCluster::collect(
         .set(v);
   };
 
+  // Worker ids are their indices: respawns append.
   std::vector<WorkerState> workers(config_.workers);
   for (std::uint32_t w = 0; w < config_.workers; ++w) {
-    workers[w] = WorkerState{w, start, true, false};
+    workers[w] = WorkerState{w, start};
     set_alive(w, 1.0);
   }
-  std::uint32_t next_worker_id = config_.workers;
-
-  std::vector<LeaseState> leases(range_count);
-  for (std::uint32_t r = 0; r < range_count; ++r) {
-    leases[r].id = r;
-    leases[r].devices =
-        util::shard_range(env_.world->devices().size(), r, range_count);
-    leases[r].available_at = start;
-  }
-
-  const auto backoff_until = [&](const LeaseState& ss,
-                                 util::SimTime from) -> util::SimTime {
-    // Capped exponential backoff with seeded jitter (see kRetryBackoff).
-    // Pure hash -> deterministic at any scheduling order.
-    const std::uint32_t r = std::max<std::uint32_t>(ss.retries, 1);
-    util::SimDuration base = kRetryBackoff;
-    for (std::uint32_t i = 1; i < r && base < kRetryCap; ++i) {
-      base *= 2;
-    }
-    base = std::min(base, kRetryCap);
-    const double jitter =
-        kRetryJitter *
-        unit(util::mix64(config_.seed ^ 0xba2c0ffu ^
-                         util::mix64((static_cast<std::uint64_t>(ss.id) << 32) |
-                                     r)));
-    return from + base +
-           static_cast<util::SimDuration>(static_cast<double>(base) * jitter);
-  };
 
   const auto kill_worker = [&](WorkerState& wk, util::SimTime at) {
     wk.alive = false;
     ++report.worker_deaths;
     set_alive(wk.id, 0.0);
-    if (registry_ != nullptr) {
-      counter("v6_dist_worker_deaths_total", "Worker processes that died")
-          .inc();
-    }
+    count("v6_dist_worker_deaths_total", "Worker processes that died");
     if (config_.respawn) {
       // The coordinator notices the death one heartbeat timeout after the
       // last heartbeat and provisions a replacement kRespawnDelay later.
-      WorkerState fresh;
-      fresh.id = next_worker_id++;
-      fresh.free_at = at + config_.heartbeat_timeout + kRespawnDelay;
-      workers.push_back(fresh);
+      const auto id = static_cast<std::uint32_t>(workers.size());
+      workers.push_back(
+          WorkerState{id, at + config_.heartbeat_timeout + kRespawnDelay});
       ++report.workers;
-      set_alive(fresh.id, 1.0);
+      set_alive(id, 1.0);
     }
   };
 
-  // A lease that failed at `at` goes back to the pool under a new epoch,
-  // available after backoff from `from`.
-  const auto lease_failed = [&](LeaseState& ss, const WorkerState& wk,
-                                util::SimTime at, util::SimTime from) {
+  // The heartbeat timeout that took `lease` off `wk`.
+  const auto timed_out = [&](const WorkerState& wk, std::uint32_t lease) {
     ++report.timeouts;
-    ++report.reassignments;
-    if (registry_ != nullptr) {
-      counter("v6_dist_timeouts_total", "Heartbeat timeouts fired",
-              worker_labels(wk.id))
-          .inc();
-      counter("v6_dist_reassignments_total", "Lease reassignments",
-              obs::Labels{{"lease", std::to_string(ss.id)}})
-          .inc();
-    }
-    ++ss.epoch;
-    ++ss.retries;
-    ss.available_at = backoff_until(ss, from);
-    ss.failed_at = at;
+    count("v6_dist_timeouts_total", "Heartbeat timeouts fired",
+          worker_labels(wk.id));
+    count("v6_dist_reassignments_total", "Lease reassignments",
+          {{"lease", std::to_string(lease)}});
   };
 
-  while (true) {
-    bool all_done = true;
-    for (const LeaseState& ss : leases) {
-      if (!ss.done) {
-        all_done = false;
-        break;
-      }
+  // A worker fated to die before a lease would start never takes it.
+  const auto doomed_by = [plan](std::uint32_t w, std::uint64_t at) {
+    const std::optional<util::SimTime> kill = plan->kill_at(w);
+    return kill && instant(*kill) <= at;
+  };
+  std::vector<IdleWorker> live;
+  while (!table.all_done()) {
+    live.clear();
+    for (const WorkerState& wk : workers) {
+      if (wk.alive) live.push_back({wk.id, instant(wk.free_at)});
     }
-    if (all_done) break;
-
-    // Earliest-start pairing, tie-broken by lease then worker id — a
-    // deterministic event loop, not a heuristic scheduler.
-    LeaseState* best_ss = nullptr;
-    WorkerState* best_wk = nullptr;
-    util::SimTime best_g = 0;
-    for (LeaseState& ss : leases) {
-      if (ss.done) continue;
-      for (WorkerState& wk : workers) {
-        if (!wk.alive) continue;
-        const util::SimTime g = std::max(ss.available_at, wk.free_at);
-        if (const auto k = plan->kill_at(wk.id); k && *k <= g) continue;
-        if (best_ss == nullptr || g < best_g ||
-            (g == best_g && (ss.id < best_ss->id ||
-                             (ss.id == best_ss->id && wk.id < best_wk->id)))) {
-          best_ss = &ss;
-          best_wk = &wk;
-          best_g = g;
-        }
-      }
-    }
-    if (best_ss == nullptr) {
+    const std::optional<Pairing> next = table.pair(live, doomed_by);
+    if (!next) {
       // Every live worker is fated to die before it could start: process
       // the earliest planned death (which may respawn a replacement).
       WorkerState* doomed = nullptr;
@@ -336,61 +259,39 @@ DistReport SimCluster::collect(
       continue;
     }
 
-    LeaseState& ss = *best_ss;
-    WorkerState& wk = *best_wk;
-    const util::SimTime g = best_g;
+    const std::uint32_t id = next->lease;
+    const LeaseRecord& lease = table.lease(id);
+    const std::uint32_t epoch = lease.epoch;
+    WorkerState& wk = workers[next->worker];
+    const auto g = static_cast<util::SimTime>(next->at);
+    std::optional<hitlist::CollectionCheckpoint>& ckpt = ckpts[id];
 
     // --- grant ------------------------------------------------------------
-    ++report.leases_granted;
-    if (registry_ != nullptr) {
-      counter("v6_dist_leases_total", "Chunk leases granted",
-              worker_labels(wk.id))
-          .inc();
-    }
-    if (!wk.said_hello) {
-      wk.said_hello = true;
-      wire.emit(FrameType::kHello, wk.id, kNoLease, 0,
-                static_cast<std::uint64_t>(g));
+    count("v6_dist_leases_total", "Chunk leases granted",
+          worker_labels(wk.id));
+    if (wk.seq == 0) send(wk, FrameType::kHello, kNoLease, 0, g);
+    // Recovery becomes a timeline window: the grant closes a
+    // "dist.recover" window at the cluster instant work restarted.
+    if (lease.failed_at && sampler_ != nullptr) {
+      sampler_->sample(g, "dist.recover");
     }
     // A fresh lease starts from the caller's resume point with zeroed
     // counters (the caller's checkpoint totals are added once, below).
     hitlist::CheckpointState lease_from =
-        ss.ckpt ? ss.ckpt->state : hitlist::CheckpointState::fresh(start, end);
-    if (!ss.ckpt) lease_from.resume_from = from.resume_from;
-    if (ss.failed_at) {
-      report.recovery_latency_total +=
-          static_cast<std::uint64_t>(g - *ss.failed_at);
-      ss.failed_at.reset();
-      // Recovery becomes a timeline window: the grant closes a
-      // "dist.recover" window at the cluster instant work restarted.
-      if (sampler_ != nullptr) {
-        sampler_->sample(g, "dist.recover");
-      }
-    }
+        ckpt ? ckpt->state : hitlist::CheckpointState::fresh(start, end);
+    if (!ckpt) lease_from.resume_from = from.resume_from;
     if (lease_from.resume_from > start) {
       const std::uint64_t replayed = static_cast<std::uint64_t>(
           (lease_from.resume_from - start) / config_.chunk_interval);
       report.replayed_chunks += replayed;
-      if (registry_ != nullptr) {
-        counter("v6_dist_replayed_chunks_total",
-                "Already-collected chunks replayed by leases")
-            .inc(replayed);
-      }
+      count("v6_dist_replayed_chunks_total",
+            "Already-collected chunks replayed by leases", {}, replayed);
     }
-    LeaseGrant grant;
-    grant.window_start = static_cast<std::uint64_t>(start);
-    grant.window_end = static_cast<std::uint64_t>(end);
-    grant.chunk_interval = static_cast<std::uint64_t>(config_.chunk_interval);
-    grant.resume_from = static_cast<std::uint64_t>(lease_from.resume_from);
-    grant.device_begin = ss.devices.begin;
-    grant.device_end = ss.devices.end;
-    if (ss.ckpt) grant.checkpoint_path = ss.ckpt_path;
-    wire.emit(FrameType::kLeaseGrant, kCoordinatorId, ss.id, ss.epoch,
-              static_cast<std::uint64_t>(g), encode_lease_grant(grant));
+    log(table.grant(id, wk.id, next->at));
 
     // --- the lease itself -------------------------------------------------
     hitlist::Corpus corpus =
-        ss.ckpt ? ss.ckpt->corpus.copy() : hitlist::Corpus(1 << 12);
+        ckpt ? ckpt->corpus.copy() : hitlist::Corpus(1 << 12);
     const std::optional<util::SimTime> kill = plan->kill_at(wk.id);
     // Lane clock: where this worker's process is on the cluster clock.
     util::SimTime lane = g;
@@ -430,24 +331,19 @@ DistReport SimCluster::collect(
     const auto upload = [&](const hitlist::CheckpointState& state,
                             const hitlist::Corpus& snapshot) {
       advance_to(state.resume_from);
-      // Durable: the coordinator holds the (state, corpus) pair; a later
-      // recovery lease resumes from exactly this instant.
-      ss.ckpt = hitlist::CollectionCheckpoint{state, snapshot.copy()};
-      wire.emit(FrameType::kHeartbeat, wk.id, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(lane));
+      send(wk, FrameType::kHeartbeat, id, epoch, lane);
       ++report.heartbeats;
-      Artifact artifact;
-      artifact.path = checkpoint_path(
-          ss.id, ss.epoch, static_cast<std::uint64_t>(state.resume_from));
-      artifact.bytes = snapshot.total_observations();
-      ss.ckpt_path = artifact.path;
-      wire.emit(FrameType::kCheckpointUpload, wk.id, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(lane), encode_artifact(artifact));
-      ++report.checkpoints_uploaded;
-      if (registry_ != nullptr) {
-        counter("v6_dist_uploads_total", "Durable checkpoint uploads",
-                worker_labels(wk.id))
-            .inc();
+      const std::uint64_t at = instant(state.resume_from);
+      const Frame frame = send(
+          wk, FrameType::kCheckpointUpload, id, epoch, lane,
+          encode_artifact({checkpoint_path(id, epoch, at),
+                           snapshot.total_observations()}));
+      // Durable once accepted: a later recovery lease resumes from exactly
+      // this instant.
+      if (table.upload(frame, at)) {
+        ckpt = hitlist::CollectionCheckpoint{state, snapshot.copy()};
+        count("v6_dist_uploads_total", "Durable checkpoint uploads",
+              worker_labels(wk.id));
       }
     };
 
@@ -459,31 +355,25 @@ DistReport SimCluster::collect(
             kReplayCost * static_cast<double>(lease_from.resume_from - start));
         if (kill && *kill <= lane) throw WorkerDied{*kill};
       }
-      LeaseResult done = run_lease(env_, ss.devices, config_.chunk_interval,
+      LeaseResult done = run_lease(env_, lease.devices, config_.chunk_interval,
                                    lease_from, corpus, upload);
       // The final partial chunk has no interior boundary; its upload is
       // the completion itself, and death or a stall-out on the way still
       // aborts the lease.
       advance_to(end);
-      ss.done = true;
-      ss.ckpt.reset();
       report.polls_attempted += done.state.polls_attempted;
       report.polls_answered += done.state.polls_answered;
       hitlist::add_vantage_health(report.vantage_health,
                                   done.state.vantage_health);
       // The observability report goes up at the completion barrier, just
       // before kComplete.
-      wire.emit(FrameType::kObsReport, wk.id, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(lane), encode_obs_report(done.obs));
-      report.cluster_obs.add_worker(wk.id, ss.id,
-                                    std::move(done.obs.snapshot),
-                                    std::move(done.obs.windows));
-      Artifact artifact;
-      artifact.path =
-          checkpoint_path(ss.id, ss.epoch, static_cast<std::uint64_t>(end));
-      artifact.bytes = corpus.total_observations();
-      wire.emit(FrameType::kComplete, wk.id, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(lane), encode_artifact(artifact));
+      table.report(send(wk, FrameType::kObsReport, id, epoch, lane,
+                        encode_obs_report(done.obs)));
+      table.complete(send(
+          wk, FrameType::kComplete, id, epoch, lane,
+          encode_artifact({checkpoint_path(id, epoch, instant(end)),
+                           corpus.total_observations()})));
+      ckpt.reset();
       deliver(std::move(corpus));
       wk.free_at = lane;
       report.finished_at = std::max(report.finished_at, lane);
@@ -491,35 +381,29 @@ DistReport SimCluster::collect(
       // Heartbeat silence from the death instant; detection one timeout
       // later; the lease is reassigned after backoff. Work since the last
       // durable upload is gone — and that is fine, the replacement
-      // replays it from ss.ckpt.
-      lease_failed(ss, wk, died.at, died.at + config_.heartbeat_timeout);
+      // replays it from the checkpoint.
+      table.reassign(id, instant(died.at),
+                     instant(died.at + config_.heartbeat_timeout));
+      timed_out(wk, id);
       kill_worker(wk, died.at);
     } catch (const LeaseRevoked& revoked) {
       // The worker stalled past the timeout: the coordinator fenced the
-      // lease off (epoch bump) while the worker slept. Its upload on
-      // waking carries the stale epoch and bounces — the zombie cannot
-      // double-count anything.
-      ++report.stale_uploads_rejected;
-      if (registry_ != nullptr) {
-        counter("v6_dist_stale_uploads_total",
-                "Uploads rejected by epoch fencing")
-            .inc();
+      // lease off while the worker slept. Its upload on waking carries the
+      // stale epoch and bounces — the zombie cannot double-count anything.
+      log(table.revoke(id, instant(revoked.revoked_at)));
+      timed_out(wk, id);
+      const Frame stale =
+          send(wk, FrameType::kCheckpointUpload, id, epoch, revoked.wake,
+               encode_artifact({checkpoint_path(id, epoch, instant(prev))}));
+      if (!table.upload(stale, instant(prev))) {
+        count("v6_dist_stale_uploads_total",
+              "Uploads rejected by epoch fencing");
       }
-      wire.emit(FrameType::kRevoke, kCoordinatorId, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(revoked.revoked_at));
-      Artifact stale;
-      stale.path = checkpoint_path(ss.id, ss.epoch,
-                                   static_cast<std::uint64_t>(prev));
-      wire.emit(FrameType::kCheckpointUpload, wk.id, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(revoked.wake),
-                encode_artifact(stale));
-      lease_failed(ss, wk, revoked.revoked_at, revoked.revoked_at);
       wk.free_at = revoked.wake;
     }
   }
 
-  wire.emit(FrameType::kShutdown, kCoordinatorId, kNoLease, 0,
-            static_cast<std::uint64_t>(report.finished_at));
+  log(table.shutdown(instant(report.finished_at)));
 
   report.vantage_health.resize(env_.world->vantages().size());
   if (registry_ != nullptr) {
@@ -527,8 +411,8 @@ DistReport SimCluster::collect(
     // exactly like the single-process collector's merge-time flush.
     hitlist::count_collection(*registry_, report.polls_attempted,
                               report.polls_answered, report.vantage_health);
-    counter("v6_dist_heartbeats_total", "Worker heartbeats received")
-        .inc(report.heartbeats);
+    count("v6_dist_heartbeats_total", "Worker heartbeats received", {},
+          report.heartbeats);
   }
   // Report totals continue from the caller's checkpoint.
   report.polls_attempted += from.polls_attempted;

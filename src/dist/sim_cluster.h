@@ -25,12 +25,11 @@
 //   * epoch fencing rejects uploads from zombie (revoked-then-woken)
 //     workers, so reassignment never double-counts.
 //
-// What it shares with the real Coordinator/Worker pair: every lease runs
-// through run_lease() (dist/lease.h), every artifact is named by
-// checkpoint_path(), and in memory the final ranges reduce through one
-// Corpus::canonical_union. What it owns: the lane clock, the kills and
-// stalls (thrown out of the lease's upload sink), and in-memory delivery
-// of each range's corpus.
+// It shares with the real Coordinator/Worker pair the lease state machine
+// (LeaseTable), the lease runner (run_lease()), the artifact names and
+// the reduce. It owns the lane clock, the kills and stalls (thrown out of
+// the lease's upload sink), respawns, the in-memory checkpoints and the
+// v6_dist_* registry counters.
 //
 // The cluster clock is sim seconds: a healthy chunk of S sim seconds
 // costs S lane seconds (times the fault plan's slow factor); replaying an
@@ -45,35 +44,26 @@
 #include <functional>
 #include <vector>
 
-#include "dist/lease.h"
-#include "dist/protocol.h"
-#include "hitlist/corpus.h"
-#include "hitlist/passive_collector.h"
+#include "dist/lease.h"  // NodeEnv: world, plane, DNS, collector config
+#include "dist/lease_table.h"
 #include "hitlist/tiered_corpus.h"
-#include "obs/cluster.h"
 #include "netsim/fault_schedule.h"
-#include "netsim/pool_dns.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
-#include "sim/world.h"
-#include "util/sim_time.h"
 
 namespace v6::dist {
 
 struct DistConfig {
-  // Worker processes at cluster start (respawns may add more).
+  // Worker processes at cluster start (respawns may add more). The
+  // world's devices are cut by util::shard_range into one contiguous
+  // range lease per initial worker.
   std::uint32_t workers = 4;
-  // Device-range leases: the world's devices cut by util::shard_range
-  // into this many contiguous ranges; 0 means one per initial worker.
-  std::uint32_t ranges = 0;
   // Sim-time spacing of chunk boundaries inside a lease: every boundary
   // uploads a durable checkpoint, so this is also the worst-case redo
   // after a death. Never changes the merged corpus.
   util::SimDuration chunk_interval = util::kWeek;
   // Heartbeat silence after which the coordinator declares a worker dead
-  // or stalled-out and revokes its lease. A revoked lease is reassigned
-  // after a capped exponential backoff (one hour doubling to twelve) with
-  // seeded jitter.
+  // or stalled-out and revokes its lease (reassigned after the backoff).
   util::SimDuration heartbeat_timeout = util::kDay;
   // Replacement workers: a detected death spawns a fresh worker two hours
   // after detection (keeps workers=1 runs alive through a kill).
@@ -92,48 +82,14 @@ struct DistConfig {
   std::uint32_t forced_kills = 0;
 };
 
-// What the cluster did — the observability of the run, not its result
-// (the corpus is the result, and it never varies with any of this).
-struct DistReport {
-  std::uint32_t workers = 0;         // including respawned replacements
-  std::uint32_t ranges = 0;
-  std::uint64_t leases_granted = 0;
-  std::uint64_t checkpoints_uploaded = 0;
-  std::uint64_t heartbeats = 0;
-  std::uint64_t worker_deaths = 0;
-  std::uint64_t timeouts = 0;        // heartbeat timeouts fired
-  std::uint64_t reassignments = 0;
-  std::uint64_t stale_uploads_rejected = 0;
-  std::uint64_t replayed_chunks = 0;
-  // Cluster-clock sum over reassignments of (recovery grant - failure).
-  std::uint64_t recovery_latency_total = 0;
-  // Cluster-clock instant the last lease completed.
-  util::SimTime finished_at = 0;
-  // Summed collector counters (equal to the single-process values).
-  std::uint64_t polls_attempted = 0;
-  std::uint64_t polls_answered = 0;
-  std::vector<hitlist::VantageHealthStats> vantage_health;
-  // Concatenated V6DIST02 frames of everything said on the wire; passes
-  // lint_dist_frames().
-  std::vector<std::uint8_t> frame_log;
-  // Per-lease worker observability reports, decoded from the kObsReport
-  // frames each completing lease uploads. Counter families aggregate to
-  // exactly the single-process values at any worker count and under any
-  // fault plan (only the COMPLETING lease's cumulative totals count per
-  // range — aborted leases upload nothing).
-  obs::ClusterAggregator cluster_obs;
-};
-
 class SimCluster {
  public:
   // `collector_cfg` is the single-process collector configuration the
   // cluster must reproduce; run_lease() replaces its metrics/sampler per
   // lease, and the completing lease's kObsReport is aggregated into
-  // DistReport::cluster_obs.
-  // The cluster still reports merged totals into the caller's `registry`
-  // after the merge. `faults` (optional) lets the caller inject
-  // forced kills on top of config.worker_faults; pass nullptr to let the
-  // cluster build the plan from the config alone.
+  // DistReport::cluster_obs. Merged totals still go into the caller's
+  // `registry` after the merge. `faults` (optional) injects faults in
+  // place of the plan built from config.worker_faults.
   SimCluster(const sim::World& world, netsim::DataPlane& plane,
              const netsim::PoolDns& dns,
              const hitlist::CollectorConfig& collector_cfg,

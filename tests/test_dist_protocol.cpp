@@ -425,7 +425,8 @@ TEST(DistLint, GrantNamingAnArtifactNeverUploadedIsReported) {
 
   lease.checkpoint_path = artifact.path;
   grant.payload = encode_lease_grant(lease);
-  EXPECT_FALSE(lint_dist_frames(as_view(lint_log({upload, grant}))).has_value());
+  EXPECT_FALSE(
+      lint_dist_frames(as_view(lint_log({upload, grant}))).has_value());
   // The same artifact uploaded for another lease does not count.
   grant.lease = 1;
   EXPECT_TRUE(lint_dist_frames(as_view(lint_log({upload, grant}))).has_value());

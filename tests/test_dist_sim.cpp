@@ -11,10 +11,12 @@
 #include <unistd.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,6 +28,7 @@
 #include "dist/coordinator.h"
 #include "dist/transport.h"
 #include "dist/worker.h"
+#include "hitlist/checkpoint_io.h"
 #include "hitlist/corpus_io.h"
 #include "obs/exposition.h"
 #include "obs/timeline.h"
@@ -718,6 +721,165 @@ TEST(DistRealFleet, ThreadedWorkersMatchSingleProcess) {
                        frames.size()))
                    .has_value());
   std::filesystem::remove_all(dir);
+}
+
+// --- the real Coordinator against a scripted worker -----------------------
+
+// Worker 0 driven frame by frame from a test, with no collector behind it:
+// it posts what the script says and waits for what the script expects.
+class ScriptedWorker {
+ public:
+  explicit ScriptedWorker(std::string dir)
+      : dir_(std::move(dir)),
+        inbox_(dir_ + "/to-worker-0"),
+        outbox_(dir_ + "/to-coordinator") {}
+
+  void post(FrameType type, std::uint32_t lease, std::uint32_t epoch,
+            std::vector<std::uint8_t> payload = {}) {
+    outbox_.post(Frame{type, 0, lease, epoch, seq_++, 0, std::move(payload)});
+  }
+
+  // The next frame of `type`, skipping others; throws on a shutdown it did
+  // not wait for, or after a minute.
+  Frame await(FrameType type) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::minutes(1);
+    while (std::chrono::steady_clock::now() < deadline) {
+      for (Frame& frame : inbox_.drain()) pending_.push_back(std::move(frame));
+      while (!pending_.empty()) {
+        Frame frame = std::move(pending_.front());
+        pending_.erase(pending_.begin());
+        if (frame.type == type) return frame;
+        if (frame.type == FrameType::kShutdown) {
+          throw std::runtime_error("scripted worker: early shutdown");
+        }
+      }
+      std::this_thread::sleep_for(kMailboxPollInterval);
+    }
+    throw std::runtime_error("scripted worker: no frame in time");
+  }
+
+  // Finishes `grant`'s lease with an empty final checkpoint.
+  void complete(const Frame& grant) {
+    const LeaseGrant lease = decode_lease_grant(grant.payload);
+    hitlist::CheckpointState state = hitlist::CheckpointState::fresh(
+        static_cast<util::SimTime>(lease.window_start),
+        static_cast<util::SimTime>(lease.window_end));
+    state.resume_from = state.window_end;
+    Artifact artifact;
+    artifact.path = checkpoint_path(grant.lease, grant.epoch, lease.window_end);
+    artifact.bytes = hitlist::save_checkpoint_file(
+        dir_ + "/" + artifact.path, state, hitlist::Corpus(1));
+    post(FrameType::kComplete, grant.lease, grant.epoch,
+         encode_artifact(artifact));
+  }
+
+ private:
+  std::string dir_;
+  Mailbox inbox_;
+  Mailbox outbox_;
+  std::uint64_t seq_ = 0;
+  std::vector<Frame> pending_;
+};
+
+// Runs a one-worker Coordinator over 8 devices and four days against
+// `script` on a thread. A coordinator failure shuts the worker down and is
+// rethrown, as is a script failure.
+CoordinatorResult run_scripted(
+    const std::string& name, std::uint32_t heartbeat_timeout_ms,
+    const std::function<void(ScriptedWorker&)>& script) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      (name + "-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  CoordinatorConfig config;
+  config.dir = dir.string();
+  config.workers = 1;
+  config.devices = 8;
+  config.chunk_interval = util::kDay;
+  config.heartbeat_timeout_ms = heartbeat_timeout_ms;
+  config.max_wall_ms = 20000;
+
+  std::exception_ptr worker_error;
+  std::thread worker([&] {
+    try {
+      ScriptedWorker scripted(dir.string());
+      script(scripted);
+    } catch (...) {
+      worker_error = std::current_exception();
+    }
+  });
+  CoordinatorResult result;
+  std::exception_ptr coordinator_error;
+  try {
+    result = Coordinator(config).run(0, 4 * util::kDay);
+  } catch (...) {
+    coordinator_error = std::current_exception();
+    Mailbox(dir.string() + "/to-worker-0")
+        .post(Frame{FrameType::kShutdown, kCoordinatorId, kNoLease, 0,
+                    1u << 20, 0, {}});
+  }
+  worker.join();
+  if (coordinator_error) std::rethrow_exception(coordinator_error);
+  if (worker_error) std::rethrow_exception(worker_error);
+  // Everything said on the wire, for the caller to lint.
+  result.frame_log = read_file(dir.string() + "/frames.log");
+  std::filesystem::remove_all(dir);
+  return result;
+}
+
+// A worker silent past the heartbeat timeout is declared dead and its
+// lease revoked; when it wakes and reports the revoked lease, the report
+// bounces but the worker is re-admitted, gets the lease back under the
+// next epoch and finishes the run.
+TEST(DistRealFleet, StalledWorkerRejoinsAfterRevoke) {
+  Frame first;
+  Frame revoke;
+  Frame second;
+  const CoordinatorResult result =
+      run_scripted("v6-rejoin", 300, [&](ScriptedWorker& worker) {
+        worker.post(FrameType::kHello, kNoLease, 0);
+        first = worker.await(FrameType::kLeaseGrant);
+        revoke = worker.await(FrameType::kRevoke);
+        Artifact stale;
+        stale.path = checkpoint_path(first.lease, first.epoch, util::kDay);
+        worker.post(FrameType::kCheckpointUpload, first.lease, first.epoch,
+                    encode_artifact(stale));
+        second = worker.await(FrameType::kLeaseGrant);
+        worker.complete(second);
+        worker.await(FrameType::kShutdown);
+      });
+  EXPECT_EQ(first.epoch, 0u);
+  EXPECT_EQ(revoke.epoch, 0u);  // names the revoked epoch
+  EXPECT_EQ(second.lease, first.lease);
+  EXPECT_EQ(second.epoch, 1u);
+  EXPECT_EQ(result.leases_granted, 2u);
+  EXPECT_EQ(result.worker_deaths, 1u);
+  EXPECT_EQ(result.reassignments, 1u);
+  EXPECT_EQ(result.stale_uploads_rejected, 1u);
+  EXPECT_EQ(result.corpus.size(), 0u);
+  EXPECT_FALSE(lint_dist_frames(std::string_view(
+                   reinterpret_cast<const char*>(result.frame_log.data()),
+                   result.frame_log.size()))
+                   .has_value());
+}
+
+// A CRC-valid upload whose artifact payload is garbage is rejected and
+// counted like a stale one; the run still completes.
+TEST(DistRealFleet, MalformedArtifactIsRejectedNotFatal) {
+  const CoordinatorResult result =
+      run_scripted("v6-malformed", 120000, [](ScriptedWorker& worker) {
+        worker.post(FrameType::kHello, kNoLease, 0);
+        const Frame grant = worker.await(FrameType::kLeaseGrant);
+        worker.post(FrameType::kCheckpointUpload, grant.lease, grant.epoch,
+                    {0xff, 0xff, 0xff});
+        worker.complete(grant);
+        worker.await(FrameType::kShutdown);
+      });
+  EXPECT_EQ(result.leases_granted, 1u);
+  EXPECT_EQ(result.checkpoints_uploaded, 0u);
+  EXPECT_EQ(result.stale_uploads_rejected, 1u);
+  EXPECT_EQ(result.worker_deaths, 0u);
 }
 
 }  // namespace
