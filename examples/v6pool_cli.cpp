@@ -365,8 +365,8 @@ int cmd_study(int argc, char** argv) {
     std::printf("analysis      : %zu stages, %s kernel steps on %u thread%s\n",
                 r.analysis.stage_stats.size(),
                 util::with_commas(analysis_steps).c_str(),
-                config.analysis.resolved_threads(),
-                config.analysis.resolved_threads() == 1 ? "" : "s");
+                config.analysis.threads.resolved(),
+                config.analysis.threads.resolved() == 1 ? "" : "s");
   }
 
   // Out-of-core runs leave r.ntp empty. The analyses above streamed the

@@ -114,7 +114,7 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
       [&source, &config] {
         IidSpans shard;
         shard.reserve(static_cast<std::size_t>(source.records) /
-                          config.resolved_threads() +
+                          config.threads.resolved() +
                       1);
         return shard;
       },
@@ -147,7 +147,7 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
     spans[unique] = span;
   }
   spans.resize(unique);
-  const unsigned shards = config.resolved_threads();
+  const unsigned shards = config.threads.resolved();
   const std::size_t n_points = cdf_points.size();
   std::vector<BandTallies> shard_tallies(shards);
   for (auto& t : shard_tallies) {

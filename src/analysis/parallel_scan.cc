@@ -14,7 +14,7 @@ ParallelScan::~ParallelScan() = default;
 void ParallelScan::run(const ScanSource& source) {
   if (kernels_.empty()) return;
   const double t_start = util::steady_micros();
-  const unsigned shards = config_.resolved_threads();
+  const unsigned shards = config_.threads.resolved();
   const std::size_t span = source.span;
   const std::size_t n_kernels = kernels_.size();
 

@@ -60,10 +60,6 @@ struct AnalysisConfig {
   // windows are zero-width at the pipeline's end.
   obs::TimelineSampler* sampler = nullptr;
   util::SimTime sample_time = 0;
-
-  // The effective shard count. Kept as a shim for existing callers; new
-  // code should use threads.resolved().
-  unsigned resolved_threads() const noexcept { return threads.resolved(); }
 };
 
 // Per-stage scan instrumentation. Naming convention (repo-wide for stats

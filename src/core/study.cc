@@ -53,6 +53,10 @@ Study::Study(const StudyConfig& config) : config_(config) {
 serve::QueryService& Study::query_service() {
   if (serve_ == nullptr) {
     serve_ = std::make_unique<serve::QueryService>();
+    // Snapshots are built at merge barriers, where the collector's
+    // workers are parked, and the analyses never overlap collection: the
+    // build shards like an analysis scan.
+    serve_->set_build_threads(config_.analysis.threads);
     if (config_.metrics) serve_->set_metrics(metrics_.get());
   }
   return *serve_;

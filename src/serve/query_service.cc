@@ -78,7 +78,7 @@ std::shared_ptr<const Snapshot> QueryService::publish(
     const analysis::ScanSource& src, util::SimTime as_of) {
   const std::uint64_t epoch =
       epoch_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-  auto snap = Snapshot::build(src, epoch, as_of);
+  auto snap = Snapshot::build(src, epoch, as_of, build_threads_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     retained_.push_back(snap);
@@ -129,8 +129,7 @@ Slash64Summary QueryService::slash64_entropy(
   count_queries(QueryKind::kEntropy64);
   const auto snap = current();
   if (!snap) return {};
-  if (const Slash64Summary* sum = snap->slash64(address)) return *sum;
-  return {};
+  return snap->slash64(address).value_or(Slash64Summary{});
 }
 
 OuiRisk QueryService::oui_risk(net::Oui oui) const {

@@ -24,7 +24,8 @@
 // Memory bound: the service retains at most `retain_epochs` snapshots
 // (a deque under the publish mutex); older epochs die as soon as the
 // last outside reader drops its pointer. Worst-case footprint is
-// retain_epochs * Snapshot::memory_bytes() plus whatever readers pin.
+// retain_epochs * Snapshot::memory_bytes() plus whatever readers pin
+// (about 36 B per address per retained epoch; see snapshot.h).
 #pragma once
 
 #include <atomic>
@@ -35,6 +36,7 @@
 
 #include "obs/metrics.h"
 #include "serve/snapshot.h"
+#include "util/parallelism.h"
 #include "util/sim_time.h"
 
 namespace v6::serve {
@@ -72,6 +74,12 @@ class QueryService {
   // handles are plain members); a null registry keeps them no-ops.
   void set_metrics(obs::Registry* registry);
   void set_retain_epochs(std::size_t retain_epochs);
+  // Shards each publish() builds its snapshot on (util::Parallelism's
+  // contract; serial by default). The answers do not depend on it.
+  // Publisher-side, like publish().
+  void set_build_threads(util::Parallelism threads) noexcept {
+    build_threads_ = threads;
+  }
 
   // Builds the next epoch's snapshot from `src` (ascending record
   // stream; see Snapshot::build) and publishes it. Publisher-side only —
@@ -123,6 +131,7 @@ class QueryService {
   std::shared_ptr<const Snapshot> current_;
   std::vector<std::shared_ptr<const Snapshot>> retained_;
   std::size_t retain_epochs_;
+  util::Parallelism build_threads_ = util::Parallelism::serial();
   std::atomic<std::uint64_t> epoch_counter_{0};
   obs::Counter metric_queries_[kQueryKinds];
   obs::Histogram metric_latency_[kQueryKinds];

@@ -1,11 +1,14 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "analysis/scan_source.h"
 #include "kernels/batch.h"
 #include "net/eui64.h"
+#include "util/thread_pool.h"
 
 namespace v6::serve {
 
@@ -21,71 +24,160 @@ void fnv(std::uint64_t& h, std::uint64_t v) noexcept {
   }
 }
 
+constexpr std::uint64_t kSentinelHi = std::numeric_limits<std::uint64_t>::max();
+
+// What the count pass learns about one shard of the domain.
+struct ShardCount {
+  std::uint64_t records = 0;
+  std::uint64_t rows = 0;   // distinct /64s, the seam row included
+  std::uint64_t eui64 = 0;  // EUI-64-shaped records
+  std::uint64_t observations = 0;
+  std::uint64_t first_hi = 0;
+  std::uint64_t last_hi = 0;
+};
+
+// Where the fill pass writes one shard. A shard whose first /64 continues
+// the previous non-empty shard's last one (`joined`) tallies that row's
+// counts into its `seams` slot; they are added to the row after the pass.
+struct ShardPlan {
+  std::size_t record = 0;  // first record index
+  std::size_t row = 0;     // first row this shard opens
+  std::size_t pair = 0;    // first (MAC, /64) pair index
+  bool joined = false;
+};
+
 }  // namespace
 
 std::shared_ptr<const Snapshot> Snapshot::build(
     const analysis::ScanSource& src, std::uint64_t epoch,
-    util::SimTime as_of) {
+    util::SimTime as_of, util::Parallelism threads) {
   auto snap = std::make_shared<Snapshot>();
   snap->epoch_ = epoch;
   snap->as_of_ = as_of;
-  snap->records_.reserve(static_cast<std::size_t>(src.records));
 
-  // (MAC, /64) sightings collected during the pass; sorted and deduped
-  // afterwards to derive per-OUI exposure.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> mac_slash64;
+  const unsigned shards = threads.resolved();
 
-  // Block-driven pass: IID entropies come from the batch kernel a chunk
-  // at a time (bit-identical to per-record net::iid_entropy on either
-  // backend, so the snapshot digest is dispatch-independent).
-  constexpr std::size_t kChunk = 1024;
-  std::uint64_t iids[kChunk];
-  double entropies[kChunk];
-  src.visit_blocks(0, src.span, [&](std::span<const hitlist::AddressRecord>
-                                        block) {
-    for (std::size_t base = 0; base < block.size(); base += kChunk) {
-      const std::size_t n = std::min(kChunk, block.size() - base);
-      kernels::extract_iid_batch(
-          reinterpret_cast<const std::uint8_t*>(block.data() + base),
-          sizeof(hitlist::AddressRecord), n, iids);
-      kernels::iid_entropy_batch(iids, n, entropies);
-      for (std::size_t i = 0; i < n; ++i) {
-        const hitlist::AddressRecord& rec = block[base + i];
-        snap->records_.push_back(rec);
-        snap->observations_ += rec.count;
-
+  // Count pass: records, observations, /64 rows and EUI-64 records per
+  // shard, plus the edge /64s that decide which shard seams split a row.
+  std::vector<ShardCount> counts(shards);
+  util::run_sharded(src.span, shards, [&](unsigned s, std::size_t begin,
+                                          std::size_t end) {
+    ShardCount& c = counts[s];
+    src.visit_blocks(begin, end, [&](std::span<const hitlist::AddressRecord>
+                                         block) {
+      for (const hitlist::AddressRecord& rec : block) {
         const std::uint64_t hi = rec.address.hi64();
-        const std::uint64_t key48 = hi >> 16;
-        if (snap->slash48_.empty() || snap->slash48_.back().key != key48) {
-          snap->slash48_.push_back({key48, 0});
+        if (c.records == 0) {
+          c.first_hi = hi;
+          c.rows = 1;
+        } else if (hi != c.last_hi) {
+          ++c.rows;
         }
-        ++snap->slash48_.back().count;
-
-        if (snap->slash64_.empty() || snap->slash64_.back().hi != hi) {
-          snap->slash64_.push_back({hi, {}});
-        }
-        Slash64Summary& sum = snap->slash64_.back().summary;
-        ++sum.addresses;
-        switch (net::entropy_band(entropies[i])) {
-          case net::EntropyBand::kLow: ++sum.low; break;
-          case net::EntropyBand::kMedium: ++sum.medium; break;
-          case net::EntropyBand::kHigh: ++sum.high; break;
-        }
-        if (const auto mac = net::mac_from_eui64(iids[i])) {
-          ++sum.eui64;
-          mac_slash64.emplace_back(mac->to_u64(), hi);
-        }
+        c.last_hi = hi;
+        ++c.records;
+        c.observations += rec.count;
+        if (net::looks_like_eui64(rec.address.iid())) ++c.eui64;
       }
-    }
+    });
   });
 
-  // Per-OUI fold: dedup (MAC, /64) pairs, then walk MAC groups (pairs
-  // sort MAC-major, so each MAC's /64s are contiguous).
+  // Place every shard: records and pairs concatenate; rows concatenate
+  // less the seam rows a shard shares with its predecessor.
+  std::vector<ShardPlan> plans(shards);
+  std::size_t records = 0, rows = 0, pairs = 0;
+  bool any = false;
+  std::uint64_t prev_hi = 0;
+  for (unsigned s = 0; s < shards; ++s) {
+    const ShardCount& c = counts[s];
+    ShardPlan& p = plans[s];
+    p.record = records;
+    p.pair = pairs;
+    p.row = rows;
+    snap->observations_ += c.observations;
+    if (c.records == 0) continue;
+    p.joined = any && c.first_hi == prev_hi;
+    records += c.records;
+    pairs += c.eui64;
+    rows += c.rows - (p.joined ? 1 : 0);
+    any = true;
+    prev_hi = c.last_hi;
+  }
+  if (records > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("snapshot: record offsets exceed 32 bits");
+  }
+  snap->records_.resize(records);
+  snap->rows_.resize(rows + 1);
+  snap->rows_[rows] = {kSentinelHi, static_cast<std::uint32_t>(records), 0, 0,
+                       0};
+  // (MAC, /64) sightings, in stream order; sorted below for the OUI fold.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> mac_slash64(pairs);
+
+  // Fill pass. IID entropies come from the batch kernel a chunk at a time
+  // (bit-identical to per-record net::iid_entropy on either backend, so
+  // the snapshot is dispatch-independent).
+  std::vector<Row> seams(shards);
+  util::run_sharded(src.span, shards, [&](unsigned s, std::size_t begin,
+                                          std::size_t end) {
+    const ShardPlan& p = plans[s];
+    Record* out = snap->records_.data() + p.record;
+    Row* next_row = snap->rows_.data() + p.row;
+    auto* pair = mac_slash64.data() + p.pair;
+    Row* row = p.joined ? &seams[s] : nullptr;
+    std::uint64_t row_hi = counts[s].first_hi;
+    std::uint64_t index = p.record;
+    constexpr std::size_t kChunk = 1024;
+    std::uint64_t iids[kChunk];
+    double entropies[kChunk];
+    src.visit_blocks(begin, end, [&](std::span<const hitlist::AddressRecord>
+                                         block) {
+      for (std::size_t base = 0; base < block.size(); base += kChunk) {
+        const std::size_t n = std::min(kChunk, block.size() - base);
+        kernels::extract_iid_batch(
+            reinterpret_cast<const std::uint8_t*>(block.data() + base),
+            sizeof(hitlist::AddressRecord), n, iids);
+        kernels::iid_entropy_batch(iids, n, entropies);
+        for (std::size_t i = 0; i < n; ++i, ++index) {
+          const hitlist::AddressRecord& rec = block[base + i];
+          *out++ = {iids[i], rec.first_seen, rec.last_seen, rec.count,
+                    rec.vantage_mask};
+          const std::uint64_t hi = rec.address.hi64();
+          if (row == nullptr || hi != row_hi) {
+            row = next_row++;
+            row->hi = hi;
+            row->begin = static_cast<std::uint32_t>(index);
+            row_hi = hi;
+          }
+          switch (net::entropy_band(entropies[i])) {
+            case net::EntropyBand::kLow: ++row->low; break;
+            case net::EntropyBand::kMedium: ++row->medium; break;
+            case net::EntropyBand::kHigh: break;
+          }
+          if (const auto mac = net::mac_from_eui64(iids[i])) {
+            ++row->eui64;
+            *pair++ = {mac->to_u64(), hi};
+          }
+        }
+      }
+    });
+  });
+  for (unsigned s = 0; s < shards; ++s) {
+    if (!plans[s].joined) continue;
+    Row& row = snap->rows_[plans[s].row - 1];
+    row.low += seams[s].low;
+    row.medium += seams[s].medium;
+    row.eui64 += seams[s].eui64;
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (r == 0 || (snap->rows_[r].hi >> 16) != (snap->rows_[r - 1].hi >> 16)) {
+      ++snap->slash48_count_;
+    }
+  }
+
+  // Per-OUI fold. Pairs sort MAC-major (so OUI-major too, and each MAC's
+  // /64s are contiguous). Addresses are unique and an EUI-64 IID is a
+  // function of its MAC, so no pair repeats: a MAC's pairs are its
+  // distinct /64s, and each pair is one EUI-64 address.
   std::sort(mac_slash64.begin(), mac_slash64.end());
-  mac_slash64.erase(std::unique(mac_slash64.begin(), mac_slash64.end()),
-                    mac_slash64.end());
-  // eui64_addresses counts *records*, not deduped pairs, so tally it from
-  // the per-/64 summaries keyed by OUI in a second cheap pass below.
   std::vector<OuiRow>& ouis = snap->oui_;
   for (std::size_t i = 0; i < mac_slash64.size();) {
     const std::uint64_t mac = mac_slash64[i].first;
@@ -94,84 +186,118 @@ std::shared_ptr<const Snapshot> Snapshot::build(
     const auto oui = static_cast<std::uint32_t>(mac >> 24);
     if (ouis.empty() || ouis.back().oui != oui) ouis.push_back({oui, {}});
     OuiRisk& risk = ouis.back().risk;
+    risk.eui64_addresses += j - i;
     ++risk.unique_macs;
     if (j - i >= 2) ++risk.trackable_macs;
     risk.mac_slash64_pairs += j - i;
     i = j;
   }
-  // MAC-major sort order is OUI-major too, so `ouis` is already ascending.
-  // Count EUI-64 records per OUI (duplicates across /64s included).
-  for (const hitlist::AddressRecord& rec : snap->records_) {
-    const auto mac = net::mac_from_eui64(rec.address.iid());
-    if (!mac) continue;
-    const std::uint32_t oui = mac->oui().value();
-    const auto it = std::lower_bound(
-        ouis.begin(), ouis.end(), oui,
-        [](const OuiRow& row, std::uint32_t v) { return row.oui < v; });
-    if (it != ouis.end() && it->oui == oui) ++it->risk.eui64_addresses;
-  }
+  ouis.shrink_to_fit();
+  return snap;
+}
 
-  // Answer-table digest: any two snapshots with equal digests answer every
-  // query identically (the tables below are the complete answer surface).
+std::uint64_t Snapshot::fold_digest() const noexcept {
+  const std::size_t rows = rows_.size() - 1;
   std::uint64_t h = kFnvOffset;
-  fnv(h, snap->records_.size());
-  for (const hitlist::AddressRecord& rec : snap->records_) {
-    fnv(h, rec.address.hi64());
-    fnv(h, rec.address.lo64());
-    fnv(h, (static_cast<std::uint64_t>(rec.first_seen) << 32) | rec.last_seen);
-    fnv(h, (static_cast<std::uint64_t>(rec.count) << 32) | rec.vantage_mask);
+  fnv(h, records_.size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint64_t hi = rows_[r].hi;
+    for (std::uint32_t i = rows_[r].begin; i < rows_[r + 1].begin; ++i) {
+      const Record& rec = records_[i];
+      fnv(h, hi);
+      fnv(h, rec.lo);
+      fnv(h, (static_cast<std::uint64_t>(rec.first_seen) << 32) |
+                 rec.last_seen);
+      fnv(h, (static_cast<std::uint64_t>(rec.count) << 32) |
+                 rec.vantage_mask);
+    }
   }
-  for (const Slash48Row& row : snap->slash48_) {
-    fnv(h, row.key);
-    fnv(h, row.count);
+  // /48 answers: runs of rows sharing their top 48 bits.
+  for (std::size_t r = 0; r < rows;) {
+    const std::uint64_t key = rows_[r].hi >> 16;
+    std::size_t end = r + 1;
+    while (end < rows && (rows_[end].hi >> 16) == key) ++end;
+    fnv(h, key);
+    fnv(h, rows_[end].begin - rows_[r].begin);
+    r = end;
   }
-  for (const Slash64Row& row : snap->slash64_) {
-    fnv(h, row.hi);
-    fnv(h, row.summary.low);
-    fnv(h, row.summary.medium);
-    fnv(h, row.summary.high);
-    fnv(h, row.summary.eui64);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const Slash64Summary sum = summary(rows_[r]);
+    fnv(h, rows_[r].hi);
+    fnv(h, sum.low);
+    fnv(h, sum.medium);
+    fnv(h, sum.high);
+    fnv(h, sum.eui64);
   }
-  for (const OuiRow& row : snap->oui_) {
+  for (const OuiRow& row : oui_) {
     fnv(h, row.oui);
     fnv(h, row.risk.unique_macs);
     fnv(h, row.risk.trackable_macs);
     fnv(h, row.risk.mac_slash64_pairs);
     fnv(h, row.risk.eui64_addresses);
   }
-  snap->digest_ = h;
-  return snap;
+  return h;
+}
+
+std::uint64_t Snapshot::digest() const noexcept {
+  std::call_once(digest_once_, [this] { digest_ = fold_digest(); });
+  return digest_;
+}
+
+const Snapshot::Row* Snapshot::find_row(std::uint64_t hi) const noexcept {
+  const auto end = rows_.end() - 1;  // the sentinel answers nothing
+  const auto it = std::lower_bound(
+      rows_.begin(), end, hi,
+      [](const Row& row, std::uint64_t k) { return row.hi < k; });
+  if (it == end || it->hi != hi) return nullptr;
+  return &*it;
+}
+
+Slash64Summary Snapshot::summary(const Row& row) const noexcept {
+  const std::uint64_t addresses = (&row + 1)->begin - row.begin;
+  return {addresses, row.low, row.medium, addresses - row.low - row.medium,
+          row.eui64};
 }
 
 std::optional<hitlist::AddressRecord> Snapshot::find(
     const net::Ipv6Address& address) const noexcept {
+  const Row* row = find_row(address.hi64());
+  if (row == nullptr) return std::nullopt;
+  const std::uint64_t lo = address.lo64();
+  const auto first = records_.begin() + row->begin;
+  const auto last = records_.begin() + (row + 1)->begin;
   const auto it = std::lower_bound(
-      records_.begin(), records_.end(), address,
-      [](const hitlist::AddressRecord& rec, const net::Ipv6Address& a) {
-        return rec.address < a;
+      first, last, lo, [](const Record& rec, std::uint64_t k) {
+        return rec.lo < k;
       });
-  if (it == records_.end() || it->address != address) return std::nullopt;
-  return *it;
+  if (it == last || it->lo != lo) return std::nullopt;
+  hitlist::AddressRecord rec;
+  rec.address = address;
+  rec.first_seen = it->first_seen;
+  rec.last_seen = it->last_seen;
+  rec.count = it->count;
+  rec.vantage_mask = it->vantage_mask;
+  return rec;
 }
 
 std::uint64_t Snapshot::slash48_density(
     const net::Ipv6Address& address) const noexcept {
   const std::uint64_t key = address.hi64() >> 16;
-  const auto it = std::lower_bound(
-      slash48_.begin(), slash48_.end(), key,
-      [](const Slash48Row& row, std::uint64_t k) { return row.key < k; });
-  if (it == slash48_.end() || it->key != key) return 0;
-  return it->count;
+  const auto end = rows_.end() - 1;
+  const auto first = std::lower_bound(
+      rows_.begin(), end, key,
+      [](const Row& row, std::uint64_t k) { return (row.hi >> 16) < k; });
+  const auto last = std::upper_bound(
+      first, end, key,
+      [](std::uint64_t k, const Row& row) { return k < (row.hi >> 16); });
+  return last->begin - first->begin;
 }
 
-const Slash64Summary* Snapshot::slash64(
+std::optional<Slash64Summary> Snapshot::slash64(
     const net::Ipv6Address& address) const noexcept {
-  const std::uint64_t hi = address.hi64();
-  const auto it = std::lower_bound(
-      slash64_.begin(), slash64_.end(), hi,
-      [](const Slash64Row& row, std::uint64_t k) { return row.hi < k; });
-  if (it == slash64_.end() || it->hi != hi) return nullptr;
-  return &it->summary;
+  const Row* row = find_row(address.hi64());
+  if (row == nullptr) return std::nullopt;
+  return summary(*row);
 }
 
 const OuiRisk* Snapshot::oui_risk(net::Oui oui) const noexcept {
@@ -183,10 +309,8 @@ const OuiRisk* Snapshot::oui_risk(net::Oui oui) const noexcept {
 }
 
 std::size_t Snapshot::memory_bytes() const noexcept {
-  return records_.capacity() * sizeof(hitlist::AddressRecord) +
-         slash48_.capacity() * sizeof(Slash48Row) +
-         slash64_.capacity() * sizeof(Slash64Row) +
-         oui_.capacity() * sizeof(OuiRow);
+  return records_.capacity() * sizeof(Record) +
+         rows_.capacity() * sizeof(Row) + oui_.capacity() * sizeof(OuiRow);
 }
 
 }  // namespace v6::serve

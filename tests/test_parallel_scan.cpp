@@ -110,9 +110,9 @@ TEST(ParallelScanEngine, EmptyCorpusAndMoreShardsThanSlots) {
 TEST(ParallelScanEngine, ZeroThreadsResolvesToHardware) {
   AnalysisConfig config;
   config.threads = 0;
-  EXPECT_GE(config.resolved_threads(), 1u);
+  EXPECT_GE(config.threads.resolved(), 1u);
   config.threads = 3;
-  EXPECT_EQ(config.resolved_threads(), 3u);
+  EXPECT_EQ(config.threads.resolved(), 3u);
 }
 
 // ---------------------------------------------------------------------------
