@@ -1,10 +1,13 @@
 // Out-of-core corpus engine: ingest/merge throughput and on-disk size of
 // the tiered run files versus the in-memory table, on the same seeded
 // world. Exits non-zero if the spilled corpus is not byte-identical to
-// the in-memory snapshot — the engine's headline invariant.
+// the in-memory snapshot — the engine's headline invariant — or if the
+// collapse sharded on a thread pool differs from the serial one.
 //
-// Emits BENCH_corpus.json (records/sec ingest, merge MB/s, bytes per
-// address on disk) for the perf-trajectory archive.
+// Emits BENCH_corpus.json (records/sec ingest, merge MB/s, serial and
+// pooled collapse seconds, bytes per address on disk) for the
+// perf-trajectory archive.
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -12,6 +15,7 @@
 #include "hitlist/corpus_io.h"
 #include "hitlist/passive_collector.h"
 #include "hitlist/tiered_corpus.h"
+#include "util/thread_pool.h"
 
 int main() {
   using namespace v6;
@@ -66,6 +70,29 @@ int main() {
       "k-way merge over " + std::to_string(run_files) + " runs",
       [&] { runs.for_each_merged([&](const auto&) { ++merged_records; }); });
 
+  // Epoch collapse: the merged stream as one in-memory Corpus, serially
+  // and sharded over segment ranges on a pool of the collector's size.
+  // The two must hold the same records in the same order.
+  util::ThreadPool pool(config.collector.threads.resolved());
+  hitlist::Corpus serial_collapse(0);
+  hitlist::Corpus pooled_collapse(0);
+  const double serial_collapse_s = bench::timed_seconds(
+      "collapse, serial", [&] { serial_collapse = runs.collapse(); });
+  const double pooled_collapse_s = bench::timed_seconds(
+      "collapse, " + std::to_string(pool.thread_count()) + "-thread pool",
+      [&] { pooled_collapse = runs.collapse({}, &pool); });
+  const auto same_record = [](const hitlist::AddressRecord& a,
+                              const hitlist::AddressRecord& b) {
+    return a.address == b.address && a.first_seen == b.first_seen &&
+           a.last_seen == b.last_seen && a.count == b.count &&
+           a.vantage_mask == b.vantage_mask;
+  };
+  const bool collapse_identical =
+      serial_collapse.total_observations() ==
+          pooled_collapse.total_observations() &&
+      std::ranges::equal(serial_collapse.records(), pooled_collapse.records(),
+                         same_record);
+
   // On-disk footprint of the *corpus* (not the spill backlog): compact
   // to a single run so duplicate addresses across spills are aggregated,
   // then compare bytes per unique address against the in-memory table.
@@ -117,6 +144,8 @@ int main() {
                  std::to_string(memory_bpa));
   comparison.row("snapshot bytes identical", "yes",
                  identical ? "yes" : "NO — DETERMINISM BUG");
+  comparison.row("pooled collapse identical", "yes",
+                 collapse_identical ? "yes" : "NO — DETERMINISM BUG");
   comparison.print();
 
   // The <= 8 target presumes structured IIDs. On this world most corpus
@@ -148,6 +177,9 @@ int main() {
   json.number("merge_seconds", merge_s);
   json.number("merge_records_per_sec", merge_rate);
   json.number("merge_mb_per_sec", merge_mbps);
+  json.number("serial_collapse_seconds", serial_collapse_s);
+  json.number("pooled_collapse_seconds", pooled_collapse_s);
+  json.boolean("collapse_identical", collapse_identical);
   json.integer("disk_bytes", disk_bytes);
   json.number("disk_bytes_per_address", disk_bpa);
   json.number("in_memory_bytes_per_address", memory_bpa);
@@ -155,5 +187,5 @@ int main() {
   json.boolean("snapshot_bit_identical", identical);
   json.write("BENCH_corpus.json");
 
-  return identical ? 0 : 1;
+  return identical && collapse_identical ? 0 : 1;
 }

@@ -13,16 +13,18 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/scan_source.h"
 #include "bench_common.h"
 #include "net/eui64.h"
-#include "obs/cluster.h"
 #include "serve/query_service.h"
 #include "serve/snapshot.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -213,47 +215,53 @@ int main() {
       json.integer("snapshot_bytes", current ? current->memory_bytes() : 0);
 
       // Serve-side latency percentiles: a fixed query volume through the
-      // instrumented service entry points (the reader loops above query
-      // the pinned snapshot directly and bypass the latency histograms).
-      // The percentile values are wall-clock — the "wall" in the key
-      // names keeps them out of bench_diff's deterministic-key set.
+      // service entry points, each call timed on its own. The service's
+      // v6_serve_latency_us histogram cannot resolve these queries (its
+      // first bucket is 0-0.25 us and every call lands in it), so the
+      // percentiles come from the raw wall samples, nearest rank. Each
+      // sample includes the cost of one clock read. They are wall-clock;
+      // the "wall" in the key names keeps them out of bench_diff's
+      // deterministic-key set.
       util::Rng lat_rng(0x1a7e);
       constexpr std::uint64_t kLatencyQueries = 20'000;
+      // Keyed by the v6_serve_latency_us kind label, in its sorted order.
+      std::map<std::string, util::EmpiricalDistribution> wall_us;
+      const auto timed = [&wall_us](const char* kind, const auto& query) {
+        const auto q0 = std::chrono::steady_clock::now();
+        query();
+        wall_us[kind].add(std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - q0)
+                              .count());
+      };
       for (std::uint64_t i = 0; i < kLatencyQueries; ++i) {
         const net::Ipv6Address probe =
             net::Ipv6Address::from_u64(lat_rng.next(), lat_rng.next());
-        (void)service.point(probe);
-        (void)service.slash48_density(probe);
-        (void)service.slash64_entropy(probe);
-        (void)service.oui_risk(net::Oui(
-            static_cast<std::uint32_t>(lat_rng.next() & 0xffffff)));
+        const net::Oui oui(
+            static_cast<std::uint32_t>(lat_rng.next() & 0xffffff));
+        timed("point", [&] { (void)service.point(probe); });
+        timed("density48", [&] { (void)service.slash48_density(probe); });
+        timed("entropy64", [&] { (void)service.slash64_entropy(probe); });
+        timed("oui", [&] { (void)service.oui_risk(oui); });
       }
       json.integer("latency_queries_per_kind", kLatencyQueries);
-      const obs::Snapshot metrics = study.metrics_registry().snapshot();
-      for (const auto& sample : metrics.samples) {
-        if (sample.name != "v6_serve_latency_us" ||
-            sample.labels.size() != 1) {
-          continue;
-        }
-        const std::string& kind = sample.labels[0].second;
-        const obs::HistogramSummary summary =
-            obs::summarize_histogram(sample.histogram);
-        char key[64];
+      for (const auto& [kind, samples] : wall_us) {
+        const double p50 = samples.quantile(0.50);
+        const double p90 = samples.quantile(0.90);
+        const double p99 = samples.quantile(0.99);
         std::printf(
-            "serve latency %-9s p50 %.2fus p90 %.2fus p99 %.2fus "
-            "(%llu observations)\n",
-            kind.c_str(), summary.p50.value_or(0), summary.p90.value_or(0),
-            summary.p99.value_or(0),
-            static_cast<unsigned long long>(summary.count));
+            "serve latency %-9s p50 %.3fus p90 %.3fus p99 %.3fus "
+            "(%zu calls)\n",
+            kind.c_str(), p50, p90, p99, samples.count());
+        char key[64];
         std::snprintf(key, sizeof(key), "latency_%s_p50_wall_us",
                       kind.c_str());
-        json.number(key, summary.p50.value_or(0));
+        json.number(key, p50);
         std::snprintf(key, sizeof(key), "latency_%s_p90_wall_us",
                       kind.c_str());
-        json.number(key, summary.p90.value_or(0));
+        json.number(key, p90);
         std::snprintf(key, sizeof(key), "latency_%s_p99_wall_us",
                       kind.c_str());
-        json.number(key, summary.p99.value_or(0));
+        json.number(key, p99);
       }
     }
   }

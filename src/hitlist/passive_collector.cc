@@ -333,19 +333,44 @@ void PassiveCollector::collect(Corpus* memory, TieredCorpus* runs,
   // until the chunk loop finishes (the sink-failure contract). Out of
   // core it stays empty and the tables wait in the shards until they spill.
   Corpus running = memory != nullptr ? memory->copy() : Corpus(1);
-  // The canonical union of the running union and the shard tables: the
-  // part of the corpus so far that is in no spilled run.
+  // The live union: the canonical union of the running union and the
+  // shard tables, i.e. the part of the corpus so far that is in no spilled
+  // run. Each part is sorted in place, one pool task per part, at most
+  // once per chunk; one k-way merge then folds the sorted parts.
+  std::vector<Corpus*> parts{&running};
+  for (ShardState& shard : states) parts.push_back(&shard.corpus);
+  bool parts_sorted = false;
   const auto live = [&] {
-    std::vector<const Corpus*> parts{&running};
-    for (const ShardState& shard : states) parts.push_back(&shard.corpus);
-    return Corpus::canonical_union(parts);
+    if (!parts_sorted) {
+      util::run_sharded(pool.get(), parts.size(),
+                        static_cast<unsigned>(parts.size()),
+                        [&](unsigned, std::size_t b, std::size_t e) {
+                          for (std::size_t i = b; i < e; ++i) {
+                            parts[i]->canonicalize();
+                          }
+                        });
+      parts_sorted = true;
+    }
+    std::vector<BlockStream> streams;
+    std::size_t total = 0;
+    for (const Corpus* part : parts) {
+      streams.push_back(span_stream(part->records()));
+      total += part->size();
+    }
+    std::vector<AddressRecord> out;
+    out.reserve(total);
+    merge_record_blocks(streams, [&out](const AddressRecord& rec) {
+      out.push_back(rec);
+      return true;
+    });
+    return out;
   };
   // The corpus so far as one canonical Corpus (out of core, one k-way
-  // merge over the runs and the live union), so its layout is a pure
-  // function of its content at any shard count.
+  // merge over the runs and the live union, sharded on the pool), so its
+  // layout is a pure function of its content at any shard count.
   const auto snapshot = [&] {
     std::vector<AddressRecord> rest = live();
-    return runs != nullptr ? runs->collapse(rest)
+    return runs != nullptr ? runs->collapse(rest, pool.get())
                            : Corpus::from_canonical(std::move(rest));
   };
   // Records in the corpus so far. Out of core that is a counting merge
@@ -432,6 +457,7 @@ void PassiveCollector::collect(Corpus* memory, TieredCorpus* runs,
     }
     if (sampling) hi = std::min(hi, config_.sampler->next_boundary(lo));
     run_chunk(hi);
+    parts_sorted = false;
     // All shards joined at `hi`: a merge barrier, so everything below is
     // exact and independent of the shard count.
     drain_tallies();
@@ -449,7 +475,7 @@ void PassiveCollector::collect(Corpus* memory, TieredCorpus* runs,
       if (runs == nullptr) {
         for (ShardState& shard : states) running.merge(shard.corpus);
       } else {
-        runs->spill(Corpus::from_canonical(live()));
+        runs->spill(live());
       }
       for (ShardState& shard : states) shard.corpus = Corpus(1 << 12);
     }

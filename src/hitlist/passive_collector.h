@@ -55,7 +55,11 @@
 // window end the running union is moved into the caller's corpus and
 // canonicalized. Only the record and dedup counters wait for a sampler
 // boundary or the window end: they need the union size, which out of
-// core costs a counting merge over the runs.
+// core costs a counting merge over the runs. The record work of (2) and
+// (3) runs on the chunk pool: the parts of the live union sort in place
+// one task each, a spill writes their merged union straight to a run,
+// and the epoch collapse merges address ranges of the runs in parallel
+// (DESIGN.md, Threading model).
 //
 // Checkpoint/resume: with `checkpoint_interval > 0` and a CheckpointSink,
 // collection pauses at every sim-time boundary window_start + k*interval

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "hitlist/corpus_io.h"
+#include "util/thread_pool.h"
 
 namespace v6::hitlist {
 
@@ -48,6 +49,23 @@ struct OpenRun {
         reader(file),
         cursor(lo != nullptr ? reader.cursor_at(*lo) : reader.cursor()) {}
 };
+
+// Records of one run (its block index) that may lie in [lo, hi), where a
+// null bound is open. A block holds addresses from its first up to the
+// next block's first, so every block overlapping the range counts whole:
+// an upper bound on the run's share of the range.
+std::size_t records_overlapping(const std::vector<RunBlockInfo>& blocks,
+                                const net::Ipv6Address* lo,
+                                const net::Ipv6Address* hi) {
+  std::size_t total = 0;
+  for (std::size_t j = 0; j < blocks.size(); ++j) {
+    if (hi != nullptr && !(blocks[j].first_address < *hi)) break;
+    const bool ends_above_lo = lo == nullptr || j + 1 == blocks.size() ||
+                               *lo < blocks[j + 1].first_address;
+    if (ends_above_lo) total += blocks[j].record_count;
+  }
+  return total;
+}
 
 std::string zero_padded(std::uint64_t v) {
   std::string digits = std::to_string(v);
@@ -98,8 +116,13 @@ void TieredCorpus::invalidate_caches() {
 }
 
 void TieredCorpus::spill(Corpus&& shard) {
-  if (shard.size() == 0) return;
   shard.canonicalize();
+  spill(shard.records());
+  shard = Corpus(0);
+}
+
+void TieredCorpus::spill(std::span<const AddressRecord> records) {
+  if (records.empty()) return;
 
   Run run;
   // spills + compactions counts every file ever created, so the sequence
@@ -109,22 +132,26 @@ void TieredCorpus::spill(Corpus&& shard) {
                ".v6run"))
                  .string();
   RunFileStats written;
-  {
+  try {
     std::ofstream out(run.path, std::ios::binary | std::ios::trunc);
     if (!out) {
       throw std::runtime_error("tiered corpus: cannot create run file: " +
                                run.path);
     }
     RunWriter writer(out, {.block_records = config_.block_records});
-    for (const AddressRecord& rec : shard.records()) writer.append(rec);
+    for (const AddressRecord& rec : records) writer.append(rec);
     written = writer.finish();
     out.flush();
     if (!out) {
       throw std::runtime_error("tiered corpus: run write failed: " +
                                run.path);
     }
+  } catch (...) {
+    // A rejected span (not strictly ascending) leaves no partial file.
+    std::error_code ec;
+    fs::remove(run.path, ec);
+    throw;
   }
-  shard = Corpus(0);  // release the table before the validation read
 
   // Re-open and validate immediately: a spill that would not round-trip
   // (disk error, format bug) must fail here, not at analysis time. The
@@ -304,17 +331,77 @@ std::optional<AddressRecord> TieredCorpus::find(
   return result;
 }
 
-Corpus TieredCorpus::collapse(std::span<const AddressRecord> live) const {
-  // One merge pass straight into the record array. The reserve is an upper
-  // bound (runs may share addresses); pages it never fills stay untouched.
-  std::size_t upper = live.size();
-  for (const Run& run : runs_) upper += static_cast<std::size_t>(run.records);
+Corpus TieredCorpus::collapse(std::span<const AddressRecord> live,
+                              util::ThreadPool* pool) const {
+  const auto& bounds = segment_bounds();  // warmed before any worker reads
+  // Every segment starts a block of some run, so even a one-segment range
+  // has a block to decode and merge. Without a pool there is one range,
+  // merged inline: the serial collapse.
+  const unsigned ranges = util::shard_count(pool, bounds.size(), 1);
+
+  // Range r merges segments shard_range(bounds, r, ranges): addresses
+  // [bounds[begin], bounds[end]), the first range open below and the last
+  // open above, so live records outside the runs' span land in them. Each
+  // part is reserved here, on the calling thread, to an upper bound of
+  // what its range can emit (runs may share addresses; pages a part never
+  // fills stay untouched), so no worker grows a vector: growth inside the
+  // workers strands freed buffers in their malloc arenas and raised peak
+  // RSS (DESIGN.md, Pooled epoch collapse).
+  struct Range {
+    const net::Ipv6Address* lo = nullptr;  // null: open
+    const net::Ipv6Address* hi = nullptr;
+    std::span<const AddressRecord> live;
+    std::vector<AddressRecord> part;
+  };
+  const auto live_below = [&live](const net::Ipv6Address* bound) {
+    if (bound == nullptr) return live.size();
+    return static_cast<std::size_t>(
+        std::lower_bound(live.begin(), live.end(), *bound,
+                         [](const AddressRecord& rec,
+                            const net::Ipv6Address& key) {
+                           return rec.address < key;
+                         }) -
+        live.begin());
+  };
+  std::vector<Range> plan(ranges);
+  for (unsigned r = 0; r < ranges; ++r) {
+    const util::ShardRange seg = util::shard_range(bounds.size(), r, ranges);
+    Range& range = plan[r];
+    if (r > 0) range.lo = &bounds[seg.begin];
+    if (r + 1 < ranges) range.hi = &bounds[seg.end];
+    const std::size_t first = range.lo == nullptr ? 0 : live_below(range.lo);
+    range.live = live.subspan(first, live_below(range.hi) - first);
+    std::size_t upper = range.live.size();
+    for (const Run& run : runs_) {
+      upper += records_overlapping(run.blocks, range.lo, range.hi);
+    }
+    range.part.reserve(upper);
+  }
+  util::run_sharded(pool, ranges, ranges,
+                    [&](unsigned r, std::size_t, std::size_t) {
+                      Range& range = plan[r];
+                      merge_runs(range.lo, range.live,
+                                 [&range](const AddressRecord& rec) {
+                                   if (range.hi != nullptr &&
+                                       !(rec.address < *range.hi)) {
+                                     return false;
+                                   }
+                                   range.part.push_back(rec);
+                                   return true;
+                                 });
+                    });
+  if (ranges == 1) return Corpus::from_canonical(std::move(plan[0].part));
+
+  // Concatenate in range order, releasing each part once copied, so the
+  // transient is the record array plus the parts not yet copied.
+  std::size_t total = 0;
+  for (const Range& range : plan) total += range.part.size();
   std::vector<AddressRecord> records;
-  records.reserve(upper);
-  merge_runs(nullptr, live, [&records](const AddressRecord& rec) {
-    records.push_back(rec);
-    return true;
-  });
+  records.reserve(total);
+  for (Range& range : plan) {
+    records.insert(records.end(), range.part.begin(), range.part.end());
+    std::vector<AddressRecord>().swap(range.part);
+  }
   return Corpus::from_canonical(std::move(records));
 }
 

@@ -24,8 +24,10 @@
 // cursors (whose decode buffers are call-local), so ParallelScan workers
 // may call it concurrently — PROVIDED the lazy caches were warmed first:
 // call segment_bounds() and merged_size() once from one thread (which is
-// what analysis::make_source does). Mutations (spill, compact) must be
-// externally serialized against everything else.
+// what analysis::make_source does). collapse() may shard its merge on a
+// caller's pool: it warms segment_bounds() on the calling thread first,
+// and its workers only read. Mutations (spill, compact) stay serial and
+// must be externally serialized against everything else.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +41,10 @@
 #include "hitlist/corpus.h"
 #include "hitlist/run_io.h"
 #include "obs/metrics.h"
+
+namespace v6::util {
+class ThreadPool;
+}
 
 namespace v6::hitlist {
 
@@ -77,10 +83,12 @@ class TieredCorpus {
   const TieredCorpusStats& stats() const noexcept { return stats_; }
   std::size_t run_count() const noexcept { return runs_.size(); }
 
-  // Canonicalizes `shard` and writes it as one run (consuming it). Empty
-  // shards are ignored. The written file is re-opened and validated
-  // immediately, so a spill that would not round-trip throws here, not at
-  // analysis time.
+  // Writes `records` (strictly ascending, e.g. the collector's live union)
+  // as one run; RunWriter throws on input that is not. An empty span is
+  // ignored. The written file is re-opened and validated immediately, so a
+  // spill that would not round-trip throws here, not at analysis time.
+  void spill(std::span<const AddressRecord> records);
+  // Canonicalizes `shard` and spills its records (consuming it).
   void spill(Corpus&& shard);
 
   // Merges every live run into a single new run and deletes the old
@@ -130,8 +138,13 @@ class TieredCorpus {
   // Materializes the merged stream as an in-memory, already canonical
   // Corpus, as if `live` (strictly ascending, e.g. the canonical union of
   // the collector's live shard tables) were one more run. One k-way merge
-  // fills the record array, which is then indexed once.
-  Corpus collapse(std::span<const AddressRecord> live = {}) const;
+  // fills the record array, which is then indexed once. With a `pool`,
+  // contiguous ranges of segment_bounds() merge on its workers, each with
+  // its slice of `live`, into parts reserved on the calling thread; the
+  // parts are concatenated in order, so the result does not depend on the
+  // pool. The pool must be idle and serve this call alone.
+  Corpus collapse(std::span<const AddressRecord> live = {},
+                  util::ThreadPool* pool = nullptr) const;
 
   // Writes the merged stream as a corpus snapshot (corpus_io v2),
   // byte-identical to save_corpus() of the equivalent canonicalized

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -592,8 +593,10 @@ void expect_pinned(const CollectorDigests& got, const CollectorDigests& want) {
   EXPECT_EQ(got.windows, want.windows);
 }
 
-TEST(CollectorIdentity, PinnedDigests) {
-  const std::pair<GateConfig, CollectorDigests> pins[] = {
+// The pinned digests of each gate config; every row must hold at any
+// collector thread count.
+const std::vector<std::pair<GateConfig, CollectorDigests>>& pinned_digests() {
+  static const std::vector<std::pair<GateConfig, CollectorDigests>> pins = {
       {GateConfig::kDefaults,
        {0xa6e90e17bf341e48, 835752, 25138, 0x40dba8d2014c1015, 6949,
         {0xb387e6e5ec53c35a, 0xfda9cd33f7952f94, 0xab917f6d4a527464,
@@ -643,13 +646,33 @@ TEST(CollectorIdentity, PinnedDigests) {
          {1137, 26446}, {1121, 26215}, {1150, 26831}, {1155, 27085},
          {1214, 27734}, {1156, 27313}, {1195, 26974}}}},
   };
-  for (const auto& [which, want] : pins) {
+  return pins;
+}
+
+const CollectorDigests& pinned(GateConfig which) {
+  for (const auto& [config, digests] : pinned_digests()) {
+    if (config == which) return digests;
+  }
+  throw std::logic_error("no pin for this gate config");
+}
+
+TEST(CollectorIdentity, PinnedDigests) {
+  for (const auto& [which, want] : pinned_digests()) {
     for (const unsigned threads : {1u, 4u}) {
       SCOPED_TRACE(testing::Message() << "config=" << static_cast<int>(which)
                                       << " threads=" << threads);
       expect_pinned(run_collector_gate(which, threads), want);
     }
   }
+}
+
+// Three shards sort four parts (the running union and three shard tables)
+// on a three-worker pool and collapse ranges that do not divide evenly
+// among the workers; the barrier work on the pool must leave the corpus,
+// counters and epochs where they are.
+TEST(CollectorIdentity, TieredMatchesPinsAtThreeThreads) {
+  expect_pinned(run_collector_gate(GateConfig::kTiered, 3),
+                pinned(GateConfig::kTiered));
 }
 
 }  // namespace

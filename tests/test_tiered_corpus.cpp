@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <span>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/parallel_scan.h"
@@ -13,6 +15,7 @@
 #include "core/study.h"
 #include "hitlist/corpus_io.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace v6::hitlist {
 namespace {
@@ -167,6 +170,162 @@ TEST(TieredCorpus, CollapseWithLiveTableEqualsMergeThenCanonicalize) {
     EXPECT_EQ(a.vantage_mask, b.vantage_mask) << i;
     ASSERT_NE(got.find(b.address), nullptr) << i;
   }
+}
+
+void expect_same_corpus(const Corpus& got, const Corpus& want,
+                        const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  EXPECT_EQ(got.total_observations(), want.total_observations()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const AddressRecord& a = got.records()[i];
+    const AddressRecord& b = want.records()[i];
+    ASSERT_EQ(a.address, b.address) << label << " record " << i;
+    EXPECT_EQ(a.first_seen, b.first_seen) << label << " record " << i;
+    EXPECT_EQ(a.last_seen, b.last_seen) << label << " record " << i;
+    EXPECT_EQ(a.count, b.count) << label << " record " << i;
+    EXPECT_EQ(a.vantage_mask, b.vantage_mask) << label << " record " << i;
+  }
+  for (const AddressRecord& rec : want.records()) {
+    ASSERT_NE(got.find(rec.address), nullptr) << label;
+  }
+}
+
+// random_sightings moved up one /64 row, so every spilled address lies
+// above addr(0, x) and a live record can sit below the first segment bound.
+std::vector<Sighting> sightings_above_zero(std::size_t n, std::uint64_t seed) {
+  auto out = random_sightings(n, seed);
+  for (Sighting& s : out) {
+    s.address = addr(s.address.hi64() + 1, s.address.lo64());
+  }
+  return out;
+}
+
+// A canonical live table around `runs`' segment bounds: a record below
+// bounds[0], records on bounds (folding into spilled ones) and between
+// them, and one above the last bound.
+Corpus live_around(const TieredCorpus& runs) {
+  const auto& bounds = runs.segment_bounds();
+  Corpus live(16);
+  live.add(addr(0, 7), 3, 1);
+  for (std::size_t i = 0; i < bounds.size(); i += 3) {
+    live.add(bounds[i], 5, 2);
+    live.add(addr(bounds[i].hi64(), bounds[i].lo64() + 1), 9, 33);
+  }
+  live.add(addr(~std::uint64_t{0}, ~std::uint64_t{0}), 11, 4);
+  live.canonicalize();
+  return live;
+}
+
+// The pooled collapse merges ranges of segments on the workers and
+// concatenates them; it must give collapse()'s records at any pool size,
+// whatever the live table holds and however ragged the segments are. Both
+// are checked against the sightings folded in memory, since they share
+// the range plan.
+TEST(TieredCorpus, PooledCollapseEqualsSerialCollapse) {
+  const auto sightings = sightings_above_zero(6000, 37);
+  // 5-record blocks: every run's segments are cut at different addresses.
+  const auto runs = spilled(sightings, 5, /*block_records=*/5);
+  ASSERT_GT(runs->segment_bounds().size(), 64u);
+  const Corpus live = live_around(*runs);
+  ASSERT_LT(live.records().front().address, runs->segment_bounds().front());
+  ASSERT_LT(runs->segment_bounds().back(), live.records().back().address);
+
+  const Corpus without = reference_corpus(sightings);
+  Corpus with_live = reference_corpus(sightings);
+  with_live.merge(live);
+  with_live.canonicalize();
+  expect_same_corpus(runs->collapse(live.records()), with_live, "serial");
+  expect_same_corpus(runs->collapse(), without, "serial, no live");
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    util::ThreadPool pool(threads);
+    const std::string label = std::to_string(threads) + " threads";
+    expect_same_corpus(runs->collapse(live.records(), &pool), with_live,
+                       label + ", live");
+    expect_same_corpus(runs->collapse({}, &pool), without,
+                       label + ", no live");
+  }
+}
+
+TEST(TieredCorpus, PooledCollapseOfSingleBlockAndNoRuns) {
+  util::ThreadPool pool(3);
+  // One spill smaller than a block: one segment, so one range.
+  const auto sightings = sightings_above_zero(40, 41);
+  const auto single = spilled(sightings, 1, /*block_records=*/4096);
+  ASSERT_EQ(single->segment_bounds().size(), 1u);
+  const Corpus live = live_around(*single);
+  Corpus want = reference_corpus(sightings);
+  want.merge(live);
+  want.canonicalize();
+  expect_same_corpus(single->collapse(live.records(), &pool), want,
+                     "single block");
+  expect_same_corpus(single->collapse({}, &pool), reference_corpus(sightings),
+                     "single block, no live");
+
+  // Nothing spilled yet: the collapse is the live table itself.
+  SpillConfig config;
+  config.memory_budget_bytes = 1;
+  const TieredCorpus empty(config);
+  expect_same_corpus(empty.collapse(live.records(), &pool), live, "no runs");
+  EXPECT_EQ(empty.collapse({}, &pool).size(), 0u);
+}
+
+// spill(span) writes a sorted array as is; spill(Corpus&&) canonicalizes
+// first. Fed the same content, the two give the same runs.
+TEST(TieredCorpus, SpillSpanMatchesSpillCorpus) {
+  const auto sightings = random_sightings(4000, 43);
+  const auto from_corpus = spilled(sightings, 4, /*block_records=*/16);
+  SpillConfig config;
+  config.memory_budget_bytes = 1;
+  config.block_records = 16;
+  TieredCorpus from_span(config);
+  const std::size_t per = sightings.size() / 4 + 1;
+  for (std::size_t begin = 0; begin < sightings.size(); begin += per) {
+    Corpus shard(16);
+    const std::size_t end = std::min(begin + per, sightings.size());
+    for (std::size_t i = begin; i < end; ++i) {
+      shard.add(sightings[i].address, sightings[i].time,
+                sightings[i].vantage);
+    }
+    shard.canonicalize();
+    from_span.spill(shard.records());
+  }
+  from_span.spill(std::span<const AddressRecord>());  // ignored
+  EXPECT_EQ(from_span.run_count(), from_corpus->run_count());
+  EXPECT_EQ(from_span.stats().spilled_records,
+            from_corpus->stats().spilled_records);
+  EXPECT_EQ(from_span.stats().disk_bytes, from_corpus->stats().disk_bytes);
+  expect_stream_matches(from_span, reference_corpus(sightings));
+
+  std::stringstream a(std::ios::in | std::ios::out | std::ios::binary);
+  std::stringstream b(std::ios::in | std::ios::out | std::ios::binary);
+  from_span.save(a);
+  from_corpus->save(b);
+  EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(TieredCorpus, SpillSpanRejectsNonAscendingInput) {
+  namespace fs = std::filesystem;
+  SpillConfig config;
+  config.memory_budget_bytes = 1;
+  TieredCorpus runs(config);
+  AddressRecord low;
+  low.address = addr(1, 1);
+  low.count = 1;
+  AddressRecord high = low;
+  high.address = addr(1, 2);
+  const std::vector<AddressRecord> descending{high, low};
+  const std::vector<AddressRecord> repeated{low, low};
+  EXPECT_THROW(runs.spill(descending), std::invalid_argument);
+  EXPECT_THROW(runs.spill(repeated), std::invalid_argument);
+  EXPECT_EQ(runs.run_count(), 0u);
+  EXPECT_EQ(runs.stats().spills, 0u);
+  // The rejected writes left no partial run file behind.
+  EXPECT_TRUE(fs::is_empty(runs.config().directory));
+  // The engine stays usable.
+  const std::vector<AddressRecord> ascending{low, high};
+  runs.spill(ascending);
+  EXPECT_EQ(runs.run_count(), 1u);
+  EXPECT_EQ(runs.merged_size(), 2u);
 }
 
 TEST(TieredCorpus, SaveBytesMatchInMemorySnapshot) {
