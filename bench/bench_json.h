@@ -49,7 +49,11 @@ class BenchJson {
   }
 
   void text(const std::string& key, const std::string& value) {
-    entries_.emplace_back(key, "\"" + escape(value) + "\"");
+    // Appended: GCC 12 -O3 reports a false -Wrestrict on `"\"" + ...`.
+    std::string quoted = "\"";
+    quoted += escape(value);
+    quoted += '"';
+    entries_.emplace_back(key, std::move(quoted));
   }
 
   // Writes the object to `path` and prints the path; returns false (and

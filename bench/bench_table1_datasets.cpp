@@ -64,13 +64,13 @@ int main() {
   });
   const auto& r = study.results();
 
-  const auto ntp =
-      analysis::summarize_dataset("NTP Pool (this paper)", r.ntp,
-                                  study.world());
+  const analysis::ScanSource source = r.ntp;
+  const auto ntp = analysis::summarize_dataset("NTP Pool (this paper)",
+                                               source, study.world());
   const auto hitlist = analysis::summarize_dataset(
-      "IPv6 Hitlist", r.hitlist.corpus, study.world(), &r.ntp);
+      "IPv6 Hitlist", r.hitlist.corpus, study.world(), &source);
   const auto caida = analysis::summarize_dataset(
-      "CAIDA Routed /48", r.caida.corpus, study.world(), &r.ntp);
+      "CAIDA Routed /48", r.caida.corpus, study.world(), &source);
 
   util::TablePrinter table({"Dataset", "Addresses", "Common", "ASNs",
                             "ASNs common", "/48s", "/48s common",

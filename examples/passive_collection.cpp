@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "analysis/dataset_compare.h"
 #include "hitlist/passive_collector.h"
 #include "hitlist/release.h"
 #include "netsim/pool_dns.h"
@@ -61,7 +62,7 @@ int main() {
   }
 
   // The paper's data release policy: /48s only.
-  const auto rows = hitlist::aggregate_to_slash48(corpus);
+  const auto rows = analysis::aggregate_to_slash48(corpus);
   std::ostringstream release;
   hitlist::write_release(release, rows);
   std::printf("\n/48-aggregated release: %zu prefixes (first lines below)\n",

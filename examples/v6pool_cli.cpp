@@ -369,11 +369,6 @@ int cmd_study(int argc, char** argv) {
                 config.analysis.threads.resolved() == 1 ? "" : "s");
   }
 
-  // Out-of-core runs leave r.ntp empty. The analyses above streamed the
-  // merged runs; the extras below (EUI-64 tracking, the /48 release)
-  // still want an in-memory view, so collapse the runs once here.
-  hitlist::Corpus collapsed(1);
-  const hitlist::Corpus* ntp_corpus = &r.ntp;
   if (r.ntp_runs != nullptr) {
     const auto& stats = r.ntp_runs->stats();
     std::printf("out-of-core   : %s spills, %zu run file%s, %s bytes on "
@@ -382,11 +377,12 @@ int cmd_study(int argc, char** argv) {
                 r.ntp_runs->run_count(),
                 r.ntp_runs->run_count() == 1 ? "" : "s",
                 util::with_commas(stats.disk_bytes).c_str());
-    collapsed = r.ntp_runs->collapse();
-    ntp_corpus = &collapsed;
   }
 
-  analysis::Eui64Tracker tracker(*ntp_corpus, study.world());
+  // EUI-64 tracking and the /48 release stream the corpus like the
+  // analyses above, in memory or out of core.
+  const analysis::ScanSource ntp = study.ntp_source();
+  analysis::Eui64Tracker tracker(ntp, study.world());
   std::printf("privacy       : %s EUI-64 addresses, %s embedded MACs, %s "
               "trackable\n",
               util::with_commas(tracker.eui64_addresses()).c_str(),
@@ -441,7 +437,7 @@ int cmd_study(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", path);
       return 1;
     }
-    const auto rows = hitlist::aggregate_to_slash48(*ntp_corpus);
+    const auto rows = analysis::aggregate_to_slash48(ntp);
     hitlist::write_release(out, rows, /*min_count=*/3);
     std::printf("release       : %zu /48 rows -> %s (k-anonymity floor 3)\n",
                 rows.size(), path);
@@ -738,7 +734,7 @@ int cmd_query(int argc, char** argv) {
   }
   corpus.canonicalize();
   serve::QueryService service;
-  const auto snap = service.publish(analysis::make_source(corpus), 0);
+  const auto snap = service.publish(corpus, 0);
   print_snapshot_banner(*snap);
   return answer_queries(service, argc, argv);
 }
@@ -851,15 +847,17 @@ int cmd_obs_report(int argc, char** argv) {
   // wall-clock, and those sit outside the determinism gates by design.
   const std::uint64_t query_count =
       flag_u64(argc, argv, "--query-count", 64, 1ull << 20);
-  hitlist::Corpus collapsed(1);
-  const hitlist::Corpus* ntp = &r.ntp;
-  if (r.ntp_runs != nullptr) {
-    collapsed = r.ntp_runs->collapse();
-    ntp = &collapsed;
-  }
+  // Segment by segment, so a tiered corpus decodes only the blocks the
+  // targets come from.
   std::vector<net::Ipv6Address> targets;
-  for (const auto& rec : ntp->records()) {
-    if (targets.size() < query_count) targets.push_back(rec.address);
+  const analysis::ScanSource ntp = study.ntp_source();
+  for (std::size_t i = 0; i < ntp.span && targets.size() < query_count; ++i) {
+    ntp.visit_blocks(
+        i, i + 1, [&](std::span<const hitlist::AddressRecord> block) {
+          for (const auto& rec : block) {
+            if (targets.size() < query_count) targets.push_back(rec.address);
+          }
+        });
   }
   for (const net::Ipv6Address& a : targets) {
     (void)service.point(a);

@@ -130,15 +130,4 @@ CategoryBreakdown categorize_corpus(const ScanSource& source,
       stats);
 }
 
-CategoryBreakdown categorize_corpus(const hitlist::Corpus& corpus,
-                                    const sim::World& world,
-                                    util::SimTime window_start,
-                                    util::SimTime window_end,
-                                    const CategoryConfig& config,
-                                    const AnalysisConfig& analysis,
-                                    std::vector<AnalysisStageStats>* stats) {
-  return categorize_corpus(make_source(corpus), world, window_start,
-                           window_end, config, analysis, stats);
-}
-
 }  // namespace v6::analysis

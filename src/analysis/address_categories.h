@@ -43,15 +43,6 @@ struct CategoryBreakdown {
 // Classifies every corpus address whose observation interval intersects
 // [window_start, window_end); pass the full study window for Fig-1-style
 // totals or one day for the Fig 5 comparison.
-CategoryBreakdown categorize_corpus(const hitlist::Corpus& corpus,
-                                    const sim::World& world,
-                                    util::SimTime window_start,
-                                    util::SimTime window_end,
-                                    const CategoryConfig& config = {},
-                                    const AnalysisConfig& analysis = {},
-                                    std::vector<AnalysisStageStats>* stats =
-                                        nullptr);
-
 CategoryBreakdown categorize_corpus(const ScanSource& source,
                                     const sim::World& world,
                                     util::SimTime window_start,

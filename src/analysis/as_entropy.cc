@@ -88,12 +88,4 @@ std::vector<AsEntropyProfile> top_as_entropy_profiles(
   return profiles;
 }
 
-std::vector<AsEntropyProfile> top_as_entropy_profiles(
-    const hitlist::Corpus& corpus, const sim::World& world, std::size_t n,
-    util::SimTime window_start, util::SimTime window_end,
-    const AnalysisConfig& config, std::vector<AnalysisStageStats>* stats) {
-  return top_as_entropy_profiles(make_source(corpus), world, n, window_start,
-                                 window_end, config, stats);
-}
-
 }  // namespace v6::analysis

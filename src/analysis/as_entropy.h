@@ -27,12 +27,6 @@ struct AsEntropyProfile {
 // Ordered by descending address count, ties broken by ascending ASN, so
 // the ranking (Fig 4's legend order) is stable across runs and platforms.
 std::vector<AsEntropyProfile> top_as_entropy_profiles(
-    const hitlist::Corpus& corpus, const sim::World& world, std::size_t n,
-    util::SimTime window_start, util::SimTime window_end,
-    const AnalysisConfig& config = {},
-    std::vector<AnalysisStageStats>* stats = nullptr);
-
-std::vector<AsEntropyProfile> top_as_entropy_profiles(
     const ScanSource& source, const sim::World& world, std::size_t n,
     util::SimTime window_start, util::SimTime window_end,
     const AnalysisConfig& config = {},

@@ -8,7 +8,7 @@
 
 namespace v6::analysis {
 
-BadAppleReport bad_apple_linkage(const hitlist::Corpus& corpus,
+BadAppleReport bad_apple_linkage(const ScanSource& corpus,
                                  const Eui64Tracker& tracker) {
   BadAppleReport report;
 
@@ -26,20 +26,23 @@ BadAppleReport bad_apple_linkage(const hitlist::Corpus& corpus,
   std::vector<std::uint64_t> cotenant_addrs(tracks.size(), 0);
   std::vector<std::unordered_set<std::uint64_t>> cotenant_prefixes(
       tracks.size());
-  for (const auto& rec : corpus.records()) {
-    const auto it = by_slash64.find(rec.address.hi64());
-    if (it == by_slash64.end()) continue;
-    if (net::looks_like_eui64(rec.address)) continue;  // the apple itself
-    ++report.linked_addresses;
-    if (net::entropy_band(net::iid_entropy(rec.address)) ==
-        net::EntropyBand::kHigh) {
-      ++report.linked_privacy_addresses;
-    }
-    for (const auto apple : it->second) {
-      ++cotenant_addrs[apple];
-      cotenant_prefixes[apple].insert(rec.address.hi64());
-    }
-  }
+  corpus.visit_blocks(
+      0, corpus.span, [&](std::span<const hitlist::AddressRecord> block) {
+        for (const auto& rec : block) {
+          const auto it = by_slash64.find(rec.address.hi64());
+          if (it == by_slash64.end()) continue;
+          if (net::looks_like_eui64(rec.address)) continue;  // the apple
+          ++report.linked_addresses;
+          if (net::entropy_band(net::iid_entropy(rec.address)) ==
+              net::EntropyBand::kHigh) {
+            ++report.linked_privacy_addresses;
+          }
+          for (const auto apple : it->second) {
+            ++cotenant_addrs[apple];
+            cotenant_prefixes[apple].insert(rec.address.hi64());
+          }
+        }
+      });
 
   for (std::uint32_t i = 0; i < tracks.size(); ++i) {
     if (cotenant_addrs[i] > 0) ++report.apples_with_cotenants;

@@ -13,7 +13,7 @@
 #include <cstdint>
 
 #include "analysis/eui64_tracking.h"
-#include "hitlist/corpus.h"
+#include "analysis/scan_source.h"
 
 namespace v6::analysis {
 
@@ -32,7 +32,7 @@ struct BadAppleReport {
 };
 
 // Joins the corpus against the tracker's EUI-64 sightings.
-BadAppleReport bad_apple_linkage(const hitlist::Corpus& corpus,
+BadAppleReport bad_apple_linkage(const ScanSource& corpus,
                                  const Eui64Tracker& tracker);
 
 }  // namespace v6::analysis

@@ -1,28 +1,29 @@
 #include "analysis/dataset_compare.h"
 
+#include <algorithm>
 #include <array>
-#include <optional>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace v6::analysis {
 
 namespace {
 
-// Per-shard coverage state for summarize_dataset's main scan. Sets merge
-// by union and counters by sum — commutative aggregates, so the summary
-// is independent of sharding.
+// Per-shard coverage states for summarize_dataset's two scans. Sets merge
+// by union and the counter by sum — commutative aggregates, so the
+// summary is independent of sharding.
 struct CoverageState {
   std::unordered_set<std::uint32_t> asns;
   std::unordered_set<std::uint64_t> s48s;
   std::unordered_set<std::uint32_t> common_asns;
   std::unordered_set<std::uint64_t> common_s48s;
-  std::uint64_t common_addresses = 0;
 };
 
 struct BaseState {
   std::unordered_set<std::uint32_t> asns;
   std::unordered_set<std::uint64_t> s48s;
+  std::uint64_t common_addresses = 0;
 };
 
 template <typename T>
@@ -42,34 +43,32 @@ DatasetSummary summarize_dataset(const std::string& name,
   summary.name = name;
   summary.addresses = corpus.records;
 
-  // common_addresses needs point membership across the two datasets:
-  // probe the base from the main scan when the base supports it (the
-  // in-memory path), otherwise invert — scan the base once and probe the
-  // summarized corpus. Both count the same intersection.
-  const bool base_has_contains = base != nullptr && base->contains != nullptr;
-  const bool invert_membership = base != nullptr && !base_has_contains;
-  if (invert_membership && corpus.contains == nullptr) {
-    throw std::invalid_argument(
-        "summarize_dataset: neither dataset supports membership probes");
-  }
-
   // Base-dataset coverage for the "common" columns (its own scan; the
-  // main scan below reads the result concurrently, but read-only).
+  // main scan below reads the result concurrently, but read-only). The
+  // base may be out of core and far larger than `corpus`, so its pass
+  // counts the common addresses by probing `corpus`, never the base.
   BaseState base_cov;
   if (base != nullptr) {
+    if (corpus.contains == nullptr) {
+      throw std::invalid_argument(
+          "summarize_dataset: a dataset compared against a base needs "
+          "membership probes");
+    }
     base_cov = scan_corpus_blocks<BaseState>(
         *base, config, "summarize_dataset/base", [] { return BaseState(); },
-        [&world](BaseState& s, std::span<const hitlist::AddressRecord> block) {
+        [&](BaseState& s, std::span<const hitlist::AddressRecord> block) {
           for (const auto& rec : block) {
             if (const auto as_index = world.as_index_of(rec.address)) {
               s.asns.insert(*as_index);
             }
             s.s48s.insert(rec.address.hi64() >> 16);
+            if (corpus.contains(rec.address)) ++s.common_addresses;
           }
         },
         [](BaseState& into, BaseState&& from) {
           union_into(into.asns, std::move(from.asns));
           union_into(into.s48s, std::move(from.s48s));
+          into.common_addresses += from.common_addresses;
         },
         stats);
   }
@@ -88,11 +87,8 @@ DatasetSummary summarize_dataset(const std::string& name,
               s.common_asns.insert(*as_index);
             }
           }
-          if (base != nullptr) {
-            if (base_has_contains && base->contains(rec.address)) {
-              ++s.common_addresses;
-            }
-            if (base_cov.s48s.contains(s48)) s.common_s48s.insert(s48);
+          if (base != nullptr && base_cov.s48s.contains(s48)) {
+            s.common_s48s.insert(s48);
           }
         }
       },
@@ -101,30 +97,12 @@ DatasetSummary summarize_dataset(const std::string& name,
         union_into(into.s48s, std::move(from.s48s));
         union_into(into.common_asns, std::move(from.common_asns));
         union_into(into.common_s48s, std::move(from.common_s48s));
-        into.common_addresses += from.common_addresses;
       },
       stats);
 
-  // Inverted membership: one extra pass over the base, counting its
-  // records present in the summarized corpus. O(|base|) probes against
-  // the in-memory side instead of per-record stream lookups against the
-  // tiered side.
-  std::uint64_t inverted_common = 0;
-  if (invert_membership) {
-    inverted_common = scan_corpus<std::uint64_t>(
-        *base, config, "summarize_dataset/common",
-        [] { return std::uint64_t{0}; },
-        [&corpus](std::uint64_t& n, const hitlist::AddressRecord& rec) {
-          if (corpus.contains(rec.address)) ++n;
-        },
-        [](std::uint64_t& into, std::uint64_t&& from) { into += from; },
-        stats);
-  }
-
   summary.asns = cov.asns.size();
   summary.slash48s = cov.s48s.size();
-  summary.common_addresses =
-      invert_membership ? inverted_common : cov.common_addresses;
+  summary.common_addresses = base_cov.common_addresses;
   summary.common_asns = cov.common_asns.size();
   summary.common_slash48s = cov.common_s48s.size();
   summary.addrs_per_slash48 =
@@ -135,21 +113,8 @@ DatasetSummary summarize_dataset(const std::string& name,
   return summary;
 }
 
-DatasetSummary summarize_dataset(const std::string& name,
-                                 const hitlist::Corpus& corpus,
-                                 const sim::World& world,
-                                 const hitlist::Corpus* base,
-                                 const AnalysisConfig& config,
-                                 std::vector<AnalysisStageStats>* stats) {
-  std::optional<ScanSource> base_source;
-  if (base != nullptr) base_source.emplace(make_source(*base));
-  return summarize_dataset(name, make_source(corpus), world,
-                           base_source ? &*base_source : nullptr, config,
-                           stats);
-}
-
 std::vector<std::pair<sim::AsType, double>> as_type_fractions(
-    const hitlist::Corpus& corpus, const sim::World& world,
+    const ScanSource& corpus, const sim::World& world,
     const AnalysisConfig& config, std::vector<AnalysisStageStats>* stats) {
   struct TypeCounts {
     std::array<std::uint64_t, 5> counts{};
@@ -178,6 +143,23 @@ std::vector<std::pair<sim::AsType, double>> as_type_fractions(
                                          static_cast<double>(tc.total));
   }
   return out;
+}
+
+std::vector<hitlist::ReleaseEntry> aggregate_to_slash48(
+    const ScanSource& corpus) {
+  std::unordered_map<net::Ipv6Prefix, std::uint64_t> counts;
+  corpus.visit_blocks(
+      0, corpus.span, [&counts](std::span<const hitlist::AddressRecord> block) {
+        for (const auto& rec : block) ++counts[net::slash48_of(rec.address)];
+      });
+  std::vector<hitlist::ReleaseEntry> rows;
+  rows.reserve(counts.size());
+  for (const auto& [prefix, count] : counts) rows.push_back({prefix, count});
+  std::sort(rows.begin(), rows.end(),
+            [](const hitlist::ReleaseEntry& a, const hitlist::ReleaseEntry& b) {
+              return a.prefix < b.prefix;
+            });
+  return rows;
 }
 
 }  // namespace v6::analysis

@@ -1,9 +1,11 @@
 // Dataset comparison (Table 1): size, overlap, AS and /48 coverage, and
 // address density of a corpus, plus the AS-type mix (§4.1's "Phone
-// Provider" observation).
+// Provider" observation) and the /48 aggregate of the ethical release
+// (§6, hitlist/release.h).
 //
-// Both entry points scan on analysis::ParallelScan; every aggregate is a
-// set size or integer count, so results are identical at any thread count.
+// The Table 1 entry points scan on analysis::ParallelScan; every aggregate
+// is a set size or integer count, so results are identical at any thread
+// count.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +13,7 @@
 #include <vector>
 
 #include "analysis/parallel_scan.h"
-#include "hitlist/corpus.h"
+#include "hitlist/release.h"
 #include "sim/world.h"
 
 namespace v6::analysis {
@@ -29,21 +31,10 @@ struct DatasetSummary {
 };
 
 // Summarizes `corpus`; when `base` is non-null, fills the intersection
-// columns against it.
-DatasetSummary summarize_dataset(const std::string& name,
-                                 const hitlist::Corpus& corpus,
-                                 const sim::World& world,
-                                 const hitlist::Corpus* base = nullptr,
-                                 const AnalysisConfig& config = {},
-                                 std::vector<AnalysisStageStats>* stats =
-                                     nullptr);
-
-// Source-based variant, the one the out-of-core pipeline uses. The
-// common_addresses column needs a membership test between the two
-// datasets; when `base` has no contains() (a tiered base) but `corpus`
-// does, the test is inverted — one extra scan over the base counts its
-// records present in `corpus`, which is the same intersection size. If
-// neither side supports contains(), throws std::invalid_argument.
+// columns against it. The base may be out of core: its coverage pass
+// counts common_addresses by probing `corpus`, so with a base `corpus`
+// must be an in-memory source (with contains()), else this throws
+// std::invalid_argument.
 DatasetSummary summarize_dataset(const std::string& name,
                                  const ScanSource& corpus,
                                  const sim::World& world,
@@ -55,8 +46,12 @@ DatasetSummary summarize_dataset(const std::string& name,
 // Fraction of corpus addresses originating in ASes of each type (the ASdb
 // classification proxy). Indexed by sim::AsType.
 std::vector<std::pair<sim::AsType, double>> as_type_fractions(
-    const hitlist::Corpus& corpus, const sim::World& world,
+    const ScanSource& corpus, const sim::World& world,
     const AnalysisConfig& config = {},
     std::vector<AnalysisStageStats>* stats = nullptr);
+
+// Aggregates a corpus to sorted unique /48s with their address counts.
+std::vector<hitlist::ReleaseEntry> aggregate_to_slash48(
+    const ScanSource& corpus);
 
 }  // namespace v6::analysis

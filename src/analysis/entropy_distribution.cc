@@ -50,12 +50,6 @@ util::EmpiricalDistribution entropy_distribution(
 }
 
 util::EmpiricalDistribution entropy_distribution(
-    const hitlist::Corpus& c, const AnalysisConfig& config,
-    std::vector<AnalysisStageStats>* stats) {
-  return entropy_distribution(make_source(c), config, stats);
-}
-
-util::EmpiricalDistribution entropy_distribution(
     std::span<const net::Ipv6Address> addresses) {
   static_assert(sizeof(net::Ipv6Address) == 16);
   std::vector<double> samples(addresses.size());

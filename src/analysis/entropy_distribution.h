@@ -15,13 +15,9 @@
 
 namespace v6::analysis {
 
-// Entropy of every unique address's IID in the corpus.
-util::EmpiricalDistribution entropy_distribution(
-    const hitlist::Corpus& c, const AnalysisConfig& config = {},
-    std::vector<AnalysisStageStats>* stats = nullptr);
-
-// Same, over any record source (in-memory or out-of-core); results are
-// bit-identical across backends for the same record set.
+// Entropy of every unique address's IID in the corpus (in-memory or
+// out-of-core); results are bit-identical across backends for the same
+// record set.
 util::EmpiricalDistribution entropy_distribution(
     const ScanSource& source, const AnalysisConfig& config = {},
     std::vector<AnalysisStageStats>* stats = nullptr);

@@ -26,7 +26,7 @@ const char* to_string(TrackingClass c) noexcept {
   return "?";
 }
 
-Eui64Tracker::Eui64Tracker(const hitlist::Corpus& corpus,
+Eui64Tracker::Eui64Tracker(const ScanSource& corpus,
                            const sim::World& world)
     : world_(&world) {
   struct Raw {
@@ -36,23 +36,26 @@ Eui64Tracker::Eui64Tracker(const hitlist::Corpus& corpus,
   };
   std::unordered_map<net::MacAddress, Raw> by_mac;
 
-  for (const auto& rec : corpus.records()) {
-    ++corpus_addresses_;
-    const auto mac = net::mac_from_eui64(rec.address);
-    if (!mac) continue;
-    ++eui64_addresses_;
-    Raw& raw = by_mac[*mac];
-    TimelinePoint point;
-    point.first_seen = rec.first_seen;
-    point.slash64_hi = rec.address.hi64();
-    if (const auto as_index = world.as_index_of(rec.address)) {
-      point.asn = world.ases()[*as_index].asn;
-      point.country = world.country_of_as(*as_index);
-    }
-    raw.points.push_back(point);
-    raw.first = std::min(raw.first, rec.first_seen);
-    raw.last = std::max(raw.last, rec.last_seen);
-  }
+  corpus.visit_blocks(
+      0, corpus.span, [&](std::span<const hitlist::AddressRecord> block) {
+        corpus_addresses_ += block.size();
+        for (const auto& rec : block) {
+          const auto mac = net::mac_from_eui64(rec.address);
+          if (!mac) continue;
+          ++eui64_addresses_;
+          Raw& raw = by_mac[*mac];
+          TimelinePoint point;
+          point.first_seen = rec.first_seen;
+          point.slash64_hi = rec.address.hi64();
+          if (const auto as_index = world.as_index_of(rec.address)) {
+            point.asn = world.ases()[*as_index].asn;
+            point.country = world.country_of_as(*as_index);
+          }
+          raw.points.push_back(point);
+          raw.first = std::min(raw.first, rec.first_seen);
+          raw.last = std::max(raw.last, rec.last_seen);
+        }
+      });
 
   tracks_.reserve(by_mac.size());
   ranges_.reserve(by_mac.size());

@@ -15,7 +15,7 @@
 #include <span>
 #include <vector>
 
-#include "hitlist/corpus.h"
+#include "analysis/scan_source.h"
 #include "net/mac.h"
 #include "sim/world.h"
 #include "util/sim_time.h"
@@ -58,9 +58,10 @@ struct TimelinePoint {
 
 class Eui64Tracker {
  public:
-  // Scans the corpus once; `world` supplies address->AS/country mapping
-  // (the paper used BGP tables and MaxMind for the same purpose).
-  Eui64Tracker(const hitlist::Corpus& corpus, const sim::World& world);
+  // Scans the corpus once, in order, over [0, span); `world` supplies
+  // address->AS/country mapping (the paper used BGP tables and MaxMind
+  // for the same purpose).
+  Eui64Tracker(const ScanSource& corpus, const sim::World& world);
 
   // §5.1 prevalence.
   std::uint64_t eui64_addresses() const noexcept { return eui64_addresses_; }

@@ -96,13 +96,6 @@ AddressLifetimeReport address_lifetimes(
   return report;
 }
 
-AddressLifetimeReport address_lifetimes(
-    const hitlist::Corpus& corpus,
-    std::span<const util::SimDuration> ccdf_points,
-    const AnalysisConfig& config, std::vector<AnalysisStageStats>* stats) {
-  return address_lifetimes(make_source(corpus), ccdf_points, config, stats);
-}
-
 IidLifetimeReport iid_lifetimes(const ScanSource& source,
                                 std::span<const util::SimDuration> cdf_points,
                                 const AnalysisConfig& config,
@@ -250,13 +243,6 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
         .observe(static_cast<double>(merge_us));
   }
   return report;
-}
-
-IidLifetimeReport iid_lifetimes(const hitlist::Corpus& corpus,
-                                std::span<const util::SimDuration> cdf_points,
-                                const AnalysisConfig& config,
-                                std::vector<AnalysisStageStats>* stats) {
-  return iid_lifetimes(make_source(corpus), cdf_points, config, stats);
 }
 
 }  // namespace v6::analysis

@@ -30,12 +30,6 @@ struct AddressLifetimeReport {
 };
 
 AddressLifetimeReport address_lifetimes(
-    const hitlist::Corpus& corpus,
-    std::span<const util::SimDuration> ccdf_points,
-    const AnalysisConfig& config = {},
-    std::vector<AnalysisStageStats>* stats = nullptr);
-
-AddressLifetimeReport address_lifetimes(
     const ScanSource& source, std::span<const util::SimDuration> ccdf_points,
     const AnalysisConfig& config = {},
     std::vector<AnalysisStageStats>* stats = nullptr);
@@ -53,12 +47,6 @@ struct IidLifetimeReport {
   std::array<Band, 3> bands;  // indexed by net::EntropyBand
   std::uint64_t unique_iids = 0;
 };
-
-IidLifetimeReport iid_lifetimes(const hitlist::Corpus& corpus,
-                                std::span<const util::SimDuration> cdf_points,
-                                const AnalysisConfig& config = {},
-                                std::vector<AnalysisStageStats>* stats =
-                                    nullptr);
 
 IidLifetimeReport iid_lifetimes(const ScanSource& source,
                                 std::span<const util::SimDuration> cdf_points,

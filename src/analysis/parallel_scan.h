@@ -148,9 +148,6 @@ class ParallelScan {
   // appends more stats.
   void run(const ScanSource& source);
 
-  // Convenience over the in-memory backend.
-  void run(const hitlist::Corpus& corpus) { run(make_source(corpus)); }
-
   const std::vector<AnalysisStageStats>& stats() const noexcept {
     return stats_;
   }
@@ -206,16 +203,6 @@ State scan_corpus(const ScanSource& source, const AnalysisConfig& config,
         for (const auto& rec : b) step(s, rec);
       },
       std::move(merge), stats);
-}
-
-template <typename State, typename MakeFn, typename StepFn, typename MergeFn>
-State scan_corpus(const hitlist::Corpus& corpus, const AnalysisConfig& config,
-                  std::string_view stage, MakeFn make, StepFn step,
-                  MergeFn merge,
-                  std::vector<AnalysisStageStats>* stats = nullptr) {
-  return scan_corpus<State>(make_source(corpus), config, stage,
-                            std::move(make), std::move(step),
-                            std::move(merge), stats);
 }
 
 }  // namespace v6::analysis

@@ -14,8 +14,7 @@ ScanSource make_source(const hitlist::TieredCorpus& runs) {
                              const ScanSource::BlockFn& fn) {
     runs.scan_segment_blocks(begin, end, fn);
   };
-  // No `contains`: a point probe costs a block decode per run. Callers
-  // invert the membership scan instead (see summarize_dataset).
+  // No `contains`: a point probe costs a block decode per run.
   return src;
 }
 

@@ -71,7 +71,7 @@ hitlist::CollectorConfig Study::collector_config() {
   if (serve_ != nullptr && serve_epoch_interval_ > 0) {
     cfg.epoch_interval = serve_epoch_interval_;
     cfg.epoch_sink = [this](util::SimTime t, const hitlist::Corpus& u) {
-      serve_->publish(analysis::make_source(u), t);
+      serve_->publish(u, t);
     };
   }
   return cfg;
@@ -282,18 +282,17 @@ void Study::do_analysis() {
   report.entropy = analysis::entropy_distribution(ntp_src, cfg, stats);
 
   // Table 1: the NTP corpus is the base; campaign datasets (if collected)
-  // get intersection columns against it. A tiered base has no membership
-  // probe — summarize_dataset inverts the intersection scan instead.
+  // get intersection columns against it, probing the in-memory campaign
+  // corpora from the base's pass.
   report.table1.clear();
   report.table1.push_back(analysis::summarize_dataset(
       "NTP corpus", ntp_src, *world_, nullptr, cfg, stats));
   if (campaigned_) {
     report.table1.push_back(analysis::summarize_dataset(
-        "IPv6 Hitlist", analysis::make_source(results_.hitlist.corpus),
-        *world_, &ntp_src, cfg, stats));
+        "IPv6 Hitlist", results_.hitlist.corpus, *world_, &ntp_src, cfg,
+        stats));
     report.table1.push_back(analysis::summarize_dataset(
-        "CAIDA", analysis::make_source(results_.caida.corpus), *world_,
-        &ntp_src, cfg, stats));
+        "CAIDA", results_.caida.corpus, *world_, &ntp_src, cfg, stats));
   }
 
   // Fig 2: address/IID lifetime curves over the standard point grid.
@@ -327,16 +326,15 @@ void Study::do_analysis() {
 std::vector<std::pair<geo::CountryCode, std::uint64_t>> Study::country_mix()
     const {
   std::unordered_map<geo::CountryCode, std::uint64_t> counts;
-  const auto tally = [&](const hitlist::AddressRecord& rec) {
-    if (const auto as_index = world_->as_index_of(rec.address)) {
-      ++counts[world_->country_of_as(*as_index)];
-    }
-  };
-  if (results_.ntp_runs != nullptr) {
-    results_.ntp_runs->for_each_merged(tally);
-  } else {
-    for (const auto& rec : results_.ntp.records()) tally(rec);
-  }
+  const analysis::ScanSource ntp = ntp_source();
+  ntp.visit_blocks(
+      0, ntp.span, [&](std::span<const hitlist::AddressRecord> block) {
+        for (const auto& rec : block) {
+          if (const auto as_index = world_->as_index_of(rec.address)) {
+            ++counts[world_->country_of_as(*as_index)];
+          }
+        }
+      });
   std::vector<std::pair<geo::CountryCode, std::uint64_t>> out(counts.begin(),
                                                               counts.end());
   std::sort(out.begin(), out.end(),

@@ -127,9 +127,8 @@ struct AnalysisReport {
 struct StudyResults {
   hitlist::Corpus ntp{1 << 16};
   // Out-of-core NTP corpus, set instead of `ntp` when
-  // StudyConfig::spill is active (then `ntp` stays empty). Analyses,
-  // country_mix(), and Study::save_ntp() all consult it transparently;
-  // iterate it directly with for_each_merged() when needed.
+  // StudyConfig::spill is active (then `ntp` stays empty). Read either
+  // through Study::ntp_source(); Study::save_ntp() writes either.
   std::unique_ptr<hitlist::TieredCorpus> ntp_runs;
   // Clients observed during the backscan week (a separate, later window).
   hitlist::Corpus backscan_week{1 << 12};
@@ -255,11 +254,13 @@ class Study {
   // in-memory corpus.
   std::size_t save_ntp(std::ostream& out) const;
 
-  // Unique NTP addresses collected, whichever backend holds them.
-  std::uint64_t ntp_size() const noexcept {
-    return results_.ntp_runs != nullptr ? results_.ntp_runs->merged_size()
-                                        : results_.ntp.size();
-  }
+  // The NTP corpus as every reader sees it, whichever backend holds it:
+  // the merged runs out of core, else the in-memory table. The source
+  // borrows the corpus, so it is valid until the next run().
+  analysis::ScanSource ntp_source() const;
+
+  // Unique NTP addresses collected.
+  std::uint64_t ntp_size() const { return ntp_source().records; }
 
   // Convenience: construct and run all stages.
   static Study run(const StudyConfig& config);
@@ -277,9 +278,6 @@ class Study {
   // serving layer's epoch sink) wired in (when config_.metrics is on;
   // epoch publication is independent of the metrics toggle).
   hitlist::CollectorConfig collector_config();
-  // The NTP corpus as the analyses and the serving layer read it: the
-  // merged runs out of core, else the in-memory table.
-  analysis::ScanSource ntp_source() const;
 
   StudyConfig config_;
   std::unique_ptr<sim::World> world_;

@@ -1,30 +1,13 @@
 #include "hitlist/release.h"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "util/strings.h"
 
 namespace v6::hitlist {
-
-std::vector<ReleaseEntry> aggregate_to_slash48(const Corpus& corpus) {
-  std::unordered_map<net::Ipv6Prefix, std::uint64_t> counts;
-  for (const auto& rec : corpus.records()) {
-    ++counts[net::slash48_of(rec.address)];
-  }
-  std::vector<ReleaseEntry> rows;
-  rows.reserve(counts.size());
-  for (const auto& [prefix, count] : counts) rows.push_back({prefix, count});
-  std::sort(rows.begin(), rows.end(),
-            [](const ReleaseEntry& a, const ReleaseEntry& b) {
-              return a.prefix < b.prefix;
-            });
-  return rows;
-}
 
 void write_release(std::ostream& out, const std::vector<ReleaseEntry>& rows,
                    std::uint64_t min_count) {

@@ -1,15 +1,14 @@
 // Ethical dataset release (§3, §6): the paper publishes its corpus only at
 // /48 granularity, because full addresses would expose the EUI-64 tracking
-// and geolocation vectors it demonstrates. This module renders a corpus as
-// the aggregated artifact (sorted unique /48s with address counts) and
-// reads it back.
+// and geolocation vectors it demonstrates. This module writes the
+// aggregated artifact (sorted unique /48s with address counts, built from
+// any corpus by analysis::aggregate_to_slash48) and reads it back.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
 
-#include "hitlist/corpus.h"
 #include "net/prefix.h"
 
 namespace v6::hitlist {
@@ -20,9 +19,6 @@ struct ReleaseEntry {
 
   friend bool operator==(const ReleaseEntry&, const ReleaseEntry&) = default;
 };
-
-// Aggregates a corpus to sorted unique /48s.
-std::vector<ReleaseEntry> aggregate_to_slash48(const Corpus& corpus);
 
 // Writes "prefix/48,count" lines after a comment header. Rows whose
 // address count is below `min_count` are suppressed (k-anonymity style:

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "analysis/dataset_compare.h"
+#include "hitlist/tiered_corpus.h"
 #include "net/eui64.h"
+#include "util/rng.h"
 
 namespace v6::analysis {
 namespace {
@@ -182,6 +187,70 @@ TEST_F(Eui64TrackingTest, ClassCountsSumToMacs) {
     classified += count;
   }
   EXPECT_EQ(classified, tracker.trackable_macs());
+}
+
+// The tracker and the /48 release stream a ScanSource, so the tiered
+// corpus is read as it lies on disk. Built from a multi-run source they
+// must equal the same calls on its collapse(), record sequence and all.
+TEST_F(Eui64TrackingTest, StreamedTieredSourceEqualsCollapse) {
+  hitlist::SpillConfig config;
+  config.memory_budget_bytes = 1;
+  config.block_records = 8;
+  hitlist::TieredCorpus runs(config);
+  util::Rng rng(17);
+  const std::uint32_t ases[] = {as_a_, as_b_, as_c_};
+  for (int shard = 0; shard < 5; ++shard) {
+    hitlist::Corpus part(16);
+    for (int i = 0; i < 300; ++i) {
+      const std::uint64_t hi = prefix(ases[rng.bounded(3)], rng.bounded(40));
+      const auto t = static_cast<util::SimTime>(rng.bounded(90 * util::kDay));
+      if (rng.bounded(2) == 0) {
+        part.add(net::eui64_address(
+                     hi, mac(static_cast<std::uint32_t>(rng.bounded(12)))),
+                 t);
+      } else {
+        part.add(net::Ipv6Address::from_u64(hi, rng.next()), t);
+      }
+    }
+    runs.spill(std::move(part));
+  }
+  ASSERT_GT(runs.run_count(), 1u);
+  const hitlist::Corpus collapsed = runs.collapse();
+  const ScanSource source = make_source(runs);
+
+  const Eui64Tracker streamed(source, *world_);
+  const Eui64Tracker in_memory(collapsed, *world_);
+  EXPECT_EQ(streamed.corpus_addresses(), collapsed.size());
+  EXPECT_EQ(streamed.eui64_addresses(), in_memory.eui64_addresses());
+  ASSERT_EQ(streamed.tracks().size(), in_memory.tracks().size());
+  for (std::size_t i = 0; i < streamed.tracks().size(); ++i) {
+    const MacTrack& a = streamed.tracks()[i];
+    const MacTrack& b = in_memory.tracks()[i];
+    EXPECT_EQ(a.mac, b.mac) << "track " << i;
+    EXPECT_EQ(a.slash64s, b.slash64s) << "track " << i;
+    EXPECT_EQ(a.ases, b.ases) << "track " << i;
+    EXPECT_EQ(a.countries, b.countries) << "track " << i;
+    EXPECT_EQ(a.transitions, b.transitions) << "track " << i;
+    EXPECT_EQ(a.first_seen, b.first_seen) << "track " << i;
+    EXPECT_EQ(a.last_seen, b.last_seen) << "track " << i;
+  }
+  EXPECT_EQ(streamed.class_counts(), in_memory.class_counts());
+  EXPECT_GT(streamed.trackable_macs(), 0u);
+
+  const auto got = streamed.timeline(mac(3));
+  const auto want = in_memory.timeline(mac(3));
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_GT(got.size(), 1u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first_seen, want[i].first_seen) << "sighting " << i;
+    EXPECT_EQ(got[i].slash64_hi, want[i].slash64_hi) << "sighting " << i;
+    EXPECT_EQ(got[i].asn, want[i].asn) << "sighting " << i;
+    EXPECT_EQ(got[i].country, want[i].country) << "sighting " << i;
+  }
+
+  const auto rows = aggregate_to_slash48(source);
+  EXPECT_EQ(rows, aggregate_to_slash48(collapsed));
+  EXPECT_GT(rows.size(), 1u);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "hitlist/tiered_corpus.h"
+#include "util/rng.h"
+
 namespace v6::analysis {
 namespace {
 
@@ -50,7 +55,8 @@ TEST_F(DatasetCompareTest, IntersectionColumns) {
   other.add(in_as(0, 1, 1), 5);    // shared address
   other.add(in_as(0, 0x900, 9), 5);  // same AS, new /48
   other.add(in_as(2, 1, 9), 5);    // AS not in base
-  const auto summary = summarize_dataset("other", other, *world_, &base);
+  const ScanSource source = base;
+  const auto summary = summarize_dataset("other", other, *world_, &source);
   EXPECT_EQ(summary.common_addresses, 1u);
   EXPECT_EQ(summary.common_asns, 1u);
   EXPECT_GE(summary.common_slash48s, 1u);
@@ -91,6 +97,74 @@ TEST_F(DatasetCompareTest, EmptyCorpusSummary) {
   const auto summary = summarize_dataset("empty", corpus, *world_);
   EXPECT_EQ(summary.addresses, 0u);
   EXPECT_DOUBLE_EQ(summary.addrs_per_slash48, 0.0);
+}
+
+// Table 1's base is the NTP corpus, which may be out of core. A summary
+// against a multi-run TieredCorpus base must equal the summary against
+// the same records in memory, in every column and at any thread count.
+TEST_F(DatasetCompareTest, TieredBaseEqualsInMemoryBase) {
+  hitlist::SpillConfig spill;
+  spill.memory_budget_bytes = 1;
+  spill.block_records = 8;
+  hitlist::TieredCorpus runs(spill);
+  hitlist::Corpus base;
+  hitlist::Corpus other;
+  util::Rng rng(5);
+  const auto draw = [&] {
+    return in_as(static_cast<std::uint32_t>(rng.bounded(12)),
+                 rng.bounded(0x400), rng.bounded(64));
+  };
+  for (int shard = 0; shard < 4; ++shard) {
+    hitlist::Corpus part(16);
+    for (int i = 0; i < 250; ++i) {
+      const auto address = draw();
+      const auto t = static_cast<util::SimTime>(i);
+      part.add(address, t);
+      base.add(address, t);
+      if (i % 5 == 0) other.add(address, t);  // common with the base
+    }
+    runs.spill(std::move(part));
+  }
+  for (int i = 0; i < 400; ++i) other.add(draw(), 0);
+  ASSERT_GT(runs.run_count(), 1u);
+
+  const ScanSource tiered = make_source(runs);
+  const ScanSource in_memory = base;
+  for (const unsigned threads : {1u, 3u}) {
+    AnalysisConfig config;
+    config.threads = threads;
+    const auto want =
+        summarize_dataset("other", other, *world_, &in_memory, config);
+    const auto got = summarize_dataset("other", other, *world_, &tiered,
+                                       config);
+    EXPECT_EQ(got.addresses, want.addresses);
+    EXPECT_EQ(got.asns, want.asns);
+    EXPECT_EQ(got.slash48s, want.slash48s);
+    EXPECT_EQ(got.addrs_per_slash48, want.addrs_per_slash48);
+    EXPECT_EQ(got.common_addresses, want.common_addresses);
+    EXPECT_EQ(got.common_asns, want.common_asns);
+    EXPECT_EQ(got.common_slash48s, want.common_slash48s);
+    EXPECT_GT(got.common_addresses, 0u);
+    EXPECT_LT(got.common_addresses, got.addresses);
+  }
+}
+
+// The common columns probe the summarized dataset, so it must have
+// contains(): a tiered dataset against a base is refused, not miscounted.
+TEST_F(DatasetCompareTest, BaseWithoutDatasetMembershipThrows) {
+  hitlist::SpillConfig spill;
+  spill.memory_budget_bytes = 1;
+  hitlist::TieredCorpus runs(spill);
+  hitlist::Corpus part;
+  part.add(in_as(0, 1, 1), 0);
+  runs.spill(std::move(part));
+  hitlist::Corpus base;
+  base.add(in_as(0, 1, 1), 0);
+  const ScanSource base_source = base;
+  EXPECT_THROW(summarize_dataset("tiered", make_source(runs), *world_,
+                                 &base_source),
+               std::invalid_argument);
+  EXPECT_NO_THROW(summarize_dataset("tiered", make_source(runs), *world_));
 }
 
 }  // namespace

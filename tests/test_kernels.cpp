@@ -327,8 +327,8 @@ TEST_F(KernelAnalysisIdentity, Lifetimes) {
 
 TEST_F(KernelAnalysisIdentity, DatasetCompare) {
   const auto [a, b] = run_both<analysis::DatasetSummary>([&] {
-    return analysis::summarize_dataset("corpus", *corpus_, *world_,
-                                       corpus_);
+    const analysis::ScanSource source = *corpus_;
+    return analysis::summarize_dataset("corpus", source, *world_, &source);
   });
   EXPECT_EQ(a.addresses, b.addresses);
   EXPECT_EQ(a.asns, b.asns);

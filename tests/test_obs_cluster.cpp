@@ -301,7 +301,8 @@ TEST(RunReportLint, RejectsMissingIdentityAndRequiredKeys) {
        {"version", "config", "digest", "kernel_backend", "metrics",
         "serve_latency", "epochs", "timeline"}) {
     std::string broken = minimal_report();
-    const std::string pattern = "\"" + std::string(key) + "\":";
+    std::string pattern = "\"";
+    (pattern += key) += "\":";
     const std::size_t pos = broken.find(pattern);
     ASSERT_NE(pos, std::string::npos) << key;
     // Rename the key in place; the text stays valid JSON but loses the

@@ -180,11 +180,12 @@ TEST_F(ParallelIdentityTest, IntersectionScans) {
 }
 
 TEST_F(ParallelIdentityTest, Table1Summary) {
+  const ScanSource source = ntp();
   const auto serial = summarize_dataset("hitlist", hitlist_corpus(), world(),
-                                        &ntp(), threaded(1));
+                                        &source, threaded(1));
   for (unsigned threads : {2u, 4u}) {
     const auto parallel = summarize_dataset("hitlist", hitlist_corpus(),
-                                            world(), &ntp(),
+                                            world(), &source,
                                             threaded(threads));
     EXPECT_EQ(parallel.addresses, serial.addresses);
     EXPECT_EQ(parallel.asns, serial.asns);

@@ -68,7 +68,7 @@ TEST(ZoneWalk, RecoversExactlyThePublishedSet) {
     const auto a = addr(0x20010db800000000ULL | (rng.next() & 0xffffffff),
                         rng.next());
     published.push_back(a);
-    zone.add(a, "h" + std::to_string(i));
+    zone.add(a, std::string("h").append(std::to_string(i)));
   }
   std::sort(published.begin(), published.end());
   published.erase(std::unique(published.begin(), published.end()),

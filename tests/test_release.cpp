@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "analysis/dataset_compare.h"
+
 namespace v6::hitlist {
 namespace {
 
@@ -16,7 +18,7 @@ TEST(Release, AggregatesToSortedSlash48s) {
   corpus.add(addr(0x20010db800010000ULL, 1), 10);
   corpus.add(addr(0x20010db800010001ULL, 2), 11);  // same /48
   corpus.add(addr(0x20010db800020000ULL, 3), 12);  // different /48
-  const auto rows = aggregate_to_slash48(corpus);
+  const auto rows = analysis::aggregate_to_slash48(corpus);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].prefix.to_string(), "2001:db8:1::/48");
   EXPECT_EQ(rows[0].address_count, 2u);
@@ -29,7 +31,7 @@ TEST(Release, WriteReadRoundTrip) {
   for (std::uint64_t i = 0; i < 50; ++i) {
     corpus.add(addr(0x2a00000000000000ULL | (i << 16), i), 1);
   }
-  const auto rows = aggregate_to_slash48(corpus);
+  const auto rows = analysis::aggregate_to_slash48(corpus);
   std::stringstream stream;
   write_release(stream, rows);
   const auto parsed = read_release(stream);
@@ -41,7 +43,7 @@ TEST(Release, OutputNeverContainsFullAddresses) {
   Corpus corpus;
   corpus.add(addr(0x20010db800010203ULL, 0xdeadbeefcafef00dULL), 10);
   std::stringstream stream;
-  write_release(stream, aggregate_to_slash48(corpus));
+  write_release(stream, analysis::aggregate_to_slash48(corpus));
   const std::string text = stream.str();
   EXPECT_EQ(text.find("dead"), std::string::npos);
   EXPECT_EQ(text.find("203"), std::string::npos);  // low /56 bits gone too
@@ -55,7 +57,7 @@ TEST(Release, KAnonymityFloorSuppressesThinPrefixes) {
     corpus.add(addr(0x20010db800010000ULL | i, i), 1);
   }
   corpus.add(addr(0x20010db800020000ULL, 7), 1);
-  const auto rows = aggregate_to_slash48(corpus);
+  const auto rows = analysis::aggregate_to_slash48(corpus);
 
   std::stringstream stream;
   write_release(stream, rows, /*min_count=*/3);
@@ -73,7 +75,7 @@ TEST(Release, DefaultFloorKeepsEverything) {
   Corpus corpus;
   corpus.add(addr(0x20010db800020000ULL, 7), 1);
   std::stringstream stream;
-  write_release(stream, aggregate_to_slash48(corpus));
+  write_release(stream, analysis::aggregate_to_slash48(corpus));
   EXPECT_NE(stream.str().find("2001:db8:2::/48,1"), std::string::npos);
   EXPECT_EQ(stream.str().find("suppressed"), std::string::npos);
 }
