@@ -30,7 +30,6 @@ RowResult run_once(const sim::World& world, double capture,
   netsim::DataPlane plane(world, {0.01, 1});
   netsim::PoolDns dns(world, 0.25, capture);
   hitlist::CollectorConfig config;
-  config.loss_rate = 0.01;
   config.ignore_bursts = ignore_bursts;
   hitlist::PassiveCollector collector(world, plane, dns, config);
   hitlist::Corpus corpus(1 << 16);

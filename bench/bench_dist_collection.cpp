@@ -59,8 +59,8 @@ int main() {
   const util::SimTime start = 0;
   const util::SimTime end = config.world.study_duration;
 
+  constexpr double kLoss = 0.01;  // the data planes' transit loss
   hitlist::CollectorConfig collector_cfg;
-  collector_cfg.loss_rate = 0.01;
   collector_cfg.retry_limit = 2;
 
   // Single-process baseline the cluster must reproduce byte for byte.
@@ -68,7 +68,7 @@ int main() {
   std::uint64_t reference_polls = 0;
   obs::Registry reference_registry;
   const double single_s = bench::timed_seconds("single-process", [&] {
-    netsim::DataPlane plane(world, {collector_cfg.loss_rate, 1});
+    netsim::DataPlane plane(world, {kLoss, 1});
     netsim::PoolDns dns(world, 0.25, 0.03);
     dns.set_metrics(&reference_registry);
     hitlist::PassiveCollector collector(world, plane, dns, collector_cfg);
@@ -80,7 +80,7 @@ int main() {
   const auto run_cluster = [&](std::uint32_t workers, std::uint32_t kills,
                                hitlist::Corpus& out,
                                obs::Registry* registry = nullptr) {
-    netsim::DataPlane plane(world, {collector_cfg.loss_rate, 1});
+    netsim::DataPlane plane(world, {kLoss, 1});
     netsim::PoolDns dns(world, 0.25, 0.03);
     dns.set_metrics(registry);
     dist::DistConfig dist_config;

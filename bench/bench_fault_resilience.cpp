@@ -45,7 +45,6 @@ RowResult run_once(const sim::World& world, double outages_per_vantage,
   }
 
   hitlist::CollectorConfig config;
-  config.loss_rate = 0.01;
   config.retry_limit = retry_limit;
   hitlist::PassiveCollector collector(world, plane, dns, config);
   hitlist::Corpus corpus(1 << 16);

@@ -185,7 +185,7 @@ void collection_path(benchmark::State& state, bool wire) {
     netsim::DataPlane plane(world, {0.01, 1});
     netsim::PoolDns dns(world);
     hitlist::PassiveCollector collector(world, plane, dns,
-                                        {wire, 0.01, 3});
+                                        {.wire_fidelity = wire});
     hitlist::Corpus corpus(1 << 14);
     collector.run(corpus, 0, 2 * util::kDay);
     state.SetItemsProcessed(

@@ -34,7 +34,6 @@ int main() {
 
   hitlist::CollectorConfig collector_config;
   collector_config.wire_fidelity = true;  // full packet path per poll
-  collector_config.loss_rate = 0.01;
 
   hitlist::PassiveCollector collector(world, plane, dns, collector_config);
   hitlist::Corpus corpus(1 << 16);

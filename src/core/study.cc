@@ -348,15 +348,12 @@ std::size_t Study::save_ntp(std::ostream& out) const {
 }
 
 const StudyResults& Study::run(RunOptions options) {
-  if (options.distributed &&
-      (options.checkpoint_sink || config_.collector.wire_fidelity)) {
+  if (options.distributed && options.checkpoint_sink) {
     // Device ranges checkpoint independently, so there is no
-    // single-process cursor to hand the sink; and every wire-fidelity poll
-    // goes through the one shared DataPlane, which ranges cannot share.
-    // Fail loudly, before any work.
+    // single-process cursor to hand the sink. Fail loudly, before any
+    // work.
     throw std::invalid_argument(
-        "RunOptions::distributed is incompatible with checkpoint_sink "
-        "and collector.wire_fidelity");
+        "RunOptions::distributed is incompatible with checkpoint_sink");
   }
   obs::Tracer& tracer = metrics_->tracer();
   const util::SimTime study_start = config_.world.study_start;

@@ -191,8 +191,9 @@ struct RunOptions {
   // analysis float are bit-identical to the single-process run at any
   // worker count, including under injected worker kills/stalls. Composes
   // with spill (each range's corpus spills as one run) and resume_from
-  // (every range replays to the checkpoint, then records); incompatible
-  // with checkpoint_sink and collector.wire_fidelity (std::invalid_argument).
+  // (every range replays to the checkpoint, then records) and with
+  // collector.wire_fidelity; incompatible with checkpoint_sink
+  // (std::invalid_argument).
   std::optional<dist::DistConfig> distributed = {};
   // Hitlist-as-a-service: with serve.enabled, stage 1 publishes epoch
   // snapshots into Study::query_service() — interior epochs every

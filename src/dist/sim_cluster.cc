@@ -62,14 +62,6 @@ SimCluster::SimCluster(const sim::World& world, netsim::DataPlane& plane,
   if (config_.chunk_interval <= 0) {
     throw std::invalid_argument("SimCluster: chunk_interval must be > 0");
   }
-  if (env_.collector.wire_fidelity) {
-    // The wire path delivers every poll to the UDP services bound on the
-    // one shared DataPlane (one binding per vantage address), which
-    // per-range runs cannot share. Fail loudly instead of silently losing
-    // bit-identity.
-    throw std::invalid_argument(
-        "SimCluster: wire_fidelity collection cannot be distributed");
-  }
 }
 
 DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,

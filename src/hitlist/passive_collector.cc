@@ -13,13 +13,6 @@ namespace v6::hitlist {
 
 namespace {
 
-// Mirrors Rng::uniform()'s mapping of a raw draw to [0, 1): both collection
-// paths burn the same two raw draws per attempt, and the fast path turns
-// them into loss decisions with exactly the distribution chance() uses.
-double unit(std::uint64_t h) noexcept {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
 // The i-th re-send goes out backoff * (2^i - 1) seconds after the original
 // packet (RFC 5905-flavoured exponential backoff). The offset saturates at
 // kNoResend, which lies past every collection window, so neither the shift
@@ -160,25 +153,30 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
         ++vh.polls;
         if (attempt > 0) ++vh.retries;
       }
-      // Exactly two draws per attempt on both paths keeps the device
-      // streams in lockstep (see the header comment).
-      const std::uint64_t r1 = ds.rng.next();
-      const std::uint64_t r2 = ds.rng.next();
+      // Both paths spend the attempt's two draws the same way, so the
+      // device streams stay in lockstep (see the header comment). r2 >> 50
+      // == Rng::bounded(16384) on the same draw (a power-of-two Lemire
+      // reduction never rejects).
+      const auto nonce = static_cast<std::uint32_t>(ds.rng.next());
+      const auto src_port =
+          static_cast<std::uint16_t>(49152 + (ds.rng.next() >> 50));
       // Pure-function fault verdict: both paths (and a resumed run)
       // agree without consulting any RNG.
       const bool faulted =
           faults != nullptr && !faults->delivers(vantage.id, client, tj);
       if (record && faulted) ++vh.lost_to_fault;
+      ntp::NtpServer& server = *shard.servers[vantage.id];
       bool answered = false;
       if (config_.wire_fidelity) {
-        const auto nonce = static_cast<std::uint32_t>(r1);
         const proto::NtpPacket request = proto::make_client_request(tj, nonce);
-        // r2 >> 50 == Rng::bounded(16384) on the same draw (power-of-two
-        // Lemire reduction never rejects).
-        const auto src_port = static_cast<std::uint16_t>(49152 + (r2 >> 50));
-        const auto response_bytes =
-            plane_->send_udp(client, src_port, vantage.address,
-                             proto::kNtpPort, request.encode(), tj);
+        const auto response_bytes = plane_->send_udp(
+            client, src_port, vantage.address, proto::kNtpPort, nonce,
+            request.encode(), tj,
+            [&server](const net::Ipv6Address& src, std::uint16_t,
+                      const std::vector<std::uint8_t>& payload,
+                      util::SimTime at) {
+              return server.handle(src, payload, at);
+            });
         if (response_bytes) {
           // SNTP client-side validation: server mode, origin echoes our
           // transmit timestamp.
@@ -187,17 +185,14 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
                      response->origin_time == request.transmit_time;
         }
       } else {
-        // Fast path: identical steering, loss, and fault model, no
-        // serialization. Request-direction loss suppresses the
-        // observation entirely...
-        const bool request_lost = unit(r1) < config_.loss_rate;
-        bool served = false;
-        if (!request_lost && !faulted) {
-          shard.servers[vantage.id]->record(client, tj);
-          served = true;
-        }
-        // ...response-direction loss costs only the client's answer.
-        answered = served && !(unit(r2) < config_.loss_rate);
+        // Fast path: the wire path's steering, loss verdict and fault
+        // model, with no serialization. A lost or faulted request leaves
+        // no observation; a lost answer costs only the client's answer.
+        const netsim::DataPlane::UdpFate fate = plane_->udp_fate(
+            client, src_port, vantage.address, proto::kNtpPort, nonce, tj);
+        const bool served = !fate.request_lost && !faulted;
+        if (served) server.record(client, tj);
+        answered = served && !fate.answer_lost;
       }
       if (answered) {
         if (record) {
@@ -237,14 +232,8 @@ void PassiveCollector::collect(Corpus* memory, TieredCorpus* runs,
       std::clamp(config_.device_end, first, all_devices.size());
   const auto devices = all_devices.subspan(first, last - first);
   const auto vantages = world_->vantages();
-  unsigned shards = config_.threads.resolved();
-  // The wire path delivers every poll to the UDP services bound on the
-  // one shared DataPlane (one binding per vantage address, which each
-  // shard's servers would overwrite), so it stays single-threaded; the
-  // fast path is the one built for scale.
-  if (config_.wire_fidelity) shards = 1;
-  shards = static_cast<unsigned>(std::min<std::size_t>(
-      shards, std::max<std::size_t>(devices.size(), 1)));
+  const auto shards = static_cast<unsigned>(std::min<std::size_t>(
+      config_.threads.resolved(), std::max<std::size_t>(devices.size(), 1)));
 
   std::mutex hook_mu;
   std::mutex* mu = (hook && shards > 1) ? &hook_mu : nullptr;
@@ -278,7 +267,6 @@ void PassiveCollector::collect(Corpus* memory, TieredCorpus* runs,
       };
       shard.servers.push_back(
           std::make_unique<ntp::NtpServer>(vantage, observation_sink));
-      if (config_.wire_fidelity) shard.servers.back()->bind(*plane_);
     }
     // Contiguous device range (the same partition run_sharded uses), so
     // the shard layout is a pure function of (device count, shard count).

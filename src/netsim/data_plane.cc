@@ -51,13 +51,19 @@ std::uint64_t DataPlane::probe_identity(const net::Ipv6Address& src,
                   static_cast<std::uint64_t>(t) ^ loss_keys_[5]);
 }
 
+bool DataPlane::dropped(std::uint64_t identity, Leg leg) const noexcept {
+  return loss_all_ || util::mix64(identity ^ leg) < loss_threshold_;
+}
+
 bool DataPlane::lost(std::uint64_t identity, Leg leg) {
-  if (!loss_all_ && util::mix64(identity ^ leg) >= loss_threshold_) {
-    return false;
-  }
+  if (!dropped(identity, leg)) return false;
+  count_drop();
+  return true;
+}
+
+void DataPlane::count_drop() noexcept {
   drops_.value.fetch_add(1, std::memory_order_relaxed);
   metric_drops_.inc();
-  return true;
 }
 
 namespace {
@@ -66,17 +72,6 @@ namespace {
 constexpr std::uint64_t kIcmpTag = std::uint64_t{1} << 56;
 constexpr std::uint64_t kTcpTag = std::uint64_t{2} << 56;
 constexpr std::uint64_t kUdpTag = std::uint64_t{3} << 56;
-
-// FNV-1a over a UDP payload, the part of a datagram's identity that no
-// header field carries.
-std::uint64_t payload_hash(const std::vector<std::uint8_t>& payload) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t byte : payload) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 // How far back per-second ICMP budgets are retained. Probe schedules that
 // jump backwards (interleaved backscan intervals) still see exact budgets
@@ -188,47 +183,56 @@ DataPlane::SynOutcome DataPlane::tcp_syn(const net::Ipv6Address& src,
   return listening ? SynOutcome::kSynAck : SynOutcome::kRst;
 }
 
-void DataPlane::bind_udp(const net::Ipv6Address& address, std::uint16_t port,
-                         UdpService service) {
-  services_[{address, port}] = std::move(service);
+DataPlane::UdpFate DataPlane::udp_fate(const net::Ipv6Address& src,
+                                       std::uint16_t src_port,
+                                       const net::Ipv6Address& dst,
+                                       std::uint16_t dst_port,
+                                       std::uint32_t nonce,
+                                       util::SimTime t) const noexcept {
+  if (!loss_all_ && loss_threshold_ == 0) return {};
+  const std::uint64_t id = util::mix64(
+      probe_identity(src, dst,
+                     kUdpTag | (std::uint64_t{src_port} << 16) | dst_port, t) ^
+      nonce);
+  return {dropped(id, kRequest), dropped(id, kAnswer)};
 }
 
 std::optional<std::vector<std::uint8_t>> DataPlane::send_udp(
     const net::Ipv6Address& src, std::uint16_t src_port,
-    const net::Ipv6Address& dst, std::uint16_t dst_port,
-    const std::vector<std::uint8_t>& payload, util::SimTime t) {
-  // Outbound: wire-encode, lose, deliver, decode (checksum verified).
+    const net::Ipv6Address& dst, std::uint16_t dst_port, std::uint32_t nonce,
+    const std::vector<std::uint8_t>& payload, util::SimTime t,
+    const UdpService& service) {
+  // Outbound: lose, wire-encode, deliver, decode (checksum verified).
+  const UdpFate fate = udp_fate(src, src_port, dst, dst_port, nonce, t);
+  if (fate.request_lost) {
+    count_drop();
+    return std::nullopt;
+  }
   const proto::UdpDatagram datagram{src_port, dst_port, payload};
-  const auto wire = proto::encode_udp(datagram, src, dst);
-  const std::uint64_t id =
-      util::mix64(probe_identity(src, dst,
-                                 kUdpTag | (std::uint64_t{src_port} << 16) |
-                                     dst_port,
-                                 t) ^
-                  payload_hash(payload));
-  if (lost(id, kRequest)) return std::nullopt;
-  const auto delivered = proto::decode_udp(wire, src, dst);
+  const auto delivered =
+      proto::decode_udp(proto::encode_udp(datagram, src, dst), src, dst);
   if (!delivered) return std::nullopt;
 
   // Injected vantage faults swallow the datagram before the service sees
   // it. Both are pure functions of the datagram, so their order is free.
   if (faults_ != nullptr && !faults_->delivers_to(dst, src, t)) {
-    ++fault_drops_;
+    fault_drops_.value.fetch_add(1, std::memory_order_relaxed);
     metric_fault_drops_.inc();
     return std::nullopt;
   }
 
-  const auto it = services_.find({dst, dst_port});
-  if (it == services_.end()) return std::nullopt;
-  auto response =
-      it->second(src, delivered->src_port, delivered->payload, t);
+  if (!service) return std::nullopt;
+  auto response = service(src, delivered->src_port, delivered->payload, t);
   if (!response) return std::nullopt;
 
   // Return path.
+  if (fate.answer_lost) {
+    count_drop();
+    return std::nullopt;
+  }
   const proto::UdpDatagram back{dst_port, delivered->src_port, *response};
-  const auto back_wire = proto::encode_udp(back, dst, src);
-  if (lost(id, kAnswer)) return std::nullopt;
-  const auto back_delivered = proto::decode_udp(back_wire, dst, src);
+  const auto back_delivered =
+      proto::decode_udp(proto::encode_udp(back, dst, src), dst, src);
   if (!back_delivered) return std::nullopt;
   return back_delivered->payload;
 }

@@ -8,14 +8,16 @@
 // only the path hop the hop limit names; no packet is built or parsed.
 // UDP datagrams still travel as real wire bytes (send_udp(), the
 // collector's wire_fidelity path): encoded, checksummed and decoded at
-// both ends.
+// both ends, and delivered to the service the sender passes with the
+// datagram (the plane keeps no binding table, so senders on many threads
+// each reach their own server objects).
 //
 // A configurable loss rate models the real Internet's flakiness; scanners
 // must tolerate it. Loss is a counter-based verdict, not a sequential RNG:
 // each leg's fate is a hash of the plane key (from config.seed) and the
 // probe's identity: src, dst, protocol and port, hop limit, ident/seq
-// (TCP: sequence; UDP: both ports and an FNV-1a hash of the payload), t,
-// and the leg (request or answer). A probe's fate therefore does not
+// (TCP: sequence; UDP: both ports and the sender's nonce, never the
+// payload bytes), t, and the leg (request or answer). A probe's fate therefore does not
 // depend on what else was sent, or in which order, and probes may be
 // issued from many threads at once. Two identical probes (same identity, same second)
 // share one fate; a scanner that retries must change the probe (ZMap6
@@ -77,8 +79,9 @@ struct ProbeResult {
   std::uint16_t sequence = 0;
 };
 
-// A UDP service bound to an address (e.g. a vantage NTP server). Returns
-// the response payload, if any.
+// The service a UDP datagram is delivered to (e.g. a vantage NTP server),
+// passed by the sender with each datagram. Returns the response payload,
+// if any; an empty service means nothing listens.
 using UdpService = std::function<std::optional<std::vector<std::uint8_t>>(
     const net::Ipv6Address& src, std::uint16_t src_port,
     const std::vector<std::uint8_t>& payload, util::SimTime t)>;
@@ -112,18 +115,31 @@ class DataPlane {
                      std::uint16_t dst_port, std::uint32_t sequence,
                      util::SimTime t);
 
-  // Registers a UDP service on (address, port). Datagrams to anyone else
-  // are resolved against the world (devices do not run open UDP services,
-  // so they produce no answer).
-  void bind_udp(const net::Ipv6Address& address, std::uint16_t port,
-                UdpService service);
+  // The loss verdict of one UDP exchange, keyed on its identity: both
+  // addresses and ports, the send second and a sender-chosen `nonce` (the
+  // NTP client's transmit nonce), never the payload bytes. Two datagrams
+  // that differ only in payload share one fate; a sender that re-sends
+  // within a second must change the nonce or a port.
+  struct UdpFate {
+    bool request_lost = false;
+    bool answer_lost = false;
+  };
+  // Asks the verdict without sending anything: nothing is encoded and no
+  // drop is counted. send_udp() acts on exactly this verdict, so a caller
+  // that models the exchange itself (the collector's fast path) loses the
+  // same datagrams the wire path does.
+  UdpFate udp_fate(const net::Ipv6Address& src, std::uint16_t src_port,
+                   const net::Ipv6Address& dst, std::uint16_t dst_port,
+                   std::uint32_t nonce, util::SimTime t) const noexcept;
 
-  // Sends a UDP payload; returns the response payload when the service
-  // answers and nothing was lost.
+  // Sends a UDP payload to `service` at (dst, dst_port); returns the
+  // response payload when the service answers and nothing was lost. Drops
+  // and fault drops are counted; safe to call from many threads at once.
   std::optional<std::vector<std::uint8_t>> send_udp(
       const net::Ipv6Address& src, std::uint16_t src_port,
       const net::Ipv6Address& dst, std::uint16_t dst_port,
-      const std::vector<std::uint8_t>& payload, util::SimTime t);
+      std::uint32_t nonce, const std::vector<std::uint8_t>& payload,
+      util::SimTime t, const UdpService& service);
 
   const Topology& topology() const noexcept { return topology_; }
 
@@ -147,7 +163,9 @@ class DataPlane {
   // Time Exceeded messages suppressed by router rate limiting.
   std::uint64_t rate_limited() const noexcept { return rate_limited_; }
   // Datagrams swallowed by injected vantage faults.
-  std::uint64_t fault_drops() const noexcept { return fault_drops_; }
+  std::uint64_t fault_drops() const noexcept {
+    return fault_drops_.value.load(std::memory_order_relaxed);
+  }
 
  private:
   // Keyed hash of everything that identifies one probe: both addresses,
@@ -156,12 +174,15 @@ class DataPlane {
                                const net::Ipv6Address& dst,
                                std::uint64_t fields,
                                util::SimTime t) const noexcept;
-  // The loss verdict for one leg of probe `identity`; counts the drop.
+  // The loss verdict for one leg of probe `identity`; lost() also counts
+  // the drop.
   enum Leg : std::uint64_t {
     kRequest = 0,
     kAnswer = std::uint64_t{1} << 63,
   };
+  bool dropped(std::uint64_t identity, Leg leg) const noexcept;
   bool lost(std::uint64_t identity, Leg leg);
+  void count_drop() noexcept;
   // Charges one ICMP error against `router`'s budget for second `t`.
   bool icmp_error_allowed(const net::Ipv6Address& router, util::SimTime t);
 
@@ -174,17 +195,17 @@ class DataPlane {
   std::uint64_t loss_threshold_ = 0;
   bool loss_all_ = false;
   const FaultSchedule* faults_ = nullptr;
-  // Probes run on many threads, so the drop tally is a relaxed atomic;
-  // the wrapper keeps the plane movable.
-  struct DropCount {
+  // Probes and wire polls run on many threads, so the drop tallies are
+  // relaxed atomics; the wrapper keeps the plane movable.
+  struct RelaxedCount {
     std::atomic<std::uint64_t> value{0};
-    DropCount() = default;
-    DropCount(DropCount&& other) noexcept
+    RelaxedCount() = default;
+    RelaxedCount(RelaxedCount&& other) noexcept
         : value(other.value.load(std::memory_order_relaxed)) {}
   };
-  DropCount drops_;
+  RelaxedCount drops_;
   std::uint64_t rate_limited_ = 0;
-  std::uint64_t fault_drops_ = 0;
+  RelaxedCount fault_drops_;
   obs::Counter metric_drops_;
   obs::Counter metric_rate_limited_;
   obs::Counter metric_fault_drops_;
@@ -196,18 +217,6 @@ class DataPlane {
   util::SimTime budget_newest_ = std::numeric_limits<util::SimTime>::min();
   std::map<util::SimTime, std::unordered_map<std::uint64_t, std::uint32_t>>
       icmp_budget_;
-
-  struct Endpoint {
-    net::Ipv6Address address;
-    std::uint16_t port;
-    bool operator==(const Endpoint&) const = default;
-  };
-  struct EndpointHash {
-    std::size_t operator()(const Endpoint& e) const noexcept {
-      return net::Ipv6AddressHash{}(e.address) ^ e.port;
-    }
-  };
-  std::unordered_map<Endpoint, UdpService, EndpointHash> services_;
 };
 
 }  // namespace v6::netsim

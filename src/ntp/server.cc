@@ -1,20 +1,9 @@
 #include "ntp/server.h"
 
-#include "proto/udp.h"
-
 namespace v6::ntp {
 
 NtpServer::NtpServer(sim::VantagePoint vantage, ObservationSink sink)
     : vantage_(vantage), sink_(std::move(sink)) {}
-
-void NtpServer::bind(netsim::DataPlane& plane) {
-  plane.bind_udp(
-      vantage_.address, proto::kNtpPort,
-      [this](const net::Ipv6Address& src, std::uint16_t /*src_port*/,
-             const std::vector<std::uint8_t>& payload, util::SimTime t) {
-        return handle(src, payload, t);
-      });
-}
 
 std::optional<std::vector<std::uint8_t>> NtpServer::handle(
     const net::Ipv6Address& src, const std::vector<std::uint8_t>& payload,

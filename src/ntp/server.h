@@ -1,7 +1,8 @@
 // The stratum-2 NTP vantage server.
 //
-// Each of the 27 vantage points runs one of these, bound to UDP port 123 on
-// the data plane. It implements the server side of RFC 5905's client/server
+// Each of the 27 vantage points runs one of these on UDP port 123; a
+// collection shard keeps one per vantage and hands it to the data plane
+// with each wire poll (netsim::DataPlane::send_udp). It implements the server side of RFC 5905's client/server
 // mode: validate the request, mirror the client's transmit timestamp into
 // the origin field, stamp receive/transmit — and, the entire point of the
 // paper, log the client's source address. Observations stream to a sink so
@@ -10,9 +11,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <vector>
 
 #include "net/ipv6.h"
-#include "netsim/data_plane.h"
 #include "proto/ntp_packet.h"
 #include "sim/world.h"
 #include "util/sim_time.h"
@@ -33,9 +35,6 @@ class NtpServer {
   // The vantage descriptor is copied: a server outlives any temporary it
   // was configured from.
   NtpServer(sim::VantagePoint vantage, ObservationSink sink);
-
-  // Registers the server's UDP service on the data plane.
-  void bind(netsim::DataPlane& plane);
 
   // Handles one request payload; returns the response bytes, or nothing
   // for malformed / non-client-mode packets. Also usable directly by the

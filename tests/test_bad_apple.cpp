@@ -90,7 +90,7 @@ TEST_F(BadAppleTest, EndToEndCorpusHasLinkage) {
   const auto world = sim::World::generate(config);
   netsim::DataPlane plane(world, {0.0, 1});
   netsim::PoolDns dns(world);
-  hitlist::PassiveCollector collector(world, plane, dns, {false, 0.0, 3});
+  hitlist::PassiveCollector collector(world, plane, dns, {});
   hitlist::Corpus corpus(1 << 14);
   collector.run(corpus, 0, 40 * util::kDay);
 

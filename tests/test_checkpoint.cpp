@@ -75,8 +75,11 @@ netsim::FaultPlanConfig busy_plan() {
   return plan;
 }
 
+// Transit loss of the data planes these tests collect over.
+constexpr double kTransitLoss = 0.01;
+
 CollectorConfig checkpointing_config() {
-  CollectorConfig config{false, 0.01, 3};
+  CollectorConfig config;
   config.threads = 3;
   config.retry_limit = 2;
   config.retry_backoff = 8;
@@ -103,7 +106,7 @@ TEST_F(CheckpointTest, ResumeFromAnyCheckpointIsBitIdentical) {
   std::uint64_t reference_answered = 0;
   std::vector<VantageHealthStats> reference_health;
   {
-    netsim::DataPlane plane(*world_, {config.loss_rate, 1});
+    netsim::DataPlane plane(*world_, {kTransitLoss, 1});
     plane.set_faults(&faults);
     netsim::PoolDns dns(*world_);
     dns.set_health_monitor(&faults, 15 * util::kMinute);
@@ -132,7 +135,7 @@ TEST_F(CheckpointTest, ResumeFromAnyCheckpointIsBitIdentical) {
 
     // A "rebooted" process: fresh plane, DNS, collector — only the world,
     // the config, and the checkpoint file survive the crash.
-    netsim::DataPlane plane(*world_, {config.loss_rate, 1});
+    netsim::DataPlane plane(*world_, {kTransitLoss, 1});
     plane.set_faults(&faults);
     netsim::PoolDns dns(*world_);
     dns.set_health_monitor(&faults, 15 * util::kMinute);
@@ -153,7 +156,7 @@ TEST_F(CheckpointTest, ReusedCollectorReportsItsLastCall) {
   const util::SimTime end = 4 * util::kDay;
   const auto config = checkpointing_config();
   const netsim::FaultSchedule faults(world_->vantages(), busy_plan(), 0, end);
-  netsim::DataPlane plane(*world_, {config.loss_rate, 1});
+  netsim::DataPlane plane(*world_, {kTransitLoss, 1});
   plane.set_faults(&faults);
   netsim::PoolDns dns(*world_);
   dns.set_health_monitor(&faults, 15 * util::kMinute);
@@ -197,7 +200,7 @@ TEST_F(CheckpointTest, ThrowingSinkSimulatesCrashMidRun) {
   const netsim::FaultSchedule faults(world_->vantages(), busy_plan(), 0, end);
 
   const auto make_plane = [&] {
-    netsim::DataPlane plane(*world_, {config.loss_rate, 1});
+    netsim::DataPlane plane(*world_, {kTransitLoss, 1});
     plane.set_faults(&faults);
     return plane;
   };
@@ -248,7 +251,7 @@ TEST_F(CheckpointTest, CheckpointIntervalDoesNotChangeTheCorpus) {
 
   const auto run_with_interval = [&](util::SimDuration interval) {
     config.checkpoint_interval = interval;
-    netsim::DataPlane plane(*world_, {config.loss_rate, 1});
+    netsim::DataPlane plane(*world_, {kTransitLoss, 1});
     netsim::PoolDns dns(*world_);
     PassiveCollector collector(*world_, plane, dns, config);
     Corpus corpus(1 << 12);
@@ -265,16 +268,17 @@ TEST_F(CheckpointTest, CheckpointIntervalDoesNotChangeTheCorpus) {
 }
 
 TEST_F(CheckpointTest, FastAndWirePathsAgreeUnderFaultPlan) {
-  // Fault decisions are pure hashes, never RNG draws, so at zero loss the
-  // wire-fidelity path stays in lockstep with the fast path even while
-  // vantages crash and recover around the polls.
+  // Fault and loss decisions are pure hashes, never RNG draws, and both
+  // paths take the same loss verdict per attempt, so the wire-fidelity
+  // path stays in lockstep with the fast path under transit loss even
+  // while vantages crash and recover around the polls.
   const util::SimTime end = 2 * util::kDay;
   const netsim::FaultSchedule faults(world_->vantages(), busy_plan(), 0, end);
 
   const auto collect_path = [&](bool wire) {
-    CollectorConfig config{wire, 0.0, 3};
+    CollectorConfig config{.wire_fidelity = wire};
     config.retry_limit = 2;
-    netsim::DataPlane plane(*world_, {0.0, 1});
+    netsim::DataPlane plane(*world_, {0.05, 1});
     plane.set_faults(&faults);
     netsim::PoolDns dns(*world_);
     dns.set_health_monitor(&faults, 15 * util::kMinute);
@@ -291,7 +295,7 @@ TEST_F(CheckpointTest, FaultPlanDegradesVantagesAndRetriesRecover) {
   const util::SimTime end = 4 * util::kDay;
   const netsim::FaultSchedule faults(world_->vantages(), busy_plan(), 0, end);
 
-  CollectorConfig config{false, 0.0, 3};
+  CollectorConfig config;
   config.retry_limit = 2;
   netsim::DataPlane plane(*world_, {0.0, 1});
   plane.set_faults(&faults);
@@ -330,7 +334,7 @@ TEST_F(CheckpointTest, StudyResumeMatchesUninterruptedCollect) {
   config.world.seed = 9;
   config.world.total_sites = 250;
   config.world.study_duration = 6 * util::kDay;
-  config.collector.loss_rate = 0.0;
+  config.plane.loss_rate = 0.0;
   config.collector.threads = 2;
   config.collector.retry_limit = 1;
   config.collector.checkpoint_interval = 2 * util::kDay;
@@ -380,7 +384,7 @@ TEST_F(CheckpointTest, SpilledResumeHonorsBudgetAndStaysBitIdentical) {
   config.world.seed = 9;
   config.world.total_sites = 250;
   config.world.study_duration = 6 * util::kDay;
-  config.collector.loss_rate = 0.0;
+  config.plane.loss_rate = 0.0;
   config.collector.threads = 2;
   config.collector.retry_limit = 1;
   config.collector.checkpoint_interval = 2 * util::kDay;
@@ -453,7 +457,7 @@ TEST_F(CheckpointTest, ThrowingSinkMidResumeHonorsTheContract) {
   const netsim::FaultSchedule faults(world_->vantages(), busy_plan(), 0, end);
 
   const auto with_collector = [&](auto fn) {
-    netsim::DataPlane plane(*world_, {config.loss_rate, 1});
+    netsim::DataPlane plane(*world_, {kTransitLoss, 1});
     plane.set_faults(&faults);
     netsim::PoolDns dns(*world_);
     dns.set_health_monitor(&faults, 15 * util::kMinute);
@@ -636,10 +640,10 @@ TEST(CheckpointIo, BytesIndependentOfCollectorThreads) {
   world_config.study_duration = 4 * util::kDay;
   const sim::World world = sim::World::generate(world_config);
   const auto saved_checkpoints = [&](unsigned threads, bool& unsorted) {
-    CollectorConfig config{false, 0.01, 3};
+    CollectorConfig config;
     config.threads = threads;
     config.checkpoint_interval = util::kDay;
-    netsim::DataPlane plane(world, {config.loss_rate, 1});
+    netsim::DataPlane plane(world, {kTransitLoss, 1});
     netsim::PoolDns dns(world);
     PassiveCollector collector(world, plane, dns, config);
     std::vector<std::string> files;

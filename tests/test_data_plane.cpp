@@ -345,41 +345,93 @@ TEST_F(DataPlaneTest, RetryAttemptsDrawIndependently) {
 TEST_F(DataPlaneTest, UdpServiceRoundTrip) {
   auto plane = lossless();
   const auto server = world_->vantages().front().address;
-  plane.bind_udp(server, proto::kNtpPort,
-                 [](const net::Ipv6Address&, std::uint16_t,
-                    const std::vector<std::uint8_t>& payload, util::SimTime)
-                     -> std::optional<std::vector<std::uint8_t>> {
-                   auto echo = payload;
-                   echo.push_back(0x99);
-                   return echo;
-                 });
+  const UdpService echo_service =
+      [&server](const net::Ipv6Address&, std::uint16_t src_port,
+                const std::vector<std::uint8_t>& payload, util::SimTime)
+      -> std::optional<std::vector<std::uint8_t>> {
+    EXPECT_EQ(src_port, 40000);
+    auto echo = payload;
+    echo.push_back(0x99);
+    return echo;
+  };
   const auto client = world_->device_address(0, 0);
-  const auto response = plane.send_udp(client, 40000, server,
-                                       proto::kNtpPort, {1, 2, 3}, 0);
+  const auto response = plane.send_udp(client, 40000, server, proto::kNtpPort,
+                                       7, {1, 2, 3}, 0, echo_service);
   ASSERT_TRUE(response);
   EXPECT_EQ(response->size(), 4u);
   EXPECT_EQ(response->back(), 0x99);
 }
 
+// An empty service: nothing listens, so nothing answers.
 TEST_F(DataPlaneTest, UdpToUnboundPortIsSilent) {
   auto plane = lossless();
   const auto client = world_->device_address(0, 0);
   EXPECT_FALSE(plane.send_udp(client, 40000,
-                              world_->vantages().front().address, 9999,
-                              {1}, 0));
+                              world_->vantages().front().address, 9999, 7,
+                              {1}, 0, {}));
 }
 
 TEST_F(DataPlaneTest, UdpServiceMayDecline) {
   auto plane = lossless();
   const auto server = world_->vantages().front().address;
-  plane.bind_udp(server, proto::kNtpPort,
-                 [](const net::Ipv6Address&, std::uint16_t,
-                    const std::vector<std::uint8_t>&, util::SimTime)
-                     -> std::optional<std::vector<std::uint8_t>> {
-                   return std::nullopt;
-                 });
+  const UdpService declining =
+      [](const net::Ipv6Address&, std::uint16_t,
+         const std::vector<std::uint8_t>&, util::SimTime)
+      -> std::optional<std::vector<std::uint8_t>> { return std::nullopt; };
   EXPECT_FALSE(plane.send_udp(world_->device_address(0, 0), 40000, server,
-                              proto::kNtpPort, {1}, 0));
+                              proto::kNtpPort, 7, {1}, 0, declining));
+}
+
+// A UDP exchange's fate is keyed on its identity (addresses, ports,
+// second, nonce): the payload bytes never move it, each nonce draws anew,
+// send_udp() acts on exactly udp_fate()'s verdict, and only send_udp()
+// counts the drops.
+TEST_F(DataPlaneTest, UdpVerdictIgnoresPayloadAndDiffersPerNonce) {
+  DataPlane plane(*world_, {0.5, 21});
+  const auto server = world_->vantages().front().address;
+  const auto client = world_->device_address(0, 0);
+  const UdpService echo_service =
+      [](const net::Ipv6Address&, std::uint16_t,
+         const std::vector<std::uint8_t>& payload, util::SimTime)
+      -> std::optional<std::vector<std::uint8_t>> { return payload; };
+  constexpr std::uint32_t kNonces = 400;
+  std::uint32_t request_lost = 0, answer_lost = 0, answered = 0;
+  std::uint64_t expected_drops = 0;
+  for (std::uint32_t nonce = 0; nonce < kNonces; ++nonce) {
+    const DataPlane::UdpFate fate =
+        plane.udp_fate(client, 50000, server, proto::kNtpPort, nonce, 900);
+    request_lost += fate.request_lost;
+    answer_lost += fate.answer_lost;
+    expected_drops += fate.request_lost ? 1 : fate.answer_lost ? 1 : 0;
+    for (const std::vector<std::uint8_t>& payload :
+         {std::vector<std::uint8_t>{1}, std::vector<std::uint8_t>(48, 0xab)}) {
+      const auto response =
+          plane.send_udp(client, 50000, server, proto::kNtpPort, nonce,
+                         payload, 900, echo_service);
+      EXPECT_EQ(response.has_value(), !fate.request_lost && !fate.answer_lost)
+          << nonce;
+      if (response) {
+        EXPECT_EQ(*response, payload);
+      }
+    }
+    answered += !fate.request_lost && !fate.answer_lost;
+  }
+  // Two payloads per nonce, the same fate each time.
+  EXPECT_EQ(plane.drops(), 2 * expected_drops);
+  // Each nonce's two legs are fresh draws at p = 0.5.
+  EXPECT_GT(request_lost, kNonces / 4);
+  EXPECT_LT(request_lost, 3 * kNonces / 4);
+  EXPECT_GT(answer_lost, kNonces / 4);
+  EXPECT_LT(answer_lost, 3 * kNonces / 4);
+  EXPECT_GT(answered, 0u);
+  EXPECT_LT(answered, kNonces / 2);
+
+  // Asking the verdict counts nothing.
+  const std::uint64_t drops = plane.drops();
+  for (std::uint32_t nonce = 0; nonce < kNonces; ++nonce) {
+    plane.udp_fate(client, 50000, server, proto::kNtpPort, nonce, 900);
+  }
+  EXPECT_EQ(plane.drops(), drops);
 }
 
 TEST_F(DataPlaneTest, RouterIcmpRateLimiting) {
@@ -470,28 +522,28 @@ TEST_F(DataPlaneTest, IcmpBudgetSurvivesBackwardProbeTimes) {
 TEST_F(DataPlaneTest, FaultScheduleSwallowsUdpToCrashedVantage) {
   auto plane = lossless();
   const auto& vantage = world_->vantages().front();
-  plane.bind_udp(vantage.address, proto::kNtpPort,
-                 [](const net::Ipv6Address&, std::uint16_t,
-                    const std::vector<std::uint8_t>&, util::SimTime)
-                     -> std::optional<std::vector<std::uint8_t>> {
-                   return std::vector<std::uint8_t>{42};
-                 });
+  const UdpService service =
+      [](const net::Ipv6Address&, std::uint16_t,
+         const std::vector<std::uint8_t>&, util::SimTime)
+      -> std::optional<std::vector<std::uint8_t>> {
+    return std::vector<std::uint8_t>{42};
+  };
   FaultSchedule faults(world_->vantages());
   faults.add_window(vantage.id, 1000, 2000);
   plane.set_faults(&faults);
 
   const auto client = world_->device_address(0, 0);
-  EXPECT_TRUE(plane.send_udp(client, 40000, vantage.address, proto::kNtpPort,
-                             {1}, 500));
-  EXPECT_FALSE(plane.send_udp(client, 40000, vantage.address, proto::kNtpPort,
-                              {1}, 1500));
+  const auto send = [&](util::SimTime t) {
+    return plane.send_udp(client, 40000, vantage.address, proto::kNtpPort, 7,
+                          {1}, t, service);
+  };
+  EXPECT_TRUE(send(500));
+  EXPECT_FALSE(send(1500));
   EXPECT_EQ(plane.fault_drops(), 1u);
-  EXPECT_TRUE(plane.send_udp(client, 40000, vantage.address, proto::kNtpPort,
-                             {1}, 3000));
+  EXPECT_TRUE(send(3000));
   // Other destinations are never faulted.
   plane.set_faults(nullptr);
-  EXPECT_TRUE(plane.send_udp(client, 40000, vantage.address, proto::kNtpPort,
-                             {1}, 1500));
+  EXPECT_TRUE(send(1500));
 }
 
 TEST_F(DataPlaneTest, AliasRegionsAnswerEcho) {

@@ -381,7 +381,7 @@ TEST_F(DistIdentityTest, PinnedDigests) {
   hitlist::Corpus merged(1);
   const DistReport report = run_cluster(config, merged);
 
-  EXPECT_EQ(hex(fnv1a(kOffset, corpus_bytes(merged))), "0x0e55bcd270303b62");
+  EXPECT_EQ(hex(fnv1a(kOffset, corpus_bytes(merged))), "0xedd4aeb5b9ada39c");
 
   std::uint64_t health = kOffset;
   for (const hitlist::VantageHealthStats& v : report.vantage_health) {
@@ -409,8 +409,8 @@ TEST_F(DistIdentityTest, PinnedDigests) {
   EXPECT_EQ(counters,
             "workers=5 ranges=4 leases=5 uploads=24 heartbeats=24 deaths=1 "
             "timeouts=1 reassignments=1 stale=0 replayed=3 recovery=93600 "
-            "finished=1454400 polls=219985 answered=215645 "
-            "health=0xd52c4a55364f3a48");
+            "finished=1454400 polls=219985 answered=215657 "
+            "health=0xeceb6f360c87678e");
 
   std::uint64_t windows = kOffset;
   std::size_t window_count = 0;
@@ -435,12 +435,12 @@ TEST_F(DistIdentityTest, PinnedDigests) {
     ++window_count;
   }
   EXPECT_EQ(window_count, 25u);
-  EXPECT_EQ(hex(windows), "0xfeabd46361fbc4c7");
+  EXPECT_EQ(hex(windows), "0xae9caddcf5a41000");
 
   EXPECT_EQ(hex(fnv1a(kOffset, std::string_view(reinterpret_cast<const char*>(
                                                     report.frame_log.data()),
                                                 report.frame_log.size()))),
-            "0x9e8282d00a1603bb");
+            "0x605adf6f32825d1f");
 }
 
 TEST_F(DistIdentityTest, RespawnDisabledFailsLoudlyWhenFleetDies) {
@@ -452,14 +452,31 @@ TEST_F(DistIdentityTest, RespawnDisabledFailsLoudlyWhenFleetDies) {
   EXPECT_THROW(run_cluster(config, merged), std::runtime_error);
 }
 
-TEST(DistCluster, WireFidelityIsRejected) {
+// Every wire poll reaches the lease collector's own server and takes the
+// plane's pure-hash verdict, so wire-fidelity ranges (one forced kill
+// included) merge to the single-process wire corpus byte for byte.
+TEST(DistCluster, WireFidelityMatchesSingleProcess) {
   core::StudyConfig config = small_config();
+  config.collector.wire_fidelity = true;
   core::Study study(config);
-  hitlist::CollectorConfig collector = config.collector;
-  collector.wire_fidelity = true;
-  EXPECT_THROW(SimCluster(study.world(), study.plane(), study.pool_dns(),
-                          collector, DistConfig{}),
-               std::invalid_argument);
+  const core::StudyResults& single =
+      study.run({.campaigns = false, .backscan = false, .analysis = false});
+
+  DistConfig dist;
+  dist.workers = 3;
+  dist.forced_kills = 1;
+  dist.chunk_interval = 4 * util::kDay;
+  SimCluster cluster(study.world(), study.plane(), study.pool_dns(),
+                     config.collector, dist);
+  hitlist::Corpus merged(1);
+  const util::SimTime start = config.world.study_start;
+  const DistReport report =
+      cluster.run(merged, start, start + config.world.study_duration);
+  EXPECT_EQ(corpus_bytes(merged), corpus_bytes(single.ntp));
+  EXPECT_EQ(report.polls_attempted, single.polls_attempted);
+  EXPECT_EQ(report.polls_answered, single.polls_answered);
+  EXPECT_LT(report.polls_answered, report.polls_attempted);
+  EXPECT_EQ(report.worker_deaths, 1u);
 }
 
 // --- Study-level plumbing --------------------------------------------------
@@ -617,16 +634,34 @@ TEST(DistStudy, IncompatibleKnobsFailLoudly) {
 
   // Rejected before any work, so stage 1 is still to do: a plain run()
   // afterwards collects.
-  core::StudyConfig wire_config = small_config();
-  wire_config.collector.wire_fidelity = true;
-  core::Study wire(wire_config);
-  core::RunOptions distributed = collect_only();
-  distributed.distributed = DistConfig{};
-  EXPECT_THROW(wire.run(std::move(distributed)), std::invalid_argument);
-  const core::StudyResults& r = wire.run(collect_only());
-  EXPECT_GT(wire.ntp_size(), 0u);
+  const core::StudyResults& r = study.run(collect_only());
+  EXPECT_GT(study.ntp_size(), 0u);
   EXPECT_GT(r.polls_attempted, 0u);
   EXPECT_FALSE(r.dist.has_value());
+}
+
+// RunOptions::distributed composes with collector.wire_fidelity: the
+// distributed wire corpus saves byte-identically to the single-process
+// wire corpus, which equals the fast path's.
+TEST(DistStudy, WireFidelityComposesBitForBit) {
+  core::StudyConfig config = small_config(23);
+  config.collector.wire_fidelity = true;
+  core::Study single(config);
+  const core::StudyResults& rs = single.run(collect_only());
+
+  core::Study distributed(config);
+  core::RunOptions options = collect_only();
+  options.distributed = three_workers_one_kill();
+  const core::StudyResults& rd = distributed.run(std::move(options));
+  ASSERT_TRUE(rd.dist.has_value());
+  EXPECT_EQ(rd.dist->worker_deaths, 1u);
+  EXPECT_EQ(saved_ntp(distributed), saved_ntp(single));
+  EXPECT_EQ(rd.polls_attempted, rs.polls_attempted);
+  EXPECT_EQ(rd.polls_answered, rs.polls_answered);
+
+  core::Study fast(small_config(23));
+  fast.run(collect_only());
+  EXPECT_EQ(saved_ntp(fast), saved_ntp(single));
 }
 
 // --- the real multi-process path, on threads -------------------------------

@@ -39,10 +39,11 @@ class PassiveCollectorTest : public ::testing::Test {
 
 sim::World* PassiveCollectorTest::world_ = nullptr;
 
-Corpus collect(const sim::World& world, const CollectorConfig& config,
-               util::SimTime start, util::SimTime end,
-               const ObservationHook& hook = {}) {
-  netsim::DataPlane plane(world, {config.loss_rate, 1});
+// Collects over a data plane with transit loss `loss`.
+Corpus collect(const sim::World& world, double loss,
+               const CollectorConfig& config, util::SimTime start,
+               util::SimTime end, const ObservationHook& hook = {}) {
+  netsim::DataPlane plane(world, {loss, 1});
   netsim::PoolDns dns(world);
   PassiveCollector collector(world, plane, dns, config);
   Corpus corpus(1 << 12);
@@ -65,7 +66,7 @@ void expect_identical_corpora(const Corpus& a, const Corpus& b) {
 
 TEST_F(PassiveCollectorTest, CollectsObservations) {
   const auto corpus =
-      collect(*world_, {false, 0.0, 3}, 0, 7 * util::kDay);
+      collect(*world_, 0.0, {}, 0, 7 * util::kDay);
   EXPECT_GT(corpus.size(), 1000u);
   EXPECT_GE(corpus.total_observations(), corpus.size());
 }
@@ -75,17 +76,60 @@ TEST_F(PassiveCollectorTest, FastAndWirePathsAreBitIdenticalAtZeroLoss) {
   // streams (two draws per poll attempt), so not just the address set but
   // every record field must agree.
   const auto fast =
-      collect(*world_, {false, 0.0, 3}, 0, 3 * util::kDay);
+      collect(*world_, 0.0, {}, 0, 3 * util::kDay);
   const auto wire =
-      collect(*world_, {true, 0.0, 3}, 0, 3 * util::kDay);
+      collect(*world_, 0.0, {.wire_fidelity = true}, 0, 3 * util::kDay);
   expect_identical_corpora(fast, wire);
+}
+
+// Under loss both paths take the plane's one verdict per attempt, keyed on
+// the poll's identity, so they lose the same polls: corpus and counters
+// agree at any loss rate and collector thread count. Only the wire path
+// counts its drops in the plane.
+TEST_F(PassiveCollectorTest, FastAndWirePathsAreBitIdenticalUnderLoss) {
+  for (const double loss : {0.01, 0.4}) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "loss=" << loss
+                                      << " threads=" << threads);
+      netsim::DataPlane plane(*world_, {loss, 1});
+      netsim::PoolDns dns(*world_);
+      CollectorConfig config;
+      config.threads = threads;
+      config.retry_limit = 1;
+      PassiveCollector fast(*world_, plane, dns, config);
+      Corpus fast_corpus(1 << 12);
+      fast.run(fast_corpus, 0, 2 * util::kDay);
+      EXPECT_EQ(plane.drops(), 0u);
+
+      config.wire_fidelity = true;
+      PassiveCollector wire(*world_, plane, dns, config);
+      Corpus wire_corpus(1 << 12);
+      wire.run(wire_corpus, 0, 2 * util::kDay);
+      EXPECT_GT(plane.drops(), 0u);
+
+      std::ostringstream fast_bytes, wire_bytes;
+      save_corpus(fast_bytes, fast_corpus);
+      save_corpus(wire_bytes, wire_corpus);
+      EXPECT_EQ(fast_bytes.str(), wire_bytes.str());
+      EXPECT_EQ(fast.polls_attempted(), wire.polls_attempted());
+      EXPECT_EQ(fast.polls_answered(), wire.polls_answered());
+      EXPECT_LT(fast.polls_answered(), fast.polls_attempted());
+      ASSERT_EQ(fast.vantage_health().size(), wire.vantage_health().size());
+      for (std::size_t v = 0; v < fast.vantage_health().size(); ++v) {
+        EXPECT_EQ(fast.vantage_health()[v].answered,
+                  wire.vantage_health()[v].answered) << v;
+        EXPECT_EQ(fast.vantage_health()[v].retries,
+                  wire.vantage_health()[v].retries) << v;
+      }
+    }
+  }
 }
 
 TEST_F(PassiveCollectorTest, RetriesRecoverPollsLostToTransit) {
   // RFC 5905-style persistence: at heavy loss a client that re-sends
   // unanswered polls hears back strictly more often than a fire-once one,
   // and at zero loss retries change nothing.
-  CollectorConfig fire_once{false, 0.4, 3};
+  CollectorConfig fire_once;
   CollectorConfig persistent = fire_once;
   persistent.retry_limit = 3;
 
@@ -106,17 +150,17 @@ TEST_F(PassiveCollectorTest, RetriesRecoverPollsLostToTransit) {
   EXPECT_GT(retry_corpus.total_observations(),
             once_corpus.total_observations());
 
-  CollectorConfig lossless_retry{false, 0.0, 3};
+  CollectorConfig lossless_retry;
   lossless_retry.retry_limit = 3;
-  const auto with = collect(*world_, lossless_retry, 0, util::kDay);
-  const auto without = collect(*world_, {false, 0.0, 3}, 0, util::kDay);
+  const auto with = collect(*world_, 0.0, lossless_retry, 0, util::kDay);
+  const auto without = collect(*world_, 0.0, {}, 0, util::kDay);
   expect_identical_corpora(with, without);
 }
 
 TEST_F(PassiveCollectorTest, WirePathValidatesServerResponses) {
   netsim::DataPlane plane(*world_, {0.0, 1});
   netsim::PoolDns dns(*world_);
-  PassiveCollector collector(*world_, plane, dns, {true, 0.0, 3});
+  PassiveCollector collector(*world_, plane, dns, {.wire_fidelity = true});
   Corpus corpus(1 << 12);
   collector.run(corpus, 0, util::kDay);
   EXPECT_GT(collector.polls_attempted(), 0u);
@@ -127,9 +171,9 @@ TEST_F(PassiveCollectorTest, WirePathValidatesServerResponses) {
 
 TEST_F(PassiveCollectorTest, LossReducesObservations) {
   const auto lossless =
-      collect(*world_, {false, 0.0, 3}, 0, 3 * util::kDay);
+      collect(*world_, 0.0, {}, 0, 3 * util::kDay);
   const auto lossy =
-      collect(*world_, {false, 0.3, 3}, 0, 3 * util::kDay);
+      collect(*world_, 0.3, {}, 0, 3 * util::kDay);
   EXPECT_LT(lossy.total_observations(),
             lossless.total_observations() * 0.8);
 }
@@ -137,8 +181,7 @@ TEST_F(PassiveCollectorTest, LossReducesObservations) {
 TEST_F(PassiveCollectorTest, HookSeesEveryObservation) {
   std::uint64_t hook_calls = 0;
   std::set<std::uint8_t> vantages;
-  const auto corpus = collect(
-      *world_, {false, 0.0, 3}, 0, 2 * util::kDay,
+  const auto corpus = collect(*world_, 0.0, {}, 0, 2 * util::kDay,
       [&](const ntp::Observation& obs, const net::Ipv6Address& vantage) {
         ++hook_calls;
         vantages.insert(obs.vantage);
@@ -150,13 +193,13 @@ TEST_F(PassiveCollectorTest, HookSeesEveryObservation) {
 
 TEST_F(PassiveCollectorTest, OnlyPoolDevicesAppear) {
   const auto corpus =
-      collect(*world_, {false, 0.0, 3}, 0, 2 * util::kDay);
+      collect(*world_, 0.0, {}, 0, 2 * util::kDay);
   // Every observed address must resolve to a pool-using device (or be an
   // ephemeral address of one at observation time). Spot-check via count:
   // non-pool devices never enter the schedule, so polls == observations.
   netsim::DataPlane plane(*world_, {0.0, 1});
   netsim::PoolDns dns(*world_);
-  PassiveCollector collector(*world_, plane, dns, {false, 0.0, 3});
+  PassiveCollector collector(*world_, plane, dns, {});
   Corpus again(1 << 12);
   collector.run(again, 0, 2 * util::kDay);
   EXPECT_EQ(collector.polls_attempted(), again.total_observations());
@@ -165,7 +208,7 @@ TEST_F(PassiveCollectorTest, OnlyPoolDevicesAppear) {
 TEST_F(PassiveCollectorTest, BurstsYieldMultipleSightingsPerSync) {
   // Find a bursting pool device and verify its address records carry
   // multiple observations seconds apart.
-  const auto corpus = collect(*world_, {false, 0.0, 3}, 0, util::kDay);
+  const auto corpus = collect(*world_, 0.0, {}, 0, util::kDay);
   bool found_burst_record = false;
   for (const auto& rec : corpus.records()) {
     if (rec.count >= 4 && rec.lifetime() <= 30) found_burst_record = true;
@@ -178,7 +221,7 @@ TEST_F(PassiveCollectorTest, BurstsYieldMultipleSightingsPerSync) {
 TEST_F(PassiveCollectorTest, PollCountsCountBurstPackets) {
   netsim::DataPlane plane(*world_, {0.0, 1});
   netsim::PoolDns dns(*world_);
-  PassiveCollector collector(*world_, plane, dns, {false, 0.0, 3});
+  PassiveCollector collector(*world_, plane, dns, {});
   Corpus corpus(1 << 12);
   collector.run(corpus, 0, util::kDay);
   // Bursting devices send several packets per sync, so attempted polls
@@ -191,14 +234,14 @@ TEST_F(PassiveCollectorTest, ShardedCollectionIsBitIdenticalToSerial) {
   // exact legacy threads=1 path — same size, total_observations, and
   // per-record fields — because per-device streams are order-independent
   // and Corpus aggregates are commutative.
-  CollectorConfig serial{false, 0.01, 3};
+  CollectorConfig serial;
   serial.threads = 1;
-  const auto base = collect(*world_, serial, 0, 5 * util::kDay);
+  const auto base = collect(*world_, 0.01, serial, 0, 5 * util::kDay);
   for (const unsigned threads : {2u, 4u, 7u}) {
     CollectorConfig sharded_config = serial;
     sharded_config.threads = threads;
     const auto sharded =
-        collect(*world_, sharded_config, 0, 5 * util::kDay);
+        collect(*world_, 0.01, sharded_config, 0, 5 * util::kDay);
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     expect_identical_corpora(base, sharded);
   }
@@ -207,7 +250,7 @@ TEST_F(PassiveCollectorTest, ShardedCollectionIsBitIdenticalToSerial) {
 TEST_F(PassiveCollectorTest, ShardedCountersSumToSerialCounters) {
   netsim::DataPlane plane(*world_, {0.01, 1});
   netsim::PoolDns dns(*world_);
-  CollectorConfig config{false, 0.01, 3};
+  CollectorConfig config;
   config.threads = 1;
   PassiveCollector serial(*world_, plane, dns, config);
   Corpus serial_corpus(1 << 12);
@@ -226,12 +269,12 @@ TEST_F(PassiveCollectorTest, ShardedHookDeliveryIsSerializedAndComplete) {
   // Hooks under threads>1 are serialized by the collector, so an
   // unsynchronized hook body must still see every observation exactly
   // once (the count matches the corpus total).
-  CollectorConfig config{false, 0.0, 3};
+  CollectorConfig config;
   config.threads = 4;
   std::uint64_t hook_calls = 0;
   std::set<std::uint8_t> vantages;
   const auto corpus = collect(
-      *world_, config, 0, 2 * util::kDay,
+      *world_, 0.0, config, 0, 2 * util::kDay,
       [&](const ntp::Observation& obs, const net::Ipv6Address& vantage) {
         ++hook_calls;
         vantages.insert(obs.vantage);
@@ -241,29 +284,33 @@ TEST_F(PassiveCollectorTest, ShardedHookDeliveryIsSerializedAndComplete) {
   EXPECT_GT(vantages.size(), 10u);
 }
 
-TEST_F(PassiveCollectorTest, WireFidelityStaysSerialUnderThreadKnob) {
-  // The wire path mutates the shared DataPlane per poll, so the threads
-  // knob must not shard it; threads=8 and threads=1 run the same serial
-  // code and produce identical corpora.
-  CollectorConfig one{true, 0.0, 3};
+TEST_F(PassiveCollectorTest, WireFidelityShardsBitIdenticallyUnderThreadKnob) {
+  // Each shard delivers its wire polls to its own servers, and the plane's
+  // verdicts are pure hashes, so the threads knob shards the wire path
+  // like the fast path: threads=8 and threads=1 produce identical corpora,
+  // lossless and lossy.
+  CollectorConfig one{.wire_fidelity = true};
   one.threads = 1;
   CollectorConfig eight = one;
   eight.threads = 8;
-  const auto a = collect(*world_, one, 0, util::kDay);
-  const auto b = collect(*world_, eight, 0, util::kDay);
-  expect_identical_corpora(a, b);
+  for (const double loss : {0.0, 0.2}) {
+    SCOPED_TRACE(testing::Message() << "loss=" << loss);
+    const auto a = collect(*world_, loss, one, 0, util::kDay);
+    const auto b = collect(*world_, loss, eight, 0, util::kDay);
+    expect_identical_corpora(a, b);
+  }
 }
 
 TEST_F(PassiveCollectorTest, DeterministicAcrossRuns) {
-  const auto a = collect(*world_, {false, 0.01, 3}, 0, 2 * util::kDay);
-  const auto b = collect(*world_, {false, 0.01, 3}, 0, 2 * util::kDay);
+  const auto a = collect(*world_, 0.01, {}, 0, 2 * util::kDay);
+  const auto b = collect(*world_, 0.01, {}, 0, 2 * util::kDay);
   EXPECT_EQ(a.size(), b.size());
   EXPECT_EQ(a.total_observations(), b.total_observations());
 }
 
 TEST_F(PassiveCollectorTest, WindowBoundsRespected) {
   const auto corpus =
-      collect(*world_, {false, 0.0, 3}, util::kDay, 2 * util::kDay);
+      collect(*world_, 0.0, {}, util::kDay, 2 * util::kDay);
   for (const auto& rec : corpus.records()) {
     EXPECT_GE(rec.first_seen, static_cast<std::uint32_t>(util::kDay));
     EXPECT_LT(rec.last_seen, static_cast<std::uint32_t>(2 * util::kDay));
@@ -277,12 +324,11 @@ TEST_F(PassiveCollectorTest, WindowBoundsRespected) {
 // is the vantage subset one distributed worker collects.
 TEST_F(PassiveCollectorTest, VantageSubsetPartitionReassembles) {
   CollectorConfig base;
-  base.loss_rate = 0.01;
   base.retry_limit = 2;
   const util::SimTime start = 0;
   const util::SimTime end = 5 * util::kDay;
 
-  netsim::DataPlane plane(*world_, {base.loss_rate, 1});
+  netsim::DataPlane plane(*world_, {0.01, 1});
   netsim::PoolDns dns(*world_);
   PassiveCollector reference_collector(*world_, plane, dns, base);
   Corpus reference(1 << 12);
@@ -348,7 +394,7 @@ TEST_F(PassiveCollectorTest, EmptyDeviceRangeCollectsNothing) {
 // and a backoff whose first re-send falls past the window sends none.
 TEST_F(PassiveCollectorTest, RetryBackoffSaturatesPastSixtyFourRetries) {
   const auto run = [&](std::uint32_t retry_limit, util::SimDuration backoff) {
-    CollectorConfig config{false, 1.0, 3};
+    CollectorConfig config;
     config.retry_limit = retry_limit;
     config.retry_backoff = backoff;
     netsim::DataPlane plane(*world_, {1.0, 1});
@@ -473,7 +519,7 @@ CollectorDigests run_collector_gate(GateConfig which, unsigned threads) {
   CollectorConfig config;
   config.threads = threads;
   config.epoch_interval = 7 * util::kDay;
-  netsim::DataPlane plane(world, {config.loss_rate, 1});
+  netsim::DataPlane plane(world, {0.01, 1});
   // The study's capture share, except for the tiered config, which needs
   // a corpus large enough to spill at some barriers and not at others.
   netsim::PoolDns dns(world, 0.25, tiered ? 0.5 : 0.03);
@@ -598,53 +644,53 @@ void expect_pinned(const CollectorDigests& got, const CollectorDigests& want) {
 const std::vector<std::pair<GateConfig, CollectorDigests>>& pinned_digests() {
   static const std::vector<std::pair<GateConfig, CollectorDigests>> pins = {
       {GateConfig::kDefaults,
-       {0xa6e90e17bf341e48, 835752, 25138, 0x40dba8d2014c1015, 6949,
-        {0xb387e6e5ec53c35a, 0xfda9cd33f7952f94, 0xab917f6d4a527464,
-         0x0503b19734715f10}}},
+       {0xe0a6be4b0f90a6ca, 835752, 25113, 0xf11beedc73006fda, 6949,
+        {0x174f2302a200296a, 0xa34e5f8ab09b4da8, 0xa77654377aa1011c,
+         0x536461e66610cda2}}},
       {GateConfig::kFaulted,
-       {0x779314dc852a01bb, 834612, 25572, 0xf7877076180fab01, 6943,
-        {0xfdf59a0e7f047086, 0x566bcd1b80d72fe9, 0xb0318b3b1242cfcf,
-         0x83bc23bafc6a9e50}}},
+       {0x11ea438ffd87e728, 834628, 25510, 0x3c72721bd4dcfdea, 6928,
+        {0x23b7097031b960da, 0xb103d8408a317c0d, 0x58aa609ba958c060,
+         0x9016a7581127d9d8}}},
       {GateConfig::kTiered,
-       {0x3f457cd0da08be64, 835752, 409438, 0x7a23aceac0155948, 114467,
-        {0xb06c1bb3af497a3f, 0xb2b3f8b609aaa940, 0x6937f2fd4842fdf0,
-         0x76d19b5d0044647d}}},
+       {0x4637b2ed1f58601b, 835752, 409395, 0x2f6c8e2b907d6d8c, 114467,
+        {0x82cb98397613e3d7, 0x7cf7e59bf1cd9c80, 0x188fc1e2e8d6893c,
+         0x3c10e488ed737719}}},
       // The same corpus, counters and epochs as kDefaults: checkpoints and
       // sampling only add barriers.
       {GateConfig::kCheckpointed,
-       {0xa6e90e17bf341e48, 835752, 25138, 0x40dba8d2014c1015, 6949,
-        {0xb387e6e5ec53c35a, 0xfda9cd33f7952f94, 0xab917f6d4a527464,
-         0x0503b19734715f10},
-        {{259200, 80896, 2282, 0x72deff087a4fab52, 0x10c4fc870d23fe78},
-         {518400, 162388, 4901, 0x85334063991d83fe, 0x6fa0cef82ef8c1e8},
-         {777600, 244418, 7149, 0x847b07fbb87ede20, 0x940c26db0db53d11},
-         {1036800, 327232, 9656, 0xdbc31bcd0a0fcd91, 0xef0beb8b32e9f4f6},
-         {1296000, 410531, 12265, 0xa7d8de821e6bdb42, 0x34ed3f36e05f96f0},
-         {1555200, 494152, 14739, 0x8556f772059181db, 0x909f68ed13fac6eb},
-         {1814400, 578225, 17249, 0x7cbf0a7b3e685705, 0x681485a21aaf8841},
-         {2073600, 663436, 19961, 0x0fb0848891a2bf40, 0xfacb12bc0f2ef249},
-         {2332800, 750269, 22522, 0x87e09ceb76d81d22, 0x7e6cedab9dafed90}},
-        {{198, 1322}, {126, 1481}, {111, 1718}, {101, 1378}, {110, 1484},
-         {114, 1613}, {117, 1668}, {123, 1567}, {117, 1528}, {119, 1486},
-         {134, 1633}, {135, 1762}, {120, 1552}, {132, 1664}, {154, 1615}}}},
+       {0xe0a6be4b0f90a6ca, 835752, 25113, 0xf11beedc73006fda, 6949,
+        {0x174f2302a200296a, 0xa34e5f8ab09b4da8, 0xa77654377aa1011c,
+         0x536461e66610cda2},
+        {{259200, 80896, 2288, 0x80a7b918272155e8, 0x5d3ad84aef3ecb4f},
+         {518400, 162388, 4885, 0x1f3232134a12c539, 0x3721954de650d672},
+         {777600, 244418, 7120, 0x006a409425741a6d, 0xf20617731b078856},
+         {1036800, 327232, 9621, 0x1bb6f496d060c1bf, 0xbf3e910ecdcc4604},
+         {1296000, 410531, 12235, 0xb3b8f2edf9123e58, 0xaf870b2c81abbbb8},
+         {1555200, 494152, 14706, 0x718503121dba2df2, 0x1e69ae70c5983f12},
+         {1814400, 578225, 17212, 0xb8655b762bdff9ce, 0x33f93a6716d8abbc},
+         {2073600, 663436, 19911, 0x0a023ca3541c7bbe, 0xb80bd96d458ba695},
+         {2332800, 750269, 22496, 0xffa24327522809f6, 0xa4032f75d98f65e2}},
+        {{200, 1325}, {127, 1464}, {111, 1713}, {102, 1377}, {109, 1473},
+         {113, 1604}, {116, 1674}, {122, 1568}, {118, 1525}, {119, 1476},
+         {133, 1641}, {133, 1757}, {119, 1559}, {133, 1660}, {156, 1615}}}},
       // The same corpus, counters and epochs as kTiered.
       {GateConfig::kTieredCheckpointed,
-       {0x3f457cd0da08be64, 835752, 409438, 0x7a23aceac0155948, 114467,
-        {0xb06c1bb3af497a3f, 0xb2b3f8b609aaa940, 0x6937f2fd4842fdf0,
-         0x76d19b5d0044647d},
-        {{259200, 80896, 39405, 0x4062af51a102c842, 0x6bd50c0e87e00d21},
-         {518400, 162388, 79472, 0xf8fb695e9402d286, 0x34f3a57bc28e836f},
-         {777600, 244418, 119329, 0xa6570fe977b5f0ec, 0x7f8dea2a75d370fc},
-         {1036800, 327232, 159889, 0x1bc22b0a2c96e94e, 0x2409fe04a22c732a},
-         {1296000, 410531, 200661, 0x93f9e7634520fced, 0x6faddff5fcd38a02},
-         {1555200, 494152, 241973, 0x8414267cabae4c34, 0xe316996f82f7d8ac},
-         {1814400, 578225, 282749, 0xa6894637e557d88d, 0xdd5ceffef8c899a0},
-         {2073600, 663436, 324695, 0x604ab6cbd0625678, 0x7be5c73900b63f11},
-         {2332800, 750269, 367643, 0x59b7ef37aad1c9ec, 0x8d0ca99f6de49325}},
-        {{1094, 25576}, {880, 25963}, {945, 25788}, {1009, 25773},
-         {1051, 25932}, {1010, 26447}, {1041, 26561}, {1054, 26715},
-         {1137, 26446}, {1121, 26215}, {1150, 26831}, {1155, 27085},
-         {1214, 27734}, {1156, 27313}, {1195, 26974}}}},
+       {0x4637b2ed1f58601b, 835752, 409395, 0x2f6c8e2b907d6d8c, 114467,
+        {0x82cb98397613e3d7, 0x7cf7e59bf1cd9c80, 0x188fc1e2e8d6893c,
+         0x3c10e488ed737719},
+        {{259200, 80896, 39422, 0x098e4aeaf9768e32, 0x75d6d5c61f1fbb56},
+         {518400, 162388, 79481, 0x4ba8a883b3fac8e3, 0x0a67a44423342ea5},
+         {777600, 244418, 119337, 0x8a099844ebaa0aeb, 0x0d778fe9fb81a87d},
+         {1036800, 327232, 159913, 0xbc23cc75a02fd6f6, 0x5a6f0be1c88d001f},
+         {1296000, 410531, 200701, 0x8450ea140704e4a3, 0x35b0c55f5afc8c9f},
+         {1555200, 494152, 242061, 0x21da9f995de3d77e, 0x2ebe8c762eea6b5b},
+         {1814400, 578225, 282842, 0x9aa60438e4782af1, 0x0f4870402ec2169f},
+         {2073600, 663436, 324739, 0xda68617a01d0d092, 0x8785d6a37ae86c98},
+         {2332800, 750269, 367637, 0xd62067e3b12ae037, 0x0e31228697ff67e8}},
+        {{1091, 25577}, {880, 25962}, {943, 25812}, {1004, 25779},
+         {1053, 25946}, {1006, 26457}, {1043, 26583}, {1056, 26702},
+         {1134, 26457}, {1123, 26196}, {1156, 26827}, {1156, 27077},
+         {1211, 27679}, {1148, 27324}, {1194, 26998}}}},
   };
   return pins;
 }
