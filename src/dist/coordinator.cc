@@ -173,10 +173,7 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
     hitlist::add_vantage_health(result.vantage_health,
                                 final_ckpt.state.vantage_health);
   }
-  std::vector<const hitlist::Corpus*> parts;
-  for (const hitlist::Corpus& range : ranges) parts.push_back(&range);
-  result.corpus =
-      hitlist::Corpus::from_canonical(hitlist::Corpus::canonical_union(parts));
+  result.corpus = hitlist::Corpus::canonical_merge(std::move(ranges));
   return result;
 }
 

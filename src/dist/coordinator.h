@@ -1,8 +1,8 @@
 // The real-process coordinator. It shares with the in-process SimCluster
 // the lease state machine (LeaseTable: grants, the epoch fence, revokes,
 // backoff), the lease runner (run_lease()), the artifact names
-// (checkpoint_path()) and the reduce (one Corpus::canonical_union over
-// the final ranges). It owns the process side: the file mailboxes,
+// (checkpoint_path()) and the reduce (one Corpus::canonical_merge of the
+// final ranges). It owns the process side: the file mailboxes,
 // wall-clock liveness (a leased worker silent past the heartbeat timeout
 // is declared dead and its lease revoked; any later frame from it
 // re-admits it), frames.log and the merge over the workers' final

@@ -80,12 +80,8 @@ DistReport SimCluster::run(hitlist::Corpus& out,
   // Corpus aggregation is commutative and the ranges are disjoint, so one
   // canonical union of the caller's snapshot and the delivered ranges is
   // the same reduce the sharded single-process run performs.
-  std::vector<const hitlist::Corpus*> parts{&out};
-  for (const hitlist::Corpus& range : ranges) parts.push_back(&range);
-  std::vector<hitlist::AddressRecord> merged =
-      hitlist::Corpus::canonical_union(parts);
-  ranges.clear();
-  out = hitlist::Corpus::from_canonical(std::move(merged));
+  ranges.push_back(std::move(out));
+  out = hitlist::Corpus::canonical_merge(std::move(ranges));
   count_records(out.size() - records,
                 out.total_observations() - observations);
   return report;

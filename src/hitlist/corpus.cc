@@ -245,6 +245,15 @@ std::vector<AddressRecord> Corpus::canonical_union(
   return out;
 }
 
+Corpus Corpus::canonical_merge(std::vector<Corpus> parts) {
+  std::vector<const Corpus*> pointers;
+  pointers.reserve(parts.size());
+  for (const Corpus& part : parts) pointers.push_back(&part);
+  std::vector<AddressRecord> records = canonical_union(pointers);
+  parts.clear();
+  return from_canonical(std::move(records));
+}
+
 void Corpus::canonicalize() {
   if (records_.empty()) return;
   std::sort(records_.begin(), records_.end(),

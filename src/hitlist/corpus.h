@@ -65,6 +65,11 @@ class Corpus {
   static std::vector<AddressRecord> canonical_union(
       std::span<const Corpus* const> parts);
 
+  // The merged corpus of `parts`, canonical: canonical_union() adopted by
+  // from_canonical(), with the parts released before the index is built.
+  // The dist reduce over a run's device ranges.
+  static Corpus canonical_merge(std::vector<Corpus> parts);
+
   // A moved-from Corpus is empty but fully usable: find() answers
   // nullptr and the next add() lazily re-creates a minimal table (the
   // default-move alternative left an empty index vector that find()/add()

@@ -245,6 +245,12 @@ TEST(Corpus, CanonicalUnionEqualsMergeThenCanonicalize) {
 
   EXPECT_TRUE(Corpus::canonical_union({}).empty());
   EXPECT_EQ(Corpus::from_canonical({}).size(), 0u);
+
+  // canonical_merge is the same reduce over owned parts.
+  const Corpus merged = Corpus::canonical_merge(std::move(parts));
+  expect_same_records(merged.records(), want.records());
+  EXPECT_EQ(merged.total_observations(), want.total_observations());
+  EXPECT_EQ(Corpus::canonical_merge({}).size(), 0u);
 }
 
 TEST(Corpus, MoveTransfersContents) {
