@@ -16,7 +16,7 @@ BadAppleReport bad_apple_linkage(const ScanSource& corpus,
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_slash64;
   const auto tracks = tracker.tracks();
   for (std::uint32_t i = 0; i < tracks.size(); ++i) {
-    for (const auto& point : tracker.timeline(tracks[i].mac)) {
+    for (const auto& point : tracker.sightings(i)) {
       auto& apples = by_slash64[point.slash64_hi];
       if (apples.empty() || apples.back() != i) apples.push_back(i);
     }

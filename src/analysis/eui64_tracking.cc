@@ -156,9 +156,8 @@ std::vector<TimelinePoint> Eui64Tracker::timeline(
     const net::MacAddress& mac) const {
   for (std::size_t i = 0; i < tracks_.size(); ++i) {
     if (tracks_[i].mac == mac) {
-      const auto [begin, end] = ranges_[i];
-      return {sightings_.begin() + static_cast<std::ptrdiff_t>(begin),
-              sightings_.begin() + static_cast<std::ptrdiff_t>(end)};
+      const auto points = sightings(i);
+      return {points.begin(), points.end()};
     }
   }
   return {};

@@ -15,9 +15,10 @@ std::vector<RotationEstimate> infer_rotation_periods(
     as_by_asn[world.ases()[ai].asn] = ai;
   }
 
-  for (const auto& track : tracker.tracks()) {
-    if (track.slash64s < 2) continue;
-    const auto timeline = tracker.timeline(track.mac);
+  const auto tracks = tracker.tracks();
+  for (std::size_t t = 0; t < tracks.size(); ++t) {
+    if (tracks[t].slash64s < 2) continue;
+    const auto timeline = tracker.sightings(t);
     for (std::size_t i = 1; i < timeline.size(); ++i) {
       const auto& prev = timeline[i - 1];
       const auto& curr = timeline[i];
