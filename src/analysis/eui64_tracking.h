@@ -87,16 +87,14 @@ class Eui64Tracker {
   std::vector<std::pair<std::uint32_t, double>> slash64_ccdf(
       std::span<const std::uint32_t> points) const;
 
-  // The sighting timeline of tracks()[track] (first-seen ordered), in
-  // constant time: a pass over every track stays linear.
-  std::span<const TimelinePoint> sightings(std::size_t track) const noexcept {
-    const auto [begin, end] = ranges_[track];
-    return std::span<const TimelinePoint>(sightings_).subspan(begin,
-                                                              end - begin);
+  // The timeline of tracks()[i] (first-seen ordered), in constant time.
+  std::span<const TimelinePoint> sightings(std::size_t i) const noexcept {
+    return {sightings_.data() + ranges_[i].first,
+            sightings_.data() + ranges_[i].second};
   }
 
-  // The sighting timeline of one MAC (first-seen ordered); a linear search
-  // for the MAC's track.
+  // The sighting timeline of one MAC (first-seen ordered); searches the
+  // tracks linearly.
   std::vector<TimelinePoint> timeline(const net::MacAddress& mac) const;
 
   // A representative exemplar MAC for each class, if one exists (Fig 7).

@@ -10,13 +10,11 @@
 // redone, never WHAT gets recorded:
 //
 //   * every device's polls draw only from its own seeded RNG, pool DNS
-//     resolution is const and loss and fault verdicts are pure hashes, so
-//     a range collected alone records exactly what the full run records
-//     for those devices; ranges are disjoint, so their union is the full
-//     corpus and their counters add up to the single-process counters.
-//     This holds on the wire_fidelity path too: a wire poll is delivered
-//     to the lease collector's own server, not to a plane-wide binding.
-//     Total work is flat in the worker count;
+//     resolution is const and loss and fault verdicts are pure hashes
+//     (wire path included), so a range collected alone records exactly
+//     what the full run records for those devices; ranges are disjoint,
+//     so their union is the full corpus and their counters add up to the
+//     single-process counters. Total work is flat in the worker count;
 //   * a lease executes through the existing checkpoint machinery — every
 //     chunk boundary uploads a durable (state, corpus) snapshot of the
 //     range; a kill or revocation loses at most the chunks since the last

@@ -1,25 +1,19 @@
 // The passive collection pipeline: every pool-using device's NTP polls,
 // steered to vantage servers by the pool DNS, logged into a Corpus.
 //
-// Two execution paths produce identical corpora (a test asserts it, at
-// any loss rate and thread count):
+// Two execution paths produce identical corpora (a test asserts it):
 //   * wire-fidelity — each poll runs the full stack: RFC 5905 client
-//     request -> UDP with pseudo-header checksum -> data-plane delivery to
-//     the shard's own server for that vantage (loss applies) -> server
-//     decode/validate/respond -> client validates the response (mode,
-//     origin echo). This is the honest path.
+//     request -> UDP with pseudo-header checksum -> data-plane delivery
+//     (loss applies) -> server decode/validate/respond -> client validates
+//     the response (mode, origin echo). This is the honest path.
 //   * fast — skips serialization but keeps the identical control flow
-//     (same DNS steering, same server-side record call) and asks the data
-//     plane for the same loss verdict (DataPlane::udp_fate), which makes
-//     the 10M+-poll benches tractable.
-// Both paths spend the two RNG draws of each poll attempt the same way:
-// the first is the client's nonce (u32), the second picks its source
-// port (49152 + (r2 >> 50)). The plane's UDP verdict is keyed on that
-// identity (addresses, ports, second, nonce), never on payload bytes, so
-// the device streams stay in lockstep and the paths lose the same polls.
-// The one difference is bookkeeping: the wire path's transit and fault
-// drops count in the plane's counters (v6_plane_drops_total,
-// v6_plane_fault_drops_total); the fast path counts none there.
+//     (same DNS steering, same loss verdict via DataPlane::udp_fate, same
+//     server-side record call), which makes the 10M+-poll benches
+//     tractable.
+// Both paths spend each poll attempt's two RNG draws as the client's nonce
+// and source port, the identity the plane keys its loss verdict on, so the
+// streams stay in lockstep and the corpora are bit-identical at any loss
+// rate. Only the wire path counts its drops in the plane's counters.
 //
 // Per sync event the order is: outage check -> capture draw -> client
 // address -> steer. An event in an outaged AS returns before any draw.
@@ -38,12 +32,11 @@
 //
 // Collection shards across threads, on both paths: devices are partitioned
 // into contiguous ranges, each shard runs the per-device loop into its own
-// Corpus (through its own NtpServer per vantage, which the wire path hands
-// the data plane with each poll) on one util::ThreadPool that lives for
-// the whole window (merge barriers spawn no threads), and the shards
-// reduce through Corpus::merge(). Because every device's observation
-// stream derives only from its own seeded RNG and the plane's verdicts are
-// pure hashes, the merged corpus is bit-identical (size,
+// Corpus through its own NtpServer per vantage, on one util::ThreadPool
+// that lives for the whole window (merge barriers spawn no threads), and
+// the shards reduce through Corpus::merge(). Because every device's
+// observation stream derives only from its own seeded RNG, the merged
+// corpus is bit-identical (size,
 // total_observations, every record field) to the threads=1 run — a
 // property the tests assert. The dist layer cuts the same partition
 // across machines (device_begin/end).
@@ -107,8 +100,7 @@ class TieredCorpus;
 
 struct CollectorConfig {
   // Runs every poll through the RFC 5905 codec and the plane's UDP path.
-  // Transit loss on both paths is the data plane's (DataPlaneConfig::
-  // loss_rate).
+  // Either way, transit loss is DataPlaneConfig::loss_rate.
   bool wire_fidelity = false;
   std::uint64_t seed = 3;
   // Ablation switch: treat every client as a single-packet (non-iburst)

@@ -8,18 +8,16 @@
 // only the path hop the hop limit names; no packet is built or parsed.
 // UDP datagrams still travel as real wire bytes (send_udp(), the
 // collector's wire_fidelity path): encoded, checksummed and decoded at
-// both ends, and delivered to the service the sender passes with the
-// datagram (the plane keeps no binding table, so senders on many threads
-// each reach their own server objects).
+// both ends, and handed to the service the sender passes in.
 //
 // A configurable loss rate models the real Internet's flakiness; scanners
 // must tolerate it. Loss is a counter-based verdict, not a sequential RNG:
 // each leg's fate is a hash of the plane key (from config.seed) and the
 // probe's identity: src, dst, protocol and port, hop limit, ident/seq
 // (TCP: sequence; UDP: both ports and the sender's nonce, never the
-// payload bytes), t, and the leg (request or answer). A probe's fate therefore does not
-// depend on what else was sent, or in which order, and probes may be
-// issued from many threads at once. Two identical probes (same identity, same second)
+// payload), t, and the leg (request or answer). A probe's fate therefore
+// does not depend on what else was sent, or in which order, and probes
+// may be issued from many threads at once. Two identical probes (same identity, same second)
 // share one fate; a scanner that retries must change the probe (ZMap6
 // puts the attempt number in the sequence). A probe is judged once for
 // its request and, only if something answers, once for the answer.
@@ -79,9 +77,8 @@ struct ProbeResult {
   std::uint16_t sequence = 0;
 };
 
-// The service a UDP datagram is delivered to (e.g. a vantage NTP server),
-// passed by the sender with each datagram. Returns the response payload,
-// if any; an empty service means nothing listens.
+// The service a UDP datagram is delivered to (e.g. a vantage NTP server).
+// Returns the response payload, if any; an empty service never answers.
 using UdpService = std::function<std::optional<std::vector<std::uint8_t>>(
     const net::Ipv6Address& src, std::uint16_t src_port,
     const std::vector<std::uint8_t>& payload, util::SimTime t)>;
@@ -115,26 +112,19 @@ class DataPlane {
                      std::uint16_t dst_port, std::uint32_t sequence,
                      util::SimTime t);
 
-  // The loss verdict of one UDP exchange, keyed on its identity: both
-  // addresses and ports, the send second and a sender-chosen `nonce` (the
-  // NTP client's transmit nonce), never the payload bytes. Two datagrams
-  // that differ only in payload share one fate; a sender that re-sends
-  // within a second must change the nonce or a port.
+  // The loss verdict of one UDP exchange, keyed on its identity (both
+  // addresses and ports, t, the sender's `nonce`), never the payload.
+  // Asking it encodes and counts nothing; send_udp() acts on exactly it.
   struct UdpFate {
     bool request_lost = false;
     bool answer_lost = false;
   };
-  // Asks the verdict without sending anything: nothing is encoded and no
-  // drop is counted. send_udp() acts on exactly this verdict, so a caller
-  // that models the exchange itself (the collector's fast path) loses the
-  // same datagrams the wire path does.
   UdpFate udp_fate(const net::Ipv6Address& src, std::uint16_t src_port,
                    const net::Ipv6Address& dst, std::uint16_t dst_port,
                    std::uint32_t nonce, util::SimTime t) const noexcept;
 
   // Sends a UDP payload to `service` at (dst, dst_port); returns the
-  // response payload when the service answers and nothing was lost. Drops
-  // and fault drops are counted; safe to call from many threads at once.
+  // response payload when the service answers and nothing was lost.
   std::optional<std::vector<std::uint8_t>> send_udp(
       const net::Ipv6Address& src, std::uint16_t src_port,
       const net::Ipv6Address& dst, std::uint16_t dst_port,
@@ -197,15 +187,15 @@ class DataPlane {
   const FaultSchedule* faults_ = nullptr;
   // Probes and wire polls run on many threads, so the drop tallies are
   // relaxed atomics; the wrapper keeps the plane movable.
-  struct RelaxedCount {
+  struct DropCount {
     std::atomic<std::uint64_t> value{0};
-    RelaxedCount() = default;
-    RelaxedCount(RelaxedCount&& other) noexcept
+    DropCount() = default;
+    DropCount(DropCount&& other) noexcept
         : value(other.value.load(std::memory_order_relaxed)) {}
   };
-  RelaxedCount drops_;
+  DropCount drops_;
   std::uint64_t rate_limited_ = 0;
-  RelaxedCount fault_drops_;
+  DropCount fault_drops_;
   obs::Counter metric_drops_;
   obs::Counter metric_rate_limited_;
   obs::Counter metric_fault_drops_;
