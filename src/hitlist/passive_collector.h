@@ -36,9 +36,8 @@
 // that lives for the whole window (merge barriers spawn no threads), and
 // the shards reduce through Corpus::merge(). Because every device's
 // observation stream derives only from its own seeded RNG, the merged
-// corpus is bit-identical (size,
-// total_observations, every record field) to the threads=1 run — a
-// property the tests assert. The dist layer cuts the same partition
+// corpus is bit-identical (size, total_observations, every record field)
+// to the threads=1 run — a property the tests assert. The dist layer cuts the same partition
 // across machines (device_begin/end).
 //
 // Merge barriers: every chunk boundary (checkpoint, sampler, epoch or

@@ -17,9 +17,9 @@
 // (TCP: sequence; UDP: both ports and the sender's nonce, never the
 // payload), t, and the leg (request or answer). A probe's fate therefore
 // does not depend on what else was sent, or in which order, and probes
-// may be issued from many threads at once. Two identical probes (same identity, same second)
-// share one fate; a scanner that retries must change the probe (ZMap6
-// puts the attempt number in the sequence). A probe is judged once for
+// may be issued from many threads at once. Two identical probes (same
+// identity, same second) share one fate; a scanner that retries must
+// change the probe (ZMap6 puts the attempt number in the sequence). A probe is judged once for
 // its request and, only if something answers, once for the answer.
 //
 // The one order-dependent piece is router ICMP rate limiting: a Time
