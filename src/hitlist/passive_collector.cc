@@ -1,7 +1,10 @@
 #include "hitlist/passive_collector.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <limits>
+#include <utility>
 
 #include "hitlist/tiered_corpus.h"
 #include "proto/ntp_packet.h"
@@ -108,28 +111,8 @@ PassiveCollector::PassiveCollector(const sim::World& world,
 void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
                                      util::SimTime t,
                                      util::SimTime window_end) const {
-  // An AS-wide outage silences every host in it (the intro's outage-
-  // detection use case: the corpus time series shows the hole). A
-  // silenced event draws nothing.
-  if (world_->config().outage_count > 0 &&
-      world_->in_outage(world_->attachment(ds.id, t).as_index, t)) {
-    return;
-  }
   // Replaying a checkpointed prefix runs the same draws without counting.
   const bool record = shard.recording;
-  // One DNS resolution per sync event; every packet of an iburst (and
-  // every retry) rides it to the same server. Most resolutions go to one
-  // of the thousands of pool servers that are not ours: those packets are
-  // invisible to the study, counted as polls and not retried here.
-  if (!dns_->captures(ds.rng)) {
-    // A burst is one sync event: its packets go out ~2s apart, and the
-    // collection window may close mid-burst.
-    if (record) {
-      shard.tally.polls += static_cast<std::uint64_t>(
-          std::min<util::SimTime>(ds.burst, (window_end - t + 1) / 2));
-    }
-    return;
-  }
   // Only captured events need the client's address. Health-aware steering
   // may redirect the pick away from a monitored-down vantage.
   const net::Ipv6Address client = world_->device_address(ds.id, t);
@@ -205,20 +188,103 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
   }
 }
 
+bool PassiveCollector::silenced(sim::DeviceId id, util::SimTime t) const {
+  return world_->in_outage(world_->attachment(id, t).as_index, t);
+}
+
 void PassiveCollector::process_chunk(ShardState& shard,
                                      util::SimTime window_end,
                                      util::SimTime chunk_end) const {
-  for (DeviceState& ds : shard.devices) {
-    for (;;) {
-      if (!ds.pending) {
-        ds.pending = ds.schedule.next(ds.cursor);
-        if (!ds.pending) break;  // schedule exhausted
-      }
-      if (*ds.pending >= chunk_end) break;  // belongs to a later chunk
-      const util::SimTime t = *ds.pending;
-      ds.pending.reset();
-      process_event(shard, ds, t, window_end);
+  std::vector<DeviceState>& devices = shard.devices;
+  while (shard.arrived < devices.size() &&
+         devices[shard.arrived].schedule.poll_time(0) < chunk_end) {
+    ++shard.arrived;
+  }
+  // Visits the active devices back to front, sliding each one with polls
+  // left up against the pending ones, so the active devices stay
+  // contiguous and in first-poll order and the retired ones drop out.
+  std::size_t keep = shard.arrived;
+  for (std::size_t i = shard.arrived; i-- > shard.retired;) {
+    DeviceState& ds = devices[i];
+    process_device(shard, ds, window_end, chunk_end);
+    if (ds.cursor.polls < ds.schedule.count() && --keep != i) {
+      devices[keep] = ds;
     }
+  }
+  shard.retired = keep;
+}
+
+void PassiveCollector::process_device(ShardState& shard, DeviceState& ds,
+                                      util::SimTime window_end,
+                                      util::SimTime chunk_end) const {
+  const bool outages = world_->config().outage_count > 0;
+  const ntp::ClientSchedule& schedule = ds.schedule;
+  const std::uint64_t first = ds.cursor.polls;
+  const std::uint64_t last = schedule.polls_before(chunk_end);
+  if (last == first) return;
+  ds.cursor.polls = last;
+  // Packets of a sync event at t before the window closes mid-burst
+  // (they go out ~2 s apart): what an uncaptured event counts.
+  const auto packets = [&](util::SimTime t) {
+    return static_cast<std::uint64_t>(
+        std::min<util::SimTime>(ds.burst, (window_end - t + 1) / 2));
+  };
+  if (shard.recording) {
+    // Every poll of the chunk, in bulk, as a whole uncaptured burst...
+    shard.tally.polls += ds.burst * (last - first);
+    // ...less what fires short: bursts cut by the window end, and polls
+    // an AS-wide outage silences (the intro's outage-detection use
+    // case: the corpus time series shows the hole). Only polls in those
+    // zones are visited; a mobile device's outage is checked per poll,
+    // since it roams between ASes.
+    struct Zone {
+      std::uint64_t begin, end;  // poll indices
+    };
+    // The window's end, the home and relocation sites' ASes and every
+    // carrier's (see World::for_each_attachable_as).
+    std::array<Zone, 3 + std::size(sim::MobilityProfile{}.carrier_as)> zones;
+    std::size_t zone_count = 0;
+    const auto add_zone = [&](util::SimTime a, util::SimTime b) {
+      if (a >= chunk_end) return;
+      const Zone zone{std::max(first, schedule.polls_before(a)),
+                      std::min(last, schedule.polls_before(b))};
+      if (zone.begin >= zone.end) return;
+      // Kept sorted by begin (an insertion sort: there are few zones).
+      std::size_t i = zone_count++;
+      for (; i > 0 && zones[i - 1].begin > zone.begin; --i) {
+        zones[i] = zones[i - 1];
+      }
+      zones[i] = zone;
+    };
+    add_zone(window_end - 2 * ds.burst, window_end);
+    if (outages) {
+      world_->for_each_attachable_as(ds.id, [&](std::uint32_t as_index) {
+        const sim::AsInfo& as = world_->ases()[as_index];
+        if (as.outage_duration > 0) {
+          add_zone(as.outage_start, as.outage_start + as.outage_duration);
+        }
+      });
+    }
+    std::uint64_t done = first;  // zones may overlap; visit a poll once
+    for (std::size_t z = 0; z < zone_count; ++z) {
+      for (std::uint64_t j = std::max(done, zones[z].begin);
+           j < zones[z].end; ++j) {
+        const util::SimTime t = schedule.poll_time(j);
+        const bool dark = outages && silenced(ds.id, t);
+        shard.tally.polls -= ds.burst - (dark ? 0 : packets(t));
+      }
+      done = std::max(done, zones[z].end);
+    }
+  }
+  // The captured polls: the only ones that draw, resolve and record.
+  // Each replaces its bulk count with what process_event() counts; a
+  // silenced one was already taken out and draws nothing.
+  for (; ds.captured < last;
+       ds.captured = dns_->next_capture(ds.capture_key, ds.captured + 1)) {
+    const util::SimTime t = schedule.poll_time(ds.captured);
+    if (outages && silenced(ds.id, t)) continue;
+    if (shard.recording) shard.tally.polls -= packets(t);
+    process_event(shard, ds, t, window_end);
   }
 }
 
@@ -271,26 +337,36 @@ void PassiveCollector::collect(Corpus* memory, TieredCorpus* runs,
     // Contiguous device range (the same partition run_sharded uses), so
     // the shard layout is a pure function of (device count, shard count).
     const util::ShardRange range = util::shard_range(devices.size(), s, shards);
-    shard.devices.reserve(static_cast<std::size_t>(std::count_if(
-        devices.begin() + static_cast<std::ptrdiff_t>(range.begin),
-        devices.begin() + static_cast<std::ptrdiff_t>(range.end),
-        [](const sim::Device& dev) { return dev.ntp.uses_pool; })));
+    // Ordered by first poll (then device id): the order the chunks
+    // admit them in.
+    std::vector<std::pair<util::SimTime, std::size_t>> order;
     for (std::size_t d = range.begin; d < range.end; ++d) {
       const sim::Device& dev = devices[d];
       if (!dev.ntp.uses_pool) continue;
+      const ntp::ClientSchedule schedule(dev, from.window_start,
+                                         from.window_end);
+      if (schedule.count() > 0) order.emplace_back(schedule.poll_time(0), d);
+    }
+    std::sort(order.begin(), order.end());
+    shard.devices.reserve(order.size());
+    for (const auto& [first_poll, d] : order) {
+      const sim::Device& dev = devices[d];
       // Order-independent per-device stream: the collection result does
       // not depend on enumeration order (the property that makes sharding
       // devices across threads or machines — and across checkpoint
       // epochs — bit-exact).
+      const std::uint64_t stream =
+          util::mix64(config_.seed ^ 0xc0111ec7 ^ util::mix64(dev.seed));
+      const std::uint64_t capture_key = util::mix64(stream ^ 0xca97);
       shard.devices.push_back(DeviceState{
           dev.id,
           config_.ignore_bursts ? std::uint8_t{1}
                                 : std::max<std::uint8_t>(dev.ntp.burst, 1),
-          util::Rng(
-              util::mix64(config_.seed ^ 0xc0111ec7 ^ util::mix64(dev.seed))),
+          util::Rng(stream),
           ntp::ClientSchedule(dev, from.window_start, from.window_end),
           {},
-          std::nullopt});
+          capture_key,
+          dns_->next_capture(capture_key, 0)});
     }
   }
 

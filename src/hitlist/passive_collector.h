@@ -15,16 +15,23 @@
 // streams stay in lockstep and the corpora are bit-identical at any loss
 // rate. Only the wire path counts its drops in the plane's counters.
 //
-// Per sync event the order is: outage check -> capture draw -> client
-// address -> steer. An event in an outaged AS returns before any draw.
-// Otherwise PoolDns::captures() makes the one draw that decides whether
-// the query reaches one of our vantages at all; the study's share is
-// 0.03, so most events stop there and only count their burst packets as
-// polls. Only a captured event computes World::device_address() and
-// steers through PoolDns::resolve(). This is byte-identical to resolving
-// every event, because the capture draw never read the address: each
-// device stream sees the same draws in the same order, and the address
-// feeds only steering and the captured polls.
+// Per device and chunk, the work is O(captured events). The device's
+// ClientSchedule counts its polls in the chunk in closed form, and all of
+// them are first counted in bulk as whole uncaptured bursts (`burst`
+// packets each). Then only the polls that fire short are visited and
+// corrected: those in the window's last 2*burst seconds, where a burst is
+// cut, and those inside an outage window of an AS the device can attach
+// to, checked one by one with World::attachment() because mobile devices
+// roam. Capture is a keyed geometric skip over poll indices
+// (PoolDns::next_capture(), share 0.03 in the study), so the collector
+// jumps from one captured poll to the next without touching the rest.
+// Per captured poll the order is: outage check -> client address ->
+// steer -> burst. A silenced poll draws nothing. Only captured polls
+// compute World::device_address(), steer through PoolDns::resolve() and
+// spend the device Rng, so each device stream sees the same draws in the
+// same order on both paths, whatever the chunking. Every count is a pure
+// function of the chunk's end time, so the totals at any barrier do not
+// depend on which grids are on.
 //
 // Clients retry unanswered polls RFC 5905-style: up to `retry_limit`
 // re-sends with exponential backoff, which is what lets the corpus survive
@@ -65,10 +72,11 @@
 // collection pauses at every sim-time boundary window_start + k*interval
 // and hands the sink a CheckpointState cursor plus the corpus-so-far (in
 // memory, the running union itself, by reference). A crashed run
-// restarts via resume(): the enumeration
-// [window_start, resume_from) is replayed with recording suppressed —
+// restarts via resume(): the captured polls of
+// [window_start, resume_from) are replayed with recording suppressed —
 // consuming RNG, DNS, and data-plane state exactly as the original run
-// did — then recording switches on at resume_from. The chunk boundaries
+// did, and skipping the uncaptured ones as the original run did — then
+// recording switches on at resume_from. The chunk boundaries
 // never alter any per-device stream, so an interrupted-and-resumed run is
 // bit-identical to an uninterrupted one (a test asserts this at every
 // checkpoint under an active fault schedule).
@@ -324,23 +332,29 @@ class PassiveCollector {
     std::uint64_t answered = 0;
   };
 
-  // A pool-using device mid-enumeration: its seeded RNG, its schedule,
-  // and the poll popped from the schedule but not yet processed (because
-  // it belongs to a later chunk).
+  // A pool-using device mid-enumeration: its seeded RNG (spent only on
+  // captured polls), its schedule, the cursor past the polls of the
+  // chunks done, and its next captured poll.
   struct DeviceState {
     sim::DeviceId id;
     std::uint8_t burst;  // packets per sync event (>= 1)
     util::Rng rng;
     ntp::ClientSchedule schedule;
     ntp::ClientSchedule::Cursor cursor;
-    std::optional<util::SimTime> pending;
+    std::uint64_t capture_key;  // keys PoolDns::next_capture()
+    std::uint64_t captured;     // poll index; PoolDns::kNoCapture: none
   };
 
   // Everything one shard carries across chunk boundaries.
   struct ShardState {
     Corpus corpus{1 << 12};
     std::vector<std::unique_ptr<ntp::NtpServer>> servers;
+    // The devices that poll at least once, by first poll instant:
+    // [0, retired) are done, [retired, arrived) active and the rest not
+    // started.
     std::vector<DeviceState> devices;
+    std::size_t retired = 0;
+    std::size_t arrived = 0;
     ShardTally tally;
     std::vector<VantageHealthStats> vantage;
     // Observations recorded into this shard's corpus per vantage id
@@ -357,11 +371,20 @@ class PassiveCollector {
   void collect(Corpus* memory, TieredCorpus* runs, const CheckpointState& from,
                const ObservationHook& hook, const CheckpointSink& sink);
 
-  // Processes every sync event of this shard with base time < chunk_end.
+  // Processes every sync event of this shard with base time < chunk_end:
+  // the uncaptured ones counted in closed form, the captured ones one by
+  // one. Only devices between their first and last poll are visited.
   void process_chunk(ShardState& shard, util::SimTime window_end,
                      util::SimTime chunk_end) const;
 
-  // One sync event (burst + per-packet retries) for one device.
+  // One device's sync events with base time < chunk_end.
+  void process_device(ShardState& shard, DeviceState& ds,
+                      util::SimTime window_end, util::SimTime chunk_end) const;
+
+  // Whether an AS-wide outage silences the device at t.
+  bool silenced(sim::DeviceId id, util::SimTime t) const;
+
+  // One captured sync event (burst + per-packet retries) for one device.
   void process_event(ShardState& shard, DeviceState& ds, util::SimTime t,
                      util::SimTime window_end) const;
 

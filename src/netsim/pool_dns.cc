@@ -1,5 +1,6 @@
 #include "netsim/pool_dns.h"
 
+#include <cmath>
 #include <limits>
 
 #include "geo/location.h"
@@ -10,10 +11,14 @@ PoolDns::PoolDns(const sim::World& world, double global_fraction,
                  double vantage_share)
     : world_(&world),
       global_fraction_(global_fraction),
-      vantage_share_(vantage_share) {
+      skip_scale_(std::numeric_limits<double>::infinity()) {
   for (const auto& v : world.vantages()) {
     by_country_[v.country].push_back(&v);
     all_.push_back(&v);
+  }
+  if (!all_.empty() && vantage_share > 0.0) {
+    skip_scale_ =
+        vantage_share >= 1.0 ? 0.0 : 1.0 / std::log1p(-vantage_share);
   }
   // Materialize the steering table for every country the registry knows:
   // resolve() runs concurrently from collection shards, so lookups after
@@ -57,6 +62,19 @@ void PoolDns::set_metrics(obs::Registry* registry) {
   metric_steer_flips_ = registry->counter(
       "v6_pool_steer_flips_total",
       "Resolutions where health monitoring removed a steering candidate");
+}
+
+std::uint64_t PoolDns::next_capture(std::uint64_t key,
+                                    std::uint64_t from) const noexcept {
+  if (skip_scale_ > 0.0) return kNoCapture;
+  if (skip_scale_ == 0.0) return from;
+  const double u = static_cast<double>(
+                       util::mix64(key + from * 0x9e3779b97f4a7c15ULL) >> 11) *
+                   0x1.0p-53;
+  // Uncaptured queries before the next capture: ⌊ln(1−u) / ln(1−share)⌋.
+  const double skip = std::floor(std::log1p(-u) * skip_scale_);
+  return skip < 0x1.0p62 ? from + static_cast<std::uint64_t>(skip)
+                         : kNoCapture;
 }
 
 const std::vector<const sim::VantagePoint*>& PoolDns::candidates(

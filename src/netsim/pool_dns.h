@@ -8,6 +8,8 @@
 // to great-circle-nearest vantage countries.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -30,21 +32,27 @@ class PoolDns {
   // `vantage_share` is the probability a pool query lands on one of *our*
   // vantage servers at all: the pool has thousands of servers and ours
   // are a sliver of the rotation, so most polls are simply invisible to
-  // the study (captures() says which).
+  // the study (next_capture() says which).
   explicit PoolDns(const sim::World& world, double global_fraction = 0.10,
                    double vantage_share = 1.0);
 
-  // Whether one pool query lands on one of our vantages at all: a single
-  // rng.chance(vantage_share) draw (none when the share is 0 or 1), and
-  // no draw and false when the pool has no vantage. It needs no client
-  // address, so a caller decides capture before computing one and steers
-  // only the captured queries through resolve(). Thread-safe like
-  // resolve().
-  bool captures(util::Rng& rng) const noexcept {
-    return !all_.empty() && rng.chance(vantage_share_);
-  }
+  // Which of a client's pool queries land on one of our vantages at all,
+  // as a keyed geometric skip: query indices from `from` on are captured
+  // independently with probability vantage_share, and this returns the
+  // first captured index >= from, drawn from one keyed uniform
+  // u(key, from) by the inverse CDF of the geometric law. Called with
+  // from = 0 and then with one past each index it returned, it enumerates
+  // a Bernoulli(vantage_share) subset of the queries in O(1) per capture.
+  // A share of 1 captures every query and a share of 0 (or a pool with no
+  // vantage) none, returning kNoCapture; neither hashes. It needs no
+  // client address and no Rng, so a caller skips straight to the captured
+  // queries and steers only those through resolve(). Thread-safe.
+  static constexpr std::uint64_t kNoCapture =
+      std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t next_capture(std::uint64_t key,
+                             std::uint64_t from) const noexcept;
 
-  // Steers a captured query (see captures()) for this client at time t:
+  // Steers a captured query (see next_capture()) for this client at time t:
   // picks one of the vantage servers appropriate for the client's
   // (IP-geolocated) country, with round-robin rotation driven by `rng`.
   // Returns nullptr only when the pool has no vantage at all (empty
@@ -93,7 +101,9 @@ class PoolDns {
 
   const sim::World* world_;
   double global_fraction_;
-  double vantage_share_;
+  // 1 / ln(1 − vantage_share), the geometric skip's scale: 0 when every
+  // query is captured, +inf when none is.
+  double skip_scale_;
   const FaultSchedule* health_ = nullptr;
   util::SimDuration monitoring_delay_ = 0;
   std::unordered_map<geo::CountryCode, std::vector<const sim::VantagePoint*>>

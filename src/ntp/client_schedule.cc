@@ -1,51 +1,34 @@
 #include "ntp/client_schedule.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace v6::ntp {
 
 ClientSchedule::ClientSchedule(const sim::Device& device,
                                util::SimTime window_start,
-                               util::SimTime window_end) noexcept
-    : seed_(device.seed),
-      poll_interval_(device.ntp.uses_pool && device.ntp.poll_interval > 0
-                         ? device.ntp.poll_interval
-                         : 0),
-      online_fraction_(device.ntp.online_fraction),
-      start_(std::max(window_start, device.active_start)),
-      end_(std::min(window_end, device.active_end)) {}
-
-std::optional<util::SimTime> ClientSchedule::next(
-    Cursor& cursor) const noexcept {
-  if (poll_interval_ == 0) return std::nullopt;
-  if (!cursor.initialized) {
-    // Phase-shift the first poll so fleets don't thunder in lockstep.
-    cursor.t = start_ + static_cast<util::SimTime>(
-                            util::mix64(seed_ ^ 0x9011) %
-                            static_cast<std::uint64_t>(poll_interval_));
-    cursor.k = 0;
-    cursor.initialized = true;
+                               util::SimTime window_end) noexcept {
+  const util::SimTime start = std::max(window_start, device.active_start);
+  const util::SimTime end = std::min(window_end, device.active_end);
+  const bool polls = device.ntp.uses_pool && device.ntp.poll_interval > 0 &&
+                     device.ntp.online_fraction > 0.0 && start < end;
+  if (!polls) {
+    // Every instant lies at or past the end: polls_before() is 0.
+    end_ = std::numeric_limits<util::SimTime>::min();
+    return;
   }
-  const double interval = static_cast<double>(poll_interval_);
-  while (cursor.t < end_) {
-    const util::SimTime t = cursor.t;
-    const std::uint64_t k = cursor.k;
-    const double online_roll =
-        unit(util::mix64(seed_ ^ 0x0411e ^ util::mix64(k)));
-    // Next poll: 0.5x..1.5x the nominal interval.
-    const double jitter =
-        0.5 + unit(util::mix64(seed_ ^ 0x171e4 ^ util::mix64(k)));
-    cursor.t += static_cast<util::SimDuration>(interval * jitter) + 1;
-    ++cursor.k;
-    if (online_roll < online_fraction_) return t;
-  }
-  return std::nullopt;
-}
-
-std::uint64_t ClientSchedule::count() const noexcept {
-  std::uint64_t n = 0;
-  for_each([&n](util::SimTime) { ++n; });
-  return n;
+  interval_ = device.ntp.poll_interval;
+  jitter_key_ = util::mix64(device.seed ^ 0x171e4);
+  // Phase-shift the lattice so fleets don't thunder in lockstep.
+  phase_ = start + static_cast<util::SimTime>(
+                       util::mix64(device.seed ^ 0x9011) %
+                       static_cast<std::uint64_t>(interval_));
+  end_ = end;
+  online_ = static_cast<std::uint64_t>(
+      std::llround(std::min(device.ntp.online_fraction, 1.0) * 0x1.0p32));
+  phi_ = util::mix64(device.seed ^ 0x0411e) >> 32;
+  count_ = online_before_slot(slots_before(end_));
 }
 
 }  // namespace v6::ntp

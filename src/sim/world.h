@@ -158,6 +158,23 @@ class World {
   };
   Attachment attachment(DeviceId device, util::SimTime t) const;
 
+  // Calls fn(as_index) for every AS `device` can attach to at some
+  // instant (home site, relocation site, carriers), possibly more than
+  // once: a superset of attachment(device, t).as_index over all t.
+  template <typename Fn>
+  void for_each_attachable_as(DeviceId device, Fn&& fn) const {
+    const Device& dev = devices_[device];
+    const MobilityProfile& mob = dev.mobility;
+    fn(dev.site != kNoSite ? sites_[dev.site].as_index : mob.carrier_as[0]);
+    if (mob.relocation_site != kNoSite) {
+      fn(sites_[mob.relocation_site].as_index);
+    }
+    if (!mob.mobile) return;
+    for (std::uint8_t i = 0; i < mob.carrier_count; ++i) {
+      fn(mob.carrier_as[i]);
+    }
+  }
+
   // The device's full address at time t.
   net::Ipv6Address device_address(DeviceId device, util::SimTime t) const;
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -719,6 +720,105 @@ TEST(CollectorIdentity, PinnedDigests) {
 TEST(CollectorIdentity, TieredMatchesPinsAtThreeThreads) {
   expect_pinned(run_collector_gate(GateConfig::kTiered, 3),
                 pinned(GateConfig::kTiered));
+}
+
+// ---------------------------------------------------------------------------
+// Grid independence: every count at a merge barrier is a pure function of
+// the barrier's time, whichever grids put a barrier there. A collector
+// that drew a chunk's uncaptured polls as one sample per chunk (say, a
+// Binomial over the gap between two captures) would give a different
+// total wherever a boundary splits that gap.
+
+struct GridCounts {
+  std::uint64_t polls = 0;
+  std::uint64_t answered = 0;
+  std::uint64_t health = 0;  // vantage_health_digest()
+  std::size_t records = 0;
+  std::uint64_t observations = 0;
+  bool operator==(const GridCounts&) const = default;
+};
+
+// Collects [17 d, 30 d) of `world` under a checkpoint grid (0: none) and
+// returns the counts at every checkpoint plus, under kWindowEnd, the run's
+// totals.
+constexpr util::SimTime kWindowEnd = 30 * util::kDay;
+std::map<util::SimTime, GridCounts> collect_on_grid(
+    const sim::World& world, util::SimDuration grid, bool tiered) {
+  CollectorConfig config;
+  config.threads = 2;
+  config.retry_limit = 2;
+  config.checkpoint_interval = grid;
+  netsim::DataPlane plane(world, {0.01, 1});
+  netsim::PoolDns dns(world, 0.25, 0.2);
+  std::map<util::SimTime, GridCounts> at;
+  const CheckpointSink sink = [&at](const CheckpointState& state,
+                                    const Corpus& corpus) {
+    at[state.resume_from] = {state.polls_attempted, state.polls_answered,
+                             vantage_health_digest(state.vantage_health),
+                             corpus.size(), corpus.total_observations()};
+  };
+  PassiveCollector collector(world, plane, dns, config);
+  Corpus corpus(1 << 12);
+  if (tiered) {
+    SpillConfig spill;
+    spill.memory_budget_bytes = 64 << 10;
+    spill.block_records = 256;
+    TieredCorpus runs(spill);
+    collector.run(runs, 17 * util::kDay, kWindowEnd, {}, sink);
+    EXPECT_GT(runs.stats().spills, 1u);
+    corpus = runs.collapse();
+  } else {
+    collector.run(corpus, 17 * util::kDay, kWindowEnd, {}, sink);
+  }
+  at[kWindowEnd] = {collector.polls_attempted(), collector.polls_answered(),
+                    vantage_health_digest(collector.vantage_health()),
+                    corpus.size(), corpus.total_observations()};
+  return at;
+}
+
+TEST(CollectorGrid, CountsAtSharedBoundariesIgnoreTheCheckpointGrid) {
+  sim::WorldConfig world_config;
+  world_config.seed = 58;
+  world_config.total_sites = 300;
+  // Outages start between day 20 and day 23 and last three days: inside
+  // the collection window, across several boundaries.
+  world_config.study_duration = 36 * util::kDay;
+  std::uint64_t dark_polls = 0;
+  for (const std::size_t outages : {std::size_t{0}, std::size_t{12}}) {
+    world_config.outage_count = outages;
+    const sim::World world = sim::World::generate(world_config);
+    for (const bool tiered : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "outages=" << outages << " tiered=" << tiered);
+      const auto plain = collect_on_grid(world, 0, tiered);
+      ASSERT_EQ(plain.size(), 1u);
+      std::vector<std::map<util::SimTime, GridCounts>> grids;
+      for (const util::SimDuration days : {1, 2, 3}) {
+        grids.push_back(collect_on_grid(world, days * util::kDay, tiered));
+        EXPECT_EQ(grids.back().size(), 13u / days + (13 % days != 0));
+      }
+      for (const auto& one : grids) {
+        EXPECT_EQ(one.at(kWindowEnd), plain.at(kWindowEnd));
+        for (const auto& other : grids) {
+          for (const auto& [t, counts] : one) {
+            if (const auto it = other.find(t); it != other.end()) {
+              EXPECT_EQ(counts, it->second) << "boundary " << t;
+            }
+          }
+        }
+      }
+      // Days 6 and 12 of the window lie on both the 2- and 3-day grids.
+      EXPECT_TRUE(grids[1].contains(23 * util::kDay));
+      EXPECT_TRUE(grids[2].contains(29 * util::kDay));
+      if (!tiered) {
+        dark_polls = outages == 0 ? plain.at(kWindowEnd).polls
+                                  : dark_polls - plain.at(kWindowEnd).polls;
+      }
+    }
+  }
+  // The outages silenced some polls (the two worlds differ only there).
+  EXPECT_GT(dark_polls, 0u);
+  EXPECT_LT(dark_polls, std::uint64_t{1} << 62);
 }
 
 }  // namespace

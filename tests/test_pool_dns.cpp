@@ -84,52 +84,70 @@ TEST_F(PoolDnsTest, GlobalFractionHitsRemoteVantages) {
 
 TEST_F(PoolDnsTest, ZeroVantageShareSeesNothing) {
   const PoolDns dns(*world_, 0.0, /*vantage_share=*/0.0);
-  util::Rng rng(5);
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(dns.captures(rng));
+  for (std::uint64_t key = 0; key < 100; ++key) {
+    EXPECT_EQ(dns.next_capture(key, key * 7), PoolDns::kNoCapture);
+  }
+}
+
+// Walks the capture chain over queries [0, n): from 0, then one past each
+// capture.
+std::uint64_t captures_below(const PoolDns& dns, std::uint64_t key,
+                             std::uint64_t n) {
+  std::uint64_t captured = 0;
+  for (std::uint64_t j = dns.next_capture(key, 0); j < n;
+       j = dns.next_capture(key, j + 1)) {
+    ++captured;
+  }
+  return captured;
 }
 
 TEST_F(PoolDnsTest, PartialVantageShareSamples) {
   const PoolDns dns(*world_, 0.0, /*vantage_share=*/0.25);
-  util::Rng rng(6);
-  int captured = 0;
-  constexpr int kQueries = 4000;
-  for (int i = 0; i < kQueries; ++i) {
-    if (dns.captures(rng)) ++captured;
-  }
+  constexpr std::uint64_t kQueries = 4000;
+  const std::uint64_t captured = captures_below(dns, 6, kQueries);
   EXPECT_NEAR(static_cast<double>(captured) / kQueries, 0.25, 0.03);
 }
 
-// The collector decides capture before it computes a client address, so
-// the draw count is part of every device stream: exactly one draw for a
-// fractional share, none for a share of 0 or 1.
-TEST_F(PoolDnsTest, CapturesConsumesExactlyOneDraw) {
-  const auto draws = [&](double share) {
-    const PoolDns dns(*world_, 0.0, share);
-    util::Rng rng(7);
-    util::Rng mirror(7);
-    dns.captures(rng);
-    // Draws `mirror` must skip to catch up with `rng`.
-    const std::uint64_t next = rng.next();
-    int n = 0;
-    while (mirror.next() != next && n < 8) ++n;
-    return n;
-  };
-  EXPECT_EQ(draws(0.03), 1);
-  EXPECT_EQ(draws(0.5), 1);
-  EXPECT_EQ(draws(0.0), 0);
-  EXPECT_EQ(draws(1.0), 0);
+// Capture is a keyed geometric skip: a pure function of (key, from) that
+// never touches a client's Rng, so the collector can jump from one
+// captured query to the next. Shares 0 and 1 and an empty pool need no
+// hash at all.
+TEST_F(PoolDnsTest, NextCaptureIsAKeyedGeometricSkip) {
+  const PoolDns always(*world_, 0.0, 1.0);
+  for (std::uint64_t from = 0; from < 50; ++from) {
+    EXPECT_EQ(always.next_capture(from * 31, from), from);
+  }
 
-  // A world with no countries has no vantage: the pool is empty, nothing
-  // is captured and nothing is drawn.
+  constexpr double kShare = 0.03;
+  const PoolDns dns(*world_, 0.0, kShare);
+  double gap_sum = 0.0;
+  std::uint64_t gaps = 0;
+  for (std::uint64_t key = 0; key < 2000; ++key) {
+    const std::uint64_t from = key % 17;
+    const std::uint64_t next = dns.next_capture(key, from);
+    ASSERT_GE(next, from);
+    ASSERT_NE(next, PoolDns::kNoCapture);
+    // Keyed: the same (key, from) always lands on the same query.
+    ASSERT_EQ(dns.next_capture(key, from), next);
+    gap_sum += static_cast<double>(next - from);
+    ++gaps;
+  }
+  // Geometric law: mean skip (1 - p) / p = 32.3 at p = 0.03, standard
+  // deviation sqrt(1 - p) / p = 32.8, so the mean of 2000 lies within
+  // 4 sigma (2.9) of it.
+  EXPECT_NEAR(gap_sum / static_cast<double>(gaps), (1 - kShare) / kShare,
+              3.0);
+  // Different keys give different chains.
+  EXPECT_NE(dns.next_capture(1, 0) + 1000 * dns.next_capture(2, 0),
+            dns.next_capture(3, 0) + 1000 * dns.next_capture(4, 0));
+
+  // A world with no countries has no vantage: nothing is captured.
   sim::WorldConfig config;
   config.country_count = 0;
   const sim::World empty = sim::World::generate(config);
   ASSERT_TRUE(empty.vantages().empty());
-  const PoolDns dns(empty, 0.0, 0.5);
-  util::Rng rng(7);
-  util::Rng mirror(7);
-  EXPECT_FALSE(dns.captures(rng));
-  EXPECT_EQ(rng.next(), mirror.next());
+  const PoolDns none(empty, 0.0, 0.5);
+  EXPECT_EQ(none.next_capture(7, 0), PoolDns::kNoCapture);
 }
 
 TEST_F(PoolDnsTest, UnroutedClientStillGetsAServer) {
@@ -238,9 +256,6 @@ TEST_F(PoolDnsTest, ZeroFaultMonitorMatchesNoMonitorBitForBit) {
   util::Rng b(12);
   for (int i = 0; i < 500; ++i) {
     const auto t = static_cast<util::SimTime>(i * 64);
-    const bool captured = dns.captures(a);
-    ASSERT_EQ(captured, unmonitored.captures(b));
-    if (!captured) continue;
     bool steered = false;
     const auto* with_health = dns.resolve(*client, a, t, &steered);
     const auto* without = unmonitored.resolve(*client, b, t);
