@@ -381,7 +381,7 @@ TEST_F(DistIdentityTest, PinnedDigests) {
   hitlist::Corpus merged(1);
   const DistReport report = run_cluster(config, merged);
 
-  EXPECT_EQ(hex(fnv1a(kOffset, corpus_bytes(merged))), "0xedd4aeb5b9ada39c");
+  EXPECT_EQ(hex(fnv1a(kOffset, corpus_bytes(merged))), "0x23cbc28191fec949");
 
   std::uint64_t health = kOffset;
   for (const hitlist::VantageHealthStats& v : report.vantage_health) {
@@ -409,8 +409,8 @@ TEST_F(DistIdentityTest, PinnedDigests) {
   EXPECT_EQ(counters,
             "workers=5 ranges=4 leases=5 uploads=24 heartbeats=24 deaths=1 "
             "timeouts=1 reassignments=1 stale=0 replayed=3 recovery=93600 "
-            "finished=1454400 polls=219985 answered=215657 "
-            "health=0xeceb6f360c87678e");
+            "finished=1454400 polls=219860 answered=215453 "
+            "health=0x22803f3f946b7ae9");
 
   std::uint64_t windows = kOffset;
   std::size_t window_count = 0;
@@ -435,12 +435,12 @@ TEST_F(DistIdentityTest, PinnedDigests) {
     ++window_count;
   }
   EXPECT_EQ(window_count, 25u);
-  EXPECT_EQ(hex(windows), "0xae9caddcf5a41000");
+  EXPECT_EQ(hex(windows), "0xfe719b2aa560745e");
 
   EXPECT_EQ(hex(fnv1a(kOffset, std::string_view(reinterpret_cast<const char*>(
                                                     report.frame_log.data()),
                                                 report.frame_log.size()))),
-            "0x605adf6f32825d1f");
+            "0xd0d73f053fb84c1e");
 }
 
 TEST_F(DistIdentityTest, RespawnDisabledFailsLoudlyWhenFleetDies) {

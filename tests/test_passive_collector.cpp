@@ -645,53 +645,53 @@ void expect_pinned(const CollectorDigests& got, const CollectorDigests& want) {
 const std::vector<std::pair<GateConfig, CollectorDigests>>& pinned_digests() {
   static const std::vector<std::pair<GateConfig, CollectorDigests>> pins = {
       {GateConfig::kDefaults,
-       {0xe0a6be4b0f90a6ca, 835752, 25113, 0xf11beedc73006fda, 6949,
-        {0x174f2302a200296a, 0xa34e5f8ab09b4da8, 0xa77654377aa1011c,
-         0x536461e66610cda2}}},
+       {0x69c6214ad48d6996, 833827, 24932, 0x349881c0e13e50e2, 6904,
+        {0x249eb1f631654cfe, 0x153366a3f9cd4fa6, 0xb0650240b3acc0dc,
+         0xc2ea0687c37056f9}}},
       {GateConfig::kFaulted,
-       {0x11ea438ffd87e728, 834628, 25510, 0x3c72721bd4dcfdea, 6928,
-        {0x23b7097031b960da, 0xb103d8408a317c0d, 0x58aa609ba958c060,
-         0x9016a7581127d9d8}}},
+       {0xd7c4213f4cc6d3b9, 832688, 25330, 0x3ae718f8893e477e, 6884,
+        {0x5cf3147f371b261c, 0x7203d1cd0a38807a, 0xa00d2d009bd751c5,
+         0x87983f841eb2f84e}}},
       {GateConfig::kTiered,
-       {0x4637b2ed1f58601b, 835752, 409395, 0x2f6c8e2b907d6d8c, 114467,
-        {0x82cb98397613e3d7, 0x7cf7e59bf1cd9c80, 0x188fc1e2e8d6893c,
-         0x3c10e488ed737719}}},
+       {0xc4988ba0707299e1, 833827, 409299, 0x3f006ae04aa27c0d, 114165,
+        {0xfe89203980013e56, 0xec6b26b5aa03ed86, 0x76e16be0be0ac7c1,
+         0xe49597d73bd6c99a}}},
       // The same corpus, counters and epochs as kDefaults: checkpoints and
       // sampling only add barriers.
       {GateConfig::kCheckpointed,
-       {0xe0a6be4b0f90a6ca, 835752, 25113, 0xf11beedc73006fda, 6949,
-        {0x174f2302a200296a, 0xa34e5f8ab09b4da8, 0xa77654377aa1011c,
-         0x536461e66610cda2},
-        {{259200, 80896, 2288, 0x80a7b918272155e8, 0x5d3ad84aef3ecb4f},
-         {518400, 162388, 4885, 0x1f3232134a12c539, 0x3721954de650d672},
-         {777600, 244418, 7120, 0x006a409425741a6d, 0xf20617731b078856},
-         {1036800, 327232, 9621, 0x1bb6f496d060c1bf, 0xbf3e910ecdcc4604},
-         {1296000, 410531, 12235, 0xb3b8f2edf9123e58, 0xaf870b2c81abbbb8},
-         {1555200, 494152, 14706, 0x718503121dba2df2, 0x1e69ae70c5983f12},
-         {1814400, 578225, 17212, 0xb8655b762bdff9ce, 0x33f93a6716d8abbc},
-         {2073600, 663436, 19911, 0x0a023ca3541c7bbe, 0xb80bd96d458ba695},
-         {2332800, 750269, 22496, 0xffa24327522809f6, 0xa4032f75d98f65e2}},
-        {{200, 1325}, {127, 1464}, {111, 1713}, {102, 1377}, {109, 1473},
-         {113, 1604}, {116, 1674}, {122, 1568}, {118, 1525}, {119, 1476},
-         {133, 1641}, {133, 1757}, {119, 1559}, {133, 1660}, {156, 1615}}}},
+       {0x69c6214ad48d6996, 833827, 24932, 0x349881c0e13e50e2, 6904,
+        {0x249eb1f631654cfe, 0x153366a3f9cd4fa6, 0xb0650240b3acc0dc,
+         0xc2ea0687c37056f9},
+        {{259200, 80025, 2200, 0x22cb4d9ab03018c7, 0x0c43d6c854678d6a},
+         {518400, 161338, 4778, 0xe24b8c267c2251fe, 0xde359ca208dc8be0},
+         {777600, 243219, 7056, 0xfb89cb6f8f864a97, 0xd247c567e550f4f8},
+         {1036800, 325749, 9219, 0x8c6906940326c639, 0xd6f6946c4c4b9f47},
+         {1296000, 408950, 11744, 0x3979d64e5501fd02, 0xdf032fce701250a2},
+         {1555200, 492361, 14409, 0x6dd975cb1dd99d18, 0x6a748dfef8ae3514},
+         {1814400, 576441, 16990, 0x35859a54cfefad09, 0x425a4ffbd894712a},
+         {2073600, 661928, 19622, 0xe7e93b478ad66557, 0x2842ce07af5df297},
+         {2332800, 748124, 22229, 0x6b411fc895a661ab, 0x07c59654f5a8c97b}},
+        {{220, 1253}, {103, 1530}, {118, 1596}, {116, 1440}, {100, 1359},
+         {128, 1338}, {125, 1667}, {125, 1529}, {132, 1680}, {145, 1491},
+         {115, 1695}, {126, 1689}, {145, 1707}, {127, 1611}, {136, 1639}}}},
       // The same corpus, counters and epochs as kTiered.
       {GateConfig::kTieredCheckpointed,
-       {0x4637b2ed1f58601b, 835752, 409395, 0x2f6c8e2b907d6d8c, 114467,
-        {0x82cb98397613e3d7, 0x7cf7e59bf1cd9c80, 0x188fc1e2e8d6893c,
-         0x3c10e488ed737719},
-        {{259200, 80896, 39422, 0x098e4aeaf9768e32, 0x75d6d5c61f1fbb56},
-         {518400, 162388, 79481, 0x4ba8a883b3fac8e3, 0x0a67a44423342ea5},
-         {777600, 244418, 119337, 0x8a099844ebaa0aeb, 0x0d778fe9fb81a87d},
-         {1036800, 327232, 159913, 0xbc23cc75a02fd6f6, 0x5a6f0be1c88d001f},
-         {1296000, 410531, 200701, 0x8450ea140704e4a3, 0x35b0c55f5afc8c9f},
-         {1555200, 494152, 242061, 0x21da9f995de3d77e, 0x2ebe8c762eea6b5b},
-         {1814400, 578225, 282842, 0x9aa60438e4782af1, 0x0f4870402ec2169f},
-         {2073600, 663436, 324739, 0xda68617a01d0d092, 0x8785d6a37ae86c98},
-         {2332800, 750269, 367637, 0xd62067e3b12ae037, 0x0e31228697ff67e8}},
-        {{1091, 25577}, {880, 25962}, {943, 25812}, {1004, 25779},
-         {1053, 25946}, {1006, 26457}, {1043, 26583}, {1056, 26702},
-         {1134, 26457}, {1123, 26196}, {1156, 26827}, {1156, 27077},
-         {1211, 27679}, {1148, 27324}, {1194, 26998}}}},
+       {0xc4988ba0707299e1, 833827, 409299, 0x3f006ae04aa27c0d, 114165,
+        {0xfe89203980013e56, 0xec6b26b5aa03ed86, 0x76e16be0be0ac7c1,
+         0xe49597d73bd6c99a},
+        {{259200, 80025, 39053, 0xc80bb567e8b829f4, 0x71d9c15559d71820},
+         {518400, 161338, 79101, 0x2aeae99c47b99ae6, 0x0957ebb6311352d3},
+         {777600, 243219, 119290, 0x8c66fce8aba5b252, 0xd1eecac9181e4048},
+         {1036800, 325749, 159707, 0x55e51fc1b7cceb7a, 0x50a7abf36d5a8a17},
+         {1296000, 408950, 200381, 0xdd343920ed5b3761, 0xec04c992e36caa15},
+         {1555200, 492361, 241269, 0x3fdce6b0eba45b80, 0x6e1172cb288ca310},
+         {1814400, 576441, 282804, 0x720f0822a25f1087, 0xf8a49cd69404f9c4},
+         {2073600, 661928, 324967, 0x9f83094f014f9c41, 0xb43e0740d66ca634},
+         {2332800, 748124, 367358, 0xa03e09415b387e44, 0xdb53308574fa3ddc}},
+        {{1070, 25012}, {938, 26003}, {922, 25956}, {997, 25990},
+         {1010, 25964}, {1060, 26442}, {1033, 26514}, {1092, 25980},
+         {1119, 26686}, {1107, 26502}, {1165, 27113}, {1172, 27477},
+         {1182, 27439}, {1232, 27236}, {1195, 26878}}}},
   };
   return pins;
 }
