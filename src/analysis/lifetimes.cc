@@ -228,18 +228,18 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
   // scan), so it reports into the registry itself — same families as the
   // ParallelScan engine, keeping v6_analysis_records_total exhaustive.
   if (config.metrics != nullptr) {
+    const obs::Labels stage{{"stage", "iid_lifetimes/bands"}};
     config.metrics
         ->counter("v6_analysis_records_total",
-                  "Records scanned, per analysis kernel",
-                  {{"stage", "iid_lifetimes/bands"}})
+                  "Records scanned, per analysis kernel", stage)
         .inc(report.unique_iids);
     config.metrics
         ->histogram("v6_analysis_wall_us",
-                    "Whole-stage scan wall time (microseconds)")
+                    "Whole-stage scan wall time (microseconds)", {}, stage)
         .observe(static_cast<double>(wall_us));
     config.metrics
         ->histogram("v6_analysis_merge_us",
-                    "Shard-index-order merge time (microseconds)")
+                    "Shard-index-order merge time (microseconds)", {}, stage)
         .observe(static_cast<double>(merge_us));
   }
   return report;

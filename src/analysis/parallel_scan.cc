@@ -86,18 +86,17 @@ void ParallelScan::run(const ScanSource& source) {
   // registry inside the sharded scan itself.
   if (config_.metrics != nullptr) {
     obs::Registry& reg = *config_.metrics;
-    obs::Histogram wall_hist = reg.histogram(
-        "v6_analysis_wall_us", "Whole-stage scan wall time (microseconds)");
-    obs::Histogram merge_hist = reg.histogram(
-        "v6_analysis_merge_us",
-        "Shard-index-order merge time (microseconds)");
     for (std::size_t k = stats_.size() - n_kernels; k < stats_.size(); ++k) {
+      const obs::Labels stage{{"stage", stats_[k].stage}};
       reg.counter("v6_analysis_records_total",
-                  "Records scanned, per analysis kernel",
-                  {{"stage", stats_[k].stage}})
+                  "Records scanned, per analysis kernel", stage)
           .inc(stats_[k].records);
-      wall_hist.observe(static_cast<double>(stats_[k].wall_us));
-      merge_hist.observe(static_cast<double>(stats_[k].merge_us));
+      reg.histogram("v6_analysis_wall_us",
+                    "Whole-stage scan wall time (microseconds)", {}, stage)
+          .observe(static_cast<double>(stats_[k].wall_us));
+      reg.histogram("v6_analysis_merge_us",
+                    "Shard-index-order merge time (microseconds)", {}, stage)
+          .observe(static_cast<double>(stats_[k].merge_us));
     }
   }
   // Past the merge barrier every counter is exact; the sampler turns this

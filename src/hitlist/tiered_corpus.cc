@@ -342,16 +342,18 @@ Corpus TieredCorpus::collapse(std::span<const AddressRecord> live,
   // Range r merges segments shard_range(bounds, r, ranges): addresses
   // [bounds[begin], bounds[end]), the first range open below and the last
   // open above, so live records outside the runs' span land in them. Each
-  // part is reserved here, on the calling thread, to an upper bound of
-  // what its range can emit (runs may share addresses; pages a part never
-  // fills stay untouched), so no worker grows a vector: growth inside the
-  // workers strands freed buffers in their malloc arenas and raised peak
-  // RSS (DESIGN.md, Pooled epoch collapse).
+  // range writes straight into its own slice of one record array. The
+  // slices are sized here, on the calling thread, to an upper bound of
+  // what their range can emit (runs may share addresses), so no worker
+  // grows a vector: growth inside the workers strands freed buffers in
+  // their malloc arenas and raised peak RSS (DESIGN.md, Pooled epoch
+  // collapse).
   struct Range {
     const net::Ipv6Address* lo = nullptr;  // null: open
     const net::Ipv6Address* hi = nullptr;
     std::span<const AddressRecord> live;
-    std::vector<AddressRecord> part;
+    std::size_t begin = 0;  // the slice: [begin, begin + size)
+    std::size_t size = 0;
   };
   const auto live_below = [&live](const net::Ipv6Address* bound) {
     if (bound == nullptr) return live.size();
@@ -364,6 +366,7 @@ Corpus TieredCorpus::collapse(std::span<const AddressRecord> live,
         live.begin());
   };
   std::vector<Range> plan(ranges);
+  std::size_t upper = 0;
   for (unsigned r = 0; r < ranges; ++r) {
     const util::ShardRange seg = util::shard_range(bounds.size(), r, ranges);
     Range& range = plan[r];
@@ -371,37 +374,39 @@ Corpus TieredCorpus::collapse(std::span<const AddressRecord> live,
     if (r + 1 < ranges) range.hi = &bounds[seg.end];
     const std::size_t first = range.lo == nullptr ? 0 : live_below(range.lo);
     range.live = live.subspan(first, live_below(range.hi) - first);
-    std::size_t upper = range.live.size();
+    range.begin = upper;
+    upper += range.live.size();
     for (const Run& run : runs_) {
       upper += records_overlapping(run.blocks, range.lo, range.hi);
     }
-    range.part.reserve(upper);
   }
+  std::vector<AddressRecord> records(upper);
   util::run_sharded(pool, ranges, ranges,
                     [&](unsigned r, std::size_t, std::size_t) {
                       Range& range = plan[r];
+                      AddressRecord* out = records.data() + range.begin;
                       merge_runs(range.lo, range.live,
-                                 [&range](const AddressRecord& rec) {
+                                 [&range, out](const AddressRecord& rec) {
                                    if (range.hi != nullptr &&
                                        !(rec.address < *range.hi)) {
                                      return false;
                                    }
-                                   range.part.push_back(rec);
+                                   out[range.size++] = rec;
                                    return true;
                                  });
                     });
-  if (ranges == 1) return Corpus::from_canonical(std::move(plan[0].part));
-
-  // Concatenate in range order, releasing each part once copied, so the
-  // transient is the record array plus the parts not yet copied.
+  // Slide the slices down in range order: each one lands right after the
+  // last, never past its own start.
   std::size_t total = 0;
-  for (const Range& range : plan) total += range.part.size();
-  std::vector<AddressRecord> records;
-  records.reserve(total);
-  for (Range& range : plan) {
-    records.insert(records.end(), range.part.begin(), range.part.end());
-    std::vector<AddressRecord>().swap(range.part);
+  for (const Range& range : plan) {
+    const auto from = records.begin() + static_cast<std::ptrdiff_t>(range.begin);
+    if (total != range.begin) {
+      std::copy(from, from + static_cast<std::ptrdiff_t>(range.size),
+                records.begin() + static_cast<std::ptrdiff_t>(total));
+    }
+    total += range.size;
   }
+  records.resize(total);
   return Corpus::from_canonical(std::move(records));
 }
 

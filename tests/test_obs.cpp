@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -571,6 +572,29 @@ TEST_F(StudyMetricsTest, SnapshotCoversEveryInstrumentedLayer) {
     if (sample.name == "v6_vantage_answer_ratio") ++ratio_gauges;
   }
   EXPECT_EQ(ratio_gauges, r.vantage_health.size());
+}
+
+// Each analysis stage times itself into its own series, labelled like its
+// record counter: one wall and one merge observation per run() of the
+// stage (Table 1 runs some stages once per dataset).
+TEST_F(StudyMetricsTest, AnalysisWallTimeIsLabelledByStage) {
+  const auto& r = study_->results();
+  std::map<std::string, std::uint64_t> runs;
+  for (const auto& stage : r.analysis.stage_stats) ++runs[stage.stage];
+  ASSERT_FALSE(runs.empty());
+  for (const char* family : {"v6_analysis_wall_us", "v6_analysis_merge_us"}) {
+    SCOPED_TRACE(family);
+    std::map<std::string, std::uint64_t> observed;
+    for (const auto& sample : r.metrics.samples) {
+      if (sample.name != family) continue;
+      ASSERT_EQ(sample.labels.size(), 1u);
+      EXPECT_EQ(sample.labels[0].first, "stage");
+      EXPECT_TRUE(observed.emplace(sample.labels[0].second,
+                                   sample.histogram.count)
+                      .second);
+    }
+    EXPECT_EQ(observed, runs);
+  }
 }
 
 TEST_F(StudyMetricsTest, SpansCoverTheFourStagesUnderOneRoot) {
