@@ -30,6 +30,9 @@ int main() {
 
   core::Study study(config);
   netsim::PoolDns dns(study.world(), 0.25, config.pool_capture_share);
+  // Every captured sync event steers through one resolution.
+  obs::Registry dns_metrics;
+  dns.set_metrics(&dns_metrics);
 
   // Reference: the whole corpus in one in-memory table.
   hitlist::PassiveCollector in_memory_collector(study.world(),
@@ -42,6 +45,10 @@ int main() {
                                 config.world.study_start +
                                     config.world.study_duration);
       });
+
+  const std::uint64_t polls = in_memory_collector.polls_attempted();
+  const std::uint64_t captured_events =
+      dns_metrics.snapshot().counter_sum("v6_pool_resolutions_total");
 
   // Out-of-core: same window, shard tables spill to sorted runs whenever
   // their combined footprint crosses the budget at a merge barrier.
@@ -171,7 +178,11 @@ int main() {
   json.integer("observations", observations);
   json.integer("spills", spills);
   json.integer("run_files", run_files);
+  json.integer("polls", polls);
+  json.integer("captured_events", captured_events);
   json.number("in_memory_collect_seconds", in_memory_s);
+  json.number("collect_polls_per_sec",
+              static_cast<double>(polls) / std::max(in_memory_s, 1e-9));
   json.number("out_of_core_collect_seconds", ingest_s);
   json.number("ingest_records_per_sec", ingest_rate);
   json.number("merge_seconds", merge_s);
