@@ -337,20 +337,12 @@ void PassiveCollector::collect(Corpus* memory, TieredCorpus* runs,
     // Contiguous device range (the same partition run_sharded uses), so
     // the shard layout is a pure function of (device count, shard count).
     const util::ShardRange range = util::shard_range(devices.size(), s, shards);
-    // Ordered by first poll (then device id): the order the chunks
-    // admit them in.
-    std::vector<std::pair<util::SimTime, std::size_t>> order;
     for (std::size_t d = range.begin; d < range.end; ++d) {
       const sim::Device& dev = devices[d];
       if (!dev.ntp.uses_pool) continue;
       const ntp::ClientSchedule schedule(dev, from.window_start,
                                          from.window_end);
-      if (schedule.count() > 0) order.emplace_back(schedule.poll_time(0), d);
-    }
-    std::sort(order.begin(), order.end());
-    shard.devices.reserve(order.size());
-    for (const auto& [first_poll, d] : order) {
-      const sim::Device& dev = devices[d];
+      if (schedule.count() == 0) continue;
       // Order-independent per-device stream: the collection result does
       // not depend on enumeration order (the property that makes sharding
       // devices across threads or machines — and across checkpoint
@@ -363,11 +355,18 @@ void PassiveCollector::collect(Corpus* memory, TieredCorpus* runs,
           config_.ignore_bursts ? std::uint8_t{1}
                                 : std::max<std::uint8_t>(dev.ntp.burst, 1),
           util::Rng(stream),
-          ntp::ClientSchedule(dev, from.window_start, from.window_end),
+          schedule,
           {},
           capture_key,
           dns_->next_capture(capture_key, 0)});
     }
+    // Ordered by first poll (then device id): the order the chunks admit
+    // them in.
+    std::sort(shard.devices.begin(), shard.devices.end(),
+              [](const DeviceState& a, const DeviceState& b) {
+                return std::pair(a.schedule.poll_time(0), a.id) <
+                       std::pair(b.schedule.poll_time(0), b.id);
+              });
   }
 
   // One pool for the whole window: every merge barrier reuses it instead
