@@ -99,6 +99,7 @@
 #include "kernels/dispatch.h"
 #include "obs/cluster.h"
 #include "obs/exposition.h"
+#include "obs/json.h"
 #include "obs/timeline.h"
 #include "obs/trace_export.h"
 #include "util/strings.h"
@@ -229,6 +230,18 @@ std::uint64_t fnv1a64(std::string_view text) {
   return h;
 }
 
+// Writes `text` to `path`; false (after naming the path on stderr) when
+// the file cannot be opened.
+bool write_artifact(const char* path, const std::string& text) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s\n", path);
+    return false;
+  }
+  out << text;
+  return true;
+}
+
 // Writes the cluster-observability artifacts of a distributed run:
 // --cluster-metrics-out (aggregated Prometheus exposition),
 // --cluster-timeline-out (merged per-worker JSONL windows), and
@@ -237,33 +250,20 @@ std::uint64_t fnv1a64(std::string_view text) {
 int write_cluster_artifacts(int argc, char** argv,
                             const obs::ClusterAggregator& cluster) {
   if (const char* path = flag_str(argc, argv, "--cluster-metrics-out")) {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path);
-      return 1;
-    }
     const obs::Snapshot merged = cluster.cluster_snapshot();
-    out << obs::render(merged, obs::ExpositionFormat::kPrometheus);
+    const std::string text =
+        obs::render(merged, obs::ExpositionFormat::kPrometheus);
+    if (!write_artifact(path, text)) return 1;
     std::printf("cluster metrics : %zu samples -> %s (prom)\n",
                 merged.samples.size(), path);
   }
   if (const char* path = flag_str(argc, argv, "--cluster-timeline-out")) {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path);
-      return 1;
-    }
-    out << cluster.render_cluster_timeline();
+    if (!write_artifact(path, cluster.render_cluster_timeline())) return 1;
     std::printf("cluster timeline: %zu windows -> %s (jsonl)\n",
                 cluster.cluster_timeline().size(), path);
   }
   if (const char* path = flag_str(argc, argv, "--cluster-trace-out")) {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path);
-      return 1;
-    }
-    out << cluster.render_trace();
+    if (!write_artifact(path, cluster.render_trace())) return 1;
     std::printf("cluster trace   : %zu lanes -> %s (chrome://tracing)\n",
                 cluster.report_count(), path);
   }
@@ -450,12 +450,7 @@ int cmd_study(int argc, char** argv) {
                    fmt_name);
       return 1;
     }
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path);
-      return 1;
-    }
-    out << obs::render(r.metrics, *format);
+    if (!write_artifact(path, obs::render(r.metrics, *format))) return 1;
     std::printf("metrics       : %zu samples, %zu spans -> %s (%.*s)\n",
                 r.metrics.samples.size(), r.metrics.spans.size(), path,
                 static_cast<int>(obs::format_suffix(*format).size()),
@@ -476,24 +471,19 @@ int cmd_study(int argc, char** argv) {
                    fmt_name);
       return 1;
     }
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path);
+    if (!write_artifact(path, obs::render_timeline(r.timeline, *format))) {
       return 1;
     }
-    out << obs::render_timeline(r.timeline, *format);
     std::printf("timeline      : %zu windows -> %s (%.*s)\n",
                 r.timeline.size(), path,
                 static_cast<int>(obs::timeline_format_suffix(*format).size()),
                 obs::timeline_format_suffix(*format).data());
   }
   if (const char* path = flag_str(argc, argv, "--trace-out")) {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path);
+    if (!write_artifact(path,
+                        obs::render_trace_events(r.metrics, r.timeline))) {
       return 1;
     }
-    out << obs::render_trace_events(r.metrics, r.timeline);
     std::printf("trace         : %zu spans, %zu windows -> %s "
                 "(chrome://tracing)\n",
                 r.metrics.spans.size(), r.timeline.size(), path);
@@ -765,43 +755,6 @@ int cmd_serve(int argc, char** argv) {
   return answer_queries(service, argc, argv);
 }
 
-// One per-kind serve-latency summary object for the run report:
-// {"count":N,"sum_us":X,"p50_us":X|null,"p90_us":X|null,"p99_us":X|null}.
-// Percentiles come from obs::summarize_histogram over the bucket shape;
-// null (valid JSON, accepted by lint_report) when the kind never ran.
-void append_latency_summary(std::string& out, const obs::Snapshot& metrics,
-                            serve::QueryKind kind) {
-  const char* name = serve::to_string(kind);
-  const obs::Labels want{{"kind", name}};
-  const obs::MetricSample* found = nullptr;
-  for (const obs::MetricSample& s : metrics.samples) {
-    if (s.type == obs::MetricType::kHistogram &&
-        s.name == "v6_serve_latency_us" && s.labels == want) {
-      found = &s;
-      break;
-    }
-  }
-  obs::HistogramSummary summary;
-  if (found != nullptr) summary = obs::summarize_histogram(found->histogram);
-  out += '"';
-  out += name;
-  out += "\":{\"count\":";
-  out += std::to_string(summary.count);
-  out += ",\"sum_us\":";
-  out += obs::detail::format_double(summary.sum);
-  const auto pct = [&out](const char* key,
-                          const std::optional<double>& value) {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += value ? obs::detail::format_double(*value) : "null";
-  };
-  pct("p50_us", summary.p50);
-  pct("p90_us", summary.p90);
-  pct("p99_us", summary.p99);
-  out += '}';
-}
-
 // obs-report: run stage 1 with serving + timeline sampling on, drive a
 // deterministic query workload so the serve-latency histograms hold real
 // samples, and emit the unified run-report JSON artifact (validated by
@@ -881,12 +834,11 @@ int cmd_obs_report(int argc, char** argv) {
                    "produce any windows\n");
       return 1;
     }
-    std::ofstream out(timeline_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", timeline_path);
+    if (!write_artifact(timeline_path,
+                        obs::render_timeline(r.timeline,
+                                             obs::TimelineFormat::kJsonl))) {
       return 1;
     }
-    out << obs::render_timeline(r.timeline, obs::TimelineFormat::kJsonl);
   }
 
   const std::uint64_t days =
@@ -904,70 +856,82 @@ int cmd_obs_report(int argc, char** argv) {
   std::snprintf(digest_buf, sizeof digest_buf, "%016llx",
                 static_cast<unsigned long long>(fnv1a64(config_text)));
 
-  std::string json = "{\"report\":\"v6pool_run_report\",\"version\":1";
-  json += ",\"config\":{\"sites\":" + std::to_string(config.world.total_sites);
-  json += ",\"days\":" + std::to_string(days);
-  json += ",\"seed\":" + std::to_string(config.world.seed);
-  json += ",\"threads\":" + std::to_string(threads);
-  json += ",\"digest\":\"";
-  json += digest_buf;
-  json += "\"}";
-  json += ",\"kernel_backend\":\"";
-  json += kernels::to_string(kernels::active_backend());
-  json += "\"";
-  json += ",\"metrics\":{\"polls_attempted\":" +
-          std::to_string(r.polls_attempted);
-  json += ",\"polls_answered\":" + std::to_string(r.polls_answered);
-  json += ",\"records\":" + std::to_string(study.ntp_size());
-  json += ",\"samples\":" + std::to_string(metrics.samples.size()) + "}";
-  json += ",\"serve_latency\":{";
-  static constexpr serve::QueryKind kKinds[] = {
-      serve::QueryKind::kPoint, serve::QueryKind::kDensity48,
-      serve::QueryKind::kEntropy64, serve::QueryKind::kOuiRisk};
-  bool first = true;
-  for (const serve::QueryKind kind : kKinds) {
-    if (!first) json += ',';
-    first = false;
-    append_latency_summary(json, metrics, kind);
+  obs::JsonWriter w;
+  w.begin_object().key("report").string("v6pool_run_report");
+  w.key("version").integer(1);
+  w.key("config").begin_object()
+      .key("sites").integer(config.world.total_sites)
+      .key("days").integer(days)
+      .key("seed").integer(config.world.seed)
+      .key("threads").integer(threads)
+      .key("digest").string(digest_buf)
+      .end_object();
+  w.key("kernel_backend")
+      .string(kernels::to_string(kernels::active_backend()));
+  w.key("metrics").begin_object()
+      .key("polls_attempted").integer(r.polls_attempted)
+      .key("polls_answered").integer(r.polls_answered)
+      .key("records").integer(study.ntp_size())
+      .key("samples").integer(metrics.samples.size())
+      .end_object();
+  // One serve-latency summary per query kind. Percentiles come from
+  // obs::summarize_histogram over the bucket shape; null (valid JSON,
+  // accepted by lint_report) when the kind never ran.
+  w.key("serve_latency").begin_object();
+  for (const serve::QueryKind kind :
+       {serve::QueryKind::kPoint, serve::QueryKind::kDensity48,
+        serve::QueryKind::kEntropy64, serve::QueryKind::kOuiRisk}) {
+    const char* name = serve::to_string(kind);
+    const obs::Labels want{{"kind", name}};
+    obs::HistogramSummary summary;
+    for (const obs::MetricSample& s : metrics.samples) {
+      if (s.type == obs::MetricType::kHistogram &&
+          s.name == "v6_serve_latency_us" && s.labels == want) {
+        summary = obs::summarize_histogram(s.histogram);
+        break;
+      }
+    }
+    w.key(name).begin_object();
+    w.key("count").integer(summary.count).key("sum_us").number(summary.sum);
+    for (const auto& [key, value] : {std::pair{"p50_us", summary.p50},
+                                     std::pair{"p90_us", summary.p90},
+                                     std::pair{"p99_us", summary.p99}}) {
+      w.key(key);
+      value ? w.number(*value) : w.null();
+    }
+    w.end_object();
   }
-  json += "}";
-  json += ",\"epochs\":[";
-  first = true;
+  w.end_object();
+  w.key("epochs").begin_array();
   for (const auto& snap : service.retained()) {
-    if (!first) json += ',';
-    first = false;
     char epoch_digest[32];
     std::snprintf(epoch_digest, sizeof epoch_digest, "%016llx",
                   static_cast<unsigned long long>(snap->digest()));
-    json += "{\"epoch\":" + std::to_string(snap->epoch());
-    json += ",\"as_of_day\":" +
-            std::to_string(static_cast<long long>(snap->as_of() / util::kDay));
-    json += ",\"records\":" + std::to_string(snap->records());
-    json += ",\"digest\":\"";
-    json += epoch_digest;
-    json += "\"}";
+    w.begin_object()
+        .key("epoch").integer(snap->epoch())
+        .key("as_of_day").integer(snap->as_of() / util::kDay)
+        .key("records").integer(snap->records())
+        .key("digest").string(epoch_digest)
+        .end_object();
   }
-  json += "]";
-  json += ",\"timeline\":{\"windows\":" + std::to_string(r.timeline.size());
-  json += ",\"path\":";
-  if (timeline_path != nullptr) {
-    obs::detail::append_json_string(json, timeline_path);
-  } else {
-    json += "null";
-  }
-  json += "}";
+  w.end_array();
+  w.key("timeline").begin_object().key("windows").integer(r.timeline.size());
+  w.key("path");
+  timeline_path != nullptr ? w.string(timeline_path) : w.null();
+  w.end_object().key("dist");
   if (r.dist) {
-    json += ",\"dist\":{\"workers\":" + std::to_string(r.dist->workers);
-    json += ",\"ranges\":" + std::to_string(r.dist->ranges);
-    json += ",\"obs_reports\":" +
-            std::to_string(r.dist->cluster_obs.report_count());
-    json += ",\"leases\":" + std::to_string(r.dist->leases_granted);
-    json += ",\"worker_deaths\":" + std::to_string(r.dist->worker_deaths);
-    json += "}";
+    w.begin_object()
+        .key("workers").integer(r.dist->workers)
+        .key("ranges").integer(r.dist->ranges)
+        .key("obs_reports").integer(r.dist->cluster_obs.report_count())
+        .key("leases").integer(r.dist->leases_granted)
+        .key("worker_deaths").integer(r.dist->worker_deaths)
+        .end_object();
   } else {
-    json += ",\"dist\":null";
+    w.null();
   }
-  json += "}\n";
+  w.end_object();
+  const std::string json = w.take();
 
   if (const auto problem = obs::lint_report(json)) {
     std::fprintf(stderr, "internal error: generated report fails lint: %s\n",
@@ -975,12 +939,7 @@ int cmd_obs_report(int argc, char** argv) {
     return 1;
   }
   if (const char* path = flag_str(argc, argv, "--out")) {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path);
-      return 1;
-    }
-    out << json;
+    if (!write_artifact(path, json)) return 1;
     std::printf("run report    : %zu bytes, %zu queries -> %s (json)\n",
                 json.size(), targets.size() * 4, path);
   } else {

@@ -1,24 +1,15 @@
 #include "obs/cluster.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <map>
 #include <utility>
 
-#include "obs/exposition.h"
 #include "obs/json.h"
 #include "obs/trace_export.h"
 
 namespace v6::obs {
 
 namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
 
 // Smallest bucket whose cumulative count reaches rank q*count, linearly
 // interpolated inside that bucket. The first bucket interpolates from 0
@@ -208,33 +199,26 @@ std::vector<ClusterWindow> ClusterAggregator::cluster_timeline() const {
 }
 
 std::string ClusterAggregator::render_cluster_timeline() const {
-  std::string out;
+  JsonWriter w;
   for (const ClusterWindow& cw : cluster_timeline()) {
-    out += "{\"worker\":";
-    append_u64(out, cw.worker);
-    out.push_back(',');
-    // render_window_json emits "{...}"; splice past its opening brace so
-    // the line stays one object with the worker field in front.
-    const std::string window = render_window_json(cw.window);
-    out.append(window, 1, window.size() - 1);
-    out.push_back('\n');
+    w.begin_object().key("worker").integer(cw.worker);
+    write_window_members(w, cw.window);
+    w.end_object();
   }
-  return out;
+  return w.take();
 }
 
 std::string ClusterAggregator::render_trace() const {
   std::vector<TraceLane> lanes;
   lanes.reserve(reports_.size());
   for (const WorkerReport& report : reports_) {
-    TraceLane lane;
     // pids are 1-based lane indices (reports_ is sorted, so this is
     // deterministic); the metadata name carries the real ids.
-    lane.pid = static_cast<std::uint32_t>(lanes.size() + 1);
-    lane.name = "worker " + std::to_string(report.worker) + " lease " +
-                std::to_string(report.lease);
-    lane.snapshot = report.snapshot;
-    lane.timeline = report.timeline;
-    lanes.push_back(std::move(lane));
+    lanes.push_back(TraceLane{
+        static_cast<std::uint32_t>(lanes.size() + 1),
+        "worker " + std::to_string(report.worker) + " lease " +
+            std::to_string(report.lease),
+        report.snapshot.spans, report.timeline});
   }
   return render_cluster_trace(lanes);
 }

@@ -93,8 +93,8 @@ class ClusterAggregator {
   std::vector<ClusterWindow> cluster_timeline() const;
 
   // JSONL rendering of cluster_timeline(): the single-process window
-  // shape plus a leading "worker" field per line. Every line passes
-  // lint_json; the gapless single-timeline check deliberately does not
+  // shape plus a leading "worker" field per line. Every line parses with
+  // parse_json; the gapless single-timeline check deliberately does not
   // apply.
   std::string render_cluster_timeline() const;
 

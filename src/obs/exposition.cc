@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,13 +12,28 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace v6::obs {
+
+namespace {
+
+// Prometheus label-value escaping: `\` → `\\`, `"` → `\"`, newline → `\n`.
+void append_escaped_label_value(std::string& out, std::string_view v) {
+  for (const char c : v) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '"': out += "\\\""; break;
+      case '\n': out += "\\n"; break;
+      default: out.push_back(c);
+    }
+  }
+}
+
+}  // namespace
 
 namespace detail {
 
-// Deterministic number text: integral doubles print as integers (the
-// overwhelmingly common case for counts), everything else as shortest-ish
-// %.10g. Both are locale-independent.
 std::string format_double(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
@@ -33,19 +47,6 @@ std::string format_double(double v) {
   return buf;
 }
 
-void append_escaped_label_value(std::string& out, std::string_view v) {
-  for (const char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-}
-
-// `{a="x",b="y"}` (empty string when no labels). `extra` appends one more
-// pair (the histogram `le` label) without copying the label set.
 std::string label_block(const Labels& labels, std::string_view extra_key,
                         std::string_view extra_value) {
   if (labels.empty() && extra_key.empty()) return {};
@@ -70,34 +71,10 @@ std::string label_block(const Labels& labels, std::string_view extra_key,
   return out;
 }
 
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 }  // namespace detail
 
 namespace {
 
-using detail::append_escaped_label_value;
-using detail::append_json_string;
 using detail::format_double;
 using detail::label_block;
 
@@ -185,100 +162,60 @@ std::string render_prometheus(const Snapshot& snapshot) {
   return out;
 }
 
-// JSON has no Inf/NaN literals; non-finite values become null.
-void append_json_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  out += format_double(v);
-}
-
-void append_json_labels(std::string& out, const Labels& labels) {
-  out.push_back('{');
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, k);
-    out.push_back(':');
-    append_json_string(out, v);
-  }
-  out.push_back('}');
-}
-
+// Metrics one per line with spaced members and compact label objects,
+// then spans the same way.
 std::string render_json(const Snapshot& snapshot) {
-  std::string out = "{\n  \"metrics\": [";
-  bool first = true;
+  using Layout = JsonWriter::Layout;
+  JsonWriter w;
+  w.begin_object(Layout::kLines).key("metrics").begin_array(Layout::kLines);
   for (const auto& sample : snapshot.samples) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"name\": ";
-    append_json_string(out, sample.name);
-    out += ", \"type\": ";
-    append_json_string(out, type_name(sample.type));
-    out += ", \"labels\": ";
-    append_json_labels(out, sample.labels);
+    w.begin_object(Layout::kSpaced)
+        .key("name").string(sample.name)
+        .key("type").string(type_name(sample.type))
+        .key("labels").begin_object();
+    for (const auto& [k, v] : sample.labels) w.key(k).string(v);
+    w.end_object();
     switch (sample.type) {
-      case MetricType::kCounter: {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%" PRIu64, sample.counter_value);
-        out += ", \"value\": ";
-        out += buf;
+      case MetricType::kCounter:
+        w.key("value").integer(sample.counter_value);
         break;
-      }
       case MetricType::kGauge:
-        out += ", \"value\": ";
-        append_json_number(out, sample.gauge_value);
+        w.key("value").number(sample.gauge_value);
         break;
       case MetricType::kHistogram: {
         const auto& h = sample.histogram;
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%" PRIu64, h.count);
-        out += ", \"count\": ";
-        out += buf;
-        out += ", \"sum\": ";
-        append_json_number(out, h.sum);
-        out += ", \"buckets\": [";
+        w.key("count").integer(h.count).key("sum").number(h.sum);
+        w.key("buckets").begin_array(Layout::kSpaced);
         std::uint64_t cumulative = 0;
         for (std::size_t i = 0; i < h.counts.size(); ++i) {
           cumulative += h.counts[i];
-          if (i != 0) out += ", ";
-          out += "{\"le\": ";
+          w.begin_object(Layout::kSpaced).key("le");
           if (i < h.bounds.size()) {
-            append_json_number(out, h.bounds[i]);
+            w.number(h.bounds[i]);
           } else {
-            append_json_string(out, "+Inf");
+            w.string("+Inf");
           }
-          std::snprintf(buf, sizeof buf, "%" PRIu64, cumulative);
-          out += ", \"count\": ";
-          out += buf;
-          out += "}";
+          w.key("count").integer(cumulative).end_object();
         }
-        out += "]";
+        w.end_array();
         break;
       }
     }
-    out.push_back('}');
+    w.end_object();
   }
-  out += "\n  ],\n  \"spans\": [";
-  first = true;
+  w.end_array().key("spans").begin_array(Layout::kLines);
   for (const auto& span : snapshot.spans) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"name\": ";
-    append_json_string(out, span.name);
-    char buf[96];
-    std::snprintf(buf, sizeof buf,
-                  ", \"begin\": %lld, \"end\": %lld, \"parent\": %d, "
-                  "\"depth\": %u, \"closed\": %s}",
-                  static_cast<long long>(span.begin),
-                  static_cast<long long>(span.end), span.parent, span.depth,
-                  span.closed ? "true" : "false");
-    out += buf;
+    w.begin_object(Layout::kSpaced)
+        .key("name").string(span.name)
+        .key("begin").integer(span.begin)
+        .key("end").integer(span.end)
+        .key("parent").integer(span.parent)
+        .key("depth").integer(span.depth)
+        .key("closed").boolean(span.closed)
+        .end_object();
   }
-  out += "\n  ]\n}\n";
-  return out;
+  w.end_array().end_object();
+  return w.take();
 }
 
 // --- Prometheus lint -------------------------------------------------------

@@ -6,7 +6,8 @@
 //     # TYPE headers, `name{label="v"} value` samples, histograms as
 //     cumulative `_bucket{le=...}` + `_sum` + `_count`. Spans have no
 //     Prometheus representation and are omitted.
-//   * kJson — the full snapshot including spans, for dashboards and jq.
+//   * kJson — the full snapshot including spans, for dashboards and jq,
+//     written by obs::JsonWriter (obs/json.h) like every JSON artifact.
 //
 // lint_prometheus() is the promtool-style validator: a hand-rolled,
 // dependency-free line checker used by tests and the CLI's lint-metrics
@@ -24,24 +25,18 @@ namespace v6::obs {
 
 namespace detail {
 
-// Shared rendering primitives, also used by the timeline/trace exporters
-// so every exposition path escapes and formats identically.
+// Shared rendering primitives, also used by obs/json.cc and the timeline
+// exporters so every exposition path formats numbers and series names
+// identically.
 
 // Deterministic number text: integral doubles print as integers,
 // everything else as %.10g. Locale-independent.
 std::string format_double(double v);
 
-// Prometheus label-value escaping: `\` → `\\`, `"` → `\"`, newline → `\n`.
-void append_escaped_label_value(std::string& out, std::string_view v);
-
 // `{a="x",b="y"}` (empty string when no labels). `extra` appends one more
 // pair (the histogram `le` label) without copying the label set.
 std::string label_block(const Labels& labels, std::string_view extra_key = {},
                         std::string_view extra_value = {});
-
-// JSON string literal including the surrounding quotes, control chars as
-// \uXXXX.
-void append_json_string(std::string& out, std::string_view s);
 
 }  // namespace detail
 

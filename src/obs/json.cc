@@ -2,8 +2,128 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdio>
+
+#include "obs/exposition.h"
 
 namespace v6::obs {
+
+void JsonWriter::separate() {
+  Frame& frame = stack_.back();
+  if (!frame.empty) out_ += frame.layout == Layout::kSpaced ? ", " : ",";
+  frame.empty = false;
+  if (frame.layout == Layout::kLines) {
+    out_.push_back('\n');
+    out_.append(lines_depth_ * indent_, ' ');
+  }
+}
+
+void JsonWriter::begin_value() {
+  if (keyed_) {
+    keyed_ = false;
+  } else if (!stack_.empty()) {
+    separate();
+  }
+}
+
+void JsonWriter::end_value() {
+  if (stack_.empty()) out_.push_back('\n');
+}
+
+JsonWriter& JsonWriter::open(char bracket, Layout layout) {
+  begin_value();
+  out_.push_back(bracket);
+  stack_.push_back(Frame{layout});
+  if (layout == Layout::kLines) ++lines_depth_;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  if (stack_.back().layout == Layout::kLines) {
+    --lines_depth_;
+    out_.push_back('\n');
+    out_.append(lines_depth_ * indent_, ' ');
+  }
+  stack_.pop_back();
+  out_.push_back(bracket);
+  end_value();
+  return *this;
+}
+
+JsonWriter& JsonWriter::begin_object(Layout layout) {
+  return open('{', layout);
+}
+
+JsonWriter& JsonWriter::end_object() { return close('}'); }
+
+JsonWriter& JsonWriter::begin_array(Layout layout) {
+  return open('[', layout);
+}
+
+JsonWriter& JsonWriter::end_array() { return close(']'); }
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  separate();
+  append_string(name);
+  out_ += stack_.back().layout == Layout::kCompact ? ":" : ": ";
+  keyed_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::string(std::string_view value) {
+  begin_value();
+  append_string(value);
+  end_value();
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(double value) {
+  return std::isfinite(value) ? scalar(detail::format_double(value)) : null();
+}
+
+JsonWriter& JsonWriter::number_exact(double value) {
+  if (!std::isfinite(value)) return null();
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return scalar(buf);
+}
+
+JsonWriter& JsonWriter::boolean(bool value) {
+  return scalar(value ? "true" : "false");
+}
+
+JsonWriter& JsonWriter::null() { return scalar("null"); }
+
+JsonWriter& JsonWriter::scalar(std::string_view text) {
+  begin_value();
+  out_ += text;
+  end_value();
+  return *this;
+}
+
+void JsonWriter::append_string(std::string_view s) {
+  out_.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\t': out_ += "\\t"; break;
+      case '\r': out_ += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out_ += buf;
+        } else {
+          out_.push_back(c);
+        }
+    }
+  }
+  out_.push_back('"');
+}
 
 namespace {
 

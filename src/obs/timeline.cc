@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
 
 #include "obs/exposition.h"
-#include "obs/json.h"
 
 namespace v6::obs {
 
@@ -142,18 +138,6 @@ void TimelineSampler::sample(util::SimTime at, std::string_view stage) {
 
 namespace {
 
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
 // `name{label="v"}` — the Prometheus series notation, reused here so
 // timeline series names match the metrics exposition byte for byte.
 std::string series_name(std::string_view name, const Labels& labels) {
@@ -162,79 +146,14 @@ std::string series_name(std::string_view name, const Labels& labels) {
   return out;
 }
 
-void append_window_json(std::string& out, const WindowRecord& rec) {
-  out += "{\"begin\":";
-  append_i64(out, rec.begin);
-  out += ",\"end\":";
-  append_i64(out, rec.end);
-  out += ",\"stage\":";
-  detail::append_json_string(out, rec.stage);
-  out += ",\"counters\":{";
-  bool first = true;
-  for (const WindowCounter& c : rec.counters) {
-    if (!first) out.push_back(',');
-    first = false;
-    detail::append_json_string(out, series_name(c.name, c.labels));
-    out.push_back(':');
-    append_u64(out, c.delta);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const WindowGauge& g : rec.gauges) {
-    if (!first) out.push_back(',');
-    first = false;
-    detail::append_json_string(out, series_name(g.name, g.labels));
-    out.push_back(':');
-    if (std::isfinite(g.value)) {
-      out += detail::format_double(g.value);
-    } else {
-      out += "null";  // JSON has no Inf/NaN literals
-    }
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const WindowHistogram& h : rec.histograms) {
-    if (!first) out.push_back(',');
-    first = false;
-    detail::append_json_string(out, series_name(h.name, h.labels));
-    out += ":{\"count\":";
-    append_u64(out, h.count_delta);
-    out += ",\"sum\":";
-    if (std::isfinite(h.sum_delta)) {
-      out += detail::format_double(h.sum_delta);
-    } else {
-      out += "null";
-    }
-    out.push_back('}');
-  }
-  out += "},\"vantages\":[";
-  first = true;
-  for (const VantageWindow& vw : rec.vantages) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"vantage\":";
-    append_u64(out, vw.vantage);
-    out += ",\"polls\":";
-    append_u64(out, vw.polls);
-    out += ",\"answered\":";
-    append_u64(out, vw.answered);
-    out += ",\"fault_lost\":";
-    append_u64(out, vw.fault_lost);
-    out += ",\"records\":";
-    append_u64(out, vw.records);
-    out.push_back('}');
-  }
-  out += "]}";
-}
-
 std::string render_timeline_jsonl(const Timeline& timeline) {
-  std::string out;
-  out.reserve(timeline.size() * 192);
+  JsonWriter w;
   for (const WindowRecord& rec : timeline) {
-    append_window_json(out, rec);
-    out.push_back('\n');
+    w.begin_object();
+    write_window_members(w, rec);
+    w.end_object();
   }
-  return out;
+  return w.take();
 }
 
 // RFC 4180: quote when the field contains a comma, quote, or newline;
@@ -257,9 +176,9 @@ std::string render_timeline_csv(const Timeline& timeline) {
   const auto row = [&out](util::SimTime begin, util::SimTime end,
                           std::string_view stage, std::string_view kind,
                           std::string_view series, std::string_view value) {
-    append_i64(out, begin);
+    out += std::to_string(begin);
     out.push_back(',');
-    append_i64(out, end);
+    out += std::to_string(end);
     out.push_back(',');
     append_csv_field(out, stage);
     out.push_back(',');
@@ -270,16 +189,10 @@ std::string render_timeline_csv(const Timeline& timeline) {
     out += value;
     out.push_back('\n');
   };
-  std::string num;
-  const auto u64_text = [&num](std::uint64_t v) -> std::string_view {
-    num.clear();
-    append_u64(num, v);
-    return num;
-  };
   for (const WindowRecord& rec : timeline) {
     for (const WindowCounter& c : rec.counters) {
       row(rec.begin, rec.end, rec.stage, "counter",
-          series_name(c.name, c.labels), u64_text(c.delta));
+          series_name(c.name, c.labels), std::to_string(c.delta));
     }
     for (const WindowGauge& g : rec.gauges) {
       row(rec.begin, rec.end, rec.stage, "gauge",
@@ -287,21 +200,20 @@ std::string render_timeline_csv(const Timeline& timeline) {
     }
     for (const WindowHistogram& h : rec.histograms) {
       row(rec.begin, rec.end, rec.stage, "histogram_count",
-          series_name(h.name, h.labels), u64_text(h.count_delta));
+          series_name(h.name, h.labels), std::to_string(h.count_delta));
       row(rec.begin, rec.end, rec.stage, "histogram_sum",
           series_name(h.name, h.labels), detail::format_double(h.sum_delta));
     }
     for (const VantageWindow& vw : rec.vantages) {
-      std::string vantage;
-      append_u64(vantage, vw.vantage);
+      const std::string vantage = std::to_string(vw.vantage);
       row(rec.begin, rec.end, rec.stage, "vantage_polls", vantage,
-          u64_text(vw.polls));
+          std::to_string(vw.polls));
       row(rec.begin, rec.end, rec.stage, "vantage_answered", vantage,
-          u64_text(vw.answered));
+          std::to_string(vw.answered));
       row(rec.begin, rec.end, rec.stage, "vantage_fault_lost", vantage,
-          u64_text(vw.fault_lost));
+          std::to_string(vw.fault_lost));
       row(rec.begin, rec.end, rec.stage, "vantage_records", vantage,
-          u64_text(vw.records));
+          std::to_string(vw.records));
     }
   }
   return out;
@@ -324,14 +236,34 @@ std::string render_timeline(const Timeline& timeline, TimelineFormat format) {
                                         : render_timeline_jsonl(timeline);
 }
 
-std::string render_window_json(const WindowRecord& rec) {
-  std::string out;
-  append_window_json(out, rec);
-  return out;
-}
-
-std::optional<std::string> lint_json(std::string_view text) {
-  return parse_json(text).error;
+void write_window_members(JsonWriter& w, const WindowRecord& rec) {
+  w.key("begin").integer(rec.begin).key("end").integer(rec.end);
+  w.key("stage").string(rec.stage);
+  w.key("counters").begin_object();
+  for (const WindowCounter& c : rec.counters) {
+    w.key(series_name(c.name, c.labels)).integer(c.delta);
+  }
+  w.end_object().key("gauges").begin_object();
+  for (const WindowGauge& g : rec.gauges) {
+    w.key(series_name(g.name, g.labels)).number(g.value);
+  }
+  w.end_object().key("histograms").begin_object();
+  for (const WindowHistogram& h : rec.histograms) {
+    w.key(series_name(h.name, h.labels)).begin_object();
+    w.key("count").integer(h.count_delta).key("sum").number(h.sum_delta);
+    w.end_object();
+  }
+  w.end_object().key("vantages").begin_array();
+  for (const VantageWindow& vw : rec.vantages) {
+    w.begin_object()
+        .key("vantage").integer(vw.vantage)
+        .key("polls").integer(vw.polls)
+        .key("answered").integer(vw.answered)
+        .key("fault_lost").integer(vw.fault_lost)
+        .key("records").integer(vw.records)
+        .end_object();
+  }
+  w.end_array();
 }
 
 std::optional<std::string> lint_timeline_jsonl(std::string_view text) {

@@ -34,6 +34,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "util/sim_time.h"
@@ -167,14 +168,12 @@ std::string_view timeline_format_suffix(TimelineFormat format);
 // quoting (kCsv).
 std::string render_timeline(const Timeline& timeline, TimelineFormat format);
 
-// One window as a JSON object (no trailing newline) — exactly one JSONL
-// line of render_timeline(kJsonl). The cluster-timeline renderer reuses
-// it to keep the two window shapes byte-compatible.
-std::string render_window_json(const WindowRecord& rec);
-
-// JSON syntax check: nullopt when `text` is one JSON value (parse_json,
-// obs/json.h), else "offset N: <problem>".
-std::optional<std::string> lint_json(std::string_view text);
+// Writes one window's members (begin, end, stage, counters, gauges,
+// histograms, vantages) into the object open in `w`: one JSONL line of
+// render_timeline(kJsonl) is exactly these members in one object. The
+// cluster timeline writes its "worker" member first, so both window
+// shapes stay byte-compatible.
+void write_window_members(JsonWriter& w, const WindowRecord& rec);
 
 // Validates a JSONL timeline export: every line parses as a JSON object
 // whose own members carry integer begin/end and a string stage, windows

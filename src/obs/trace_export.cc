@@ -1,53 +1,41 @@
 #include "obs/trace_export.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <utility>
 #include <vector>
 
-#include "obs/exposition.h"
 #include "obs/json.h"
 
 namespace v6::obs {
 
 namespace {
 
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  out += buf;
+// Opens one event object and writes its common members:
+// {"name":...,"ph":"B","ts":N,"pid":P,"tid":T. The caller adds any
+// further members and closes it.
+JsonWriter& begin_event(JsonWriter& w, std::string_view name,
+                        std::string_view ph, std::int64_t ts,
+                        std::int64_t pid, int tid) {
+  return w.begin_object()
+      .key("name").string(name)
+      .key("ph").string(ph)
+      .key("ts").integer(ts)
+      .key("pid").integer(pid)
+      .key("tid").integer(tid);
 }
 
-// One trace event line: {"name":...,"ph":"B","ts":N,"pid":P,"tid":T[,args]}
-void append_event(std::string& out, std::string_view name, char ph,
-                  std::int64_t ts, std::int64_t pid, int tid,
-                  std::string_view extra = {}) {
-  out += "{\"name\":";
-  detail::append_json_string(out, name);
-  out += ",\"ph\":\"";
-  out.push_back(ph);
-  out += "\",\"ts\":";
-  append_i64(out, ts);
-  out += ",\"pid\":";
-  append_i64(out, pid);
-  out += ",\"tid\":";
-  append_i64(out, tid);
-  out += extra;
-  out += "}";
-}
-
-// Emits one process lane (spans on tid 1, windows on tid 2) under `pid`.
-// `first` threads the top-level event-separator state across lanes.
-void append_lane(std::string& out, bool& first, std::int64_t pid,
-                 const Snapshot& snapshot, const Timeline& timeline) {
-  const auto emit = [&out, &first, pid](std::string_view name, char ph,
-                                        std::int64_t ts, int tid,
-                                        std::string_view extra = {}) {
-    if (!first) out += ",\n";
-    first = false;
-    append_event(out, name, ph, ts, pid, tid, extra);
-  };
+// Emits one process lane: the process_name event when the lane is named,
+// then spans on tid 1 and windows on tid 2.
+void write_lane(JsonWriter& w, const TraceLane& lane) {
+  const std::int64_t pid = lane.pid;
+  if (!lane.name.empty()) {
+    // process_name metadata labels the pid lane in the viewer. ts/tid are
+    // carried (0) so the linter's per-event requirements stay uniform.
+    begin_event(w, "process_name", "M", 0, pid, 0)
+        .key("args").begin_object().key("name").string(lane.name)
+        .end_object().end_object();
+  }
 
   // Spans → B/E pairs on tid 1. Walk the spans in recorded order keeping a
   // stack of open span indices; before opening span i, close everything on
@@ -63,27 +51,29 @@ void append_lane(std::string& out, bool& first, std::int64_t pid,
     cursor_set = true;
     return cursor;
   };
-  const auto close_top = [&](const std::vector<SpanRecord>& spans) {
-    const SpanRecord& span = spans[open.back()];
-    emit(span.name, 'E', clamp(std::max(span.begin, span.end)), 1);
+  const auto close_top = [&] {
+    const SpanRecord& span = lane.spans[open.back()];
+    begin_event(w, span.name, "E", clamp(std::max(span.begin, span.end)),
+                pid, 1)
+        .end_object();
     open.pop_back();
   };
-  for (std::size_t i = 0; i < snapshot.spans.size(); ++i) {
-    const SpanRecord& span = snapshot.spans[i];
+  for (std::size_t i = 0; i < lane.spans.size(); ++i) {
+    const SpanRecord& span = lane.spans[i];
     while (!open.empty() &&
            static_cast<std::int32_t>(open.back()) != span.parent) {
-      close_top(snapshot.spans);
+      close_top();
     }
-    emit(span.name, 'B', clamp(span.begin), 1);
+    begin_event(w, span.name, "B", clamp(span.begin), pid, 1).end_object();
     open.push_back(i);
   }
-  while (!open.empty()) close_top(snapshot.spans);
+  while (!open.empty()) close_top();
 
   // Windows → X complete events + C throughput counters on tid 2.
-  for (const WindowRecord& rec : timeline) {
-    std::string extra = ",\"dur\":";
-    append_i64(extra, rec.end - rec.begin);
-    emit(rec.stage, 'X', rec.begin, 2, extra);
+  for (const WindowRecord& rec : lane.timeline) {
+    begin_event(w, rec.stage, "X", rec.begin, pid, 2)
+        .key("dur").integer(rec.end - rec.begin)
+        .end_object();
     std::uint64_t records = 0;
     std::uint64_t answered = 0;
     std::uint64_t fault_lost = 0;
@@ -92,14 +82,12 @@ void append_lane(std::string& out, bool& first, std::int64_t pid,
       answered += vw.answered;
       fault_lost += vw.fault_lost;
     }
-    std::string args = ",\"args\":{\"records\":";
-    append_i64(args, static_cast<std::int64_t>(records));
-    args += ",\"answered\":";
-    append_i64(args, static_cast<std::int64_t>(answered));
-    args += ",\"fault_lost\":";
-    append_i64(args, static_cast<std::int64_t>(fault_lost));
-    args += "}";
-    emit("window_throughput", 'C', rec.end, 2, args);
+    begin_event(w, "window_throughput", "C", rec.end, pid, 2)
+        .key("args").begin_object()
+        .key("records").integer(records)
+        .key("answered").integer(answered)
+        .key("fault_lost").integer(fault_lost)
+        .end_object().end_object();
   }
 }
 
@@ -107,31 +95,17 @@ void append_lane(std::string& out, bool& first, std::int64_t pid,
 
 std::string render_trace_events(const Snapshot& snapshot,
                                 const Timeline& timeline) {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  append_lane(out, first, 1, snapshot, timeline);
-  out += "\n]}\n";
-  return out;
+  return render_cluster_trace({TraceLane{1, {}, snapshot.spans, timeline}});
 }
 
 std::string render_cluster_trace(const std::vector<TraceLane>& lanes) {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  for (const TraceLane& lane : lanes) {
-    // process_name metadata labels the pid lane in the viewer. ts/tid are
-    // carried (0) so the linter's per-event requirements stay uniform.
-    if (!first) out += ",\n";
-    first = false;
-    std::string args = ",\"args\":{\"name\":";
-    detail::append_json_string(args, lane.name);
-    args += "}";
-    append_event(out, "process_name", 'M', 0,
-                 static_cast<std::int64_t>(lane.pid), 0, args);
-    append_lane(out, first, static_cast<std::int64_t>(lane.pid),
-                lane.snapshot, lane.timeline);
-  }
-  out += "\n]}\n";
-  return out;
+  // One event per line, unindented.
+  JsonWriter w(0);
+  w.begin_object().key("displayTimeUnit").string("ms");
+  w.key("traceEvents").begin_array(JsonWriter::Layout::kLines);
+  for (const TraceLane& lane : lanes) write_lane(w, lane);
+  w.end_array().end_object();
+  return w.take();
 }
 
 std::optional<std::string> lint_trace_events(std::string_view text) {

@@ -19,33 +19,38 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/snapshot.h"
 #include "obs/timeline.h"
 
 namespace v6::obs {
 
-// Byte-deterministic render of `snapshot.spans` + `timeline` as a JSON
-// object {"displayTimeUnit", "traceEvents": [...]}. Either input may be
-// empty. One event per line, so linters and diffs stay line-oriented.
-std::string render_trace_events(const Snapshot& snapshot,
-                                const Timeline& timeline);
-
-// One process lane of a multi-worker trace: the lane's spans/windows get
-// their own Perfetto pid (plus a process_name metadata event), so a
-// cluster run loads as one lane per worker side by side.
+// One process lane of a trace: the lane's spans and windows under their
+// own Perfetto pid, so a cluster run loads as one lane per worker side by
+// side. The lane views its inputs; they must outlive the render.
 struct TraceLane {
   std::uint32_t pid = 1;
-  std::string name;    // process_name shown by the viewer
-  Snapshot snapshot;   // spans -> tid 1 (samples ignored here)
-  Timeline timeline;   // windows -> tid 2
+  // process_name shown by the viewer; an unnamed lane emits no
+  // process_name metadata event.
+  std::string name;
+  std::span<const SpanRecord> spans;       // -> tid 1
+  std::span<const WindowRecord> timeline;  // -> tid 2
 };
 
-// Byte-deterministic multi-lane render; lanes are emitted in the order
-// given (callers sort by worker id for determinism).
+// Byte-deterministic render of the lanes, in the order given (callers
+// sort by worker id for determinism), as a JSON object
+// {"displayTimeUnit", "traceEvents": [...]}. Any lane's inputs may be
+// empty. One event per line, so linters and diffs stay line-oriented.
 std::string render_cluster_trace(const std::vector<TraceLane>& lanes);
+
+// The single-process trace: render_cluster_trace() of one unnamed lane
+// with pid 1 holding `snapshot.spans` and `timeline`.
+std::string render_trace_events(const Snapshot& snapshot,
+                                const Timeline& timeline);
 
 // Validates a trace-event export: the text parses as a JSON object whose
 // "traceEvents" array holds events with a string ph and integer ts and

@@ -31,6 +31,7 @@
 #include "hitlist/checkpoint_io.h"
 #include "hitlist/corpus_io.h"
 #include "obs/exposition.h"
+#include "obs/json.h"
 #include "obs/timeline.h"
 #include "obs/trace_export.h"
 
@@ -324,8 +325,8 @@ TEST_F(DistIdentityTest, ClusterObsCountersMatchSingleProcessBitForBit) {
     while (start < cluster_tl.size()) {
       std::size_t nl = cluster_tl.find('\n', start);
       if (nl == std::string::npos) nl = cluster_tl.size();
-      EXPECT_FALSE(
-          obs::lint_json(cluster_tl.substr(start, nl - start)).has_value());
+      EXPECT_FALSE(obs::parse_json(cluster_tl.substr(start, nl - start))
+                       .error.has_value());
       start = nl + 1;
     }
   }

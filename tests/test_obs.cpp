@@ -1,14 +1,16 @@
 // The observability subsystem: the striped metrics registry, sim-time
-// trace spans, the two exposition formats, the Prometheus linter — and the
-// contract that wiring metrics through the whole study changes no result
-// bit.
+// trace spans, the JSON writer, the two exposition formats, the Prometheus
+// linter — and the contract that wiring metrics through the whole study
+// changes no result bit.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "core/study.h"
 #include "hitlist/checkpoint_io.h"
 #include "obs/exposition.h"
+#include "obs/json.h"
 
 namespace v6::obs {
 namespace {
@@ -494,6 +497,117 @@ TEST(Exposition, LabelValuesAreEscapedAndRoundTripTheLinter) {
   EXPECT_EQ(lint_prometheus(text), std::nullopt);
 }
 
+// --- JsonWriter ------------------------------------------------------------
+
+// Decodes the raw (still-escaped) text parse_json keeps for a string.
+std::string unescape(std::string_view raw) {
+  std::string out;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    if (raw[i] != '\\') {
+      out.push_back(raw[i]);
+      continue;
+    }
+    const char e = raw[++i];
+    switch (e) {
+      case 'n': out.push_back('\n'); break;
+      case 't': out.push_back('\t'); break;
+      case 'r': out.push_back('\r'); break;
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      case 'u':
+        out.push_back(static_cast<char>(
+            std::stoi(std::string(raw.substr(i + 1, 4)), nullptr, 16)));
+        i += 4;
+        break;
+      default: out.push_back(e); break;  // '"', '\\', '/'
+    }
+  }
+  return out;
+}
+
+TEST(JsonWriter, EveryAsciiByteRoundTripsInKeysAndStrings) {
+  for (int c = 0; c < 0x80; ++c) {
+    SCOPED_TRACE(c);
+    const std::string text = "<" + std::string(1, static_cast<char>(c)) + ">";
+    JsonWriter w;
+    w.begin_object().key(text).string(text).end_object();
+    const JsonParse parsed = parse_json(w.text());
+    ASSERT_EQ(parsed.error, std::nullopt) << w.text();
+    ASSERT_EQ(parsed.root.keys.size(), 1u);
+    ASSERT_EQ(parsed.root.items[0].kind, JsonValue::Kind::kString);
+    EXPECT_EQ(unescape(parsed.root.keys[0]), text);
+    EXPECT_EQ(unescape(parsed.root.items[0].text), text);
+    // Printable bytes other than the quote and the backslash pass as
+    // they are.
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      EXPECT_EQ(parsed.root.keys[0], text);
+    }
+  }
+}
+
+TEST(JsonWriter, NonFiniteNumbersWriteNull) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  JsonWriter w;
+  w.begin_array();
+  for (const double v : {kInf, -kInf, kNan}) w.number(v).number_exact(v);
+  w.number(3.0).number(0.5).number_exact(0.1).end_array();
+  EXPECT_EQ(w.text(),
+            "[null,null,null,null,null,null,3,0.5,0.10000000000000001]\n");
+}
+
+TEST(JsonWriter, SeparatorsAroundNestedEmptyAndFilledContainers) {
+  using Layout = JsonWriter::Layout;
+  // The same document in both one-line layouts.
+  const auto document = [](Layout layout) {
+    JsonWriter w;
+    w.begin_object(layout)
+        .key("a").begin_array(layout).end_array()
+        .key("b").begin_object(layout).end_object()
+        .key("c").begin_array(layout)
+        .integer(1)
+        .begin_array(layout).integer(-2).begin_object(layout).end_object()
+        .end_array()
+        .begin_object(layout).key("d").null().end_object()
+        .end_array()
+        .end_object();
+    return w.take();
+  };
+  EXPECT_EQ(document(Layout::kCompact),
+            "{\"a\":[],\"b\":{},\"c\":[1,[-2,{}],{\"d\":null}]}\n");
+  EXPECT_EQ(document(Layout::kSpaced),
+            "{\"a\": [], \"b\": {}, \"c\": [1, [-2, {}], {\"d\": null}]}\n");
+
+  // kLines indents per enclosing kLines level and closes on its own line,
+  // empty or not; containers inside keep their own layout.
+  JsonWriter lines;
+  lines.begin_object(Layout::kLines)
+      .key("empty").begin_array(Layout::kLines).end_array()
+      .key("rows").begin_array(Layout::kLines)
+      .begin_object(Layout::kSpaced)
+      .key("x").boolean(true).key("y").boolean(false)
+      .end_object()
+      .begin_array().end_array()
+      .end_array()
+      .end_object();
+  EXPECT_EQ(lines.text(),
+            "{\n"
+            "  \"empty\": [\n"
+            "  ],\n"
+            "  \"rows\": [\n"
+            "    {\"x\": true, \"y\": false},\n"
+            "    []\n"
+            "  ]\n"
+            "}\n");
+  EXPECT_EQ(parse_json(lines.text()).error, std::nullopt);
+
+  // Unindented lines, and a run of top-level values is JSON Lines.
+  JsonWriter flat(0);
+  flat.begin_array(Layout::kLines).integer(1).integer(2).end_array();
+  flat.string("x").begin_object().end_object();
+  EXPECT_EQ(flat.text(), "[\n1,\n2\n]\n\"x\"\n{}\n");
+}
+
 // --- Study integration -----------------------------------------------------
 
 core::StudyConfig tiny_study(std::uint64_t seed) {
@@ -626,6 +740,44 @@ TEST_F(StudyMetricsTest, RenderedSnapshotPassesTheLinterInBothFormats) {
   const auto json = render(m, ExpositionFormat::kJson);
   EXPECT_NE(json.find("\"spans\""), std::string::npos);
   EXPECT_EQ(json.front(), '{');
+
+  // The JSON parses, with one metrics entry per sample that carries the
+  // sample's own values.
+  const JsonParse parsed = parse_json(json);
+  ASSERT_EQ(parsed.error, std::nullopt);
+  const JsonValue* metrics = parsed.root.find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_EQ(metrics->kind, JsonValue::Kind::kArray);
+  ASSERT_EQ(metrics->items.size(), m.samples.size());
+  for (std::size_t i = 0; i < m.samples.size(); ++i) {
+    const MetricSample& sample = m.samples[i];
+    const JsonValue& entry = metrics->items[i];
+    SCOPED_TRACE(sample.name);
+    const JsonValue* name = entry.find("name");
+    ASSERT_NE(name, nullptr);
+    EXPECT_EQ(name->text, sample.name);
+    ASSERT_NE(entry.find("type"), nullptr);
+    const JsonValue* labels = entry.find("labels");
+    ASSERT_NE(labels, nullptr);
+    EXPECT_EQ(labels->kind, JsonValue::Kind::kObject);
+    EXPECT_EQ(labels->keys.size(), sample.labels.size());
+    if (sample.type == MetricType::kCounter) {
+      EXPECT_EQ(entry.int_member("value"),
+                static_cast<std::int64_t>(sample.counter_value));
+    } else if (sample.type == MetricType::kHistogram) {
+      const auto count = entry.int_member("count");
+      EXPECT_EQ(count, static_cast<std::int64_t>(sample.histogram.count));
+      const JsonValue* buckets = entry.find("buckets");
+      ASSERT_NE(buckets, nullptr);
+      ASSERT_FALSE(buckets->items.empty());
+      const JsonValue& last = buckets->items.back();
+      const JsonValue* le = last.find("le");
+      ASSERT_NE(le, nullptr);
+      EXPECT_EQ(le->kind, JsonValue::Kind::kString);
+      EXPECT_EQ(le->text, "+Inf");
+      EXPECT_EQ(last.int_member("count"), count);
+    }
+  }
 }
 
 TEST_F(StudyMetricsTest, MetricsOffIsBitIdenticalAndUnsampled) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/exposition.h"
+#include "obs/json.h"
 #include "obs/snapshot.h"
 #include "obs/timeline.h"
 #include "obs/trace_export.h"
@@ -246,7 +247,7 @@ TEST(ClusterAggregator, RenderedClusterTimelineLinesAreValidJson) {
     const std::size_t nl = text.find('\n', start);
     ASSERT_NE(nl, std::string::npos);
     const std::string line = text.substr(start, nl - start);
-    EXPECT_EQ(lint_json(line), std::nullopt) << line;
+    EXPECT_EQ(parse_json(line).error, std::nullopt) << line;
     EXPECT_EQ(line.find("{\"worker\":"), 0u) << line;
     start = nl + 1;
     ++lines;
@@ -261,7 +262,7 @@ TEST(ClusterAggregator, TraceHasOneLanePerReportAndLintsClean) {
   agg.add_worker(4, 2, snapshot_of({}), {window(0, 9, "collect")});
   const std::string text = agg.render_trace();
   EXPECT_EQ(lint_trace_events(text), std::nullopt) << text;
-  EXPECT_EQ(lint_json(text), std::nullopt);
+  EXPECT_EQ(parse_json(text).error, std::nullopt);
   // One pid lane per report, labeled with the real (worker, lease) ids.
   EXPECT_NE(text.find("\"name\":\"worker 1 lease 0\""), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"worker 4 lease 1\""), std::string::npos);

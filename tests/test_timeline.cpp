@@ -257,13 +257,14 @@ TEST(JsonParse, BuildsATreeOverTheRawText) {
 }
 
 TEST(TimelineExposition, JsonLinter) {
-  EXPECT_FALSE(lint_json("{\"a\":[1,2.5,-3e2,true,false,null,\"x\\n\"]}")
-                   .has_value());
-  EXPECT_TRUE(lint_json("{\"a\":1,}").has_value());       // trailing comma
-  EXPECT_TRUE(lint_json("{\"a\":1} x").has_value());      // trailing garbage
-  EXPECT_TRUE(lint_json("{\"a\":\"\\q\"}").has_value());  // bad escape
-  EXPECT_TRUE(lint_json("{\"a\":01}").has_value());       // leading zero
-  EXPECT_TRUE(lint_json("").has_value());
+  EXPECT_FALSE(
+      parse_json("{\"a\":[1,2.5,-3e2,true,false,null,\"x\\n\"]}")
+          .error.has_value());
+  EXPECT_TRUE(parse_json("{\"a\":1,}").error.has_value());   // trailing comma
+  EXPECT_TRUE(parse_json("{\"a\":1} x").error.has_value());  // trailing garbage
+  EXPECT_TRUE(parse_json("{\"a\":\"\\q\"}").error.has_value());  // bad escape
+  EXPECT_TRUE(parse_json("{\"a\":01}").error.has_value());   // leading zero
+  EXPECT_TRUE(parse_json("").error.has_value());
 }
 
 TEST(TimelineExposition, TimelineLinterRejectsMalformedSequences) {
@@ -299,14 +300,15 @@ TEST(TimelineExposition, TimelineLinterReadsTopLevelMembersOnly) {
 }
 
 TEST(TimelineExposition, JsonLinterReportsOffsetsAndCapsDepth) {
-  EXPECT_EQ(lint_json("{\"a\":1,}"), "offset 7: expected object key");
-  EXPECT_EQ(lint_json("{\"a\":1} x"), "offset 8: trailing data after value");
-  EXPECT_EQ(lint_json("{\"a\":01}"), "offset 5: invalid number");
-  EXPECT_EQ(lint_json(""), "offset 0: expected value");
+  EXPECT_EQ(parse_json("{\"a\":1,}").error, "offset 7: expected object key");
+  EXPECT_EQ(parse_json("{\"a\":1} x").error,
+            "offset 8: trailing data after value");
+  EXPECT_EQ(parse_json("{\"a\":01}").error, "offset 5: invalid number");
+  EXPECT_EQ(parse_json("").error, "offset 0: expected value");
   // 64 levels parse; the 65th is refused.
-  EXPECT_EQ(lint_json(std::string(64, '[') + std::string(64, ']')),
+  EXPECT_EQ(parse_json(std::string(64, '[') + std::string(64, ']')).error,
             std::nullopt);
-  EXPECT_EQ(lint_json(std::string(65, '[') + std::string(65, ']')),
+  EXPECT_EQ(parse_json(std::string(65, '[') + std::string(65, ']')).error,
             "offset 64: nesting too deep");
 }
 
@@ -346,7 +348,7 @@ TEST(TraceExport, GoldenSpansAndWindows) {
             "\"fault_lost\":1}}\n"
             "]}\n");
   EXPECT_FALSE(lint_trace_events(text).has_value());
-  EXPECT_FALSE(lint_json(text).has_value());
+  EXPECT_FALSE(parse_json(text).error.has_value());
 }
 
 TEST(TraceExport, LinterRejectsUnbalancedAndBackwardsEvents) {
