@@ -66,7 +66,7 @@ std::size_t save_checkpoint(std::ostream& out, const CheckpointState& state,
   // function of (state, content): the sink's corpus is in insertion
   // order, which depends on the collector's shard count.
   const Corpus* parts[] = {&corpus};
-  const std::vector<AddressRecord> records = Corpus::canonical_union(parts);
+  const RecordArray records = Corpus::canonical_union(parts);
   CorpusSnapshotWriter snapshot(out, records.size(),
                                 corpus.total_observations());
   for (const AddressRecord& rec : records) snapshot.append(rec);

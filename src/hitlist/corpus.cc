@@ -205,7 +205,7 @@ const AddressRecord* Corpus::find(
   }
 }
 
-Corpus Corpus::from_canonical(std::vector<AddressRecord>&& records) {
+Corpus Corpus::from_canonical(RecordArray&& records) {
   if (records.size() >= kEmptySlot) {
     throw std::length_error("corpus: record id space exhausted");
   }
@@ -218,11 +218,10 @@ Corpus Corpus::from_canonical(std::vector<AddressRecord>&& records) {
   return corpus;
 }
 
-std::vector<AddressRecord> Corpus::canonical_union(
-    std::span<const Corpus* const> parts) {
+RecordArray Corpus::canonical_union(std::span<const Corpus* const> parts) {
   std::size_t total = 0;
   for (const Corpus* part : parts) total += part->size();
-  std::vector<AddressRecord> out;
+  RecordArray out;
   out.reserve(total);
   for (const Corpus* part : parts) {
     out.insert(out.end(), part->records_.begin(), part->records_.end());
@@ -249,7 +248,7 @@ Corpus Corpus::canonical_merge(std::vector<Corpus> parts) {
   std::vector<const Corpus*> pointers;
   pointers.reserve(parts.size());
   for (const Corpus& part : parts) pointers.push_back(&part);
-  std::vector<AddressRecord> records = canonical_union(pointers);
+  RecordArray records = canonical_union(pointers);
   parts.clear();
   return from_canonical(std::move(records));
 }

@@ -17,7 +17,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/ipv6.h"
@@ -51,18 +54,41 @@ inline void fold_record(AddressRecord& agg, const AddressRecord& rec) noexcept {
   agg.vantage_mask |= rec.vantage_mask;
 }
 
+// The allocator of a corpus's record array: std::allocator, except that a
+// record made with no arguments (vector growth by resize) is left
+// unwritten, so growing an array only reserves memory and pages no record
+// is written to are never touched. Records are trivially copyable, so the
+// allocation provides their objects; each must be written before it is
+// read.
+template <typename T>
+struct RecordAllocator : std::allocator<T> {
+  static_assert(std::is_trivially_copyable_v<T>);
+  using std::allocator<T>::allocator;
+
+  template <typename U>
+  void construct(U*) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
+// TieredCorpus::collapse sizes one to an upper bound of the records it
+// merges and fills a prefix of it.
+using RecordArray = std::vector<AddressRecord, RecordAllocator<AddressRecord>>;
+
 class Corpus {
  public:
   explicit Corpus(std::size_t expected_addresses = 1 << 16);
 
   // Adopts a strictly ascending record array as a canonical corpus: the
   // array is kept as is and indexed once, with no per-record inserts.
-  static Corpus from_canonical(std::vector<AddressRecord>&& records);
+  static Corpus from_canonical(RecordArray&& records);
 
   // The union of `parts` as one strictly ascending record array, with
   // duplicate addresses folded like merge(): the canonical record array of
   // the merged corpus, built with one sort and no hash table.
-  static std::vector<AddressRecord> canonical_union(
+  static RecordArray canonical_union(
       std::span<const Corpus* const> parts);
 
   // The merged corpus of `parts`, canonical: canonical_union() adopted by
@@ -186,7 +212,7 @@ class Corpus {
   // Re-creates a minimal table after a move emptied this corpus.
   void revive_if_moved_from();
 
-  std::vector<AddressRecord> records_;
+  RecordArray records_;
   std::vector<std::uint32_t> index_;
   std::size_t index_mask_ = 0;
   std::uint64_t observations_ = 0;

@@ -420,7 +420,7 @@ void PassiveCollector::collect(Corpus* memory, TieredCorpus* runs,
       streams.push_back(span_stream(part->records()));
       total += part->size();
     }
-    std::vector<AddressRecord> out;
+    RecordArray out;
     out.reserve(total);
     merge_record_blocks(streams, [&out](const AddressRecord& rec) {
       out.push_back(rec);
@@ -432,7 +432,7 @@ void PassiveCollector::collect(Corpus* memory, TieredCorpus* runs,
   // merge over the runs and the live union, sharded on the pool), so its
   // layout is a pure function of its content at any shard count.
   const auto snapshot = [&] {
-    std::vector<AddressRecord> rest = live();
+    RecordArray rest = live();
     return runs != nullptr ? runs->collapse(rest, pool.get())
                            : Corpus::from_canonical(std::move(rest));
   };
@@ -440,7 +440,7 @@ void PassiveCollector::collect(Corpus* memory, TieredCorpus* runs,
   // over the runs, which the TieredCorpus caches while nothing is live.
   const auto record_count = [&]() -> std::uint64_t {
     if (runs == nullptr) return running.size();
-    const std::vector<AddressRecord> rest = live();
+    const RecordArray rest = live();
     return rest.empty() ? runs->merged_size() : runs->merged_size_with(rest);
   };
 

@@ -380,7 +380,8 @@ Corpus TieredCorpus::collapse(std::span<const AddressRecord> live,
       upper += records_overlapping(run.blocks, range.lo, range.hi);
     }
   }
-  std::vector<AddressRecord> records(upper);
+  // Sized without writing: only the records the ranges emit touch memory.
+  RecordArray records(upper);
   util::run_sharded(pool, ranges, ranges,
                     [&](unsigned r, std::size_t, std::size_t) {
                       Range& range = plan[r];
